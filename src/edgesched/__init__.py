@@ -13,7 +13,6 @@ from .comm import (
     LinkBudget,
     cu_transmit_energy,
     d2d_delay,
-    d2d_energy,
     uplink_delay,
     uplink_rate,
 )
@@ -34,7 +33,6 @@ from .convergence import (
     RunningGapBound,
     gamma_round,
     interference_error,
-    max_learning_rate,
     optimality_gap_bound,
     sigma,
     sigma_positive_eta_threshold,
@@ -48,12 +46,9 @@ from .errors import (
     StalledLinkError,
 )
 from .lyapunov import (
-    QueueState,
     drift_penalty,
-    lambda_aux,
     queue_update,
     round_delay,
-    upsilon_aux,
 )
 from .orchestrator import (
     POLICIES,
@@ -89,7 +84,6 @@ __all__ = [
     "NOT_TRANSMITTING",
     "OracleGuardError",
     "POLICIES",
-    "QueueState",
     "RoundEnvironment",
     "RoundMetrics",
     "RunningGapBound",
@@ -105,15 +99,12 @@ __all__ = [
     "channel_assignment",
     "cu_transmit_energy",
     "d2d_delay",
-    "d2d_energy",
     "db_to_linear",
     "drift_penalty",
     "event_sim_makespan",
     "gamma_round",
     "interference_error",
-    "lambda_aux",
     "load_config",
-    "max_learning_rate",
     "micro_batch_size",
     "optimality_gap_bound",
     "optimal_micro_batches",
@@ -132,6 +123,5 @@ __all__ = [
     "stage_time",
     "uplink_delay",
     "uplink_rate",
-    "upsilon_aux",
     "validate_decision",
 ]

@@ -176,15 +176,3 @@ def device_d2d_delay(cfg: SystemConfig, env: RoundEnvironment, n: int, k: int) -
         env.d2d_interference_w[n],
         cfg.noise_density_w_per_hz,
     )
-
-
-def d2d_energy(
-    model: ModelSpec,
-    bandwidth_hz: float,
-    power_w: float,
-    gain: float,
-    interference_w: float,
-    n0: float,
-) -> float:
-    """Hop energy p * tau_dd."""
-    return power_w * d2d_delay(model, bandwidth_hz, power_w, gain, interference_w, n0)

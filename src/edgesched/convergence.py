@@ -33,11 +33,6 @@ def sigma_positive_eta_threshold(params: ConvergenceParams, n_segments: int, n_c
     return 2.0 * params.xi / (params.beta * (1.0 + n_segments**2 / (n_clusters * n_blocks)))
 
 
-def max_learning_rate(params: ConvergenceParams, n_segments: int, n_clusters: int, n_blocks: int) -> float:
-    """Admissible learning-rate threshold 4*xi*N*L / (beta*(S^2 + L))."""
-    return 4.0 * params.xi * n_clusters * n_blocks / (params.beta * (n_segments**2 + n_blocks))
-
-
 def gamma_round(
     n_segments: int,
     power_w: float,
@@ -53,13 +48,7 @@ def gamma_round(
     if power_w < 0:
         raise ValueError(f"power must be >= 0, got {power_w}")
     eps = interference_error(power_w, gain, interference_w, params.c_interference)
-    phi2 = params.phi_bound**2
-    return (
-        params.beta
-        * params.eta**2
-        / (2.0 * n_clusters)
-        * (phi2 * n_segments**2 / n_blocks + eps + phi2)
-    )
+    return gamma_round_from_error(n_segments, eps, params, n_clusters, n_blocks)
 
 
 def gamma_round_from_error(

@@ -1,35 +1,15 @@
-"""Virtual queues, the drift-plus-penalty objective, and its two components.
+"""Virtual queues and the drift-plus-penalty objective.
 
 The queue accumulates per-round excess of the balance bound over its cap; the
-scheduler minimizes V*tau(t) + sum_n Y_n*(S_n + p_n) each round, split into an
-intra-cluster part (pipeline + segment penalty) and an inter-cluster part
-(uplink + power penalty).
+scheduler minimizes V*tau(t) + sum_n Y_n*(S_n + p_n) each round.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .comm import uplink_delay
 from .config import RoundEnvironment, SystemConfig
 from .decision import SchedulingDecision
 from .pipeline import pipeline_latency
-
-
-@dataclass(frozen=True)
-class QueueState:
-    """Per-cluster virtual queue values after round t (all nonnegative)."""
-
-    values: tuple[float, ...]
-    round_index: int
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"queue values must be nonnegative, got {self.values}")
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
 
 
 def queue_update(values: tuple[float, ...], gamma_t: float, gamma_max: float) -> tuple[float, ...]:
@@ -41,21 +21,12 @@ def queue_update(values: tuple[float, ...], gamma_t: float, gamma_max: float) ->
     return tuple(max(y + gamma_t - gamma_max, 0.0) for y in values)
 
 
-def cluster_pipeline_delays(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> list[float]:
-    return [pipeline_latency(decision.plans[n], cfg, env, n) for n in range(cfg.n_clusters)]
-
-
-def cluster_uplink_delays(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> list[float]:
-    """Per-cluster upload delay; math.inf for clusters on a virtual channel."""
-    return [uplink_delay(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(cfg.n_clusters)]
-
-
 def round_delay(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
     """tau(t) = max over clusters of pipeline + upload delay.
 
     Clusters that skip the upload this round contribute pipeline latency only.
     """
-    pipes = cluster_pipeline_delays(decision, cfg, env)
+    pipes = [pipeline_latency(decision.plans[n], cfg, env, n) for n in range(cfg.n_clusters)]
     total = []
     for n in range(cfg.n_clusters):
         if decision.assignment.is_transmitting(n):
@@ -77,32 +48,3 @@ def drift_penalty(
         y * (plan.n_segments + p) for y, plan, p in zip(queues, decision.plans, decision.powers_w)
     )
     return v_factor * round_delay(decision, cfg, env) + penalty
-
-
-def lambda_aux(
-    decision: SchedulingDecision,
-    cfg: SystemConfig,
-    env: RoundEnvironment,
-    queues: tuple[float, ...],
-    v_factor: float,
-) -> float:
-    """Intra-cluster component: V*max_n(pipeline) + sum_n Y_n*S_n."""
-    pipes = cluster_pipeline_delays(decision, cfg, env)
-    return v_factor * max(pipes) + sum(y * plan.n_segments for y, plan in zip(queues, decision.plans))
-
-
-def upsilon_aux(
-    decision: SchedulingDecision,
-    cfg: SystemConfig,
-    env: RoundEnvironment,
-    queues: tuple[float, ...],
-    v_factor: float,
-) -> float:
-    """Inter-cluster component: V*max over transmitting uplink delays + sum_n Y_n*p_n."""
-    ups = [
-        uplink_delay(cfg, env, n, decision.assignment, decision.powers_w[n])
-        for n in range(cfg.n_clusters)
-        if decision.assignment.is_transmitting(n)
-    ]
-    head = max(ups) if ups else 0.0
-    return v_factor * head + sum(y * p for y, p in zip(queues, decision.powers_w))

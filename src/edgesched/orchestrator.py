@@ -35,17 +35,21 @@ _QUEUE_STABLE_TOL = 1e-9
 _MAX_INNER_ITERS = 20
 
 
-def system_gamma(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
-    """System-wide balance bound: worst segment count with worst error term."""
-    params = cfg.convergence
-    s_max = max(plan.n_segments for plan in decision.plans)
-    eps_max = max(
+def _worst_interference_error(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
+    """Largest upload distortion term over all clusters at the decided powers."""
+    return max(
         interference_error(
-            decision.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], params.c_interference
+            decision.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference
         )
         for n in range(cfg.n_clusters)
     )
-    return gamma_round_from_error(s_max, eps_max, params, cfg.n_clusters, cfg.model.n_blocks)
+
+
+def system_gamma(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
+    """System-wide balance bound: worst segment count with worst error term."""
+    s_max = max(plan.n_segments for plan in decision.plans)
+    eps_max = _worst_interference_error(decision, cfg, env)
+    return gamma_round_from_error(s_max, eps_max, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
 
 
 def optimize_round(
@@ -70,9 +74,7 @@ def optimize_round(
         plans = tuple(
             schedule_segments(cfg, env, n, y_scratch, v_factor, powers[n]) for n in range(cfg.n_clusters)
         )
-        assignment, powers = allocate_resources(
-            cfg, env, y_scratch, v_factor, tuple(p.n_segments for p in plans), p_init=powers
-        )
+        assignment, powers = allocate_resources(cfg, env, y_scratch, v_factor, tuple(p.n_segments for p in plans))
         decision = SchedulingDecision(
             plans=plans, assignment=assignment, powers_w=powers, round_index=env.round_index
         )
@@ -375,13 +377,7 @@ def evaluate_round(
     gamma_t = system_gamma(decision, cfg, env)
     queue_after = queue_update(queues, gamma_t, cfg.convergence.gamma_max)
     dp = drift_penalty(decision, cfg, env, queues, cfg.convergence.v_factor)
-    eps_max = max(
-        interference_error(
-            decision.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference
-        )
-        for n in range(n_clusters)
-    )
-    gap = bound.observe(max(p.n_segments for p in decision.plans), eps_max)
+    gap = bound.observe(max(p.n_segments for p in decision.plans), _worst_interference_error(decision, cfg, env))
     metrics = RoundMetrics(
         round_index=env.round_index,
         tau_pipe_s=pipes,

@@ -1,10 +1,11 @@
 """Inter-cluster resource allocation: channel matching and uplink power control.
 
 The per-cluster power objective V*tau_up(p) + Y*p is convex on p > 0 (the
-delay is the reciprocal of a concave rate), so the Dinkelbach/SCA cascade
-below converges to its global optimum; a final bisection on the true gradient
-certifies it. Matching pads the cost matrix with zero-cost virtual channels so
-that surplus clusters can sit out a round.
+delay is the reciprocal of a concave rate), and the energy budget (C8) and the
+balance cap (C11) each bound the power to one side, so bisection on the true
+gradient inside that box finds the global optimum. Matching pads the cost
+matrix with zero-cost virtual channels so that surplus clusters can sit out a
+round.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .comm import ChannelAssignment
 from .config import RoundEnvironment, SystemConfig
-from .convergence import interference_error
 from .errors import InfeasibleError
 
-_DINKELBACH_TOL = 1e-8
-_DINKELBACH_MAX = 100
-_SCA_MAX = 200
 _BISECT_ITERS = 200
 
 
@@ -32,7 +29,6 @@ class _UplinkProblem:
 
     bandwidth: float
     gain: float
-    interference: float
     noise_floor: float  # I + B*N0
     payload: float  # z_enc + theta_enc
     param_bits: float  # theta_enc
@@ -62,7 +58,6 @@ def _problem(cfg: SystemConfig, env: RoundEnvironment, n: int) -> _UplinkProblem
     return _UplinkProblem(
         bandwidth=cl.uplink_bandwidth_hz,
         gain=env.uplink_gain[n],
-        interference=env.uplink_interference_w[n],
         noise_floor=env.uplink_interference_w[n] + cl.uplink_bandwidth_hz * cfg.noise_density_w_per_hz,
         payload=cfg.model.uplink_payload_bits,
         param_bits=cfg.model.enc_param_bits,
@@ -144,19 +139,13 @@ def power_control(
     y_n: float,
     v_factor: float,
     n_segments: int,
-    p_init: float | None = None,
     enforce_balance: bool = True,
 ) -> float:
     """Optimal uplink power of cluster n in [0, P_max] under C8 and C11.
 
-    Outer loop: Dinkelbach multiplier lambda = V*payload/(B*f(p)) with the
-    parametric residual |V*payload - lambda*B*f(p)| as the stop test. Inner
-    loop: successive convex approximation that re-linearizes the rate in both
-    the objective surrogate and the constraint boxes (energy tangent box and
-    the balance-bound tangent box) at the current iterate, each surrogate
-    being solved by bisection on its stationarity condition. A final bisection
-    on the true gradient inside the true box certifies the optimum of the
-    convex objective.
+    The balance cap gives a power floor and the energy budget a ceiling; the
+    convex objective is minimized by bisection on its true gradient over
+    [floor, ceiling], starting just above zero when the floor is zero.
     """
     prob = _problem(cfg, env, n)
     p_floor = _balance_power_floor(cfg, env, n, n_segments) if enforce_balance else 0.0
@@ -167,70 +156,8 @@ def power_control(
     p_ceil = _energy_power_ceiling(prob)
     if p_floor > p_ceil * (1 + 1e-12):
         raise InfeasibleError("C8", f"cluster {n}: energy budget caps power below the balance floor")
-
-    params = cfg.convergence
-    phi2 = params.phi_bound**2
-    eps_max = math.inf
-    if enforce_balance and params.c_interference > 0.0:
-        eps_max = (
-            2.0 * cfg.n_clusters * params.gamma_max / (params.beta * params.eta**2)
-            - phi2 * n_segments**2 / cfg.model.n_blocks
-            - phi2
-        )
-
-    p = min(max(p_init if p_init is not None else p_ceil, p_floor), p_ceil)
-    if p <= 0.0:
-        p = min(max(1e-6 * prob.p_max, p_floor), p_ceil)
-    lam = v_factor * prob.payload / (prob.bandwidth * max(prob.f(p), 1e-300))
-
-    for _ in range(_DINKELBACH_MAX):
-        # inner SCA: re-linearize rate and constraint boxes at the iterate
-        for _ in range(_SCA_MAX):
-            f0 = prob.f(p)
-            g0 = prob.f_grad(p)
-            # energy tangent box (relaxes the true budget; exact at the iterate)
-            denom = prob.param_bits - prob.e_max * prob.bandwidth * g0
-            if denom > 0:
-                hi_lin = prob.e_max * prob.bandwidth * (f0 - p * g0) / denom
-            else:
-                hi_lin = math.inf
-            # balance tangent box (tangent of the convex error at the iterate)
-            if enforce_balance and params.c_interference > 0.0 and math.isfinite(eps_max):
-                e0 = interference_error(p, prob.gain, prob.interference, params.c_interference)
-                slope = params.c_interference * prob.gain / (p * prob.gain + prob.interference) ** 2
-                lo_lin = p + (e0 - eps_max) / slope
-            else:
-                lo_lin = 0.0
-            lo = max(0.0, lo_lin)
-            hi = min(prob.p_max, hi_lin)
-            if lo > hi:  # cannot happen when the true box is nonempty
-                lo, hi = p_floor, p_ceil
-
-            def surrogate_grad(q: float) -> float:
-                f_lin = f0 + g0 * (q - p)
-                if f_lin < 1e-150:  # rate surrogate vanishes: steeply descending
-                    return -math.inf
-                return -v_factor * prob.payload * g0 / (prob.bandwidth * f_lin * f_lin) + y_n
-
-            p_new = _bisect_increasing(surrogate_grad, lo, hi)
-            # descent safeguard: fall back to the true gradient on the bracket
-            if _objective(prob, v_factor, y_n, p_new) > _objective(prob, v_factor, y_n, p) * (1 + 1e-12):
-                bracket = sorted((max(p_floor, min(p, p_new)), min(p_ceil, max(p, p_new))))
-                p_new = _bisect_increasing(lambda q: _true_derivative(prob, v_factor, y_n, q), *bracket)
-            if abs(p_new - p) < 1e-9 * prob.p_max:
-                p = p_new
-                break
-            p = p_new
-        residual = abs(v_factor * prob.payload - lam * prob.bandwidth * prob.f(p))
-        lam = v_factor * prob.payload / (prob.bandwidth * max(prob.f(p), 1e-300))
-        if residual < _DINKELBACH_TOL:
-            break
-
-    # certificate: exact convex solve on the true objective within the true box
-    lo_cert = max(p_floor, 1e-12 * prob.p_max)
-    p_cert = _bisect_increasing(lambda q: _true_derivative(prob, v_factor, y_n, q), lo_cert, p_ceil)
-    if _objective(prob, v_factor, y_n, p_cert) <= _objective(prob, v_factor, y_n, p):
-        p = p_cert
+    lo = max(p_floor, 1e-12 * prob.p_max)
+    p = _bisect_increasing(lambda q: _true_derivative(prob, v_factor, y_n, q), lo, p_ceil)
     return min(max(p, p_floor), p_ceil)
 
 
@@ -312,63 +239,24 @@ def channel_assignment(
     return ChannelAssignment(n_channels=n_channels, assigned=tuple(assigned))
 
 
-def _upsilon_value(
-    cfg: SystemConfig,
-    env: RoundEnvironment,
-    queues: tuple[float, ...],
-    v_factor: float,
-    assignment: ChannelAssignment,
-    powers: tuple[float, ...],
-) -> float:
-    delays = [
-        _problem(cfg, env, n).delay(powers[n])
-        for n in range(cfg.n_clusters)
-        if assignment.is_transmitting(n)
-    ]
-    head = max(delays) if delays else 0.0
-    return v_factor * head + sum(y * p for y, p in zip(queues, powers))
-
-
 def allocate_resources(
     cfg: SystemConfig,
     env: RoundEnvironment,
     queues: tuple[float, ...],
     v_factor: float,
     segment_counts: tuple[int, ...],
-    p_init: tuple[float, ...] | None = None,
     enforce_balance: bool = True,
 ) -> tuple[ChannelAssignment, tuple[float, ...]]:
-    """Alternate matching and per-cluster power control until the inter-cluster
-    objective is stable; the best-seen pair is returned (nonincreasing value).
+    """Channel matching and uplink powers for one round, in a single pass.
 
-    The power sub-problems have no cross-cluster coupling, so candidate powers
-    settle on the first sweep and the alternation terminates on the second.
+    The power sub-problems have no cross-cluster coupling, so each cluster's
+    optimal power is solved first; the matching is then priced at those
+    powers, and clusters left on a virtual channel transmit at zero power.
     """
     candidates = tuple(
-        power_control(
-            cfg,
-            env,
-            n,
-            queues[n],
-            v_factor,
-            segment_counts[n],
-            p_init=None if p_init is None else p_init[n],
-            enforce_balance=enforce_balance,
-        )
+        power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance)
         for n in range(cfg.n_clusters)
     )
-    best: tuple[float, ChannelAssignment, tuple[float, ...]] | None = None
-    prev = math.inf
-    for _ in range(50):
-        assignment = channel_assignment(cfg, env, queues, v_factor, candidates)
-        powers = tuple(
-            candidates[n] if assignment.is_transmitting(n) else 0.0 for n in range(cfg.n_clusters)
-        )
-        upsilon = _upsilon_value(cfg, env, queues, v_factor, assignment, powers)
-        if best is None or upsilon < best[0]:
-            best = (upsilon, assignment, powers)
-        if abs(upsilon - prev) < 1e-9 * max(1.0, abs(prev)):
-            break
-        prev = upsilon
-    assert best is not None
-    return best[1], best[2]
+    assignment = channel_assignment(cfg, env, queues, v_factor, candidates)
+    powers = tuple(candidates[n] if assignment.is_transmitting(n) else 0.0 for n in range(cfg.n_clusters))
+    return assignment, powers

@@ -201,15 +201,7 @@ def optimal_partition(
     l_blocks = cfg.model.n_blocks
     caps = _partition_caps(m, geo, cfg)
 
-    s_cap = n_dev
-    if enforce_balance:
-        eps = interference_error(
-            cu_power_w, env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference
-        )
-        s_gamma = max_segments_within_gamma(eps, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
-        if s_gamma == 0:
-            raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at power {cu_power_w}")
-        s_cap = min(s_cap, s_gamma)
+    s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
 
     # feasibility of the cap set as a whole
     sorted_caps = sorted(caps, reverse=True)

@@ -10,7 +10,6 @@ from edgesched.comm import (
     cluster_uplink_rate,
     cu_transmit_energy,
     d2d_delay,
-    d2d_energy,
     uplink_delay,
     uplink_rate,
 )
@@ -146,7 +145,6 @@ def test_d2d_delay_reference_value(table2_cfg):
     got = d2d_delay(model_1mb, 0.5e6, 0.1, 10 ** (-30 / 10), 5e-10, N0)
     assert got == pytest.approx(tau, rel=1e-12)
     assert got == pytest.approx(0.1136, rel=1e-3)
-    assert d2d_energy(model_1mb, 0.5e6, 0.1, 10 ** (-30 / 10), 5e-10, N0) == pytest.approx(0.1 * got, rel=1e-12)
 
 
 def test_d2d_linearity_and_interference_blowup(table2_cfg):
@@ -168,7 +166,6 @@ def test_d2d_zero_power_dead_link(table2_cfg):
 def test_d2d_pure_function_of_arguments(table2_cfg):
     args = (table2_cfg.model, 0.5e6, 0.08, 1e-3, 5e-10, N0)
     assert d2d_delay(*args) == d2d_delay(*args)
-    assert d2d_energy(*args) == d2d_energy(*args)
 
 
 def test_link_budget_invariants():

@@ -9,7 +9,6 @@ from edgesched.convergence import (
     gamma_round,
     gamma_round_from_error,
     interference_error,
-    max_learning_rate,
     max_segments_within_gamma,
     optimality_gap_bound,
     sigma,
@@ -47,15 +46,6 @@ def test_sigma_values_and_threshold():
         assert sigma(params(beta=beta, xi=xi, eta=thr * 0.999), s, n, l) > 0
         assert sigma(params(beta=beta, xi=xi, eta=thr * 1.001), s, n, l) < 0
         assert abs(sigma(params(beta=beta, xi=xi, eta=thr), s, n, l)) < 1e-15
-
-
-def test_max_learning_rate():
-    p = params(beta=1.0, xi=1.0)
-    l = 6
-    assert max_learning_rate(p, 1, 1, l) == pytest.approx(4 * l / (1 + l), rel=1e-12)
-    assert max_learning_rate(p, 4, 3, l) < max_learning_rate(p, 2, 3, l)
-    # representative constants: beta=1, xi=1, N=3, L=6, S=3 -> 4*18/15
-    assert max_learning_rate(p, 3, 3, 6) == pytest.approx(4.8, rel=1e-12)
 
 
 def test_gamma_round_values():

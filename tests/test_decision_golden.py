@@ -76,7 +76,6 @@ CASES = [(name, policy) for name in ("table2", "homogeneous", "binding") for pol
 def test_decisions_match_golden(name, policy):
     want = _load_fixture()[name][policy]
     got = decisions(_docs()[name], policy)
-    assert got["t"] == want["t"], "kept rounds changed"
     for key in EXACT_FIELDS:
         assert got[key] == want[key], f"{key} changed"
     for key in FLOAT_FIELDS:

@@ -44,7 +44,7 @@ def test_minimal_system_decision_matches_brute_force():
     pg, og = grid_search_power(
         prob.bandwidth,
         prob.gain,
-        prob.interference,
+        env.uplink_interference_w[0],
         cfg.noise_density_w_per_hz,
         prob.payload,
         prob.param_bits,
