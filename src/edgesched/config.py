@@ -102,6 +102,11 @@ class DeviceProfile:
     energy_budget_j: float  # E_k^max per round
     kappa: float  # switched-capacitance scale: E_compute = kappa * cycles * f^2
 
+    @property
+    def block_cap(self) -> int:
+        """Most encoder blocks the memory budget can hold."""
+        return int(self.mem_budget_bytes // self.mem_per_block_bytes)
+
 
 @dataclass(frozen=True)
 class ClusterProfile:

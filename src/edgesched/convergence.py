@@ -64,6 +64,20 @@ def gamma_round_from_error(
     )
 
 
+def balance_error_budget(params: ConvergenceParams, n_clusters: int, n_blocks: int, n_segments: int) -> float:
+    """Interference error the balance cap leaves at S segments.
+
+    2*N*gamma_max/(beta*eta^2) - phi^2*S^2/L - phi^2: the bound stays at most
+    gamma_max exactly when eps(p) is at most this budget.
+    """
+    phi2 = params.phi_bound**2
+    return (
+        2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2)
+        - phi2 * n_segments**2 / n_blocks
+        - phi2
+    )
+
+
 def max_segments_within_gamma(
     eps: float, params: ConvergenceParams, n_clusters: int, n_blocks: int
 ) -> int:
@@ -72,7 +86,7 @@ def max_segments_within_gamma(
     Returns 0 when no segment count qualifies (the bound cap is unreachable).
     """
     phi2 = params.phi_bound**2
-    slack = 2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2) - eps - phi2
+    slack = balance_error_budget(params, n_clusters, n_blocks, 0) - eps
     if slack <= 0:
         return 0
     s2 = n_blocks * slack / phi2

@@ -113,7 +113,7 @@ def loss_proxy(cfg: SystemConfig, t: int, n: int) -> float:
 
 def _capable_devices(cfg: SystemConfig, n: int) -> list[int]:
     cl = cfg.clusters[n]
-    return [k for k, d in enumerate(cl.devices) if d.mem_budget_bytes >= d.mem_per_block_bytes]
+    return [k for k, d in enumerate(cl.devices) if d.block_cap >= 1]
 
 
 def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = None) -> tuple[int, ...]:
@@ -124,7 +124,7 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
         raise InfeasibleError("C7", f"cluster {n}: no device can hold a block")
     delta = [0] * cl.n_devices
     rem = cfg.model.n_blocks
-    caps = {k: int(cl.devices[k].mem_budget_bytes // cl.devices[k].mem_per_block_bytes) for k in ids}
+    caps = {k: cl.devices[k].block_cap for k in ids}
     share = {k: 0 for k in ids}
     for i, k in enumerate(ids):
         want = -(-rem // (len(ids) - i))
@@ -157,7 +157,7 @@ def _ranked_assignment(cfg: SystemConfig, order: list[int]) -> ChannelAssignment
 def _random_plan(cfg: SystemConfig, env: RoundEnvironment, n: int, rng: np.random.Generator) -> SegmentPlan:
     cl = cfg.clusters[n]
     ids = _capable_devices(cfg, n)
-    caps = {k: int(cl.devices[k].mem_budget_bytes // cl.devices[k].mem_per_block_bytes) for k in ids}
+    caps = {k: cl.devices[k].block_cap for k in ids}
     for _ in range(200):
         s = int(rng.integers(1, len(ids) + 1))
         chosen = list(rng.permutation(ids)[:s])

@@ -18,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .comm import ChannelAssignment
 from .config import RoundEnvironment, SystemConfig
+from .convergence import balance_error_budget
 from .errors import InfeasibleError
 
 _BISECT_ITERS = 200
@@ -69,12 +70,7 @@ def _problem(cfg: SystemConfig, env: RoundEnvironment, n: int) -> _UplinkProblem
 def _balance_power_floor(cfg: SystemConfig, env: RoundEnvironment, n: int, n_segments: int) -> float:
     """Smallest power keeping the balance bound under its cap (C11 as a box)."""
     params = cfg.convergence
-    phi2 = params.phi_bound**2
-    eps_max = (
-        2.0 * cfg.n_clusters * params.gamma_max / (params.beta * params.eta**2)
-        - phi2 * n_segments**2 / cfg.model.n_blocks
-        - phi2
-    )
+    eps_max = balance_error_budget(params, cfg.n_clusters, cfg.model.n_blocks, n_segments)
     if params.c_interference == 0.0:
         return 0.0
     if eps_max <= 0.0:

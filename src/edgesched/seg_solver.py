@@ -4,12 +4,13 @@ Minimizes the intra-cluster objective
 
     V * pipeline_latency(delta, m) + S * sum(queue values)
 
-by alternating two exact coordinate solves: an integer micro-batch search
-(convexity of the continuous relaxation plus the ceil(b/m) run structure) and
-a branch-and-bound search over block compositions. Constraints: block
-conservation, segment count at most the device count, per-device memory,
-per-device round energy, and the balance-bound cap at the cluster's current
-uplink power.
+by an exact joint search: a branch-and-bound search over block compositions
+at every micro-batch count that starts a constant-ceil(b/m) run. Within a run
+the chunk size is fixed, so at any partition the latency grows with m and the
+energy budgets bind alike; the joint optimum therefore lies at a run start.
+Constraints: block conservation, segment count at most the device count,
+per-device memory, per-device round energy, and the balance-bound cap at the
+cluster's current uplink power.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .config import RoundEnvironment, SystemConfig
 from .convergence import interference_error, max_segments_within_gamma
 from .errors import InfeasibleError
 from .pipeline import SegmentPlan, micro_batch_size, pipeline_latency_from_times
-
-_REL_TOL = 1e-9
-_MAX_ALTERNATIONS = 50
 
 
 def _device_geometry(cfg: SystemConfig, env: RoundEnvironment, n: int) -> list[dict]:
@@ -39,7 +37,7 @@ def _device_geometry(cfg: SystemConfig, env: RoundEnvironment, n: int) -> list[d
                 "hop": hop,
                 "hop_energy": dev.d2d_power_w * hop,
                 "kappa_f2_over_phi": dev.kappa * env.clock_hz[n][k] ** 2 / dev.flops_per_cycle,
-                "mem_cap": int(dev.mem_budget_bytes // dev.mem_per_block_bytes),
+                "mem_cap": dev.block_cap,
                 "energy_budget": dev.energy_budget_j,
             }
         )
@@ -71,19 +69,6 @@ def cluster_objective(
     latency = pipeline_latency_from_times(times, hops, m)
     s = len(times)
     return v_factor * latency + s * queue_sum
-
-
-def continuous_micro_batch_opt(fwd_time: float, base_time: float, n_segments: int) -> float:
-    """Stationary point sqrt((S-1)*A/B) of the relaxed (S+m-1)*(A/m + B).
-
-    ``fwd_time`` is the bottleneck's full-batch forward time A and
-    ``base_time`` its per-chunk residual B (backward compute plus hop).
-    """
-    if n_segments <= 1 or fwd_time <= 0:
-        return 1.0
-    if base_time <= 0:
-        return math.inf
-    return math.sqrt((n_segments - 1) * fwd_time / base_time)
 
 
 def _micro_batch_run_starts(batch_items: int) -> list[int]:
@@ -121,38 +106,21 @@ def optimal_micro_batches(
 ) -> int:
     """Exact integer argmin over m in [1, b] at a fixed partition.
 
-    Candidates are the ceil(b/m) run starts (within a run the latency is
-    strictly increasing in m, so run starts dominate), the floor/ceil of every
-    scheduled device's continuous stationary point, and the endpoints. Ties
-    take the smallest m. Raises when no m satisfies the energy budgets.
+    Only the ceil(b/m) run starts are candidates: within a run the latency is
+    strictly increasing in m and energy feasibility does not change, so run
+    starts dominate. Ties take the smallest m. Raises when no m satisfies the
+    energy budgets.
     """
     if not any(d > 0 for d in delta):
         raise InfeasibleError("C2", "no scheduled device")
     geo = _device_geometry(cfg, env, n)
-    b = cfg.model.batch_items
-    s = sum(1 for d in delta if d > 0)
-
-    candidates = set(_micro_batch_run_starts(b))
-    candidates.update((1, b))
-    for k, d in enumerate(delta):
-        if d == 0:
-            continue
-        fwd = d * b * cfg.model.fwd_flops / geo[k]["speed"]
-        base = d * cfg.model.bwd_flops / geo[k]["speed"] + geo[k]["hop"]
-        m_tilde = continuous_micro_batch_opt(fwd, base, s)
-        if math.isfinite(m_tilde):
-            candidates.add(max(1, min(b, math.floor(m_tilde))))
-            candidates.add(max(1, min(b, math.ceil(m_tilde))))
-
     best_m = None
     best_obj = math.inf
-    for m in sorted(candidates):
-        if not 1 <= m <= b:
-            continue
+    for m in _micro_batch_run_starts(cfg.model.batch_items):
         if not _feasible_energy_at_m(delta, m, geo, cfg):
             continue
         obj = cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum)
-        if obj < best_obj - 0.0:
+        if obj < best_obj:
             best_obj, best_m = obj, m
     if best_m is None:
         raise InfeasibleError("C9'", f"cluster {n}: no micro-batch count satisfies the device energy budgets")
@@ -186,15 +154,22 @@ def optimal_partition(
     queue_sum: float,
     cu_power_w: float,
     enforce_balance: bool = True,
-) -> tuple[tuple[int, ...], int]:
+    *,
+    cutoff: float = math.inf,
+) -> tuple[tuple[int, ...], int] | None:
     """Exact branch-and-bound argmin over integer block compositions at fixed m.
 
     Searches devices in index order with ascending block counts, so among
     equal-objective optima the first one found is the (smaller S, then
     lexicographically smallest delta) representative; strict-improvement
     replacement keeps it. Pruning uses remaining capacity, the segment cap
-    from the balance bound, and a latency lower bound at the current
-    bottleneck.
+    from the balance bound, and a latency lower bound from the current
+    bottleneck and from spreading the remaining blocks over the remaining
+    devices at their summed speed.
+
+    Plans whose objective exceeds ``cutoff`` are pruned (ties survive); when
+    no plan reaches a finite cutoff the result is None. At the default cutoff
+    an instance without a feasible composition raises instead.
     """
     geo = _device_geometry(cfg, env, n)
     n_dev = len(geo)
@@ -220,21 +195,23 @@ def optimal_partition(
 
     b_hat = micro_batch_size(cfg.model.batch_items, m)
     work = _chunk_work(b_hat, cfg)
-    block_time = [work / g["speed"] for g in geo]
+    speeds = [g["speed"] for g in geo]
     hops = [g["hop"] for g in geo]
     hop_ub = max(hops) if hops else 0.0
 
+    # suffix aggregates over the devices i.. that can take a block
     suffix_cap = [0] * (n_dev + 1)
     suffix_max_cap = [0] * (n_dev + 1)
+    suffix_speed = [0.0] * (n_dev + 1)
+    suffix_min_hop = [math.inf] * (n_dev + 1)
     for i in range(n_dev - 1, -1, -1):
         suffix_cap[i] = suffix_cap[i + 1] + caps[i]
         suffix_max_cap[i] = max(suffix_max_cap[i + 1], caps[i])
+        suffix_speed[i] = suffix_speed[i + 1] + (speeds[i] if caps[i] > 0 else 0.0)
+        suffix_min_hop[i] = min(suffix_min_hop[i + 1], hops[i]) if caps[i] > 0 else suffix_min_hop[i + 1]
 
-    best: dict = {"key": None, "delta": None, "s": None}
+    best: dict = {"key": None, "bound": cutoff}
     delta = [0] * n_dev
-
-    def objective(times: list[float], hop_list: list[float], s: int) -> float:
-        return v_factor * pipeline_latency_from_times(times, hop_list, m) + s * queue_sum
 
     def dfs(i: int, rem: int, s_cur: int, u_max: float, times: list[float], hop_list: list[float]):
         if rem > suffix_cap[i]:
@@ -242,22 +219,24 @@ def optimal_partition(
         if i == n_dev:
             if rem != 0 or s_cur == 0:
                 return
-            obj = objective(times, hop_list, s_cur)
+            obj = v_factor * pipeline_latency_from_times(times, hop_list, m) + s_cur * queue_sum
+            if obj > best["bound"]:
+                return
             key = (obj, s_cur, tuple(delta))
             if best["key"] is None or key < best["key"]:
                 best["key"] = key
-                best["delta"] = tuple(delta)
-                best["s"] = s_cur
+                best["bound"] = obj
             return
-        # lower bound pruning on the latency of any completion
-        if best["key"] is not None and s_cur >= 1:
-            extra = 0 if rem == 0 else -(-rem // max(1, suffix_max_cap[i]))
-            s_lb = s_cur + (extra if rem > 0 else 0)
-            if s_lb > s_cap:
-                return
-            lat_lb = (s_lb + m - 1) * u_max - hop_ub if s_lb > 1 else m * max(0.0, u_max - hop_ub)
-            if v_factor * max(lat_lb, 0.0) + s_lb * queue_sum > best["key"][0]:
-                return
+        # lower bound on the objective of any completion
+        s_lb, u_lb = s_cur, u_max
+        if rem > 0:
+            s_lb += -(-rem // suffix_max_cap[i])
+            u_lb = max(u_lb, (rem * work / suffix_speed[i] + suffix_min_hop[i]) * (1 - 1e-12))
+        if s_lb > s_cap:
+            return
+        lat_lb = (s_lb + m - 1) * u_lb - hop_ub if s_lb > 1 else m * max(0.0, u_lb - hop_ub)
+        if v_factor * max(lat_lb, 0.0) + s_lb * queue_sum > best["bound"]:
+            return
         hi = min(caps[i], rem)
         for d in range(0, hi + 1):
             if d > 0 and s_cur + 1 > s_cap:
@@ -266,7 +245,7 @@ def optimal_partition(
             if d == 0:
                 dfs(i + 1, rem, s_cur, u_max, times, hop_list)
             else:
-                t = d * block_time[i]
+                t = d * work / speeds[i]
                 times.append(t)
                 hop_list.append(hops[i])
                 dfs(i + 1, rem - d, s_cur + 1, max(u_max, t + hops[i]), times, hop_list)
@@ -275,56 +254,12 @@ def optimal_partition(
             delta[i] = 0
 
     dfs(0, l_blocks, 0, 0.0, [], [])
-    if best["delta"] is None:
-        raise InfeasibleError("C1", f"cluster {n}: no feasible block composition")
-    return best["delta"], best["s"]
-
-
-def _spread_over(geo: list[dict], chosen: list[int], l_blocks: int) -> tuple[int, ...] | None:
-    """Even spread of the blocks over the chosen devices, or None if caps forbid."""
-    if sum(geo[k]["mem_cap"] for k in chosen) < l_blocks:
+    if best["key"] is None:
+        if math.isinf(cutoff):
+            raise InfeasibleError("C1", f"cluster {n}: no feasible block composition")
         return None
-    delta = [0] * len(geo)
-    rem = l_blocks
-    for idx, k in enumerate(chosen):
-        share = min(geo[k]["mem_cap"], -(-rem // (len(chosen) - idx)))
-        delta[k] = share
-        rem -= share
-    k_iter = 0
-    while rem > 0:  # distribute leftovers to devices with headroom
-        k = chosen[k_iter % len(chosen)]
-        if delta[k] < geo[k]["mem_cap"]:
-            delta[k] += 1
-            rem -= 1
-        k_iter += 1
-    return tuple(delta)
-
-
-def _initial_partitions(cfg: SystemConfig, env: RoundEnvironment, n: int, s_cap: int) -> list[tuple[int, ...]]:
-    """Alternation seeds: the single-segment plan and a balanced wide spread.
-
-    The two extremes of the segment-count range; the alternation repairs and
-    refines each, and the best converged plan wins. Seeding both ends avoids
-    the single-chunk trap where splitting only pays at higher chunk counts.
-    """
-    geo = _device_geometry(cfg, env, n)
-    l_blocks = cfg.model.n_blocks
-    seeds: list[tuple[int, ...]] = []
-    holders = [k for k, g in enumerate(geo) if g["mem_cap"] >= l_blocks]
-    if holders:
-        k = max(holders, key=lambda i: geo[i]["speed"])
-        delta = [0] * len(geo)
-        delta[k] = l_blocks
-        seeds.append(tuple(delta))
-    capable = sorted(
-        (k for k, g in enumerate(geo) if g["mem_cap"] > 0), key=lambda i: -geo[i]["speed"]
-    )
-    wide = _spread_over(geo, capable[: max(1, min(len(capable), s_cap, l_blocks))], l_blocks)
-    if wide is not None and wide not in seeds:
-        seeds.append(wide)
-    if not seeds:
-        raise InfeasibleError("C7", f"cluster {n}: memory cannot host {l_blocks} blocks")
-    return seeds
+    _, s, found = best["key"]
+    return found, s
 
 
 def _segment_cap(
@@ -350,57 +285,36 @@ def schedule_segments(
     cu_power_w: float,
     enforce_balance: bool = True,
 ) -> SegmentPlan:
-    """Alternating optimization over (partition, micro-batches) for cluster n.
+    """Exact joint argmin over (partition, micro-batches) for cluster n.
 
-    Alternates the two exact coordinate solves from both a single-segment and
-    a wide balanced seed until the objective moves by less than 1e-9 relative
-    (or 50 rounds per seed), and returns the best plan seen. The objective
-    sequence within each alternation is nonincreasing because each coordinate
-    solve is exact.
+    Runs the partition search at every ceil(b/m) run start in ascending m,
+    passing the best objective so far as its cutoff, and keeps the least
+    (objective, S, delta, m), the oracle's tie-break. When every m is
+    infeasible, the error raised at m = 1 names the blocker.
     """
     queue_sum = sum(queues)
-    s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
-    geo = _device_geometry(cfg, env, n)
-
     best_key = None
-    best_plan = None
-
-    def consider(d: tuple[int, ...], mm: int):
-        nonlocal best_key, best_plan
-        obj = cluster_objective(d, mm, cfg, env, n, v_factor, queue_sum)
-        key = (obj, sum(1 for x in d if x > 0), d, mm)
-        if best_key is None or key < best_key:
-            best_key, best_plan = key, SegmentPlan(delta=d, m=mm)
-        return obj
-
-    feasible_seed = False
-    for delta in _initial_partitions(cfg, env, n, s_cap):
+    first_error = None
+    for m in _micro_batch_run_starts(cfg.model.batch_items):
+        cutoff = math.inf if best_key is None else best_key[0]
         try:
-            m = optimal_micro_batches(delta, cfg, env, n, v_factor, queue_sum)
-        except InfeasibleError:
+            found = optimal_partition(
+                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff
+            )
+        except InfeasibleError as exc:
+            first_error = first_error or exc
             continue
-        feasible_seed = True
-        if sum(1 for x in delta if x > 0) <= s_cap:
-            prev = consider(delta, m)
-        else:
-            prev = math.inf
-        for _ in range(_MAX_ALTERNATIONS):
-            delta, _ = optimal_partition(m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance)
-            consider(delta, m)
-            m = optimal_micro_batches(delta, cfg, env, n, v_factor, queue_sum)
-            obj = consider(delta, m)
-            if abs(obj - prev) < _REL_TOL * max(1.0, abs(prev)):
-                break
-            prev = obj
+        if found is None:
+            continue
+        delta, s = found
+        key = (cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum), s, delta, m)
+        if best_key is None or key < best_key:
+            best_key = key
+    if best_key is None:
+        raise first_error
 
-    if not feasible_seed:
-        # no seed admits any chunk count: let the partition solver name the blocker
-        delta, _ = optimal_partition(1, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance)
-        m = optimal_micro_batches(delta, cfg, env, n, v_factor, queue_sum)
-        consider(delta, m)
-
-    assert best_plan is not None
+    best_plan = SegmentPlan(delta=best_key[2], m=best_key[3])
     best_plan.validate(cfg.clusters[n], cfg.model)
-    if not _feasible_energy_at_m(best_plan.delta, best_plan.m, geo, cfg):
-        raise InfeasibleError("C9'", f"cluster {n}: converged plan violates an energy budget")
+    if not _feasible_energy_at_m(best_plan.delta, best_plan.m, _device_geometry(cfg, env, n), cfg):
+        raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
     return best_plan
