@@ -1,8 +1,9 @@
 """Command-line entry point: single runs, policy comparisons, parameter sweeps.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible, 4 internal error. Output files
-are written atomically (temp file + rename) and are byte-stable across
-identical invocations. EDGESCHED_OUT_DIR sets the default output directory.
+Exit codes: 0 ok, 2 config error, 3 infeasible (including a zero-rate link),
+4 internal error. Output files are written atomically (temp file + rename) and
+are byte-stable across identical invocations. EDGESCHED_OUT_DIR sets the
+default output directory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from .config import SystemConfig, load_config, sample_round_environment
-from .errors import ConfigError, InfeasibleError, SimulationAborted
+from .errors import ConfigError, InfeasibleError, SimulationAborted, StalledLinkError
 from .orchestrator import POLICIES, _atomic_write, run_simulation, uniform_partition
 from .pipeline import SegmentPlan, pipeline_latency
 
@@ -203,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleError, SimulationAborted) as exc:
+    except (InfeasibleError, SimulationAborted, StalledLinkError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except Exception as exc:  # pragma: no cover - defensive

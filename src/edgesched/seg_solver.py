@@ -4,18 +4,28 @@ Minimizes the intra-cluster objective
 
     V * pipeline_latency(delta, m) + S * sum(queue values)
 
-by an exact joint search: a branch-and-bound search over block compositions
-at every micro-batch count that starts a constant-ceil(b/m) run. Within a run
-the chunk size is fixed, so at any partition the latency grows with m and the
-energy budgets bind alike; the joint optimum therefore lies at a run start.
-Constraints: block conservation, segment count at most the device count,
-per-device memory, per-device round energy, and the balance-bound cap at the
-cluster's current uplink power.
+by an exact joint search: an exact partition solve at every micro-batch count
+that starts a constant-ceil(b/m) run. Within a run the chunk size is fixed, so
+at any partition the latency grows with m and the energy budgets bind alike;
+the joint optimum therefore lies at a run start. Constraints: block
+conservation, segment count at most the device count, per-device memory,
+per-device round energy, and the balance-bound cap at the cluster's current
+uplink power.
+
+Blocks are identical in cost, so at a fixed m a plan's objective depends only
+on its segment count S and its first bottleneck, a device j holding d blocks.
+The partition solve enumerates the O(K*L) candidate bottlenecks (j, d) and,
+for each, covers the other blocks with the fewest devices whose occupancy
+stays under the bottleneck's: the identical-block case of 1-D chain
+partitioning (Pinar & Aykanat, "Fast optimal load balancing algorithms for 1D
+partitioning", JPDC 2004).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from .comm import device_d2d_delay
 from .config import RoundEnvironment, SystemConfig
@@ -48,17 +58,10 @@ def _chunk_work(b_hat: int, cfg: SystemConfig) -> float:
     return b_hat * cfg.model.fwd_flops + cfg.model.bwd_flops
 
 
-def cluster_objective(
-    delta: tuple[int, ...],
-    m: int,
-    cfg: SystemConfig,
-    env: RoundEnvironment,
-    n: int,
-    v_factor: float,
-    queue_sum: float,
+def _plan_objective(
+    delta: tuple[int, ...], m: int, geo: list[dict], cfg: SystemConfig, v_factor: float, queue_sum: float
 ) -> float:
-    """V * pipeline latency + S * queue_sum for one cluster's plan."""
-    geo = _device_geometry(cfg, env, n)
+    """V * pipeline latency + S * queue_sum for one plan on prebuilt geometry."""
     b_hat = micro_batch_size(cfg.model.batch_items, m)
     work = _chunk_work(b_hat, cfg)
     times, hops = [], []
@@ -69,6 +72,19 @@ def cluster_objective(
     latency = pipeline_latency_from_times(times, hops, m)
     s = len(times)
     return v_factor * latency + s * queue_sum
+
+
+def cluster_objective(
+    delta: tuple[int, ...],
+    m: int,
+    cfg: SystemConfig,
+    env: RoundEnvironment,
+    n: int,
+    v_factor: float,
+    queue_sum: float,
+) -> float:
+    """V * pipeline latency + S * queue_sum for one cluster's plan."""
+    return _plan_objective(delta, m, _device_geometry(cfg, env, n), cfg, v_factor, queue_sum)
 
 
 def _micro_batch_run_starts(batch_items: int) -> list[int]:
@@ -119,7 +135,7 @@ def optimal_micro_batches(
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         if not _feasible_energy_at_m(delta, m, geo, cfg):
             continue
-        obj = cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum)
+        obj = _plan_objective(delta, m, geo, cfg, v_factor, queue_sum)
         if obj < best_obj:
             best_obj, best_m = obj, m
     if best_m is None:
@@ -156,22 +172,28 @@ def optimal_partition(
     enforce_balance: bool = True,
     *,
     cutoff: float = math.inf,
+    geo: list[dict] | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
-    """Exact branch-and-bound argmin over integer block compositions at fixed m.
+    """Exact argmin over integer block compositions at fixed m.
 
-    Searches devices in index order with ascending block counts, so among
-    equal-objective optima the first one found is the (smaller S, then
-    lexicographically smallest delta) representative; strict-improvement
-    replacement keeps it. Pruning uses remaining capacity, the segment cap
-    from the balance bound, and a latency lower bound from the current
-    bottleneck and from spreading the remaining blocks over the remaining
-    devices at their summed speed.
+    A one-stage plan puts all L blocks on one device. Any other plan has a
+    first bottleneck: the first device j, in index order, whose occupancy
+    u = d*work/speed_j + hop_j is maximal, and its objective is
+    V*((S+m-1)*u - hop_j) + S*queue_sum. So every pair (j, d) is a candidate:
+    each other device k takes at most as many blocks as keep its occupancy
+    below u (k < j, strictly, so that j stays first) or at most u (k > j), and
+    the fewest such devices that cover the other L-d blocks give S. Pairs are
+    scanned in ascending u until a lower bound on every later pair exceeds
+    the best plan. Among equal (objective, S) the lexicographically smallest
+    delta wins, the oracle's tie-break.
 
-    Plans whose objective exceeds ``cutoff`` are pruned (ties survive); when
+    Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
-    an instance without a feasible composition raises instead.
+    an instance without a feasible composition raises instead. ``geo`` is the
+    cluster's device geometry when the caller has already built it.
     """
-    geo = _device_geometry(cfg, env, n)
+    if geo is None:
+        geo = _device_geometry(cfg, env, n)
     n_dev = len(geo)
     l_blocks = cfg.model.n_blocks
     caps = _partition_caps(m, geo, cfg)
@@ -197,69 +219,69 @@ def optimal_partition(
     work = _chunk_work(b_hat, cfg)
     speeds = [g["speed"] for g in geo]
     hops = [g["hop"] for g in geo]
-    hop_ub = max(hops) if hops else 0.0
 
-    # suffix aggregates over the devices i.. that can take a block
-    suffix_cap = [0] * (n_dev + 1)
-    suffix_max_cap = [0] * (n_dev + 1)
-    suffix_speed = [0.0] * (n_dev + 1)
-    suffix_min_hop = [math.inf] * (n_dev + 1)
-    for i in range(n_dev - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
-        suffix_max_cap[i] = max(suffix_max_cap[i + 1], caps[i])
-        suffix_speed[i] = suffix_speed[i + 1] + (speeds[i] if caps[i] > 0 else 0.0)
-        suffix_min_hop[i] = min(suffix_min_hop[i + 1], hops[i]) if caps[i] > 0 else suffix_min_hop[i + 1]
+    best = None  # (objective, S, delta)
+    for j in range(n_dev):
+        if caps[j] >= l_blocks:
+            obj = v_factor * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m) + queue_sum
+            key = (obj, 1, tuple(l_blocks if k == j else 0 for k in range(n_dev)))
+            if obj <= cutoff and (best is None or key < best):
+                best = key
 
-    best: dict = {"key": None, "bound": cutoff}
-    delta = [0] * n_dev
-
-    def dfs(i: int, rem: int, s_cur: int, u_max: float, times: list[float], hop_list: list[float]):
-        if rem > suffix_cap[i]:
-            return
-        if i == n_dev:
-            if rem != 0 or s_cur == 0:
-                return
-            obj = v_factor * pipeline_latency_from_times(times, hop_list, m) + s_cur * queue_sum
-            if obj > best["bound"]:
-                return
-            key = (obj, s_cur, tuple(delta))
-            if best["key"] is None or key < best["key"]:
-                best["key"] = key
-                best["bound"] = obj
-            return
-        # lower bound on the objective of any completion
-        s_lb, u_lb = s_cur, u_max
-        if rem > 0:
-            s_lb += -(-rem // suffix_max_cap[i])
-            u_lb = max(u_lb, (rem * work / suffix_speed[i] + suffix_min_hop[i]) * (1 - 1e-12))
-        if s_lb > s_cap:
-            return
-        lat_lb = (s_lb + m - 1) * u_lb - hop_ub if s_lb > 1 else m * max(0.0, u_lb - hop_ub)
-        if v_factor * max(lat_lb, 0.0) + s_lb * queue_sum > best["bound"]:
-            return
-        hi = min(caps[i], rem)
-        for d in range(0, hi + 1):
-            if d > 0 and s_cur + 1 > s_cap:
+    if s_cap >= 2:
+        # occupancy of device k at d = 1..caps[k] blocks, ascending in d; the
+        # expression is the one _bottleneck compares
+        occ = [[d * work / speeds[k] + hops[k] for d in range(1, caps[k] + 1)] for k in range(n_dev)]
+        pairs = sorted((occ[j][d - 1], j, d) for j in range(n_dev) for d in range(1, min(caps[j], l_blocks - 1) + 1))
+        s_lo = max(2, need)
+        hop_max = max(hops)
+        for u, j, d in pairs:
+            limit = cutoff if best is None else best[0]
+            # every later pair has u' >= u, S >= s_lo and hop_j <= min(hop_max, u')
+            lower = v_factor * max((s_lo + m - 1) * u - hop_max, (s_lo + m - 2) * u) * (1 - 1e-12) + s_lo * queue_sum
+            if lower > limit:
                 break
-            delta[i] = d
-            if d == 0:
-                dfs(i + 1, rem, s_cur, u_max, times, hop_list)
-            else:
-                t = d * work / speeds[i]
-                times.append(t)
-                hop_list.append(hops[i])
-                dfs(i + 1, rem - d, s_cur + 1, max(u_max, t + hops[i]), times, hop_list)
-                times.pop()
-                hop_list.pop()
-            delta[i] = 0
+            caps_u = [bisect_left(o, u) for o in occ[:j]] + [0] + [bisect_right(o, u) for o in occ[j + 1 :]]
+            s = 1 + _fewest_cover(l_blocks - d, caps_u)
+            if s > s_cap:
+                continue
+            obj = v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum
+            if obj > limit or (best is not None and (obj, s) > best[:2]):
+                continue
+            key = (obj, s, _lexmin_cover(l_blocks - d, s - 1, caps_u, j, d))
+            if best is None or key < best:
+                best = key
 
-    dfs(0, l_blocks, 0, 0.0, [], [])
-    if best["key"] is None:
+    if best is None:
         if math.isinf(cutoff):
             raise InfeasibleError("C1", f"cluster {n}: no feasible block composition")
         return None
-    _, s, found = best["key"]
+    _, s, found = best
     return found, s
+
+
+def _fewest_cover(blocks: int, caps: list[int]) -> float:
+    """Fewest devices whose caps sum to at least ``blocks``; inf when none do."""
+    reach = list(accumulate(sorted(caps, reverse=True)))
+    return bisect_left(reach, blocks) + 1 if reach[-1] >= blocks else math.inf
+
+
+def _lexmin_cover(blocks: int, slots: int, caps: list[int], j: int, d: int) -> tuple[int, ...]:
+    """Lexicographically smallest delta with d blocks on j and ``blocks`` on at most ``slots`` others."""
+    delta = [0] * len(caps)
+    delta[j] = d
+    for i in range(len(caps)):
+        if blocks == 0:
+            break
+        if i == j:
+            continue
+        later = sorted(caps[i + 1 :], reverse=True)
+        if blocks <= sum(later[:slots]):  # the devices after i can take them all
+            continue
+        delta[i] = max(1, blocks - sum(later[: slots - 1]))
+        blocks -= delta[i]
+        slots -= 1
+    return tuple(delta)
 
 
 def _segment_cap(
@@ -293,13 +315,14 @@ def schedule_segments(
     infeasible, the error raised at m = 1 names the blocker.
     """
     queue_sum = sum(queues)
+    geo = _device_geometry(cfg, env, n)
     best_key = None
     first_error = None
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         cutoff = math.inf if best_key is None else best_key[0]
         try:
             found = optimal_partition(
-                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff
+                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff, geo=geo
             )
         except InfeasibleError as exc:
             first_error = first_error or exc
@@ -307,7 +330,7 @@ def schedule_segments(
         if found is None:
             continue
         delta, s = found
-        key = (cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum), s, delta, m)
+        key = (_plan_objective(delta, m, geo, cfg, v_factor, queue_sum), s, delta, m)
         if best_key is None or key < best_key:
             best_key = key
     if best_key is None:
@@ -315,6 +338,6 @@ def schedule_segments(
 
     best_plan = SegmentPlan(delta=best_key[2], m=best_key[3])
     best_plan.validate(cfg.clusters[n], cfg.model)
-    if not _feasible_energy_at_m(best_plan.delta, best_plan.m, _device_geometry(cfg, env, n), cfg):
+    if not _feasible_energy_at_m(best_plan.delta, best_plan.m, geo, cfg):
         raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
     return best_plan

@@ -8,6 +8,7 @@ from edgesched.config import build_config, load_config
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TABLE2 = os.path.join(REPO_ROOT, "configs", "table2.json")
 HOMOGENEOUS = os.path.join(REPO_ROOT, "configs", "homogeneous.json")
+BINDING = os.path.join(REPO_ROOT, "configs", "binding.json")
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,7 @@ def test_criterion_1_pipeline_model_soundness():
 
 
 def test_criterion_2_segment_solver_optimality():
-    """Alternation equals brute force: objective always, tie-break >= 95%."""
+    """The joint search equals brute force: objective always, tie-break >= 95%."""
     rng = np.random.default_rng(777)
     start = time.perf_counter()
     total = obj_match = tie_match = 0

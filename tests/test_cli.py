@@ -152,3 +152,15 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 
     args = build_parser().parse_args(["run", TABLE2])
     assert args.out == str(tmp_path / "envout")
+
+
+def test_run_zero_rate_uplink_exits_infeasible(tmp_path, capsys):
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for cluster in doc["clusters"]:
+        cluster["h_up_db"] = -400
+    path = tmp_path / "dead_uplink.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["run", str(path), "--policy", "random", "--rounds", "3", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "stalled uplink" in capsys.readouterr().err

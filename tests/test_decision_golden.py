@@ -3,9 +3,11 @@
 The fixture holds, for each kept round, the segment counts S, micro-batch
 counts m, block partitions delta and channels, which must match exactly, and
 the uplink powers p_cu_w and queues queue_y, which must match within 1e-8
-relative. The inputs are the two shipped configs and a binding scenario (six
-two-device clusters on three channels under a tight balance cap) whose queues
-grow every round, so power control and block-coordinate descent both work.
+relative. The inputs are the shipped configs: table2, homogeneous and binding
+(six two-device clusters on three channels under a tight balance cap). In
+binding the uplink interference is fixed at 0.058 W, so a cluster left off the
+air lifts the balance bound over its cap and the queues grow every round:
+power control and block-coordinate descent both work.
 
 A change that is meant to keep decisions must keep this test passing. Only a
 change meant to alter decisions regenerates the fixture:
@@ -22,7 +24,7 @@ import pytest
 from edgesched.config import build_config
 from edgesched.orchestrator import POLICIES, run_simulation
 
-from conftest import HOMOGENEOUS, TABLE2
+from conftest import BINDING, HOMOGENEOUS, TABLE2
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_decisions.json")
 ROUNDS = 24
@@ -30,29 +32,9 @@ EXACT_FIELDS = ("t", "S", "m", "delta", "channel")
 FLOAT_FIELDS = ("p_cu_w", "queue_y")
 FLOAT_REL_TOL = 1e-8
 
-# Uplink interference is fixed at 0.058 W: a cluster left off the air lifts the
-# balance bound over its cap, so queues rise in every round.
-BINDING_DOC = {
-    "rng_seed": 1,
-    "J": 3,
-    "model": {"L": 2, "b": 4},
-    "convergence": {"C": 0.0559, "gamma_max_bound": 2e-5, "V": 3e-6},
-    "clusters": [
-        {
-            "B_up_hz": 4e5 + 5e4 * n,
-            "I_up_w": [0.058, 0.058],
-            "devices": [
-                {"phi_flops_per_cycle": 12 + 2 * ((n + k) % 6), "p_dd_w": 0.07 + 0.005 * k} for k in range(2)
-            ],
-        }
-        for n in range(6)
-    ],
-}
-
-
 def _docs() -> dict:
-    docs = {"binding": BINDING_DOC}
-    for name, path in (("table2", TABLE2), ("homogeneous", HOMOGENEOUS)):
+    docs = {}
+    for name, path in (("binding", BINDING), ("table2", TABLE2), ("homogeneous", HOMOGENEOUS)):
         with open(path, encoding="utf-8") as fh:
             docs[name] = json.load(fh)
     return docs

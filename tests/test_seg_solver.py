@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
-from edgesched.errors import InfeasibleError
+from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
 from edgesched.seg_solver import (
     cluster_objective,
@@ -319,3 +320,127 @@ def test_queue_pressure_shrinks_segment_count(homogeneous_cfg):
     pressured = schedule_segments(cfg, env, 0, (50.0,), 10.0, 0.5)
     assert pressured.n_segments <= relaxed.n_segments
     assert pressured.n_segments == 1  # the segment penalty dominates at Y=50
+
+
+def _binding_energy_doc(rng: np.random.Generator) -> dict:
+    """Random cluster within the oracle guard whose energy budgets cap blocks.
+
+    Budgets of a few mJ sit near the per-block compute energy and the hop
+    energy, so the energy cap binds at some chunk counts and rules some
+    devices out entirely; D2D gains, powers and payloads vary the hops, which
+    stay short enough that about half of the optima are pipelined.
+    """
+    k = int(rng.integers(1, 7))
+    devices = [
+        {
+            "phi_flops_per_cycle": float(rng.uniform(5, 30)),
+            "f_hz": float(rng.uniform(1e8, 8e8)),
+            "p_dd_w": float(rng.uniform(0.03, 0.18)),
+            "gamma_max_bytes": float(rng.uniform(2.5e8, 1.75e9)),
+            "gamma0_bytes": 2.5e8,
+            "E_k_max_j": float(np.exp(rng.uniform(np.log(1e-3), np.log(3e-2)))),
+            "kappa": 1e-27,
+        }
+        for _ in range(k)
+    ]
+    return {
+        "rng_seed": int(rng.integers(0, 10**6)),
+        "J": 1,
+        "model": {
+            "L": int(rng.integers(2, 13)),
+            "b": int(rng.integers(1, 65)),
+            "o_fwd_flops": float(rng.uniform(5e5, 5e6)),
+            "o_bwd_flops": float(rng.uniform(5e5, 5e6)),
+            "z_seg_bits": float(rng.uniform(5e3, 8e4)),
+            "g_seg_bits": float(rng.uniform(5e3, 8e4)),
+        },
+        "convergence": {"gamma_max_bound": float(rng.choice([3e-4, 1.0])), "V": 10.0},
+        "clusters": [{"h_dd_db": [-40, -25], "devices": devices}],
+    }
+
+
+def test_schedule_segments_equals_oracle_under_binding_energy_caps():
+    rng = np.random.default_rng(2025)
+    solved = infeasible = pipelined = 0
+    while solved < 300:
+        cfg = build_config(_binding_energy_doc(rng))
+        env = sample_round_environment(cfg, int(rng.integers(1, 5)))
+        queues = (float(rng.choice([0.0, rng.uniform(0, 0.05)])),)
+        power = float(rng.uniform(0.05, 0.5))
+        v = cfg.convergence.v_factor
+        try:
+            od, _, om, _ = brute_force_segment_plan(cfg, env, 0, queues, v, power)
+        except OracleGuardError:
+            with pytest.raises(InfeasibleError):
+                schedule_segments(cfg, env, 0, queues, v, power)
+            infeasible += 1
+            continue
+        plan = schedule_segments(cfg, env, 0, queues, v, power)
+        assert (plan.delta, plan.m) == (od, om)
+        solved += 1
+        pipelined += plan.n_segments > 1
+    assert infeasible > 0 and pipelined >= 100
+
+
+def test_partition_breaks_exact_occupancy_ties_like_the_oracle():
+    # identical devices at a fixed clock and a fixed D2D gain: every device has
+    # the same occupancy at the same block count, so each candidate bottleneck
+    # ties with every other device's and the strict bound before it decides;
+    # 3-block memory caps force S >= 3, so the blocks beside the bottleneck can
+    # be spread in several ways and only the smallest delta may come back
+    doc = minimal_doc()
+    doc["model"] = {"L": 7, "b": 12}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    doc["clusters"][0]["h_dd_db"] = -30
+    doc["clusters"][0]["devices"] = [
+        {"phi_flops_per_cycle": 16, "f_hz": 4e8, "gamma_max_bytes": 7.5e8, "gamma0_bytes": 2.5e8} for _ in range(5)
+    ]
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, 1)
+    assert len({device_d2d_delay(cfg, env, 0, k) for k in range(5)}) == 1
+    from edgesched.seg_solver import _micro_batch_run_starts
+
+    for q in (0.0, 0.05, 1.0):
+        for m in _micro_batch_run_starts(cfg.model.batch_items):
+            best = None
+            for delta in itertools.product(range(4), repeat=5):
+                if sum(delta) != 7:
+                    continue
+                key = (cluster_objective(delta, m, cfg, env, 0, 10.0, q), sum(1 for d in delta if d > 0), delta)
+                best = key if best is None or key < best else best
+            assert optimal_partition(m, cfg, env, 0, 10.0, q, 0.5) == (best[2], best[1])
+        plan = schedule_segments(cfg, env, 0, (q,), 10.0, 0.5)
+        od, _, om, _ = brute_force_segment_plan(cfg, env, 0, (q,), 10.0, 0.5)
+        assert (plan.delta, plan.m) == (od, om)
+
+
+def test_partition_prices_tied_occupancies_at_the_first_device():
+    # dyadic speeds and hops make occupancies of devices with different hops
+    # tie exactly; the first tied device is the bottleneck whose hop the
+    # closed form subtracts, so the solver must price the tie at that device
+    from edgesched.seg_solver import _plan_objective
+
+    doc = minimal_doc()
+    doc["model"] = {"L": 6, "b": 4, "o_fwd_flops": 2.0**20, "o_bwd_flops": 2.0**20}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    doc["clusters"][0]["devices"] = [{} for _ in range(4)]
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, 1)
+    # (speed, hop): at one item per chunk a block takes 1 s or 0.5 s, so the
+    # occupancies 1.5, 2.5, 3.5 recur on devices whose hops are 0.5 and 1.0
+    devices = [(2.0**22, 1.0), (2.0**21, 0.5), (2.0**22, 0.25), (2.0**21, 0.5)]
+    geo = [
+        {"speed": sp, "hop": hop, "hop_energy": 0.0, "kappa_f2_over_phi": 0.0, "mem_cap": 4, "energy_budget": 1.0}
+        for sp, hop in devices
+    ]
+    for order in (geo, geo[::-1], geo[1:] + geo[:1]):
+        for m in (1, 2, 3, 4):
+            for q in (0.0, 0.3, 5.0):
+                best = None
+                for delta in itertools.product(range(5), repeat=4):
+                    if sum(delta) == 6:
+                        s = sum(1 for d in delta if d > 0)
+                        key = (_plan_objective(delta, m, order, cfg, 1.0, q), s, delta)
+                        best = key if best is None or key < best else best
+                got = optimal_partition(m, cfg, env, 0, 1.0, q, 0.5, geo=order)
+                assert got == (best[2], best[1])
