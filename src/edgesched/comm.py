@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ClusterProfile, ModelSpec, RoundEnvironment, SystemConfig
 from .errors import StalledLinkError
+
+if TYPE_CHECKING:  # config imports this module to fill in each round's hop times
+    from .config import ClusterProfile, ModelSpec, RoundEnvironment, SystemConfig
 
 #: Sentinel delay for a cluster that skips the upload this round.
 NOT_TRANSMITTING = math.inf
@@ -158,21 +161,22 @@ def d2d_delay(
     interference_w: float,
     n0: float,
 ) -> float:
-    """Hop time of (activations + gradients) between pipeline neighbours."""
+    """Hop time of (activations + gradients) between pipeline neighbours.
+
+    Raises StalledLinkError when the power is zero or the rate underflows to
+    zero.
+    """
     if power_w <= 0.0:
         raise StalledLinkError("dead link: d2d power is zero")
     rate = d2d_rate(bandwidth_hz, power_w, gain, interference_w, n0)
+    if rate <= 0.0:
+        raise StalledLinkError(f"stalled d2d link: zero rate at gain {gain} and power {power_w}")
     return model.hop_payload_bits / rate
 
 
-def device_d2d_delay(cfg: SystemConfig, env: RoundEnvironment, n: int, k: int) -> float:
-    """Hop time for device k of cluster n at its configured d2d power."""
+def device_d2d_delay(cfg: SystemConfig, n: int, k: int, gain: float, interference_w: float) -> float:
+    """Hop time for device k of cluster n at its configured d2d power, given the drawn channel."""
     cl = cfg.clusters[n]
     return d2d_delay(
-        cfg.model,
-        cl.d2d_bandwidth_hz,
-        cl.devices[k].d2d_power_w,
-        env.d2d_gain[n][k],
-        env.d2d_interference_w[n],
-        cfg.noise_density_w_per_hz,
+        cfg.model, cl.d2d_bandwidth_hz, cl.devices[k].d2d_power_w, gain, interference_w, cfg.noise_density_w_per_hz
     )

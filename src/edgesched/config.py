@@ -5,6 +5,8 @@ Hz, power in W, energy in J, delays in seconds, memory in bytes, channel gains
 as linear power gains (configs give dB), noise density in W/Hz. Device compute
 speed is the product ``flops_per_cycle * clock_hz`` in FLOPs/s; the product is
 the contract, the two factors are reported separately only for configuration.
+Each round's speeds and D2D hop times are computed once, in
+``sample_round_environment``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .comm import device_d2d_delay
 from .errors import ConfigError
 
 SEED_ENV_VAR = "EDGESCHED_SEED"
@@ -162,10 +165,12 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class RoundEnvironment:
-    """Stochastic realization for one round; a pure function of (seed, t).
+    """One round's draws and the per-device figures derived from them.
 
-    Indices: per-cluster sequences follow config order; per-device sequences are
-    nested per cluster.
+    A pure function of (config, t). ``speed`` and ``hop_s`` are computed once
+    here from the config and the draws, and every solver and evaluator reads
+    them instead of re-deriving them. Indices: per-cluster sequences follow
+    config order; per-device sequences are nested per cluster.
     """
 
     round_index: int
@@ -174,20 +179,19 @@ class RoundEnvironment:
     d2d_interference_w: tuple[float, ...]  # per cluster
     clock_hz: tuple[tuple[float, ...], ...]  # per cluster, per device
     d2d_gain: tuple[tuple[float, ...], ...]  # linear, per cluster, per device
-
-    def compute_speed(self, cluster: ClusterProfile, n: int, k: int) -> float:
-        """Effective FLOPs/s of device k in cluster n this round."""
-        return cluster.devices[k].flops_per_cycle * self.clock_hz[n][k]
+    speed: tuple[tuple[float, ...], ...]  # FLOPs/s, flops_per_cycle * clock, per cluster, per device
+    hop_s: tuple[tuple[float, ...], ...]  # D2D hop time at the configured power, per cluster, per device
 
 
 def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
-    """Draw the round-t realization. Deterministic in (cfg.rng_seed, t).
+    """Draw the round-t realization. Deterministic in (cfg, t).
 
     Gains are drawn uniformly on their configured dB intervals and converted to
     linear; clocks and interference are drawn uniformly on their W/Hz intervals.
     The draw order (clusters in config order; per cluster: uplink gain, uplink
     interference, d2d interference, then per device: clock, d2d gain) is part of
-    the determinism contract.
+    the determinism contract. Each device's speed and hop time are then derived
+    from its draws; a D2D link with zero rate raises StalledLinkError.
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
@@ -197,7 +201,9 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
     dd_intf = []
     clocks = []
     dd_gain = []
-    for cl in cfg.clusters:
+    speeds = []
+    hops = []
+    for n, cl in enumerate(cfg.clusters):
         up_gain.append(db_to_linear(cl.uplink_gain_db.sample(rng)))
         up_intf.append(cl.uplink_interference_w.sample(rng))
         dd_intf.append(cl.d2d_interference_w.sample(rng))
@@ -208,6 +214,8 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
             cl_gain.append(db_to_linear(cl.d2d_gain_db.sample(rng)))
         clocks.append(tuple(cl_clocks))
         dd_gain.append(tuple(cl_gain))
+        speeds.append(tuple(dev.flops_per_cycle * f for dev, f in zip(cl.devices, cl_clocks)))
+        hops.append(tuple(device_d2d_delay(cfg, n, k, g, dd_intf[n]) for k, g in enumerate(cl_gain)))
     return RoundEnvironment(
         round_index=t,
         uplink_gain=tuple(up_gain),
@@ -215,6 +223,8 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
         d2d_interference_w=tuple(dd_intf),
         clock_hz=tuple(clocks),
         d2d_gain=tuple(dd_gain),
+        speed=tuple(speeds),
+        hop_s=tuple(hops),
     )
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .comm import ChannelAssignment, cu_transmit_energy, device_d2d_delay
+from .comm import ChannelAssignment, cu_transmit_energy
 from .config import RoundEnvironment, SystemConfig
 from .errors import InfeasibleError
-from .pipeline import SegmentPlan, device_compute_energy
+from .pipeline import SegmentPlan, device_energy
 
 
 @dataclass(frozen=True)
@@ -21,23 +21,6 @@ class SchedulingDecision:
 
     def segment_counts(self) -> tuple[int, ...]:
         return tuple(p.n_segments for p in self.plans)
-
-
-def device_round_energy(
-    plan: SegmentPlan, cfg: SystemConfig, env: RoundEnvironment, n: int, k: int
-) -> float:
-    """Per-chunk device energy: compute (kappa*cycles*f^2) plus the hop energy.
-
-    This is the per-device form the scheduling constraints use; the reported
-    training energy additionally scales with the chunk count.
-    """
-    dev = cfg.clusters[n].devices[k]
-    if plan.delta[k] == 0:
-        return 0.0
-    b_hat = plan.micro_batch(cfg.model)
-    e_comp = device_compute_energy(plan.delta[k], b_hat, dev.flops_per_cycle, env.clock_hz[n][k], dev.kappa, cfg.model)
-    e_hop = dev.d2d_power_w * device_d2d_delay(cfg, env, n, k)
-    return e_comp + e_hop
 
 
 def validate_decision(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> None:
@@ -61,6 +44,6 @@ def validate_decision(decision: SchedulingDecision, cfg: SystemConfig, env: Roun
         if e_com > cfg.clusters[n].uplink_energy_budget_j * (1 + 1e-9):
             raise InfeasibleError("C8", f"cluster {n} upload energy {e_com} J exceeds budget")
         for k in plan.scheduled:
-            e_k = device_round_energy(plan, cfg, env, n, k)
+            e_k = device_energy(plan.delta[k], plan.m, cfg, env, n, k)
             if e_k > cfg.clusters[n].devices[k].energy_budget_j * (1 + 1e-9):
                 raise InfeasibleError("C9", f"cluster {n} device {k} energy {e_k} J exceeds budget")

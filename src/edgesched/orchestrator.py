@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import ChannelAssignment, cu_transmit_energy, device_d2d_delay, uplink_delay
+from .comm import ChannelAssignment, cu_transmit_energy, uplink_delay
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
@@ -371,7 +371,7 @@ def evaluate_round(
         cu_transmit_energy(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(n_clusters)
     )
     e_sch = tuple(
-        sum(cfg.clusters[n].devices[k].d2d_power_w * device_d2d_delay(cfg, env, n, k) for k in decision.plans[n].scheduled)
+        sum(cfg.clusters[n].devices[k].d2d_power_w * env.hop_s[n][k] for k in decision.plans[n].scheduled)
         for n in range(n_clusters)
     )
     gamma_t = system_gamma(decision, cfg, env)
@@ -403,7 +403,8 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
     """Simulate T rounds of {sample, decide, evaluate, queue update}.
 
     Fully deterministic in (config, seed, policy, rounds). More than three
-    consecutive infeasible rounds abort the run.
+    consecutive infeasible rounds abort the run, and so does a run of at least
+    one round that keeps none.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -414,6 +415,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
     bound = RunningGapBound(cfg.convergence.f0_gap, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
     prev_totals: tuple[float, ...] | None = None
     consecutive_failures = 0
+    last_error: InfeasibleError | None = None
     for t in range(1, rounds + 1):
         env = sample_round_environment(cfg, t)
         try:
@@ -423,6 +425,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 decision = baseline_decision(policy, cfg, env, queues, t, prev_totals)
             validate_decision(decision, cfg, env)
         except InfeasibleError as exc:
+            last_error = exc
             consecutive_failures += 1
             if consecutive_failures > 3:
                 raise SimulationAborted(
@@ -437,4 +440,8 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
             for n in range(cfg.n_clusters)
         )
         trace.rounds.append(metrics)
+    if rounds and not trace.rounds:
+        raise SimulationAborted(
+            f"policy {policy!r} infeasible in all {rounds} rounds (last at t={rounds}: {last_error})"
+        ) from last_error
     return trace

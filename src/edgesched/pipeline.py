@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .comm import device_d2d_delay
-from .config import ClusterProfile, ModelSpec, RoundEnvironment, SystemConfig
+from .config import ClusterProfile, DeviceProfile, ModelSpec, RoundEnvironment, SystemConfig
 from .errors import InfeasibleError
 
 
@@ -59,12 +58,9 @@ class SegmentPlan:
             raise InfeasibleError("C2", f"segment count {s} outside [1, {cluster.n_devices}]")
         if not 1 <= self.m <= model.batch_items:
             raise InfeasibleError("C1", f"micro-batch count {self.m} outside [1, {model.batch_items}]")
-        for k, d in enumerate(self.delta):
-            dev = cluster.devices[k]
-            if d * dev.mem_per_block_bytes > dev.mem_budget_bytes * (1 + 1e-12):
-                raise InfeasibleError(
-                    "C7", f"device {k}: {d} blocks need {d * dev.mem_per_block_bytes} B > {dev.mem_budget_bytes} B"
-                )
+        for k, (d, dev) in enumerate(zip(self.delta, cluster.devices)):
+            if d > dev.block_cap:
+                raise InfeasibleError("C7", f"device {k}: {d} blocks exceed its memory cap of {dev.block_cap}")
 
 
 def stage_time(blocks: int, micro_batch: int, flops_per_sec: float, model: ModelSpec) -> float:
@@ -75,18 +71,17 @@ def stage_time(blocks: int, micro_batch: int, flops_per_sec: float, model: Model
 
 
 def stage_profile(
-    plan: SegmentPlan, cfg: SystemConfig, env: RoundEnvironment, n: int
-) -> tuple[list[int], list[float], list[float]]:
-    """Scheduled device indices with their per-chunk compute and hop times."""
-    cluster = cfg.clusters[n]
-    b_hat = plan.micro_batch(cfg.model)
-    devs, times, hops = [], [], []
-    for k in plan.scheduled:
-        speed = env.compute_speed(cluster, n, k)
-        devs.append(k)
-        times.append(stage_time(plan.delta[k], b_hat, speed, cfg.model))
-        hops.append(device_d2d_delay(cfg, env, n, k))
-    return devs, times, hops
+    delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int
+) -> tuple[list[float], list[float]]:
+    """Per-chunk compute and hop times of cluster n's scheduled devices, in order."""
+    b_hat = micro_batch_size(cfg.model.batch_items, m)
+    speeds, hop_s = env.speed[n], env.hop_s[n]
+    times, hops = [], []
+    for k, d in enumerate(delta):
+        if d > 0:
+            times.append(stage_time(d, b_hat, speeds[k], cfg.model))
+            hops.append(hop_s[k])
+    return times, hops
 
 
 def _bottleneck(stage_times: Sequence[float], hop_times: Sequence[float]) -> tuple[int, float]:
@@ -116,32 +111,31 @@ def pipeline_latency_from_times(stage_times: Sequence[float], hop_times: Sequenc
 
 def pipeline_latency(plan: SegmentPlan, cfg: SystemConfig, env: RoundEnvironment, n: int) -> float:
     """Closed-form pipeline latency of cluster n under the given plan."""
-    _, times, hops = stage_profile(plan, cfg, env, n)
+    times, hops = stage_profile(plan.delta, plan.m, cfg, env, n)
     return pipeline_latency_from_times(times, hops, plan.m)
 
 
-def device_compute_energy(
-    blocks: int, micro_batch: int, flops_per_cycle: float, clock_hz: float, kappa: float, model: ModelSpec
-) -> float:
-    """Per-chunk compute energy kappa * cycles * f^2, cycles = work/phi."""
-    if blocks == 0:
-        return 0.0
-    work = blocks * (micro_batch * model.fwd_flops + model.bwd_flops)
-    return kappa * (work / flops_per_cycle) * clock_hz**2
+def compute_energy(flops: float, dev: DeviceProfile, clock_hz: float) -> float:
+    """Compute energy kappa * cycles * f^2 of ``flops`` FLOPs, cycles = flops/phi."""
+    return dev.kappa * (flops / dev.flops_per_cycle) * clock_hz**2
+
+
+def device_energy(blocks: int, m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, k: int) -> float:
+    """Per-chunk energy of scheduled device k of cluster n: compute plus its hop.
+
+    This is the per-device form the energy budgets bound; the reported
+    training energy scales it with the chunk count.
+    """
+    dev = cfg.clusters[n].devices[k]
+    flops = blocks * (micro_batch_size(cfg.model.batch_items, m) * cfg.model.fwd_flops + cfg.model.bwd_flops)
+    return compute_energy(flops, dev, env.clock_hz[n][k]) + dev.d2d_power_w * env.hop_s[n][k]
 
 
 def pipeline_energy(plan: SegmentPlan, cfg: SystemConfig, env: RoundEnvironment, n: int) -> float:
     """Training energy 2m * sum over scheduled devices of (compute + hop energy)."""
-    cluster = cfg.clusters[n]
-    b_hat = plan.micro_batch(cfg.model)
     total = 0.0
     for k in plan.scheduled:
-        dev = cluster.devices[k]
-        e_comp = device_compute_energy(
-            plan.delta[k], b_hat, dev.flops_per_cycle, env.clock_hz[n][k], dev.kappa, cfg.model
-        )
-        e_hop = dev.d2d_power_w * device_d2d_delay(cfg, env, n, k)
-        total += e_comp + e_hop
+        total += device_energy(plan.delta[k], plan.m, cfg, env, n, k)
     return 2 * plan.m * total
 
 

@@ -10,7 +10,10 @@ at any partition the latency grows with m and the energy budgets bind alike;
 the joint optimum therefore lies at a run start. Constraints: block
 conservation, segment count at most the device count, per-device memory,
 per-device round energy, and the balance-bound cap at the cluster's current
-uplink power.
+uplink power. Device speeds and hop times are the round's, read from the
+``RoundEnvironment``; memory caps and energy budgets come from the config.
+Every plan is scored by ``cluster_objective`` and every energy budget is
+checked with ``pipeline.device_energy``.
 
 Blocks are identical in cost, so at a fixed m a plan's objective depends only
 on its segment count S and its first bottleneck, a device j holding d blocks.
@@ -27,51 +30,21 @@ import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .comm import device_d2d_delay
 from .config import RoundEnvironment, SystemConfig
 from .convergence import interference_error, max_segments_within_gamma
 from .errors import InfeasibleError
-from .pipeline import SegmentPlan, micro_batch_size, pipeline_latency_from_times
-
-
-def _device_geometry(cfg: SystemConfig, env: RoundEnvironment, n: int) -> list[dict]:
-    """Round-resolved per-device coefficients: speed, hop time/energy, caps."""
-    cluster = cfg.clusters[n]
-    out = []
-    for k, dev in enumerate(cluster.devices):
-        speed = env.compute_speed(cluster, n, k)
-        hop = device_d2d_delay(cfg, env, n, k)
-        out.append(
-            {
-                "speed": speed,
-                "hop": hop,
-                "hop_energy": dev.d2d_power_w * hop,
-                "kappa_f2_over_phi": dev.kappa * env.clock_hz[n][k] ** 2 / dev.flops_per_cycle,
-                "mem_cap": dev.block_cap,
-                "energy_budget": dev.energy_budget_j,
-            }
-        )
-    return out
+from .pipeline import (
+    SegmentPlan,
+    compute_energy,
+    device_energy,
+    micro_batch_size,
+    pipeline_latency_from_times,
+    stage_profile,
+)
 
 
 def _chunk_work(b_hat: int, cfg: SystemConfig) -> float:
     return b_hat * cfg.model.fwd_flops + cfg.model.bwd_flops
-
-
-def _plan_objective(
-    delta: tuple[int, ...], m: int, geo: list[dict], cfg: SystemConfig, v_factor: float, queue_sum: float
-) -> float:
-    """V * pipeline latency + S * queue_sum for one plan on prebuilt geometry."""
-    b_hat = micro_batch_size(cfg.model.batch_items, m)
-    work = _chunk_work(b_hat, cfg)
-    times, hops = [], []
-    for k, d in enumerate(delta):
-        if d > 0:
-            times.append(d * work / geo[k]["speed"])
-            hops.append(geo[k]["hop"])
-    latency = pipeline_latency_from_times(times, hops, m)
-    s = len(times)
-    return v_factor * latency + s * queue_sum
 
 
 def cluster_objective(
@@ -84,7 +57,8 @@ def cluster_objective(
     queue_sum: float,
 ) -> float:
     """V * pipeline latency + S * queue_sum for one cluster's plan."""
-    return _plan_objective(delta, m, _device_geometry(cfg, env, n), cfg, v_factor, queue_sum)
+    times, hops = stage_profile(delta, m, cfg, env, n)
+    return v_factor * pipeline_latency_from_times(times, hops, m) + len(times) * queue_sum
 
 
 def _micro_batch_run_starts(batch_items: int) -> list[int]:
@@ -100,16 +74,13 @@ def _micro_batch_run_starts(batch_items: int) -> list[int]:
     return starts
 
 
-def _feasible_energy_at_m(delta: tuple[int, ...], m: int, geo: list[dict], cfg: SystemConfig) -> bool:
-    b_hat = micro_batch_size(cfg.model.batch_items, m)
-    work = _chunk_work(b_hat, cfg)
-    for k, d in enumerate(delta):
-        if d == 0:
-            continue
-        e = d * work * geo[k]["kappa_f2_over_phi"] + geo[k]["hop_energy"]
-        if e > geo[k]["energy_budget"] * (1 + 1e-12):
-            return False
-    return True
+def _feasible_energy_at_m(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> bool:
+    devices = cfg.clusters[n].devices
+    return all(
+        device_energy(d, m, cfg, env, n, k) <= devices[k].energy_budget_j * (1 + 1e-12)
+        for k, d in enumerate(delta)
+        if d > 0
+    )
 
 
 def optimal_micro_batches(
@@ -129,13 +100,12 @@ def optimal_micro_batches(
     """
     if not any(d > 0 for d in delta):
         raise InfeasibleError("C2", "no scheduled device")
-    geo = _device_geometry(cfg, env, n)
     best_m = None
     best_obj = math.inf
     for m in _micro_batch_run_starts(cfg.model.batch_items):
-        if not _feasible_energy_at_m(delta, m, geo, cfg):
+        if not _feasible_energy_at_m(delta, m, cfg, env, n):
             continue
-        obj = _plan_objective(delta, m, geo, cfg, v_factor, queue_sum)
+        obj = cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum)
         if obj < best_obj:
             best_obj, best_m = obj, m
     if best_m is None:
@@ -143,18 +113,17 @@ def optimal_micro_batches(
     return best_m
 
 
-def _partition_caps(m: int, geo: list[dict], cfg: SystemConfig) -> list[int]:
+def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> list[int]:
     """Per-device block caps from memory and the round energy budget at this m."""
-    b_hat = micro_batch_size(cfg.model.batch_items, m)
-    work = _chunk_work(b_hat, cfg)
+    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
     caps = []
-    for g in geo:
-        cap = min(g["mem_cap"], cfg.model.n_blocks)
-        headroom = g["energy_budget"] - g["hop_energy"]
+    for dev, clock, hop in zip(cfg.clusters[n].devices, env.clock_hz[n], env.hop_s[n]):
+        cap = min(dev.block_cap, cfg.model.n_blocks)
+        headroom = dev.energy_budget_j - dev.d2d_power_w * hop
         if headroom < 0:
             cap = 0
         else:
-            per_block = work * g["kappa_f2_over_phi"]
+            per_block = compute_energy(work, dev, clock)
             if per_block > 0:
                 cap = min(cap, int(headroom / per_block * (1 + 1e-12)))
         caps.append(cap)
@@ -172,7 +141,6 @@ def optimal_partition(
     enforce_balance: bool = True,
     *,
     cutoff: float = math.inf,
-    geo: list[dict] | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
     """Exact argmin over integer block compositions at fixed m.
 
@@ -189,21 +157,20 @@ def optimal_partition(
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
-    an instance without a feasible composition raises instead. ``geo`` is the
-    cluster's device geometry when the caller has already built it.
+    an instance without a feasible composition raises instead. ``speed_j``
+    and ``hop_j`` are the round's ``env.speed[n][j]`` and ``env.hop_s[n][j]``.
     """
-    if geo is None:
-        geo = _device_geometry(cfg, env, n)
-    n_dev = len(geo)
+    devices = cfg.clusters[n].devices
+    n_dev = len(devices)
     l_blocks = cfg.model.n_blocks
-    caps = _partition_caps(m, geo, cfg)
+    caps = _partition_caps(m, cfg, env, n)
 
     s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
 
     # feasibility of the cap set as a whole
     sorted_caps = sorted(caps, reverse=True)
     if sum(sorted_caps) < l_blocks:
-        mem_only = sum(min(g["mem_cap"], l_blocks) for g in geo)
+        mem_only = sum(min(dev.block_cap, l_blocks) for dev in devices)
         raise InfeasibleError("C7" if mem_only < l_blocks else "C9'", f"cluster {n}: device caps cannot host {l_blocks} blocks")
     need = 0
     acc = 0
@@ -217,8 +184,8 @@ def optimal_partition(
 
     b_hat = micro_batch_size(cfg.model.batch_items, m)
     work = _chunk_work(b_hat, cfg)
-    speeds = [g["speed"] for g in geo]
-    hops = [g["hop"] for g in geo]
+    speeds = env.speed[n]
+    hops = env.hop_s[n]
 
     best = None  # (objective, S, delta)
     for j in range(n_dev):
@@ -315,22 +282,19 @@ def schedule_segments(
     infeasible, the error raised at m = 1 names the blocker.
     """
     queue_sum = sum(queues)
-    geo = _device_geometry(cfg, env, n)
     best_key = None
     first_error = None
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         cutoff = math.inf if best_key is None else best_key[0]
         try:
-            found = optimal_partition(
-                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff, geo=geo
-            )
+            found = optimal_partition(m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff)
         except InfeasibleError as exc:
             first_error = first_error or exc
             continue
         if found is None:
             continue
         delta, s = found
-        key = (_plan_objective(delta, m, geo, cfg, v_factor, queue_sum), s, delta, m)
+        key = (cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum), s, delta, m)
         if best_key is None or key < best_key:
             best_key = key
     if best_key is None:
@@ -338,6 +302,6 @@ def schedule_segments(
 
     best_plan = SegmentPlan(delta=best_key[2], m=best_key[3])
     best_plan.validate(cfg.clusters[n], cfg.model)
-    if not _feasible_energy_at_m(best_plan.delta, best_plan.m, geo, cfg):
+    if not _feasible_energy_at_m(best_plan.delta, best_plan.m, cfg, env, n):
         raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
     return best_plan

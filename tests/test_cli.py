@@ -164,3 +164,28 @@ def test_run_zero_rate_uplink_exits_infeasible(tmp_path, capsys):
     rc = main(["run", str(path), "--policy", "random", "--rounds", "3", "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "stalled uplink" in capsys.readouterr().err
+
+
+def _dead_link_config(tmp_path, key):
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for cluster in doc["clusters"]:
+        cluster[key] = -400
+    path = tmp_path / f"dead_{key}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("policy", ["lyapunov", "random"])
+def test_run_zero_rate_d2d_exits_infeasible(tmp_path, capsys, policy):
+    path = _dead_link_config(tmp_path, "h_dd_db")
+    rc = main(["run", path, "--policy", policy, "--rounds", "3", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "stalled d2d link" in capsys.readouterr().err
+
+
+def test_run_with_every_round_infeasible_exits_infeasible(tmp_path, capsys):
+    path = _dead_link_config(tmp_path, "h_up_db")
+    rc = main(["run", path, "--policy", "lyapunov", "--rounds", "3", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "infeasible in all 3 rounds" in capsys.readouterr().err

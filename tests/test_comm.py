@@ -163,6 +163,12 @@ def test_d2d_zero_power_dead_link(table2_cfg):
         d2d_delay(table2_cfg.model, 0.5e6, 0.0, 1e-3, 5e-10, N0)
 
 
+def test_d2d_zero_rate_stalled_link(table2_cfg):
+    # a gain so small that the rate underflows to zero must not divide by it
+    with pytest.raises(StalledLinkError, match="stalled d2d link"):
+        d2d_delay(table2_cfg.model, 0.5e6, 0.1, 1e-40, 5e-10, N0)
+
+
 def test_d2d_pure_function_of_arguments(table2_cfg):
     args = (table2_cfg.model, 0.5e6, 0.08, 1e-3, 5e-10, N0)
     assert d2d_delay(*args) == d2d_delay(*args)

@@ -160,6 +160,21 @@ def test_environment_fields_within_ranges(table2_cfg):
                 assert env.d2d_gain[n][k] > 0
 
 
+def test_environment_speed_and_hop_rederive_from_draws(table2_cfg):
+    # the Shannon hop written out as the oracles write it
+    model = table2_cfg.model
+    n0 = table2_cfg.noise_density_w_per_hz
+    for t in (1, 2, 3):
+        env = sample_round_environment(table2_cfg, t)
+        for n, cl in enumerate(table2_cfg.clusters):
+            for k, dev in enumerate(cl.devices):
+                assert env.speed[n][k] == dev.flops_per_cycle * env.clock_hz[n][k]
+                sinr = dev.d2d_power_w * env.d2d_gain[n][k] / (env.d2d_interference_w[n] + cl.d2d_bandwidth_hz * n0)
+                rate = cl.d2d_bandwidth_hz * math.log(1.0 + sinr) / math.log(2.0)
+                hop = (model.act_seg_bits + model.grad_seg_bits) / rate
+                assert env.hop_s[n][k] == pytest.approx(hop, rel=1e-12)
+
+
 def test_seed_env_override(monkeypatch, tmp_path):
     doc = minimal_doc()
     doc["rng_seed"] = 5

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from edgesched import comm
 from edgesched.config import build_config, sample_round_environment
 from edgesched.decision import validate_decision
 from edgesched.errors import SimulationAborted
@@ -213,8 +215,28 @@ def test_persistent_infeasibility_aborts():
     doc = minimal_doc()
     doc["convergence"] = {"gamma_max_bound": 1e-9}  # balance cap unreachable
     cfg = build_config(doc)
-    with pytest.raises(SimulationAborted):
-        run_simulation(cfg, 10, "lyapunov")
+    # 10 rounds trip the consecutive-failure limit; 3 rounds end with none kept
+    for rounds in (10, 3):
+        with pytest.raises(SimulationAborted, match="C11"):
+            run_simulation(cfg, rounds, "lyapunov")
+
+
+@pytest.mark.parametrize("policy", ["lyapunov", "loss"])
+def test_hop_times_computed_once_per_device_and_round(table2_cfg, policy, monkeypatch):
+    original = comm.device_d2d_delay
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "edgesched":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    run_simulation(table2_cfg, 6, policy)
+    assert len(calls) == 6 * 18  # table2 has 18 devices
 
 
 def test_queue_growth_under_uncontrolled_baseline(table2_cfg):

@@ -133,7 +133,7 @@ def test_pipeline_energy_forms():
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
     plan1 = SegmentPlan(delta=(2,), m=1)
-    hop = device_d2d_delay(cfg, env, 0, 0)
+    hop = device_d2d_delay(cfg, 0, 0, env.d2d_gain[0][0], env.d2d_interference_w[0])
     work = 2 * (16 * 1e6 + 5e5)
     e_comp = 1e-27 * work / 10 * (2e8) ** 2
     e_hop = 0.08 * hop
@@ -146,8 +146,9 @@ def test_pipeline_energy_forms():
     e4 = pipeline_energy(SegmentPlan(delta=(2,), m=4), cfg2, env2, 0)  # b_hat = 2
     work2 = 2 * (4 * 1e6 + 5e5)
     work4 = 2 * (2 * 1e6 + 5e5)
-    expected2 = 2 * 2 * (1e-27 * work2 / 10 * (2e8) ** 2 + 0.08 * device_d2d_delay(cfg2, env2, 0, 0))
-    expected4 = 2 * 4 * (1e-27 * work4 / 10 * (2e8) ** 2 + 0.08 * device_d2d_delay(cfg2, env2, 0, 0))
+    hop2 = device_d2d_delay(cfg2, 0, 0, env2.d2d_gain[0][0], env2.d2d_interference_w[0])
+    expected2 = 2 * 2 * (1e-27 * work2 / 10 * (2e8) ** 2 + 0.08 * hop2)
+    expected4 = 2 * 4 * (1e-27 * work4 / 10 * (2e8) ** 2 + 0.08 * hop2)
     assert e2 == pytest.approx(expected2, rel=1e-12)
     assert e4 == pytest.approx(expected4, rel=1e-12)
 
@@ -160,7 +161,7 @@ def test_pipeline_energy_table2_instance(table2_cfg):
     for k, dev in enumerate(table2_cfg.clusters[0].devices):
         work = 1 * (b_hat * 2e6 + 2e6)
         total += dev.kappa * work / dev.flops_per_cycle * env.clock_hz[0][k] ** 2
-        total += dev.d2d_power_w * device_d2d_delay(table2_cfg, env, 0, k)
+        total += dev.d2d_power_w * device_d2d_delay(table2_cfg, 0, k, env.d2d_gain[0][k], env.d2d_interference_w[0])
     assert pipeline_energy(plan, table2_cfg, env, 0) == pytest.approx(2 * 8 * total, rel=1e-12)
 
 

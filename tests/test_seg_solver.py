@@ -20,12 +20,11 @@ from conftest import minimal_doc, random_system
 
 def _enumerate_m(delta, cfg, env, n, v, queue_sum):
     """Full-enumeration reference for the micro-batch sub-solve."""
-    from edgesched.seg_solver import _device_geometry, _feasible_energy_at_m
+    from edgesched.seg_solver import _feasible_energy_at_m
 
-    geo = _device_geometry(cfg, env, n)
     best = None
     for m in range(1, cfg.model.batch_items + 1):
-        if not _feasible_energy_at_m(delta, m, geo, cfg):
+        if not _feasible_energy_at_m(delta, m, cfg, env, n):
             continue
         obj = cluster_objective(delta, m, cfg, env, n, v, queue_sum)
         if best is None or obj < best[0]:
@@ -172,7 +171,7 @@ def test_heterogeneous_plan_favors_fast_devices():
     # stage+hop spread no worse than the uniform spread
     from edgesched.pipeline import stage_profile
 
-    _, times, hops = stage_profile(plan, cfg, env, 0)
+    times, hops = stage_profile(plan.delta, plan.m, cfg, env, 0)
     u = [t + d for t, d in zip(times, hops)]
     uniform = [2 * (plan.micro_batch(cfg.model) * 2e6 + 2e6) / speeds[k] + hops[0] for k in range(6)]
     assert max(u) - min(u) <= max(uniform) - min(uniform) + 1e-12
@@ -293,16 +292,14 @@ def test_partition_respects_binding_energy_cap():
     ]
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
-    from edgesched.decision import device_round_energy
-    from edgesched.pipeline import SegmentPlan
+    from edgesched.pipeline import SegmentPlan, device_energy
 
     for m in (1, 4, 16):
         delta, _ = optimal_partition(m, cfg, env, 0, 10.0, 0.0, 0.5)
         plan = SegmentPlan(delta=delta, m=m)
         for k in plan.scheduled:
-            assert device_round_energy(plan, cfg, env, 0, k) <= cfg.clusters[0].devices[k].energy_budget_j * (
-                1 + 1e-9
-            )
+            budget = cfg.clusters[0].devices[k].energy_budget_j
+            assert device_energy(plan.delta[k], plan.m, cfg, env, 0, k) <= budget * (1 + 1e-9)
         # the expensive device must carry fewer blocks than its memory allows
         work = plan.micro_batch(cfg.model) * 2e6 + 2e6
         cap0 = int((2.0 - 0.085 * device_energy_hop(cfg, env)) / (3e-24 * work / 16 * (4e8) ** 2))
@@ -310,7 +307,7 @@ def test_partition_respects_binding_energy_cap():
 
 
 def device_energy_hop(cfg, env):
-    return device_d2d_delay(cfg, env, 0, 0)
+    return device_d2d_delay(cfg, 0, 0, env.d2d_gain[0][0], env.d2d_interference_w[0])
 
 
 def test_queue_pressure_shrinks_segment_count(homogeneous_cfg):
@@ -397,7 +394,7 @@ def test_partition_breaks_exact_occupancy_ties_like_the_oracle():
     ]
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
-    assert len({device_d2d_delay(cfg, env, 0, k) for k in range(5)}) == 1
+    assert len({device_d2d_delay(cfg, 0, k, env.d2d_gain[0][k], env.d2d_interference_w[0]) for k in range(5)}) == 1
     from edgesched.seg_solver import _micro_batch_run_starts
 
     for q in (0.0, 0.05, 1.0):
@@ -418,29 +415,27 @@ def test_partition_prices_tied_occupancies_at_the_first_device():
     # dyadic speeds and hops make occupancies of devices with different hops
     # tie exactly; the first tied device is the bottleneck whose hop the
     # closed form subtracts, so the solver must price the tie at that device
-    from edgesched.seg_solver import _plan_objective
-
     doc = minimal_doc()
     doc["model"] = {"L": 6, "b": 4, "o_fwd_flops": 2.0**20, "o_bwd_flops": 2.0**20}
     doc["convergence"] = {"gamma_max_bound": 1.0}
-    doc["clusters"][0]["devices"] = [{} for _ in range(4)]
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": 1.0e9, "gamma0_bytes": 2.5e8} for _ in range(4)]
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
     # (speed, hop): at one item per chunk a block takes 1 s or 0.5 s, so the
-    # occupancies 1.5, 2.5, 3.5 recur on devices whose hops are 0.5 and 1.0
+    # occupancies 1.5, 2.5, 3.5 recur on devices whose hops are 0.5 and 1.0;
+    # 4-block memory caps, and energy budgets far above the round's energies
     devices = [(2.0**22, 1.0), (2.0**21, 0.5), (2.0**22, 0.25), (2.0**21, 0.5)]
-    geo = [
-        {"speed": sp, "hop": hop, "hop_energy": 0.0, "kappa_f2_over_phi": 0.0, "mem_cap": 4, "energy_budget": 1.0}
-        for sp, hop in devices
-    ]
-    for order in (geo, geo[::-1], geo[1:] + geo[:1]):
+    for order in (devices, devices[::-1], devices[1:] + devices[:1]):
+        env_o = dataclasses.replace(
+            env, speed=(tuple(sp for sp, _ in order),), hop_s=(tuple(hop for _, hop in order),)
+        )
         for m in (1, 2, 3, 4):
             for q in (0.0, 0.3, 5.0):
                 best = None
                 for delta in itertools.product(range(5), repeat=4):
                     if sum(delta) == 6:
                         s = sum(1 for d in delta if d > 0)
-                        key = (_plan_objective(delta, m, order, cfg, 1.0, q), s, delta)
+                        key = (cluster_objective(delta, m, cfg, env_o, 0, 1.0, q), s, delta)
                         best = key if best is None or key < best else best
-                got = optimal_partition(m, cfg, env, 0, 1.0, q, 0.5, geo=order)
+                got = optimal_partition(m, cfg, env_o, 0, 1.0, q, 0.5)
                 assert got == (best[2], best[1])
