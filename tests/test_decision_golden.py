@@ -2,8 +2,11 @@
 
 The fixture holds, for each kept round, the segment counts S, micro-batch
 counts m, block partitions delta and channels, which must match exactly, and
-the uplink powers p_cu_w and queues queue_y, which must match within 1e-8
-relative. The inputs are the shipped configs: table2, homogeneous and binding
+the uplink powers p_cu_w, queues queue_y and every evaluated delay, energy,
+balance bound, objective and gap bound, which must match within 1e-8
+relative (a skipped upload and a vacuous gap bound are null and must stay
+null). Pinning the evaluated fields catches a changed float order in the
+round evaluator, which the decisions alone would not show. The inputs are the shipped configs: table2, homogeneous and binding
 (six two-device clusters on three channels under a tight balance cap). In
 binding the uplink interference is fixed at 0.058 W, so a cluster left off the
 air lifts the balance bound over its cap and the queues grow every round:
@@ -29,8 +32,21 @@ from conftest import BINDING, HOMOGENEOUS, TABLE2
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_decisions.json")
 ROUNDS = 24
 EXACT_FIELDS = ("t", "S", "m", "delta", "channel")
-FLOAT_FIELDS = ("p_cu_w", "queue_y")
+FLOAT_FIELDS = (
+    "p_cu_w",
+    "queue_y",
+    "tau_pipe_s",
+    "tau_up_s",
+    "tau_round_s",
+    "e_pipe_j",
+    "e_com_j",
+    "e_sch_j",
+    "gamma_t",
+    "drift_penalty",
+    "gap_bound",
+)
 FLOAT_REL_TOL = 1e-8
+
 
 def _docs() -> dict:
     docs = {}
@@ -44,6 +60,22 @@ def decisions(doc: dict, policy: str) -> dict[str, list]:
     """Each compared field of one run, as a list over its kept rounds."""
     records = [r.to_record() for r in run_simulation(build_config(doc), ROUNDS, policy).rounds]
     return {key: [rec[key] for rec in records] for key in EXACT_FIELDS + FLOAT_FIELDS}
+
+
+def _close(got, want) -> bool:
+    """Equal structure, nulls in the same places, floats within FLOAT_REL_TOL."""
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_close, got, want))
+    if want is None or got is None:
+        return got is want
+    return math.isclose(got, want, rel_tol=FLOAT_REL_TOL, abs_tol=0.0)
+
+
+def _round12(value):
+    """12 significant digits keep the file small and lose nothing at 1e-8."""
+    if isinstance(value, list):
+        return [_round12(v) for v in value]
+    return None if value is None else float(f"{value:.12g}")
 
 
 def _load_fixture() -> dict:
@@ -61,10 +93,9 @@ def test_decisions_match_golden(name, policy):
     for key in EXACT_FIELDS:
         assert got[key] == want[key], f"{key} changed"
     for key in FLOAT_FIELDS:
+        assert len(got[key]) == len(want[key]), f"{key} changed"
         for t, g, w in zip(want["t"], got[key], want[key]):
-            assert len(g) == len(w)
-            for a, b in zip(g, w):
-                assert math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=0.0), f"round {t}: {key} {a} vs {b}"
+            assert _close(g, w), f"round {t}: {key} {g} vs {w}"
 
 
 def test_binding_scenario_exercises_the_queues():
@@ -78,8 +109,8 @@ if __name__ == "__main__":
     docs = _docs()
     out = {name: {policy: decisions(docs[name], policy) for policy in POLICIES} for name in docs}
     for run in (run for runs in out.values() for run in runs.values()):
-        for key in FLOAT_FIELDS:  # 12 significant digits keep the file small and lose nothing at 1e-8
-            run[key] = [[float(f"{x:.12g}") for x in row] for row in run[key]]
+        for key in FLOAT_FIELDS:
+            run[key] = _round12(run[key])
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(out, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
