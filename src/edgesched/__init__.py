@@ -10,11 +10,9 @@ channel matching, uplink power control) against baseline policies.
 from .comm import (
     NOT_TRANSMITTING,
     ChannelAssignment,
-    LinkBudget,
     cu_transmit_energy,
     d2d_delay,
     uplink_delay,
-    uplink_rate,
 )
 from .config import (
     ClusterProfile,
@@ -79,7 +77,6 @@ __all__ = [
     "DeviceProfile",
     "InfeasibleError",
     "Interval",
-    "LinkBudget",
     "ModelSpec",
     "NOT_TRANSMITTING",
     "OracleGuardError",
@@ -122,6 +119,5 @@ __all__ = [
     "sigma_positive_eta_threshold",
     "stage_time",
     "uplink_delay",
-    "uplink_rate",
     "validate_decision",
 ]

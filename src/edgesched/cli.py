@@ -117,6 +117,8 @@ def _parse_grid(grid: str) -> dict[str, list[float]]:
         if name in out:
             raise ConfigError("--grid", f"duplicate grid axis {name!r}")
         out[name] = _parse_range(values, name)
+        if name != "V" and not all(v.is_integer() for v in out[name]):
+            raise ConfigError("--grid", f"{name}: values must be integers, got {values!r}")
     if set(out) not in ({"S", "m"}, {"V"}):
         raise ConfigError("--grid", "grid must be either S=..,m=.. or V=..")
     return out
@@ -200,6 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.rounds < 0:
+            raise ConfigError("--rounds", f"must be >= 0, got {args.rounds}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """Closed-form wireless link quantities: uplink rate/delay/energy and D2D hops.
 
-All functions are pure; the per-round realized gains stand in for channel
+One link model serves the uplink, the D2D hops and the power solver:
+``spectral_efficiency``, ``transfer_time`` and ``transfer_energy``. All
+functions are pure; the per-round realized gains stand in for channel
 expectations, so the optimizer and the evaluator always see the same channel.
 Downlink is assumed free (ample base-station bandwidth) and has no model here.
 """
@@ -20,27 +22,6 @@ if TYPE_CHECKING:  # config imports this module to fill in each round's hop time
 
 #: Sentinel delay for a cluster that skips the upload this round.
 NOT_TRANSMITTING = math.inf
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Inputs of the Shannon-rate computation for one link."""
-
-    bandwidth_hz: float
-    tx_power_w: float
-    gain: float  # linear power gain
-    interference_w: float
-    noise_density_w_per_hz: float
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
-        if self.tx_power_w < 0:
-            raise ValueError(f"tx power must be >= 0, got {self.tx_power_w}")
-        if self.gain <= 0:
-            raise ValueError(f"gain must be > 0, got {self.gain}")
-        if self.interference_w < 0:
-            raise ValueError(f"interference must be >= 0, got {self.interference_w}")
 
 
 @dataclass(frozen=True)
@@ -82,23 +63,37 @@ class ChannelAssignment:
         return self.assigned[n] is not None
 
 
-def uplink_rate(link: LinkBudget) -> float:
-    """Shannon rate B*log2(1 + p*h / (I + B*N0)) in bits/s. Zero power -> 0."""
-    denom = link.interference_w + link.bandwidth_hz * link.noise_density_w_per_hz
-    sinr = link.tx_power_w * link.gain / denom
-    return link.bandwidth_hz * math.log2(1.0 + sinr)
+def spectral_efficiency(power_w: float, gain: float, noise_floor_w: float) -> float:
+    """Shannon efficiency log2(1 + p*h/(I + B*N0)) in bits/s/Hz. Zero power -> 0.
+
+    ``noise_floor_w`` is the interference plus thermal noise I + B*N0.
+    """
+    return math.log2(1.0 + power_w * gain / noise_floor_w)
+
+
+def transfer_time(bits: float, bandwidth_hz: float, efficiency: float) -> float:
+    """Time bits/(B*f) to send ``bits`` at efficiency f; inf at a zero rate."""
+    rate = bandwidth_hz * efficiency
+    return math.inf if rate <= 0.0 else bits / rate
+
+
+def transfer_energy(power_w: float, bits: float, bandwidth_hz: float, efficiency: float) -> float:
+    """Radiated energy p*bits/(B*f) of sending ``bits``; 0 at zero power, inf at a zero rate."""
+    # power times transfer time, with p*bits formed first as in p*theta/(B*f)
+    return 0.0 if power_w == 0.0 else transfer_time(power_w * bits, bandwidth_hz, efficiency)
+
+
+def cluster_uplink_efficiency(
+    cluster: ClusterProfile, env: RoundEnvironment, n: int, power_w: float, n0: float
+) -> float:
+    """Spectral efficiency of cluster n's head at the given power, this round."""
+    noise_floor = env.uplink_interference_w[n] + cluster.uplink_bandwidth_hz * n0
+    return spectral_efficiency(power_w, env.uplink_gain[n], noise_floor)
 
 
 def cluster_uplink_rate(cluster: ClusterProfile, env: RoundEnvironment, n: int, power_w: float, n0: float) -> float:
-    """Uplink rate of cluster n's head at the given power, this round."""
-    link = LinkBudget(
-        bandwidth_hz=cluster.uplink_bandwidth_hz,
-        tx_power_w=power_w,
-        gain=env.uplink_gain[n],
-        interference_w=env.uplink_interference_w[n],
-        noise_density_w_per_hz=n0,
-    )
-    return uplink_rate(link)
+    """Uplink rate B*f of cluster n's head at the given power, this round, in bits/s."""
+    return cluster.uplink_bandwidth_hz * cluster_uplink_efficiency(cluster, env, n, power_w, n0)
 
 
 def uplink_delay(
@@ -111,17 +106,17 @@ def uplink_delay(
     """Upload time of (encoder output + parameters), or NOT_TRANSMITTING.
 
     Raises StalledLinkError when the cluster holds a channel but its rate is
-    zero with a nonzero payload.
+    zero (the config keeps the payload positive).
     """
     if not assignment.is_transmitting(n):
         return NOT_TRANSMITTING
+    cl = cfg.clusters[n]
     payload = cfg.model.uplink_payload_bits
-    rate = cluster_uplink_rate(cfg.clusters[n], env, n, power_w, cfg.noise_density_w_per_hz)
-    if rate <= 0.0:
-        if payload > 0:
-            raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate with {payload} bits pending")
-        return 0.0
-    return payload / rate
+    efficiency = cluster_uplink_efficiency(cl, env, n, power_w, cfg.noise_density_w_per_hz)
+    delay = transfer_time(payload, cl.uplink_bandwidth_hz, efficiency)
+    if math.isinf(delay):
+        raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate with {payload} bits pending")
+    return delay
 
 
 def cu_transmit_energy(
@@ -132,25 +127,14 @@ def cu_transmit_energy(
     power_w: float,
 ) -> float:
     """Upload energy p * theta_enc / rate. Counts parameters only, not activations."""
-    if not assignment.is_transmitting(n) or power_w == 0.0:
+    if not assignment.is_transmitting(n):
         return 0.0
-    rate = cluster_uplink_rate(cfg.clusters[n], env, n, power_w, cfg.noise_density_w_per_hz)
-    if rate <= 0.0:
+    cl = cfg.clusters[n]
+    efficiency = cluster_uplink_efficiency(cl, env, n, power_w, cfg.noise_density_w_per_hz)
+    energy = transfer_energy(power_w, cfg.model.enc_param_bits, cl.uplink_bandwidth_hz, efficiency)
+    if math.isinf(energy):
         raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate at power {power_w}")
-    return power_w * cfg.model.enc_param_bits / rate
-
-
-def d2d_rate(bandwidth_hz: float, power_w: float, gain: float, interference_w: float, n0: float) -> float:
-    """Intra-cluster hop rate in bits/s."""
-    return uplink_rate(
-        LinkBudget(
-            bandwidth_hz=bandwidth_hz,
-            tx_power_w=power_w,
-            gain=gain,
-            interference_w=interference_w,
-            noise_density_w_per_hz=n0,
-        )
-    )
+    return energy
 
 
 def d2d_delay(
@@ -168,10 +152,11 @@ def d2d_delay(
     """
     if power_w <= 0.0:
         raise StalledLinkError("dead link: d2d power is zero")
-    rate = d2d_rate(bandwidth_hz, power_w, gain, interference_w, n0)
-    if rate <= 0.0:
+    efficiency = spectral_efficiency(power_w, gain, interference_w + bandwidth_hz * n0)
+    delay = transfer_time(model.hop_payload_bits, bandwidth_hz, efficiency)
+    if math.isinf(delay):
         raise StalledLinkError(f"stalled d2d link: zero rate at gain {gain} and power {power_w}")
-    return model.hop_payload_bits / rate
+    return delay
 
 
 def device_d2d_delay(cfg: SystemConfig, n: int, k: int, gain: float, interference_w: float) -> float:

@@ -464,14 +464,15 @@ def build_config(doc: dict) -> SystemConfig:
         _bad("convergence")
     convergence = _parse_convergence(conv_raw, clusters)
 
+    seed = doc.get("rng_seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("rng_seed", f"must be an integer >= 0, got {seed!r}")
     seed_raw = os.environ.get(SEED_ENV_VAR)
     if seed_raw is not None:
         try:
             seed = int(seed_raw)
         except ValueError:
             raise ConfigError(SEED_ENV_VAR, f"environment override must be an integer, got {seed_raw!r}")
-    else:
-        seed = int(doc.get("rng_seed", 0))
 
     proxy = doc.get("loss_proxy", {})
     if not isinstance(proxy, dict):

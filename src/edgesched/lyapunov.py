@@ -1,12 +1,16 @@
 """Virtual queues and the drift-plus-penalty objective.
 
 The queue accumulates per-round excess of the balance bound over its cap; the
-scheduler minimizes V*tau(t) + sum_n Y_n*(S_n + p_n) each round.
+scheduler minimizes V*tau(t) + sum_n Y_n*(S_n + p_n) each round. tau(t) is
+the largest cluster delay, pipeline plus upload, where a cluster off the air
+pays its pipeline only (``cluster_delays``).
 """
 
 from __future__ import annotations
 
-from .comm import uplink_delay
+from typing import Sequence
+
+from .comm import NOT_TRANSMITTING, uplink_delay
 from .config import RoundEnvironment, SystemConfig
 from .decision import SchedulingDecision
 from .pipeline import pipeline_latency
@@ -21,19 +25,35 @@ def queue_update(values: tuple[float, ...], gamma_t: float, gamma_max: float) ->
     return tuple(max(y + gamma_t - gamma_max, 0.0) for y in values)
 
 
+def cluster_delays(pipes: Sequence[float], ups: Sequence[float]) -> tuple[float, ...]:
+    """Per-cluster pipeline plus upload delay; an upload of NOT_TRANSMITTING adds nothing."""
+    return tuple(p if u == NOT_TRANSMITTING else p + u for p, u in zip(pipes, ups))
+
+
+def delay_terms(
+    decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Each cluster's pipeline latency, and its uplink delay or NOT_TRANSMITTING."""
+    n_clusters = cfg.n_clusters
+    pipes = tuple(pipeline_latency(decision.plans[n], cfg, env, n) for n in range(n_clusters))
+    ups = tuple(uplink_delay(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(n_clusters))
+    return pipes, ups
+
+
 def round_delay(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
     """tau(t) = max over clusters of pipeline + upload delay.
 
     Clusters that skip the upload this round contribute pipeline latency only.
     """
-    pipes = [pipeline_latency(decision.plans[n], cfg, env, n) for n in range(cfg.n_clusters)]
-    total = []
-    for n in range(cfg.n_clusters):
-        if decision.assignment.is_transmitting(n):
-            total.append(pipes[n] + uplink_delay(cfg, env, n, decision.assignment, decision.powers_w[n]))
-        else:
-            total.append(pipes[n])
-    return max(total)
+    return max(cluster_delays(*delay_terms(decision, cfg, env)))
+
+
+def drift_penalty_at(tau: float, decision: SchedulingDecision, queues: tuple[float, ...], v_factor: float) -> float:
+    """V*tau + sum_n Y_n*(S_n + p_n) for the decision's already evaluated round delay tau."""
+    penalty = sum(
+        y * (plan.n_segments + p) for y, plan, p in zip(queues, decision.plans, decision.powers_w)
+    )
+    return v_factor * tau + penalty
 
 
 def drift_penalty(
@@ -44,7 +64,4 @@ def drift_penalty(
     v_factor: float,
 ) -> float:
     """Drift-plus-penalty objective V*tau(t) + sum_n Y_n*(S_n + p_n)."""
-    penalty = sum(
-        y * (plan.n_segments + p) for y, plan, p in zip(queues, decision.plans, decision.powers_w)
-    )
-    return v_factor * round_delay(decision, cfg, env) + penalty
+    return drift_penalty_at(round_delay(decision, cfg, env), decision, queues, v_factor)

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import ChannelAssignment, cu_transmit_energy, uplink_delay
+from .comm import ChannelAssignment, cu_transmit_energy
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
 from .errors import InfeasibleError, SimulationAborted
-from .lyapunov import drift_penalty, queue_update, round_delay
-from .pipeline import SegmentPlan, pipeline_energy, pipeline_latency
+from .lyapunov import cluster_delays, delay_terms, drift_penalty, drift_penalty_at, queue_update
+from .pipeline import SegmentPlan, pipeline_energy
 from .res_solver import allocate_resources
 from .seg_solver import optimal_micro_batches, schedule_segments
 
@@ -35,20 +35,20 @@ _QUEUE_STABLE_TOL = 1e-9
 _MAX_INNER_ITERS = 20
 
 
-def _worst_interference_error(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
-    """Largest upload distortion term over all clusters at the decided powers."""
-    return max(
+def _worst_terms(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> tuple[int, float]:
+    """Largest segment count and largest upload distortion term over all clusters at the decided powers."""
+    eps_max = max(
         interference_error(
             decision.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference
         )
         for n in range(cfg.n_clusters)
     )
+    return max(plan.n_segments for plan in decision.plans), eps_max
 
 
 def system_gamma(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
     """System-wide balance bound: worst segment count with worst error term."""
-    s_max = max(plan.n_segments for plan in decision.plans)
-    eps_max = _worst_interference_error(decision, cfg, env)
+    s_max, eps_max = _worst_terms(decision, cfg, env)
     return gamma_round_from_error(s_max, eps_max, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
 
 
@@ -361,11 +361,8 @@ def evaluate_round(
 ) -> tuple[RoundMetrics, tuple[float, ...]]:
     """Evaluate a validated decision and apply the single real queue update."""
     n_clusters = cfg.n_clusters
-    pipes = tuple(pipeline_latency(decision.plans[n], cfg, env, n) for n in range(n_clusters))
-    ups = tuple(
-        uplink_delay(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(n_clusters)
-    )
-    tau = round_delay(decision, cfg, env)
+    pipes, ups = delay_terms(decision, cfg, env)
+    tau = max(cluster_delays(pipes, ups))
     e_pipe = tuple(pipeline_energy(decision.plans[n], cfg, env, n) for n in range(n_clusters))
     e_com = tuple(
         cu_transmit_energy(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(n_clusters)
@@ -374,10 +371,11 @@ def evaluate_round(
         sum(cfg.clusters[n].devices[k].d2d_power_w * env.hop_s[n][k] for k in decision.plans[n].scheduled)
         for n in range(n_clusters)
     )
-    gamma_t = system_gamma(decision, cfg, env)
+    s_max, eps_max = _worst_terms(decision, cfg, env)
+    gamma_t = gamma_round_from_error(s_max, eps_max, cfg.convergence, n_clusters, cfg.model.n_blocks)
     queue_after = queue_update(queues, gamma_t, cfg.convergence.gamma_max)
-    dp = drift_penalty(decision, cfg, env, queues, cfg.convergence.v_factor)
-    gap = bound.observe(max(p.n_segments for p in decision.plans), _worst_interference_error(decision, cfg, env))
+    dp = drift_penalty_at(tau, decision, queues, cfg.convergence.v_factor)
+    gap = bound.observe(s_max, eps_max)
     metrics = RoundMetrics(
         round_index=env.round_index,
         tau_pipe_s=pipes,
@@ -435,10 +433,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
             continue
         consecutive_failures = 0
         metrics, queues = evaluate_round(decision, cfg, env, queues, bound)
-        prev_totals = tuple(
-            metrics.tau_pipe_s[n] + (0.0 if math.isinf(metrics.tau_up_s[n]) else metrics.tau_up_s[n])
-            for n in range(cfg.n_clusters)
-        )
+        prev_totals = cluster_delays(metrics.tau_pipe_s, metrics.tau_up_s)
         trace.rounds.append(metrics)
     if rounds and not trace.rounds:
         raise SimulationAborted(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .comm import ChannelAssignment
+from .comm import ChannelAssignment, spectral_efficiency, transfer_energy, transfer_time
 from .config import RoundEnvironment, SystemConfig
 from .convergence import balance_error_budget
 from .errors import InfeasibleError
@@ -36,22 +36,16 @@ class _UplinkProblem:
     p_max: float
     e_max: float
 
-    def f(self, p: float) -> float:
-        """Spectral efficiency log2(1 + p*h/(I + B*N0))."""
-        return math.log2(1.0 + p * self.gain / self.noise_floor)
-
     def f_grad(self, p: float) -> float:
+        """Derivative of the spectral efficiency in p."""
         return self.gain / ((self.noise_floor + p * self.gain) * math.log(2.0))
 
     def delay(self, p: float) -> float:
-        fv = self.f(p)
-        return math.inf if fv <= 0.0 else self.payload / (self.bandwidth * fv)
+        return transfer_time(self.payload, self.bandwidth, spectral_efficiency(p, self.gain, self.noise_floor))
 
     def upload_energy(self, p: float) -> float:
-        fv = self.f(p)
-        if p == 0.0:
-            return 0.0
-        return math.inf if fv <= 0.0 else p * self.param_bits / (self.bandwidth * fv)
+        efficiency = spectral_efficiency(p, self.gain, self.noise_floor)
+        return transfer_energy(p, self.param_bits, self.bandwidth, efficiency)
 
 
 def _problem(cfg: SystemConfig, env: RoundEnvironment, n: int) -> _UplinkProblem:
@@ -102,7 +96,7 @@ def _energy_power_ceiling(prob: _UplinkProblem) -> float:
 
 
 def _true_derivative(prob: _UplinkProblem, v_factor: float, y_n: float, p: float) -> float:
-    fv = prob.f(p)
+    fv = spectral_efficiency(p, prob.gain, prob.noise_floor)
     if fv <= 0.0:
         return -math.inf
     return -v_factor * prob.payload * prob.f_grad(p) / (prob.bandwidth * fv * fv) + y_n

@@ -15,6 +15,31 @@ def test_run_zero_rounds_ok(tmp_path, capsys):
     assert "rounds=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", TABLE2],
+        ["compare", TABLE2],
+        ["sweep", HOMOGENEOUS, "--grid", "V=1"],
+    ],
+    ids=["run", "compare", "sweep"],
+)
+def test_negative_rounds_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--rounds", "-1", "--out", str(tmp_path)]) == 2
+    assert "--rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.7, True])
+def test_run_non_integer_seed_is_a_config_error(tmp_path, capsys, seed):
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["rng_seed"] = seed
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--rounds", "1", "--out", str(tmp_path)]) == 2
+    assert "rng_seed" in capsys.readouterr().err
+
+
 def test_run_bad_path_exits_nonzero(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json"), "--rounds", "1", "--out", str(tmp_path)])
     assert rc == 2
@@ -108,6 +133,8 @@ def test_sweep_malformed_grid(tmp_path, capsys):
     assert main(["sweep", TABLE2, "--grid", "S=3..1,m=1..2", "--out", str(tmp_path)]) == 2
     assert main(["sweep", TABLE2, "--grid", "S=1..2", "--out", str(tmp_path)]) == 2
     assert main(["sweep", TABLE2, "--grid", "", "--out", str(tmp_path)]) == 2
+    assert main(["sweep", HOMOGENEOUS, "--grid", "S=1.5,2.9,m=1,2.5", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_one_by_one_grid(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -6,12 +7,10 @@ import pytest
 from edgesched.comm import (
     NOT_TRANSMITTING,
     ChannelAssignment,
-    LinkBudget,
     cluster_uplink_rate,
     cu_transmit_energy,
     d2d_delay,
     uplink_delay,
-    uplink_rate,
 )
 from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import StalledLinkError
@@ -21,41 +20,43 @@ from conftest import minimal_doc
 N0 = 10 ** (-20.4)  # -174 dBm/Hz in W/Hz
 
 
-def _link(bandwidth=0.5e6, power=0.5, gain=10 ** (-0.1 / 10), interference=0.07, n0=N0):
-    return LinkBudget(bandwidth, power, gain, interference, n0)
+BASE = {"bandwidth": 0.5e6, "power": 0.5, "gain": 10 ** (-0.1 / 10), "interference": 0.07}
+
+
+def _rate(**overrides):
+    # one cluster head with just the fields the rate reads
+    link = {**BASE, **overrides}
+    cluster = SimpleNamespace(uplink_bandwidth_hz=link["bandwidth"])
+    env = SimpleNamespace(uplink_gain=(link["gain"],), uplink_interference_w=(link["interference"],))
+    return cluster_uplink_rate(cluster, env, 0, link["power"], N0)
 
 
 def test_zero_power_zero_rate():
-    assert uplink_rate(_link(power=0.0)) == 0.0
+    assert _rate(power=0.0) == 0.0
 
 
 def test_rate_matches_high_precision_reference():
     # independent evaluation of the same closed form at 80-bit precision
-    link = _link()
     mpmath.mp.prec = 80
-    sinr = mpmath.mpf(link.tx_power_w) * mpmath.mpf(link.gain) / (
-        mpmath.mpf(link.interference_w) + mpmath.mpf(link.bandwidth_hz) * mpmath.mpf(link.noise_density_w_per_hz)
-    )
-    expected = mpmath.mpf(link.bandwidth_hz) * mpmath.log(1 + sinr) / mpmath.log(2)
-    assert uplink_rate(link) == pytest.approx(float(expected), rel=1e-12)
+    b, p, h, i = (mpmath.mpf(BASE[k]) for k in ("bandwidth", "power", "gain", "interference"))
+    expected = b * mpmath.log(1 + p * h / (i + b * mpmath.mpf(N0))) / mpmath.log(2)
+    assert _rate() == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_rate_concavity_in_power():
-    base = _link()
-    doubled = _link(power=2 * base.tx_power_w)
-    r1, r2 = uplink_rate(base), uplink_rate(doubled)
-    sinr1 = base.tx_power_w * base.gain / (base.interference_w + base.bandwidth_hz * base.noise_density_w_per_hz)
+    r1, r2 = _rate(), _rate(power=2 * BASE["power"])
+    sinr1 = BASE["power"] * BASE["gain"] / (BASE["interference"] + BASE["bandwidth"] * N0)
     assert sinr1 > 1.0
     assert r2 > r1
-    assert r2 - r1 < base.bandwidth_hz  # less than one bit/s/Hz once SINR > 1
+    assert r2 - r1 < BASE["bandwidth"]  # less than one bit/s/Hz once SINR > 1
 
 
 @pytest.mark.parametrize("factor", [1.5, 3.0, 10.0])
 def test_rate_monotonicity(factor):
-    base = _link()
-    assert uplink_rate(_link(power=base.tx_power_w * factor)) > uplink_rate(base)
-    assert uplink_rate(_link(gain=base.gain * factor)) > uplink_rate(base)
-    assert uplink_rate(_link(interference=base.interference_w * factor)) < uplink_rate(base)
+    base = _rate()
+    assert _rate(power=BASE["power"] * factor) > base
+    assert _rate(gain=BASE["gain"] * factor) > base
+    assert _rate(interference=BASE["interference"] * factor) < base
 
 
 def _uplink_cfg(z_enc=4e6, theta_enc=4e6):
@@ -172,17 +173,6 @@ def test_d2d_zero_rate_stalled_link(table2_cfg):
 def test_d2d_pure_function_of_arguments(table2_cfg):
     args = (table2_cfg.model, 0.5e6, 0.08, 1e-3, 5e-10, N0)
     assert d2d_delay(*args) == d2d_delay(*args)
-
-
-def test_link_budget_invariants():
-    with pytest.raises(ValueError):
-        LinkBudget(0.0, 0.1, 1.0, 0.0, N0)
-    with pytest.raises(ValueError):
-        LinkBudget(1e6, -0.1, 1.0, 0.0, N0)
-    with pytest.raises(ValueError):
-        LinkBudget(1e6, 0.1, 0.0, 0.0, N0)
-    with pytest.raises(ValueError):
-        LinkBudget(1e6, 0.1, 1.0, -1e-3, N0)
 
 
 def test_channel_assignment_structure():

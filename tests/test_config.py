@@ -70,6 +70,7 @@ def test_parse_failure_and_missing_file(tmp_path):
         (lambda d: d.update(clusters=[]), "clusters"),
         (lambda d: d.update(J=0), "J"),
         (lambda d: d.update(J=2.5), "J"),
+        (lambda d: d.update(rng_seed=-1), "rng_seed"),
         (lambda d: d.update(N0_w_per_hz=0.0), "N0_w_per_hz"),
         (lambda d: d["model"].update(L=0), "L"),
         (lambda d: d["model"].update(L=1.5), "L"),

@@ -5,8 +5,10 @@ counts m, block partitions delta and channels, which must match exactly, and
 the uplink powers p_cu_w, queues queue_y and every evaluated delay, energy,
 balance bound, objective and gap bound, which must match within 1e-8
 relative (a skipped upload and a vacuous gap bound are null and must stay
-null). Pinning the evaluated fields catches a changed float order in the
-round evaluator, which the decisions alone would not show. The inputs are the shipped configs: table2, homogeneous and binding
+null). Pinning the evaluated fields catches a change in an evaluated value
+that leaves the decisions as they were.
+
+The inputs are the shipped configs: table2, homogeneous and binding
 (six two-device clusters on three channels under a tight balance cap). In
 binding the uplink interference is fixed at 0.058 W, so a cluster left off the
 air lifts the balance bound over its cap and the queues grow every round:

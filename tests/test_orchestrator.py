@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from edgesched import comm
+from edgesched import comm, pipeline
 from edgesched.config import build_config, sample_round_environment
 from edgesched.decision import validate_decision
 from edgesched.errors import SimulationAborted
@@ -221,9 +221,8 @@ def test_persistent_infeasibility_aborts():
             run_simulation(cfg, rounds, "lyapunov")
 
 
-@pytest.mark.parametrize("policy", ["lyapunov", "loss"])
-def test_hop_times_computed_once_per_device_and_round(table2_cfg, policy, monkeypatch):
-    original = comm.device_d2d_delay
+def _count_calls(monkeypatch, original) -> list:
+    """Record every call of ``original`` through any edgesched module that binds it."""
     calls = []
 
     def counted(*args):
@@ -235,8 +234,23 @@ def test_hop_times_computed_once_per_device_and_round(table2_cfg, policy, monkey
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", ["lyapunov", "loss"])
+def test_hop_times_computed_once_per_device_and_round(table2_cfg, policy, monkeypatch):
+    calls = _count_calls(monkeypatch, comm.device_d2d_delay)
     run_simulation(table2_cfg, 6, policy)
     assert len(calls) == 6 * 18  # table2 has 18 devices
+
+
+def test_round_evaluated_once_per_cluster(table2_cfg, monkeypatch):
+    # a baseline decides without the closed forms, so every call is the evaluator's
+    pipes = _count_calls(monkeypatch, pipeline.pipeline_latency)
+    ups = _count_calls(monkeypatch, comm.uplink_delay)
+    run_simulation(table2_cfg, 6, "loss")
+    assert len(pipes) == 6 * 3  # table2 has 3 clusters
+    assert len(ups) == 6 * 3
 
 
 def test_queue_growth_under_uncontrolled_baseline(table2_cfg):
