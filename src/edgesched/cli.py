@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from .config import SystemConfig, load_config, sample_round_environment
+from .config import SystemConfig, check_seed, load_config, sample_round_environment
 from .errors import ConfigError, InfeasibleError, SimulationAborted, StalledLinkError
 from .orchestrator import POLICIES, _atomic_write, run_simulation, uniform_partition
 from .pipeline import SegmentPlan, pipeline_latency
@@ -31,9 +31,7 @@ def _default_out() -> str:
 
 
 def _with_seed(cfg: SystemConfig, seed: int | None) -> SystemConfig:
-    if seed is None:
-        return cfg
-    return dataclasses.replace(cfg, rng_seed=seed)
+    return cfg if seed is None else dataclasses.replace(cfg, rng_seed=check_seed(seed, "--seed"))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -65,6 +63,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("--seeds", f"expected comma-separated integers, got {args.seeds!r}")
     if not seeds:
         raise ConfigError("--seeds", "at least one seed is required")
+    for seed in seeds:
+        check_seed(seed, "--seeds")
     base = load_config(args.config)
     lines = ["policy,seed,round,tau_s,tau_cum_s"]
     for policy in policies:

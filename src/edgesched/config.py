@@ -26,6 +26,13 @@ SEED_ENV_VAR = "EDGESCHED_SEED"
 SCHEMA_VERSION = 1
 
 
+def check_seed(seed: object, name: str) -> int:
+    """The one seed rule, for the config file and every override: an integer >= 0."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(name, f"must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def db_to_linear(db: float) -> float:
     """Convert a dB power ratio to a linear power ratio."""
     return 10.0 ** (db / 10.0)
@@ -464,15 +471,14 @@ def build_config(doc: dict) -> SystemConfig:
         _bad("convergence")
     convergence = _parse_convergence(conv_raw, clusters)
 
-    seed = doc.get("rng_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("rng_seed", f"must be an integer >= 0, got {seed!r}")
+    seed = check_seed(doc.get("rng_seed", 0), "rng_seed")
     seed_raw = os.environ.get(SEED_ENV_VAR)
     if seed_raw is not None:
         try:
             seed = int(seed_raw)
         except ValueError:
             raise ConfigError(SEED_ENV_VAR, f"environment override must be an integer, got {seed_raw!r}")
+        check_seed(seed, SEED_ENV_VAR)
 
     proxy = doc.get("loss_proxy", {})
     if not isinstance(proxy, dict):

@@ -40,6 +40,24 @@ def test_run_non_integer_seed_is_a_config_error(tmp_path, capsys, seed):
     assert "rng_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed, name",
+    [
+        (["run", TABLE2, "--seed", "-3"], None, "--seed"),
+        (["compare", TABLE2, "--seeds=-1"], None, "--seeds"),
+        (["sweep", HOMOGENEOUS, "--grid", "V=1", "--seed", "-2"], None, "--seed"),
+        (["run", TABLE2], "-1", "EDGESCHED_SEED"),
+    ],
+    ids=["run", "compare", "sweep", "env"],
+)
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, monkeypatch, argv, env_seed, name):
+    # the config file's rng_seed rule (an integer >= 0) holds for every override
+    if env_seed is not None:
+        monkeypatch.setenv("EDGESCHED_SEED", env_seed)
+    assert main(argv + ["--rounds", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}: must be an integer >= 0")
+
+
 def test_run_bad_path_exits_nonzero(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json"), "--rounds", "1", "--out", str(tmp_path)])
     assert rc == 2

@@ -1,22 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from edgesched.config import build_config, sample_round_environment
+from edgesched import res_solver
+from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.errors import InfeasibleError
 from edgesched.oracles import brute_force_assignment, grid_search_power
+from edgesched.orchestrator import run_simulation
 from edgesched.res_solver import (
+    _bisect_increasing,
+    _energy_power_ceiling,
     _lexmin_assignment,
     _objective,
     _problem,
     allocate_resources,
     channel_assignment,
     matching_costs,
+    _true_derivative,
     power_control,
 )
 
-from conftest import minimal_doc
+from conftest import BINDING, minimal_doc
 
 
 def _power_doc(rng):
@@ -253,3 +259,114 @@ def test_allocate_matches_joint_brute_force_small():
             best = min(best, upsilon(assigned, pw))
     got = upsilon(assignment.assigned, powers)
     assert got <= best * (1 + 1e-3)
+
+
+def _full_bisect(keep_lo, lo, hi):
+    # reference loop: all 200 steps, with no fixed-point stop
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if keep_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _full_bisect_increasing(fun, lo, hi):
+    if fun(lo) >= 0.0:
+        return lo
+    if fun(hi) <= 0.0:
+        return hi
+    lo, hi = _full_bisect(lambda q: fun(q) < 0.0, lo, hi)
+    return 0.5 * (lo + hi)
+
+
+def _full_energy_power_ceiling(prob):
+    if prob.upload_energy(prob.p_max) <= prob.e_max:
+        return prob.p_max
+    return _full_bisect(lambda q: prob.upload_energy(q) <= prob.e_max, 0.0, prob.p_max)[0]
+
+
+def _assert_power_bisections_exact(monkeypatch, cfg, rounds, queues, n_segments):
+    """Every bisection power_control runs equals the 200-step loop bit for bit.
+
+    Returns how many of those bisections ended strictly inside their bracket.
+    """
+    calls = []
+
+    def recording(fun, lo, hi):
+        calls.append((fun, lo, hi))
+        return _bisect_increasing(fun, lo, hi)
+
+    monkeypatch.setattr(res_solver, "_bisect_increasing", recording)
+    for t in rounds:
+        env = sample_round_environment(cfg, t)
+        for n in range(cfg.n_clusters):
+            prob = _problem(cfg, env, n)
+            assert _energy_power_ceiling(prob) == _full_energy_power_ceiling(prob)
+            for y in queues:
+                for enforce_balance in (True, False):
+                    try:
+                        power_control(cfg, env, n, y, cfg.convergence.v_factor, n_segments, enforce_balance)
+                    except InfeasibleError:
+                        pass
+    interior = 0
+    for fun, lo, hi in calls:
+        got = _bisect_increasing(fun, lo, hi)
+        assert got == _full_bisect_increasing(fun, lo, hi)
+        interior += lo < got < hi
+    return interior
+
+
+def test_power_bisection_fixed_point_stop_is_exact_on_binding(monkeypatch):
+    queues = [0.0] + [10.0**e for e in range(-7, 2)]
+    assert _assert_power_bisections_exact(monkeypatch, load_config(BINDING), (1, 2, 3), queues, 1) > 50
+
+
+def test_power_bisection_fixed_point_stop_is_exact_on_table2(monkeypatch, table2_cfg):
+    queues = [0.0] + [10.0**e for e in range(-2, 5)]
+    for s in (1, 2, 3):
+        assert _assert_power_bisections_exact(monkeypatch, table2_cfg, (1, 2), queues, s) > 0
+
+
+def test_energy_ceiling_fixed_point_stop_is_exact_when_budget_binds():
+    rng = np.random.default_rng(77)
+    binding = 0
+    for _ in range(300):
+        cfg = build_config(_power_doc(rng))
+        prob = _problem(cfg, sample_round_environment(cfg, 1), 0)
+        e_limit = prob.param_bits * math.log(2.0) * prob.noise_floor / (prob.bandwidth * prob.gain)
+        e_top = prob.upload_energy(prob.p_max)
+        prob = dataclasses.replace(prob, e_max=float(rng.uniform(e_limit, e_top)))
+        ceiling = _energy_power_ceiling(prob)
+        assert ceiling == _full_energy_power_ceiling(prob)
+        binding += ceiling < prob.p_max
+        v, y = float(rng.uniform(1e-3, 10.0)), float(rng.uniform(0.0, 50.0))
+        fun = lambda q: _true_derivative(prob, v, y, q)
+        lo = 1e-12 * prob.p_max
+        assert _bisect_increasing(fun, lo, ceiling) == _full_bisect_increasing(fun, lo, ceiling)
+    assert binding == 300
+
+
+def test_power_bisection_stops_at_its_fixed_point(monkeypatch):
+    # a bracket on (0, 0.5] W reaches its float fixed point within about 55
+    # halvings; a loop that runs all 200 steps makes 202 derivative evaluations
+    evaluations = [0]
+    per_call = []
+
+    def counting_derivative(*args):
+        evaluations[0] += 1
+        return _true_derivative(*args)
+
+    def counting_power_control(*args, **kwargs):
+        evaluations[0] = 0
+        p = power_control(*args, **kwargs)
+        per_call.append(evaluations[0])
+        return p
+
+    monkeypatch.setattr(res_solver, "_true_derivative", counting_derivative)
+    monkeypatch.setattr(res_solver, "power_control", counting_power_control)
+    run_simulation(load_config(BINDING), 3, "lyapunov")
+    interior = [c for c in per_call if c > 2]
+    assert len(interior) > 100
+    assert max(interior) <= 70
