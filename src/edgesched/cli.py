@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from .config import SystemConfig, check_seed, load_config, sample_round_environment
+from .config import SystemConfig, check_control_factor, check_seed, load_config, sample_round_environment
 from .errors import ConfigError, InfeasibleError, SimulationAborted, StalledLinkError
 from .orchestrator import POLICIES, _atomic_write, run_simulation, uniform_partition
 from .pipeline import SegmentPlan, pipeline_latency
@@ -117,7 +117,10 @@ def _parse_grid(grid: str) -> dict[str, list[float]]:
         if name in out:
             raise ConfigError("--grid", f"duplicate grid axis {name!r}")
         out[name] = _parse_range(values, name)
-        if name != "V" and not all(v.is_integer() for v in out[name]):
+        if name == "V":
+            for v in out[name]:
+                check_control_factor(v, "--grid")
+        elif not all(v.is_integer() for v in out[name]):
             raise ConfigError("--grid", f"{name}: values must be integers, got {values!r}")
     if set(out) not in ({"S", "m"}, {"V"}):
         raise ConfigError("--grid", "grid must be either S=..,m=.. or V=..")

@@ -33,6 +33,13 @@ def check_seed(seed: object, name: str) -> int:
     return seed
 
 
+def check_control_factor(v: float, name: str) -> float:
+    """The one V rule, for the config file and the sweep grid: finite and > 0."""
+    if not (v > 0 and math.isfinite(v)):
+        raise ConfigError(name, f"V must be finite and > 0, got {v!r}")
+    return v
+
+
 def db_to_linear(db: float) -> float:
     """Convert a dB power ratio to a linear power ratio."""
     return 10.0 ** (db / 10.0)
@@ -430,7 +437,7 @@ def _parse_convergence(raw: dict, clusters: tuple[ClusterProfile, ...]) -> Conve
     gamma_max = _require_positive(
         _num(raw, "gamma_max_bound", where, _CONVERGENCE_DEFAULTS), f"{where}.gamma_max_bound"
     )
-    v = _require_positive(_num(raw, "V", where, _CONVERGENCE_DEFAULTS), f"{where}.V")
+    v = check_control_factor(_num(raw, "V", where, _CONVERGENCE_DEFAULTS), f"{where}.V")
     f0 = _require_positive(_num(raw, "F0_gap", where, _CONVERGENCE_DEFAULTS), f"{where}.F0_gap")
     return ConvergenceParams(
         beta=beta, eta=eta, xi=xi, phi_bound=phi, c_interference=c, gamma_max=gamma_max, v_factor=v, f0_gap=f0

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -56,6 +57,24 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys, monkeypatch,
         monkeypatch.setenv("EDGESCHED_SEED", env_seed)
     assert main(argv + ["--rounds", "1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {name}: must be an integer >= 0")
+
+
+@pytest.mark.parametrize("v", ["-1", "0", "nan", "inf"])
+def test_sweep_control_factor_must_be_finite_and_positive(tmp_path, capsys, v):
+    # the grid's V values follow the config file's rule for convergence.V
+    assert main(["sweep", TABLE2, "--grid", f"V={v}", "--rounds", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --grid: V must be finite and > 0")
+
+
+@pytest.mark.parametrize("v", [math.inf, math.nan, 0, -1], ids=["inf", "nan", "0", "-1"])
+def test_run_control_factor_must_be_finite_and_positive(tmp_path, capsys, v):
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["convergence"]["V"] = v  # written as Infinity / NaN, which json reads back
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--rounds", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: convergence.V: V must be finite and > 0")
 
 
 def test_run_bad_path_exits_nonzero(tmp_path, capsys):

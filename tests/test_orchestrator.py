@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from edgesched import comm, pipeline
+from edgesched import comm, pipeline, seg_solver
 from edgesched.config import build_config, sample_round_environment
 from edgesched.decision import validate_decision
 from edgesched.errors import SimulationAborted
@@ -225,9 +225,9 @@ def _count_calls(monkeypatch, original) -> list:
     """Record every call of ``original`` through any edgesched module that binds it."""
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "edgesched":
@@ -251,6 +251,14 @@ def test_round_evaluated_once_per_cluster(table2_cfg, monkeypatch):
     run_simulation(table2_cfg, 6, "loss")
     assert len(pipes) == 6 * 3  # table2 has 3 clusters
     assert len(ups) == 6 * 3
+
+
+def test_run_starts_ruled_out_by_the_bound_are_not_searched(table2_cfg, monkeypatch):
+    # 45 run starts per round on table2 (3 clusters, 15 each); most lie
+    # strictly above the best plan's objective by the run-start bound alone
+    calls = _count_calls(monkeypatch, seg_solver.optimal_partition)
+    run_simulation(table2_cfg, 6, "lyapunov")
+    assert len(calls) <= 90
 
 
 def test_queue_growth_under_uncontrolled_baseline(table2_cfg):

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import itertools
+import math
+import os
 
 import numpy as np
 import pytest
@@ -8,14 +11,17 @@ from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
+from edgesched.pipeline import device_energy
 from edgesched.seg_solver import (
+    _micro_batch_run_starts,
+    _run_start_bound,
     cluster_objective,
     optimal_micro_batches,
     optimal_partition,
     schedule_segments,
 )
 
-from conftest import minimal_doc, random_system
+from conftest import REPO_ROOT, minimal_doc, random_system, random_system_doc
 
 
 def _enumerate_m(delta, cfg, env, n, v, queue_sum):
@@ -395,8 +401,6 @@ def test_partition_breaks_exact_occupancy_ties_like_the_oracle():
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
     assert len({device_d2d_delay(cfg, 0, k, env.d2d_gain[0][k], env.d2d_interference_w[0]) for k in range(5)}) == 1
-    from edgesched.seg_solver import _micro_batch_run_starts
-
     for q in (0.0, 0.05, 1.0):
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             best = None
@@ -439,3 +443,121 @@ def test_partition_prices_tied_occupancies_at_the_first_device():
                         best = key if best is None or key < best else best
                 got = optimal_partition(m, cfg, env_o, 0, 1.0, q, 0.5)
                 assert got == (best[2], best[1])
+
+
+def _unpruned_scan(cfg, env, n, queues, v, power):
+    """schedule_segments without its run-start skip: every run start at an infinite cutoff."""
+    best = first_error = None
+    for m in _micro_batch_run_starts(cfg.model.batch_items):
+        try:
+            delta, s = optimal_partition(m, cfg, env, n, v, sum(queues), power, cutoff=math.inf)
+        except InfeasibleError as exc:
+            first_error = first_error or exc
+            continue
+        key = (cluster_objective(delta, m, cfg, env, n, v, sum(queues)), s, delta, m)
+        best = key if best is None or key < best else best
+    if best is None:
+        raise first_error
+    return best[2], best[3]
+
+
+def _workload_doc(name: str, seed: int) -> dict:
+    path = os.path.join(REPO_ROOT, "roundbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("roundbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_doc(name, seed)
+
+
+def _skip_battery():
+    """(cfg, env, n, power) cases: paper, encoder and contended shapes, then binding energy caps."""
+    for name, rounds in (("paper", 4), ("encoder", 2), ("contended", 2)):
+        cfg = build_config(_workload_doc(name, 1))
+        for t in range(1, rounds + 1):
+            env = sample_round_environment(cfg, t)
+            for n, cluster in enumerate(cfg.clusters):
+                yield cfg, env, n, cluster.uplink_power_max_w
+    rng = np.random.default_rng(77)
+    for _ in range(150):
+        cfg = build_config(_binding_energy_doc(rng))
+        yield cfg, sample_round_environment(cfg, int(rng.integers(1, 5))), 0, float(rng.uniform(0.05, 0.5))
+
+
+def test_run_start_skip_equals_unpruned_scan(monkeypatch):
+    from edgesched import seg_solver
+
+    calls = []
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return optimal_partition(m, *args, **kwargs)
+
+    monkeypatch.setattr(seg_solver, "optimal_partition", counted)
+    solved = failed = starts = 0
+    for cfg, env, n, power in _skip_battery():
+        for q in (0.0, 1e-3, 1.0):
+            queues = (q,) + (0.0,) * (cfg.n_clusters - 1)
+            v = cfg.convergence.v_factor
+            starts += len(_micro_batch_run_starts(cfg.model.batch_items))
+            try:
+                want = _unpruned_scan(cfg, env, n, queues, v, power)
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError) as got:
+                    schedule_segments(cfg, env, n, queues, v, power)
+                assert (got.value.constraint, str(got.value)) == (exc.constraint, str(exc))
+                failed += 1
+                continue
+            plan = schedule_segments(cfg, env, n, queues, v, power)
+            assert (plan.delta, plan.m) == want
+            solved += 1
+    assert solved > 300 and failed > 0
+    assert starts - len(calls) > starts // 4  # the skip fired
+
+
+def test_run_start_bound_is_below_every_composition():
+    rng = np.random.default_rng(99)
+    tight = checked = 0
+    while checked < 300:
+        doc = random_system_doc(rng, max_devices=5, max_blocks=8, max_batch=16)
+        for dev in doc["clusters"][0]["devices"]:  # memory caps of 1 to 8 blocks
+            dev["gamma_max_bytes"] = float(rng.uniform(2.5e8, 2.2e9))
+        cfg = build_config(doc)
+        if rng.random() < 0.3:  # a device that memory rules out
+            starved = dataclasses.replace(cfg.clusters[0].devices[0], mem_budget_bytes=1e7)
+            cluster = dataclasses.replace(cfg.clusters[0], devices=(starved,) + cfg.clusters[0].devices[1:])
+            cfg = dataclasses.replace(cfg, clusters=(cluster,))
+        env = sample_round_environment(cfg, 1)
+        caps = [min(dev.block_cap, cfg.model.n_blocks) for dev in cfg.clusters[0].devices]
+        plans = [d for d in itertools.product(*(range(c + 1) for c in caps)) if sum(d) == cfg.model.n_blocks]
+        if not plans:
+            continue
+        v, q = cfg.convergence.v_factor, float(rng.choice([0.0, 1e-3, 1.0]))
+        bound = _run_start_bound(cfg, env, 0, v, q)
+        for m in _micro_batch_run_starts(cfg.model.batch_items):
+            best = min(cluster_objective(delta, m, cfg, env, 0, v, q) for delta in plans)
+            assert bound(m) <= best
+            tight += bound(m) == best
+        checked += 1
+    assert tight > 0
+
+
+def test_run_start_skip_keeps_an_exact_tie():
+    # dyadic speeds and hops: the best two-stage plan at m = 1 and the
+    # one-stage plan at m = 2 both cost exactly 2 s. The one-stage term of the
+    # run-start bound is exact, so at m = 2 it equals the cutoff; that run
+    # start must still be searched, because its plan wins the tie on S. The
+    # fast device's energy budget holds its two blocks at m = 2 but not at m = 1
+    doc = minimal_doc()
+    doc["model"] = {"L": 2, "b": 2, "o_fwd_flops": 2.0**20, "o_bwd_flops": 2.0**20}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": mem, "gamma0_bytes": 2.5e8} for mem in (5e8, 2.5e8, 2.5e8)]
+    cfg = build_config(doc)
+    env = dataclasses.replace(sample_round_environment(cfg, 1), speed=((2.0**22,) * 3,), hop_s=((0.5,) * 3,))
+    budget = 0.5 * (device_energy(2, 1, cfg, env, 0, 0) + device_energy(2, 2, cfg, env, 0, 0))
+    fast = dataclasses.replace(cfg.clusters[0].devices[0], energy_budget_j=budget)
+    cluster = dataclasses.replace(cfg.clusters[0], devices=(fast,) + cfg.clusters[0].devices[1:])
+    cfg = dataclasses.replace(cfg, clusters=(cluster,))
+    pipelined = cluster_objective((0, 1, 1), 1, cfg, env, 0, 1.0, 0.0)
+    assert pipelined == cluster_objective((2, 0, 0), 2, cfg, env, 0, 1.0, 0.0) == 2.0
+    plan = schedule_segments(cfg, env, 0, (0.0,), 1.0, 0.5)
+    assert (plan.delta, plan.m) == _unpruned_scan(cfg, env, 0, (0.0,), 1.0, 0.5) == ((2, 0, 0), 2)
