@@ -291,11 +291,25 @@ _CONVERGENCE_DEFAULTS = {
 }
 
 
+def _finite(value, where: str) -> float:
+    """The one rule for a config number: an int or float, neither NaN nor infinite."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(where, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(where, f"must be finite, got {value!r}")
+    return number
+
+
 def _as_interval(value, where: str) -> Interval:
     if isinstance(value, (int, float)):
-        return Interval(float(value), float(value))
+        point = _finite(value, where)
+        return Interval(point, point)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        lo, hi = float(value[0]), float(value[1])
+        lo, hi = _finite(value[0], where), _finite(value[1], where)
         if lo > hi:
             raise ConfigError(where, f"interval lower bound {lo} exceeds upper bound {hi}")
         return Interval(lo, hi)
@@ -309,9 +323,7 @@ def _num(raw: dict, key: str, where: str, defaults: dict | None = None) -> float
         value = defaults[key]
     else:
         raise ConfigError(f"{where}.{key}", "required field is missing")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, f"{where}.{key}")
 
 
 def _require_positive(value: float, where: str) -> float:

@@ -125,8 +125,9 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int | None, ...], fl
     """Exhaustive minimum-cost matching with virtual-channel exclusions.
 
     Exactly min(N, J) clusters are placed on distinct real channels; the rest
-    sit out at zero cost. Lexicographic tie-break with excluded clusters
-    ordered after any real channel.
+    sit out at zero cost. Totals are summed with ``math.fsum``, so candidates
+    using the same costs tie exactly; ties break lexicographically, with
+    excluded clusters ordered after any real channel.
     """
     cost = np.asarray(cost, dtype=float)
     n_clusters, n_channels = cost.shape
@@ -138,7 +139,7 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int | None, ...], fl
     best_total = math.inf
     for chosen in itertools.combinations(range(n_clusters), n_tx):
         for channels in itertools.permutations(range(n_channels), n_tx):
-            total = sum(cost[c, j] for c, j in zip(chosen, channels))
+            total = math.fsum(cost[c, j] for c, j in zip(chosen, channels))
             assigned: list[int | None] = [None] * n_clusters
             for c, j in zip(chosen, channels):
                 assigned[c] = j

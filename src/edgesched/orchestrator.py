@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import ChannelAssignment, cu_transmit_energy
+from .comm import cu_transmit_energy
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
 from .errors import InfeasibleError, SimulationAborted
 from .lyapunov import cluster_delays, delay_terms, drift_penalty, drift_penalty_at, queue_update
 from .pipeline import SegmentPlan, pipeline_energy
-from .res_solver import allocate_resources
+from .res_solver import _ranked_assignment, allocate_resources
 from .seg_solver import optimal_micro_batches, schedule_segments
 
 TRACE_SCHEMA_VERSION = 1
@@ -143,15 +143,6 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
     for k, v in share.items():
         delta[k] = v
     return tuple(delta)
-
-
-def _ranked_assignment(cfg: SystemConfig, order: list[int]) -> ChannelAssignment:
-    """Greedy channels-by-rank: the first min(N, J) clusters in order transmit."""
-    n_tx = min(cfg.n_clusters, cfg.n_channels)
-    assigned: list[int | None] = [None] * cfg.n_clusters
-    for j, n in enumerate(order[:n_tx]):
-        assigned[n] = j
-    return ChannelAssignment(n_channels=cfg.n_channels, assigned=tuple(assigned))
 
 
 def _random_plan(cfg: SystemConfig, env: RoundEnvironment, n: int, rng: np.random.Generator) -> SegmentPlan:

@@ -4,8 +4,8 @@ The per-cluster power objective V*tau_up(p) + Y*p is convex on p > 0 (the
 delay is the reciprocal of a concave rate), and the energy budget (C8) and the
 balance cap (C11) each bound the power to one side, so bisection on the true
 gradient inside that box finds the global optimum; each bisection stops at its
-float fixed point, capped at 200 steps. Matching pads the cost matrix with
-zero-cost virtual channels so that surplus clusters can sit out a round.
+float fixed point, capped at 200 steps. Channels are identical, so matching
+ranks the clusters by cost and the surplus ones sit out a round.
 """
 
 from __future__ import annotations
@@ -157,6 +157,7 @@ def power_control(
 
 def _lexmin_assignment(cost: np.ndarray) -> list[int]:
     """Minimum-cost perfect matching, lexicographically smallest among optima.
+    The reference the matching tests compare against; the scheduler ranks.
 
     Rows are fixed in order to their smallest workable column, re-solving the
     reduced problem to confirm the total stays optimal.
@@ -187,6 +188,13 @@ def _lexmin_assignment(cost: np.ndarray) -> list[int]:
     return chosen
 
 
+def _cluster_costs(
+    cfg: SystemConfig, env: RoundEnvironment, queues: tuple[float, ...], v_factor: float, powers: tuple[float, ...]
+) -> list[float]:
+    """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n."""
+    return [_objective(_problem(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
+
+
 def matching_costs(
     cfg: SystemConfig,
     env: RoundEnvironment,
@@ -194,15 +202,16 @@ def matching_costs(
     v_factor: float,
     candidate_powers: tuple[float, ...],
 ) -> np.ndarray:
-    """Cost of placing cluster n on channel j: V*tau_up(p_n) + Y_n*p_n.
+    """Cost of placing cluster n on channel j. Every row is constant, since
+    channels are identical; the N x J form is kept as the oracle's input."""
+    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers)
+    return np.tile(np.array(costs)[:, None], (1, cfg.n_channels))
 
-    Channels are statistically identical in this model, so each row is
-    constant; the (n, j) form is kept for generality.
-    """
-    cost = np.zeros((cfg.n_clusters, cfg.n_channels))
-    for n in range(cfg.n_clusters):
-        cost[n, :] = _objective(_problem(cfg, env, n), v_factor, queues[n], candidate_powers[n])
-    return cost
+
+def _ranked_assignment(cfg: SystemConfig, order: list[int]) -> ChannelAssignment:
+    """Greedy channels-by-rank: the first min(N, J) clusters in order transmit."""
+    channel = {n: j for j, n in enumerate(order[: cfg.n_channels])}
+    return ChannelAssignment(n_channels=cfg.n_channels, assigned=tuple(channel.get(n) for n in range(cfg.n_clusters)))
 
 
 def channel_assignment(
@@ -212,14 +221,11 @@ def channel_assignment(
     v_factor: float,
     candidate_powers: tuple[float, ...],
 ) -> ChannelAssignment:
-    """Minimum-cost matching with zero-cost virtual channels, lex tie-break."""
-    cost = matching_costs(cfg, env, queues, v_factor, candidate_powers)
-    n_clusters, n_channels = cost.shape
-    d = max(n_clusters, n_channels)
-    padded = np.zeros((d, d))
-    padded[:n_clusters, :n_channels] = cost
-    cols = _lexmin_assignment(padded)[:n_clusters]
-    return ChannelAssignment(n_channels=n_channels, assigned=tuple(j if j < n_channels else None for j in cols))
+    """Minimum-cost matching, lex tie-break: the min(N, J) cheapest clusters by
+    (cost, index) transmit, on channels 0, 1, ... in cluster order."""
+    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers)
+    ranked = sorted(range(cfg.n_clusters), key=costs.__getitem__)
+    return _ranked_assignment(cfg, sorted(ranked[: cfg.n_channels]))
 
 
 def allocate_resources(
@@ -234,7 +240,7 @@ def allocate_resources(
 
     The power sub-problems have no cross-cluster coupling, so each cluster's
     optimal power is solved first; the matching is then priced at those
-    powers, and clusters left on a virtual channel transmit at zero power.
+    powers, and clusters left without a channel transmit at zero power.
     """
     candidates = tuple(
         power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance)

@@ -66,15 +66,59 @@ def test_sweep_control_factor_must_be_finite_and_positive(tmp_path, capsys, v):
     assert capsys.readouterr().err.startswith("config error: --grid: V must be finite and > 0")
 
 
-@pytest.mark.parametrize("v", [math.inf, math.nan, 0, -1], ids=["inf", "nan", "0", "-1"])
-def test_run_control_factor_must_be_finite_and_positive(tmp_path, capsys, v):
+@pytest.mark.parametrize(
+    "v, rule",
+    [
+        (math.inf, "must be finite"),
+        (math.nan, "must be finite"),
+        (0, "V must be finite and > 0"),
+        (-1, "V must be finite and > 0"),
+    ],
+    ids=["inf", "nan", "0", "-1"],
+)
+def test_run_control_factor_must_be_finite_and_positive(tmp_path, capsys, v, rule):
+    # a non-finite V meets the rule every config number follows before V's own
     with open(TABLE2, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["convergence"]["V"] = v  # written as Infinity / NaN, which json reads back
     path = tmp_path / "v.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(path), "--rounds", "1", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: convergence.V: V must be finite and > 0")
+    assert capsys.readouterr().err.startswith(f"config error: convergence.V: {rule}")
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, policy",
+    [
+        (("convergence", "gamma_max_bound"), math.inf, "lyapunov"),
+        (("clusters", 0, "devices", 0, "E_k_max_j"), math.inf, "lyapunov"),
+        (("clusters", 0, "devices", 0, "gamma_max_bytes"), math.inf, "lyapunov"),
+        (("clusters", 0, "B_up_hz"), math.inf, "lyapunov"),
+        (("clusters", 0, "B_up_hz"), math.inf, "loss"),
+        (("clusters", 0, "h_up_db"), [math.nan, 0], "lyapunov"),
+        (("clusters", 0, "devices", 0, "f_hz"), [1e8, math.inf], "lyapunov"),
+        (("loss_proxy", "scale"), math.nan, "loss"),
+        (("model", "b"), 10**400, "lyapunov"),  # an integer no float can hold
+    ],
+    ids=["gamma_max_bound", "E_k_max_j", "gamma_max_bytes", "B_up_hz", "B_up_hz-loss", "h_up_db", "f_hz", "scale", "b"],
+)
+def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, path, value, policy):
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.setdefault("loss_proxy", {})
+    _set(doc, path, value)
+    config = tmp_path / "non_finite.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")  # written as Infinity / NaN
+    rc = main(["run", str(config), "--policy", policy, "--rounds", "2", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    assert capsys.readouterr().err.startswith(f"config error: {field}: must be finite")
 
 
 def test_run_bad_path_exits_nonzero(tmp_path, capsys):

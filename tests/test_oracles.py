@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_assignment_oracle_basics():
         sum(cost[n, p[n]] for n in range(3)) for p in itertools.permutations(range(4), 3)
     )
     assert total == pytest.approx(best)
+
+
+def test_assignment_oracle_ties_do_not_depend_on_summation_order():
+    # (0, 1, 2, None) and (None, 0, 1, 2) use the same three costs; summed left
+    # to right, their totals differ in the last bit (16.521439952559987 vs
+    # 16.52143995255999) and the later assignment won
+    cost = np.tile([[7.523063771164595], [4.179900144313395], [4.818476037081999], [7.523063771164595]], (1, 3))
+    a, total = brute_force_assignment(cost)
+    assert a == (0, 1, 2, None)
+    assert total == math.fsum([7.523063771164595, 4.179900144313395, 4.818476037081999])
 
 
 def test_assignment_oracle_guard():

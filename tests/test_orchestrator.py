@@ -1,12 +1,13 @@
 import dataclasses
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from edgesched import comm, pipeline, seg_solver
-from edgesched.config import build_config, sample_round_environment
+from edgesched import comm, pipeline, res_solver, seg_solver
+from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.decision import validate_decision
 from edgesched.errors import SimulationAborted
 from edgesched.lyapunov import drift_penalty
@@ -21,7 +22,7 @@ from edgesched.orchestrator import (
     uniform_partition,
 )
 from edgesched.res_solver import _objective, _problem
-from conftest import minimal_doc
+from conftest import BINDING, TABLE2, minimal_doc
 
 
 def test_minimal_system_decision_matches_brute_force():
@@ -259,6 +260,28 @@ def test_run_starts_ruled_out_by_the_bound_are_not_searched(table2_cfg, monkeypa
     calls = _count_calls(monkeypatch, seg_solver.optimal_partition)
     run_simulation(table2_cfg, 6, "lyapunov")
     assert len(calls) <= 90
+
+
+def _table2_on_64_channels():
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["J"] = 64
+    return build_config(doc)
+
+
+@pytest.mark.parametrize(
+    "system, policy",
+    [("binding", "lyapunov"), ("binding", "uniform"), ("table2-J64", "lyapunov")],
+)
+def test_channels_are_ranked_without_a_hungarian_solve(system, policy, monkeypatch):
+    # binding runs 6 clusters on 3 channels, so three clusters sit out each round
+    cfg = load_config(BINDING) if system == "binding" else _table2_on_64_channels()
+    calls = _count_calls(monkeypatch, res_solver.linear_sum_assignment)
+    trace = run_simulation(cfg, 4, policy)
+    assert len(calls) == 0
+    assert trace.rounds
+    for r in trace.rounds:
+        assert [c for c in r.channel if c is not None] == [0, 1, 2]
 
 
 def test_queue_growth_under_uncontrolled_baseline(table2_cfg):
