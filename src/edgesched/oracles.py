@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,9 +126,10 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int | None, ...], fl
     """Exhaustive minimum-cost matching with virtual-channel exclusions.
 
     Exactly min(N, J) clusters are placed on distinct real channels; the rest
-    sit out at zero cost. Totals are summed with ``math.fsum``, so candidates
-    using the same costs tie exactly; ties break lexicographically, with
-    excluded clusters ordered after any real channel.
+    sit out at zero cost. Candidates are ranked on their exact totals, so two
+    assignments tie only when their costs sum to the same real number; ties
+    break lexicographically, with excluded clusters ordered after any real
+    channel. The returned total is the exact one rounded to a float.
     """
     cost = np.asarray(cost, dtype=float)
     n_clusters, n_channels = cost.shape
@@ -139,11 +141,13 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int | None, ...], fl
     best_total = math.inf
     for chosen in itertools.combinations(range(n_clusters), n_tx):
         for channels in itertools.permutations(range(n_channels), n_tx):
-            total = math.fsum(cost[c, j] for c, j in zip(chosen, channels))
+            picked = [float(cost[c, j]) for c, j in zip(chosen, channels)]
+            total = math.fsum(picked)
+            exact = sum(map(Fraction, picked)) if math.isfinite(total) else total
             assigned: list[int | None] = [None] * n_clusters
             for c, j in zip(chosen, channels):
                 assigned[c] = j
-            key = (total, tuple(n_channels if a is None else a for a in assigned))
+            key = (exact, tuple(n_channels if a is None else a for a in assigned))
             if best_key is None or key < best_key:
                 best_key = key
                 best_assigned = tuple(assigned)

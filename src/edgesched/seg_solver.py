@@ -23,11 +23,15 @@ stays under the bottleneck's: the identical-block case of 1-D chain
 partitioning (Pinar & Aykanat, "Fast optimal load balancing algorithms for 1D
 partitioning", JPDC 2004).
 
-The same early exit works one level up. Once a plan exists, a run start whose
-lower bound, built from memory caps alone, lies strictly above the best
-objective is not searched at all: no plan there can win, not even on a tie.
-On the shipped table2 scenario this leaves 77 of the 270 partition solves of
-six rounds.
+The same early exit works one level up. Each segment count S has a floor on
+the objective of every S-stage plan, from its least bottleneck: the larger of
+the least one-block occupancy and the load spread over the S fastest
+devices. A partition solve whose floors all lie strictly above its best
+one-stage plan or its cutoff skips the bottleneck scan, and once a plan
+exists, a run start whose lower bound, built from memory caps and these
+floors, lies strictly above the best objective is not searched at all: no
+plan there can win, not even on a tie. On the shipped table2 scenario this
+leaves 22 of the 270 partition solves of six rounds.
 """
 
 from __future__ import annotations
@@ -161,6 +165,12 @@ def optimal_partition(
     the best plan. Among equal (objective, S) the lexicographically smallest
     delta wins, the oracle's tie-break.
 
+    Before the scan, ``_stage_count_floor`` prices every segment count the
+    caps and the balance cap allow. When that floor lies strictly above the
+    best one-stage plan, or above a finite cutoff, no plan of two or more
+    stages can win or tie, and the occupancy lists are not built, the pairs
+    not sorted and the scan not run.
+
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
     an instance without a feasible composition raises instead. ``speed_j``
@@ -201,12 +211,16 @@ def optimal_partition(
             if obj <= cutoff and (best is None or key < best):
                 best = key
 
-    if s_cap >= 2:
+    # plans of two or more stages are scanned only when their floor reaches
+    # the best one-stage plan or, while there is none, the cutoff
+    s_lo = max(2, need)
+    if s_cap >= 2 and _stage_count_floor(cfg, env, n, v_factor, queue_sum, caps, s_lo, s_cap)(m, work) <= (
+        cutoff if best is None else best[0]
+    ):
         # occupancy of device k at d = 1..caps[k] blocks, ascending in d; the
         # expression is the one _bottleneck compares
         occ = [[d * work / speeds[k] + hops[k] for d in range(1, caps[k] + 1)] for k in range(n_dev)]
         pairs = sorted((occ[j][d - 1], j, d) for j in range(n_dev) for d in range(1, min(caps[j], l_blocks - 1) + 1))
-        s_lo = max(2, need)
         hop_max = max(hops)
         for u, j, d in pairs:
             limit = cutoff if best is None else best[0]
@@ -271,43 +285,76 @@ def _segment_cap(
     return min(cfg.clusters[n].n_devices, s_gamma)
 
 
-def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float, queue_sum: float):
+def _stage_count_floor(
+    cfg: SystemConfig,
+    env: RoundEnvironment,
+    n: int,
+    v_factor: float,
+    queue_sum: float,
+    caps: list[int],
+    s_lo: int,
+    s_cap: int,
+):
+    """Least objective any plan of S stages, s_lo <= S <= s_cap, can reach, as a function of (m, work).
+
+    ``work`` is the chunk work at run start m. Only devices with a positive
+    block cap in ``caps`` can be stages. A plan's bottleneck occupancy U is at
+    least the least one-block occupancy, and at least L*work/(sum of the S
+    fastest speeds) + the least hop, because each stage k holds at most
+    (U - hop_k)*speed_k/work blocks. The bottleneck's hop is at most the
+    longest hop and at most U, so the objective is at least
+    V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum. The (1 - 1e-12)
+    slacks absorb float rounding. The floor is inf when no S in the range has
+    enough devices; the sorted speeds are then never built.
+    """
+    live = [k for k, cap in enumerate(caps) if cap]
+    s_hi = min(s_cap, len(live))
+    if s_hi < s_lo:
+        return lambda m, work: math.inf
+    speeds = [env.speed[n][k] for k in live]
+    hops = [env.hop_s[n][k] for k in live]
+    hop_min, hop_max = min(hops), max(hops)
+    loads = [cfg.model.n_blocks / fastest for fastest in accumulate(sorted(speeds, reverse=True))]
+    counts = list(zip(range(s_lo, s_hi + 1), loads[s_lo - 1 :]))
+
+    def floor(m: int, work: float) -> float:
+        one_block = min([work / speed + hop for speed, hop in zip(speeds, hops)])
+        least = math.inf
+        for s, load in counts:
+            u = max(one_block, (load * work + hop_min) * (1 - 1e-12))
+            least = min(least, v_factor * max((s + m - 1) * u - hop_max, (s + m - 2) * u) * (1 - 1e-12) + s * queue_sum)
+        return least
+
+    return floor
+
+
+def _run_start_bound(
+    cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float, queue_sum: float, s_cap: int
+):
     """Lower bound, as a function of m, on the objective of every plan at run start m.
 
-    Built from memory caps alone, so it holds for every plan the energy caps
-    and the balance cap allow. It is the smaller of two terms:
+    Built from memory caps alone, so it holds for every plan of at most
+    ``s_cap`` stages that the energy caps allow. It is the smaller of two
+    terms:
 
     - one stage: the fastest device that can hold all L blocks, priced with
       the float expression ``optimal_partition`` uses, so it needs no slack;
-    - S >= 2 stages: ``optimal_partition``'s first-pair bound at the least
-      segment count s_lo memory allows and at a floor u on any plan's
-      bottleneck occupancy, the larger of the least one-block occupancy and
-      the mean load L*work/sum(speed) plus the shortest hop. Speeds and hops
-      range over every device; one that memory rules out only lowers the
-      bound.
+    - S >= 2 stages: ``_stage_count_floor`` over every S from the least
+      segment count s_lo memory allows up to ``s_cap``, on the devices memory
+      lets hold a block; inf when s_cap < s_lo.
 
-    Everything that does not depend on m is computed here, once; the returned
-    function does a few float operations per device. Needs a cluster whose
-    memory caps can host the L blocks.
+    Everything that does not depend on m is computed here, once. Needs a
+    cluster whose memory caps can host the L blocks.
     """
     l_blocks = cfg.model.n_blocks
-    speeds, hops = env.speed[n], env.hop_s[n]
     caps = [min(dev.block_cap, l_blocks) for dev in cfg.clusters[n].devices]
-    s_fast = max((speed for speed, cap in zip(speeds, caps) if cap == l_blocks), default=None)
-    s_lo = max(2, _fewest_cover(l_blocks, caps))
-    speed_sum = sum(speeds)
-    hop_min, hop_max = min(hops), max(hops)
-    devices = list(zip(speeds, hops))
+    s_fast = max((speed for speed, cap in zip(env.speed[n], caps) if cap == l_blocks), default=None)
+    many = _stage_count_floor(cfg, env, n, v_factor, queue_sum, caps, max(2, _fewest_cover(l_blocks, caps)), s_cap)
 
     def bound(m: int) -> float:
         work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
         one = math.inf if s_fast is None else v_factor * (m * (l_blocks * work / s_fast)) + queue_sum
-        u = max(
-            min(work / speed + hop for speed, hop in devices),
-            (l_blocks * work / speed_sum + hop_min) * (1 - 1e-12),
-        )
-        many = v_factor * max((s_lo + m - 1) * u - hop_max, (s_lo + m - 2) * u) * (1 - 1e-12) + s_lo * queue_sum
-        return min(one, many)
+        return min(one, many(m, work))
 
     return bound
 
@@ -326,7 +373,8 @@ def schedule_segments(
     Runs the partition search at every ceil(b/m) run start in ascending m,
     passing the best objective so far as its cutoff, and keeps the least
     (objective, S, delta, m), the oracle's tie-break. Once a plan exists, a
-    run start whose ``_run_start_bound`` lies strictly above the best
+    run start whose ``_run_start_bound`` (every segment count up to the
+    balance cap priced by ``_stage_count_floor``) lies strictly above the best
     objective is skipped: every plan there is worse, so its search could only
     have returned None or raised an error that is ignored once a plan exists.
     Ties are never skipped. When every m is infeasible, the error raised at
@@ -339,7 +387,10 @@ def schedule_segments(
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         if best_key is not None:
             # built once a plan exists, which proves memory can host the blocks
-            bound = bound or _run_start_bound(cfg, env, n, v_factor, queue_sum)
+            # and that the balance cap allows a segment
+            if bound is None:
+                s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
+                bound = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
             if bound(m) > best_key[0]:
                 continue
         cutoff = math.inf if best_key is None else best_key[0]

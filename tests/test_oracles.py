@@ -78,6 +78,15 @@ def test_assignment_oracle_ties_do_not_depend_on_summation_order():
     assert total == math.fsum([7.523063771164595, 4.179900144313395, 4.818476037081999])
 
 
+def test_assignment_oracle_ranks_on_exact_totals():
+    # clusters {0, 1} cost exactly 2e16 + 2 and {0, 3} exactly 2e16, but both
+    # totals round to the same double; only the cheaper set may win
+    cost = np.tile([[1e16], [1e16 + 2], [1e16 + 2], [1e16]], (1, 2))
+    a, total = brute_force_assignment(cost)
+    assert a == (0, None, None, 1)
+    assert total == 2e16
+
+
 def test_assignment_oracle_guard():
     with pytest.raises(OracleGuardError):
         brute_force_assignment(np.zeros((7, 3)))

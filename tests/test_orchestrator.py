@@ -262,6 +262,14 @@ def test_run_starts_ruled_out_by_the_bound_are_not_searched(table2_cfg, monkeypa
     assert len(calls) <= 90
 
 
+def test_segment_counts_priced_in_the_bound_leave_few_searches(table2_cfg, monkeypatch):
+    # pricing every segment count, not only the fewest, in the run-start bound
+    # leaves about one partition search per cluster and round on table2
+    calls = _count_calls(monkeypatch, seg_solver.optimal_partition)
+    run_simulation(table2_cfg, 6, "lyapunov")
+    assert len(calls) <= 30
+
+
 def _table2_on_64_channels():
     with open(TABLE2, encoding="utf-8") as fh:
         doc = json.load(fh)

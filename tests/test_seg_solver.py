@@ -11,10 +11,12 @@ from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
-from edgesched.pipeline import device_energy
+from edgesched.pipeline import device_energy, micro_batch_size
 from edgesched.seg_solver import (
+    _chunk_work,
     _micro_batch_run_starts,
     _run_start_bound,
+    _stage_count_floor,
     cluster_objective,
     optimal_micro_batches,
     optimal_partition,
@@ -514,9 +516,10 @@ def test_run_start_skip_equals_unpruned_scan(monkeypatch):
     assert starts - len(calls) > starts // 4  # the skip fired
 
 
-def test_run_start_bound_is_below_every_composition():
+def _memory_battery():
+    """300 (cfg, env, memory caps, every memory-feasible composition, queue) cases, K <= 5, L <= 8."""
     rng = np.random.default_rng(99)
-    tight = checked = 0
+    checked = 0
     while checked < 300:
         doc = random_system_doc(rng, max_devices=5, max_blocks=8, max_batch=16)
         for dev in doc["clusters"][0]["devices"]:  # memory caps of 1 to 8 blocks
@@ -531,14 +534,120 @@ def test_run_start_bound_is_below_every_composition():
         plans = [d for d in itertools.product(*(range(c + 1) for c in caps)) if sum(d) == cfg.model.n_blocks]
         if not plans:
             continue
-        v, q = cfg.convergence.v_factor, float(rng.choice([0.0, 1e-3, 1.0]))
-        bound = _run_start_bound(cfg, env, 0, v, q)
+        yield cfg, env, caps, plans, float(rng.choice([0.0, 1e-3, 1.0]))
+        checked += 1
+
+
+def test_run_start_bound_is_below_every_composition():
+    tight = 0
+    for cfg, env, _, plans, q in _memory_battery():
+        v = cfg.convergence.v_factor
+        bound = _run_start_bound(cfg, env, 0, v, q, cfg.clusters[0].n_devices)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             best = min(cluster_objective(delta, m, cfg, env, 0, v, q) for delta in plans)
             assert bound(m) <= best
             tight += bound(m) == best
-        checked += 1
     assert tight > 0
+
+
+def test_stage_count_floor_is_below_every_composition_of_that_size():
+    pipelined = 0
+    for cfg, env, caps, plans, q in _memory_battery():
+        v = cfg.convergence.v_factor
+        s_lo = max(2, min(sum(1 for d in delta if d > 0) for delta in plans))
+        for m in _micro_batch_run_starts(cfg.model.batch_items):
+            work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+            objs = {}
+            for delta in plans:
+                s = sum(1 for d in delta if d > 0)
+                objs.setdefault(s, []).append(cluster_objective(delta, m, cfg, env, 0, v, q))
+            for s in range(s_lo, cfg.clusters[0].n_devices + 1):
+                floor = _stage_count_floor(cfg, env, 0, v, q, caps, s, s)(m, work)
+                assert floor <= min(objs.get(s, [math.inf]))
+                pipelined += s in objs
+    assert pipelined > 0
+
+
+def test_stage_count_floor_is_tight_on_even_splits():
+    # identical devices at a fixed clock and D2D gain, with L a multiple of K:
+    # the even split reaches the floor's bottleneck exactly, so float
+    # rounding alone decides the order, and only the slack keeps the floor
+    # at or below the plan
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k, per = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        doc = minimal_doc()
+        doc["model"] = {
+            "L": k * per,
+            "b": int(rng.integers(1, 17)),
+            "o_fwd_flops": float(rng.uniform(5e5, 5e6)),
+            "o_bwd_flops": float(rng.uniform(5e5, 5e6)),
+        }
+        doc["convergence"] = {"gamma_max_bound": 1.0}
+        doc["clusters"][0]["h_dd_db"] = -30
+        device = {"phi_flops_per_cycle": float(rng.uniform(5, 30)), "f_hz": float(rng.uniform(1e8, 8e8))}
+        doc["clusters"][0]["devices"] = [dict(device, gamma_max_bytes=2.5e8 * per, gamma0_bytes=2.5e8)] * k
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, 1)
+        floor = _stage_count_floor(cfg, env, 0, 10.0, 0.0, [per] * k, k, k)
+        for m in _micro_batch_run_starts(cfg.model.batch_items):
+            obj = cluster_objective((per,) * k, m, cfg, env, 0, 10.0, 0.0)
+            assert obj * (1 - 1e-9) <= floor(m, _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)) <= obj
+
+
+def _partition_outcome(m, cfg, env, n, v, q, power, cutoff):
+    try:
+        return optimal_partition(m, cfg, env, n, v, q, power, cutoff=cutoff)
+    except InfeasibleError as exc:
+        return exc.constraint, str(exc)
+
+
+def test_partition_floor_skip_equals_the_full_scan(monkeypatch):
+    # a floor of -inf never skips the bottleneck scan; the real floor may skip
+    # only scans that would return None or a strictly worse plan
+    from edgesched import seg_solver
+
+    floors = []  # the real floors of the current call; empty while the floor is off
+    exact = [True]
+
+    def switched(*args):
+        floor = _stage_count_floor(*args)
+
+        def recorded(m, work):
+            if not exact[0]:
+                return -math.inf
+            floors.append(floor(m, work))
+            return floors[-1]
+
+        return recorded
+
+    monkeypatch.setattr(seg_solver, "_stage_count_floor", switched)
+
+    rng = np.random.default_rng(4)
+    cases = list(_skip_battery()) + [
+        (cfg, sample_round_environment(cfg, 1), 0, float(rng.uniform(0.05, 0.5)))
+        for cfg in (random_system(rng, max_devices=6, max_blocks=12) for _ in range(100))
+    ]
+    fired = searched = 0
+    for cfg, env, n, power in cases:
+        v = cfg.convergence.v_factor
+        for q in (0.0, 1e-3, 1.0):
+            for m in _micro_batch_run_starts(cfg.model.batch_items):
+                exact[0] = False
+                full = _partition_outcome(m, cfg, env, n, v, q, power, math.inf)
+                cutoffs = [math.inf]
+                if not isinstance(full[0], str):
+                    obj = cluster_objective(full[0], m, cfg, env, n, v, q)
+                    cutoffs += [obj, math.nextafter(obj, math.inf), obj * (1 + 1e-9), obj * (1 - 1e-9)]
+                for cutoff in cutoffs:
+                    floors.clear()
+                    exact[0] = True
+                    got = _partition_outcome(m, cfg, env, n, v, q, power, cutoff)
+                    exact[0] = False
+                    assert got == _partition_outcome(m, cfg, env, n, v, q, power, cutoff)
+                    fired += any(floor > cutoff for floor in floors)
+                    searched += 1
+    assert searched > 5000 and fired > searched // 10
 
 
 def test_run_start_skip_keeps_an_exact_tie():
