@@ -81,7 +81,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_range(spec: str, name: str) -> list[float]:
+def _parse_range(spec: str, name: str) -> tuple[int, int] | list[float]:
+    """A ``lo..hi`` spec as its integer endpoints, else the listed numbers.
+
+    A range is expanded by ``_values`` only after its endpoints are checked,
+    so a huge span is rejected without building it.
+    """
     spec = spec.strip()
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
@@ -91,15 +96,29 @@ def _parse_range(spec: str, name: str) -> list[float]:
             raise ConfigError("--grid", f"{name}: range bounds must be integers, got {spec!r}")
         if lo > hi:
             raise ConfigError("--grid", f"{name}: empty range {spec!r}")
-        return [float(v) for v in range(lo, hi + 1)]
+        return lo, hi
     try:
         return [float(v) for v in spec.split(",") if v.strip()]
     except ValueError:
         raise ConfigError("--grid", f"{name}: expected numbers, got {spec!r}")
 
 
-def _parse_grid(grid: str) -> dict[str, list[float]]:
-    out: dict[str, list[float]] = {}
+def _values(axis: tuple[int, int] | list[float]) -> list[float]:
+    if isinstance(axis, tuple):
+        lo, hi = axis
+        return [float(v) for v in range(lo, hi + 1)]
+    return axis
+
+
+def _check_axis(axis: tuple[int, int] | list[float], name: str, upper: int, what: str) -> None:
+    """Every value of a grid axis lies in [1, upper]; a range is checked by its endpoints."""
+    for v in axis:
+        if not 1 <= v <= upper:
+            raise ConfigError("--grid", f"{name}: {v:g} lies outside [1, {upper}] ({what})")
+
+
+def _parse_grid(grid: str) -> dict[str, tuple[int, int] | list[float]]:
+    out: dict[str, tuple[int, int] | list[float]] = {}
     # split on commas that precede "name=" boundaries: parse name=value-list pairs
     parts: list[str] = []
     for chunk in grid.split(","):
@@ -118,9 +137,10 @@ def _parse_grid(grid: str) -> dict[str, list[float]]:
             raise ConfigError("--grid", f"duplicate grid axis {name!r}")
         out[name] = _parse_range(values, name)
         if name == "V":
+            out[name] = _values(out[name])
             for v in out[name]:
                 check_control_factor(v, "--grid")
-        elif not all(v.is_integer() for v in out[name]):
+        elif isinstance(out[name], list) and not all(v.is_integer() for v in out[name]):
             raise ConfigError("--grid", f"{name}: values must be integers, got {values!r}")
     if set(out) not in ({"S", "m"}, {"V"}):
         raise ConfigError("--grid", "grid must be either S=..,m=.. or V=..")
@@ -137,10 +157,7 @@ def _sweep_segments(cfg: SystemConfig, s_values: list[float], m_values: list[flo
         for m_f in m_values:
             m = int(m_f)
             try:
-                if not 1 <= s <= cfg.clusters[0].n_devices or not 1 <= m <= cfg.model.batch_items:
-                    raise InfeasibleError("C2", "grid cell outside bounds")
-                ids = list(range(cfg.clusters[0].n_devices))[:s]
-                plan = SegmentPlan(delta=uniform_partition(cfg, 0, ids), m=m)
+                plan = SegmentPlan(delta=uniform_partition(cfg, 0, list(range(s))), m=m)
                 plan.validate(cfg.clusters[0], cfg.model)
                 row.append(repr(pipeline_latency(plan, cfg, env, 0)))
             except (InfeasibleError, ValueError):
@@ -166,7 +183,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if "V" in grid:
         _sweep_control_factor(cfg, grid["V"], args.rounds, args.out)
     else:
-        _sweep_segments(cfg, grid["S"], grid["m"], args.out)
+        _check_axis(grid["S"], "S", cfg.clusters[0].n_devices, "devices in cluster 0")
+        _check_axis(grid["m"], "m", cfg.model.batch_items, "batch size b")
+        _sweep_segments(cfg, _values(grid["S"]), _values(grid["m"]), args.out)
     print(f"sweep grid={args.grid} -> sweep.csv")
     return EXIT_OK
 

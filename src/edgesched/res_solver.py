@@ -6,6 +6,8 @@ balance cap (C11) each bound the power to one side, so bisection on the true
 gradient inside that box finds the global optimum; each bisection stops at its
 float fixed point, capped at 200 steps. Channels are identical, so matching
 ranks the clusters by cost and the surplus ones sit out a round.
+
+Scipy is loaded only by the Hungarian test reference, ``_lexmin_assignment``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .comm import ChannelAssignment, spectral_efficiency, transfer_energy, transfer_time
 from .config import RoundEnvironment, SystemConfig
@@ -23,6 +24,18 @@ from .errors import InfeasibleError
 
 _BISECT_ITERS = 200
 _LN2 = math.log(2.0)
+
+
+def linear_sum_assignment(cost):
+    """scipy's ``linear_sum_assignment``, imported on the first call.
+
+    The scheduler never calls it, so importing edgesched does not load scipy.
+    A plain module function, not a lazy attribute, so that callers and
+    wrappers can replace it in this module's namespace.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 @dataclass(frozen=True)

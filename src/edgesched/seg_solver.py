@@ -151,6 +151,7 @@ def optimal_partition(
     enforce_balance: bool = True,
     *,
     cutoff: float = math.inf,
+    s_cap: int | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
     """Exact argmin over integer block compositions at fixed m.
 
@@ -175,13 +176,17 @@ def optimal_partition(
     no plan reaches a finite cutoff the result is None. At the default cutoff
     an instance without a feasible composition raises instead. ``speed_j``
     and ``hop_j`` are the round's ``env.speed[n][j]`` and ``env.hop_s[n][j]``.
+
+    ``s_cap`` is the balance cap on S that ``_segment_cap`` gives for these
+    arguments; a caller that solves several m for one cluster passes it in,
+    and when it is None it is computed here.
     """
     devices = cfg.clusters[n].devices
     n_dev = len(devices)
     l_blocks = cfg.model.n_blocks
     caps = _partition_caps(m, cfg, env, n)
-
-    s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
+    if s_cap is None:
+        s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
 
     # feasibility of the cap set as a whole
     sorted_caps = sorted(caps, reverse=True)
@@ -379,23 +384,28 @@ def schedule_segments(
     have returned None or raised an error that is ignored once a plan exists.
     Ties are never skipped. When every m is infeasible, the error raised at
     m = 1 names the blocker.
+
+    The balance cap does not depend on m, so it is computed once, before the
+    run starts; when it is unreachable, its C11 error is the one every run
+    start would raise.
     """
     queue_sum = sum(queues)
+    s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
     best_key = None
     first_error = None
     bound = None
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         if best_key is not None:
             # built once a plan exists, which proves memory can host the blocks
-            # and that the balance cap allows a segment
             if bound is None:
-                s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
                 bound = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
             if bound(m) > best_key[0]:
                 continue
         cutoff = math.inf if best_key is None else best_key[0]
         try:
-            found = optimal_partition(m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff)
+            found = optimal_partition(
+                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff, s_cap=s_cap
+            )
         except InfeasibleError as exc:
             first_error = first_error or exc
             continue

@@ -5,6 +5,9 @@ import math
 import pytest
 
 from edgesched.cli import main
+from edgesched.config import sample_round_environment
+from edgesched.orchestrator import uniform_partition
+from edgesched.pipeline import SegmentPlan, pipeline_latency
 
 from conftest import HOMOGENEOUS, TABLE2
 
@@ -216,6 +219,40 @@ def test_sweep_malformed_grid(tmp_path, capsys):
     assert main(["sweep", TABLE2, "--grid", "", "--out", str(tmp_path)]) == 2
     assert main(["sweep", HOMOGENEOUS, "--grid", "S=1.5,2.9,m=1,2.5", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("grid, axis", [("S=1..7,m=1..2", "S"), ("S=0,2,m=1", "S"), ("S=1..6,m=0..3", "m"), ("S=2,m=1,65", "m")])
+def test_sweep_grid_outside_the_config_is_a_config_error(tmp_path, capsys, grid, axis):
+    # homogeneous has K = 6 devices in cluster 0 and a batch of b = 64
+    assert main(["sweep", HOMOGENEOUS, "--grid", grid, "--out", str(tmp_path)]) == 2
+    assert f"--grid: {axis}:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_huge_range_is_rejected_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # a range expanded before its bounds are checked would exhaust memory;
+    # with spans over 1e6 refused, such a regression fails here at once
+    from edgesched import cli
+
+    def bounded_range(*args):
+        span = range(*args)
+        if len(span) > 10**6:
+            raise AssertionError(f"built a range of {len(span)} values")
+        return span
+
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    assert main(["sweep", HOMOGENEOUS, "--grid", "S=1..1000000000000,m=1..2", "--out", str(tmp_path)]) == 2
+    assert "--grid: S:" in capsys.readouterr().err
+
+
+def test_sweep_in_range_grid_writes_every_cell(tmp_path, homogeneous_cfg):
+    assert main(["sweep", HOMOGENEOUS, "--grid", "S=1..6,m=1..16", "--out", str(tmp_path)]) == 0
+    env = sample_round_environment(homogeneous_cfg, 1)
+    lines = ["S\\m," + ",".join(str(m) for m in range(1, 17))]
+    for s in range(1, 7):
+        plans = (SegmentPlan(delta=uniform_partition(homogeneous_cfg, 0, list(range(s))), m=m) for m in range(1, 17))
+        lines.append(",".join([str(s)] + [repr(pipeline_latency(p, homogeneous_cfg, env, 0)) for p in plans]))
+    assert (tmp_path / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_sweep_one_by_one_grid(tmp_path):

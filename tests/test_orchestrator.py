@@ -270,6 +270,15 @@ def test_segment_counts_priced_in_the_bound_leave_few_searches(table2_cfg, monke
     assert len(calls) <= 30
 
 
+def test_segment_cap_computed_once_per_schedule_segments(monkeypatch):
+    # binding runs every BCD sweep: 6 clusters x 20 sweeps x 4 rounds = 480
+    # schedule_segments calls, and the balance cap does not depend on m
+    caps = _count_calls(monkeypatch, seg_solver._segment_cap)
+    schedules = _count_calls(monkeypatch, seg_solver.schedule_segments)
+    run_simulation(load_config(BINDING), 4, "lyapunov")
+    assert len(caps) <= len(schedules) <= 480
+
+
 def _table2_on_64_channels():
     with open(TABLE2, encoding="utf-8") as fh:
         doc = json.load(fh)

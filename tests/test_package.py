@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import edgesched
 
@@ -33,3 +35,33 @@ def test_names_the_benchmark_binds_resolve():
     assert imported
     missing = [(m, a) for m, a in bound + imported if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+_SCIPY_FREE_RUN = """
+import os, sys
+import edgesched
+from edgesched import cli
+for policy in edgesched.POLICIES:
+    out = os.path.join(sys.argv[1], policy)
+    rc = cli.main(["run", sys.argv[2], "--rounds", "3", "--policy", policy, "--out", out])
+    assert rc == 0, (policy, rc)
+    assert os.path.exists(os.path.join(out, "trace.jsonl")), policy
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_scheduling_never_imports_scipy(tmp_path):
+    # scipy is only the Hungarian test reference's solver; the package and a
+    # run of every policy must not pay for importing it. One fresh interpreter,
+    # because this test process has scipy loaded already
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    table2 = os.path.join(REPO_ROOT, "configs", "table2.json")
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path), table2],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -16,6 +16,7 @@ from edgesched.seg_solver import (
     _chunk_work,
     _micro_batch_run_starts,
     _run_start_bound,
+    _segment_cap,
     _stage_count_floor,
     cluster_objective,
     optimal_micro_batches,
@@ -262,8 +263,9 @@ def test_infeasibility_reports_name_constraints():
     doc2["convergence"] = {"gamma_max_bound": 1e-9}
     cfg2 = build_config(doc2)
     env2 = sample_round_environment(cfg2, 1)
-    with pytest.raises(InfeasibleError, match="C11"):
+    with pytest.raises(InfeasibleError, match="C11") as unreachable:
         schedule_segments(cfg2, env2, 0, (0.0,), 10.0, 0.5)
+    assert str(unreachable.value) == "infeasible: C11 (cluster 0: balance cap unreachable at power 0.5)"
     # energy budget excludes every chunk count
     doc3 = minimal_doc()
     doc3["model"] = {"L": 2, "b": 8}
@@ -595,9 +597,9 @@ def test_stage_count_floor_is_tight_on_even_splits():
             assert obj * (1 - 1e-9) <= floor(m, _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)) <= obj
 
 
-def _partition_outcome(m, cfg, env, n, v, q, power, cutoff):
+def _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce=True, **kwargs):
     try:
-        return optimal_partition(m, cfg, env, n, v, q, power, cutoff=cutoff)
+        return optimal_partition(m, cfg, env, n, v, q, power, enforce, cutoff=cutoff, **kwargs)
     except InfeasibleError as exc:
         return exc.constraint, str(exc)
 
@@ -670,3 +672,37 @@ def test_run_start_skip_keeps_an_exact_tie():
     assert pipelined == cluster_objective((2, 0, 0), 2, cfg, env, 0, 1.0, 0.0) == 2.0
     plan = schedule_segments(cfg, env, 0, (0.0,), 1.0, 0.5)
     assert (plan.delta, plan.m) == _unpruned_scan(cfg, env, 0, (0.0,), 1.0, 0.5) == ((2, 0, 0), 2)
+
+
+def test_partition_given_the_segment_cap_equals_computing_it():
+    # schedule_segments computes the balance cap once and passes it to every
+    # run start; a direct call computes it itself, with the same outcome
+    rng = np.random.default_rng(8)
+    cases = list(itertools.islice(_skip_battery(), 60)) + [
+        (cfg, sample_round_environment(cfg, 1), 0, float(rng.uniform(0.01, 0.5)))
+        for cfg in (random_system(rng, max_devices=6, max_blocks=12) for _ in range(150))
+    ]
+    given = unreachable = 0
+    for cfg, env, n, power in cases:
+        v = cfg.convergence.v_factor
+        for enforce in (True, False):
+            try:
+                s_cap = _segment_cap(cfg, env, n, power, enforce)
+            except InfeasibleError as exc:
+                # the cap raises first in optimal_partition, so every m gives its error
+                with pytest.raises(InfeasibleError) as got:
+                    optimal_partition(1, cfg, env, n, v, 0.0, power, enforce)
+                assert (got.value.constraint, str(got.value)) == (exc.constraint, str(exc))
+                unreachable += 1
+                continue
+            for q in (0.0, 1.0):
+                for m in _micro_batch_run_starts(cfg.model.batch_items):
+                    computed = _partition_outcome(m, cfg, env, n, v, q, power, math.inf, enforce)
+                    cutoffs = [math.inf]
+                    if not isinstance(computed[0], str):
+                        cutoffs.append(cluster_objective(computed[0], m, cfg, env, n, v, q) * (1 - 1e-9))
+                    for cutoff in cutoffs:
+                        want = _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce)
+                        assert _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce, s_cap=s_cap) == want
+                        given += 1
+    assert given > 2000 and unreachable > 0
