@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections.abc import Iterable
 
 from .config import SystemConfig, check_control_factor, check_seed, load_config, sample_round_environment
 from .errors import ConfigError, InfeasibleError, SimulationAborted, StalledLinkError
@@ -84,8 +85,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _parse_range(spec: str, name: str) -> tuple[int, int] | list[float]:
     """A ``lo..hi`` spec as its integer endpoints, else the listed numbers.
 
-    A range is expanded by ``_values`` only after its endpoints are checked,
-    so a huge span is rejected without building it.
+    A range is kept as its endpoints, which are checked before ``_values``
+    iterates it, so a huge span is rejected without building it.
     """
     spec = spec.strip()
     if ".." in spec:
@@ -98,15 +99,19 @@ def _parse_range(spec: str, name: str) -> tuple[int, int] | list[float]:
             raise ConfigError("--grid", f"{name}: empty range {spec!r}")
         return lo, hi
     try:
-        return [float(v) for v in spec.split(",") if v.strip()]
+        values = [float(v) for v in spec.split(",") if v.strip()]
     except ValueError:
         raise ConfigError("--grid", f"{name}: expected numbers, got {spec!r}")
+    if not values:
+        raise ConfigError("--grid", f"{name}: no values given")
+    return values
 
 
-def _values(axis: tuple[int, int] | list[float]) -> list[float]:
+def _values(axis: tuple[int, int] | list[float]) -> Iterable[float]:
+    """The axis values in order; a range is iterated lazily, never built whole."""
     if isinstance(axis, tuple):
         lo, hi = axis
-        return [float(v) for v in range(lo, hi + 1)]
+        return map(float, range(lo, hi + 1))
     return axis
 
 
@@ -137,8 +142,7 @@ def _parse_grid(grid: str) -> dict[str, tuple[int, int] | list[float]]:
             raise ConfigError("--grid", f"duplicate grid axis {name!r}")
         out[name] = _parse_range(values, name)
         if name == "V":
-            out[name] = _values(out[name])
-            for v in out[name]:
+            for v in out[name]:  # a range's endpoints bound every value in it
                 check_control_factor(v, "--grid")
         elif isinstance(out[name], list) and not all(v.is_integer() for v in out[name]):
             raise ConfigError("--grid", f"{name}: values must be integers, got {values!r}")
@@ -147,7 +151,7 @@ def _parse_grid(grid: str) -> dict[str, tuple[int, int] | list[float]]:
     return out
 
 
-def _sweep_segments(cfg: SystemConfig, s_values: list[float], m_values: list[float], out_dir: str) -> None:
+def _sweep_segments(cfg: SystemConfig, s_values: Iterable[float], m_values: list[float], out_dir: str) -> None:
     env = sample_round_environment(cfg, 1)
     header = "S\\m," + ",".join(str(int(m)) for m in m_values)
     lines = [header]
@@ -166,7 +170,7 @@ def _sweep_segments(cfg: SystemConfig, s_values: list[float], m_values: list[flo
     _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
 
 
-def _sweep_control_factor(cfg: SystemConfig, v_values: list[float], rounds: int, out_dir: str) -> None:
+def _sweep_control_factor(cfg: SystemConfig, v_values: Iterable[float], rounds: int, out_dir: str) -> None:
     lines = ["V,avg_tau_s,avg_gamma,max_queue_over_t"]
     for v in v_values:
         cfg_v = dataclasses.replace(cfg, convergence=dataclasses.replace(cfg.convergence, v_factor=v))
@@ -181,11 +185,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _with_seed(load_config(args.config), args.seed)
     os.makedirs(args.out, exist_ok=True)
     if "V" in grid:
-        _sweep_control_factor(cfg, grid["V"], args.rounds, args.out)
+        _sweep_control_factor(cfg, _values(grid["V"]), args.rounds, args.out)
     else:
         _check_axis(grid["S"], "S", cfg.clusters[0].n_devices, "devices in cluster 0")
         _check_axis(grid["m"], "m", cfg.model.batch_items, "batch size b")
-        _sweep_segments(cfg, _values(grid["S"]), _values(grid["m"]), args.out)
+        _sweep_segments(cfg, _values(grid["S"]), list(_values(grid["m"])), args.out)
     print(f"sweep grid={args.grid} -> sweep.csv")
     return EXIT_OK
 

@@ -23,27 +23,31 @@ class SchedulingDecision:
         return tuple(p.n_segments for p in self.plans)
 
 
-def validate_decision(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> None:
+def validate_decision(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> tuple[float, ...]:
     """Assert the structural and resource constraints of an emitted decision.
 
     Covers block conservation, segment counts, matching structure, power
     boxes, memory, and the per-round energy budgets for heads and devices.
-    Raises InfeasibleError naming the violated constraint.
+    Raises InfeasibleError naming the violated constraint. Returns each
+    cluster's upload energy, which the C8 check computes, for the evaluator.
     """
     n_clusters = cfg.n_clusters
     if len(decision.plans) != n_clusters or len(decision.powers_w) != n_clusters:
         raise InfeasibleError("C1", "decision does not cover every cluster")
     if decision.assignment.n_clusters != n_clusters or decision.assignment.n_channels != cfg.n_channels:
         raise InfeasibleError("C3", "assignment shape does not match the system")
+    e_com = []
     for n, plan in enumerate(decision.plans):
         plan.validate(cfg.clusters[n], cfg.model)  # C1, C2, C7
         p = decision.powers_w[n]
         if not 0.0 <= p <= cfg.clusters[n].uplink_power_max_w * (1 + 1e-12):
             raise InfeasibleError("C6", f"cluster {n} power {p} outside [0, {cfg.clusters[n].uplink_power_max_w}]")
-        e_com = cu_transmit_energy(cfg, env, n, decision.assignment, p)
-        if e_com > cfg.clusters[n].uplink_energy_budget_j * (1 + 1e-9):
-            raise InfeasibleError("C8", f"cluster {n} upload energy {e_com} J exceeds budget")
+        e_up = cu_transmit_energy(cfg, env, n, decision.assignment, p)
+        if e_up > cfg.clusters[n].uplink_energy_budget_j * (1 + 1e-9):
+            raise InfeasibleError("C8", f"cluster {n} upload energy {e_up} J exceeds budget")
+        e_com.append(e_up)
         for k in plan.scheduled:
             e_k = device_energy(plan.delta[k], plan.m, cfg, env, n, k)
             if e_k > cfg.clusters[n].devices[k].energy_budget_j * (1 + 1e-9):
                 raise InfeasibleError("C9", f"cluster {n} device {k} energy {e_k} J exceeds budget")
+    return tuple(e_com)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import cu_transmit_energy
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
@@ -349,15 +348,16 @@ def evaluate_round(
     env: RoundEnvironment,
     queues: tuple[float, ...],
     bound: RunningGapBound,
+    e_com: tuple[float, ...],
 ) -> tuple[RoundMetrics, tuple[float, ...]]:
-    """Evaluate a validated decision and apply the single real queue update."""
+    """Evaluate a validated decision and apply the single real queue update.
+
+    ``e_com`` holds each cluster's upload energy, as ``validate_decision`` returns it.
+    """
     n_clusters = cfg.n_clusters
     pipes, ups = delay_terms(decision, cfg, env)
     tau = max(cluster_delays(pipes, ups))
     e_pipe = tuple(pipeline_energy(decision.plans[n], cfg, env, n) for n in range(n_clusters))
-    e_com = tuple(
-        cu_transmit_energy(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(n_clusters)
-    )
     e_sch = tuple(
         sum(cfg.clusters[n].devices[k].d2d_power_w * env.hop_s[n][k] for k in decision.plans[n].scheduled)
         for n in range(n_clusters)
@@ -412,7 +412,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 decision = optimize_round(cfg, env, queues, cfg.convergence.v_factor)
             else:
                 decision = baseline_decision(policy, cfg, env, queues, t, prev_totals)
-            validate_decision(decision, cfg, env)
+            e_com = validate_decision(decision, cfg, env)
         except InfeasibleError as exc:
             last_error = exc
             consecutive_failures += 1
@@ -423,7 +423,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 ) from exc
             continue
         consecutive_failures = 0
-        metrics, queues = evaluate_round(decision, cfg, env, queues, bound)
+        metrics, queues = evaluate_round(decision, cfg, env, queues, bound, e_com)
         prev_totals = cluster_delays(metrics.tau_pipe_s, metrics.tau_up_s)
         trace.rounds.append(metrics)
     if rounds and not trace.rounds:

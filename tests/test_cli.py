@@ -229,9 +229,17 @@ def test_sweep_grid_outside_the_config_is_a_config_error(tmp_path, capsys, grid,
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_huge_range_is_rejected_before_it_is_built(tmp_path, capsys, monkeypatch):
+def test_sweep_empty_axis_is_a_config_error(tmp_path, capsys):
+    assert main(["sweep", HOMOGENEOUS, "--grid", "S=,m=1..2", "--out", str(tmp_path)]) == 2
+    assert "--grid: S:" in capsys.readouterr().err
+    assert main(["sweep", TABLE2, "--grid", "V=", "--out", str(tmp_path)]) == 2
+    assert "--grid: V:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def _refuse_huge_ranges(monkeypatch):
     # a range expanded before its bounds are checked would exhaust memory;
-    # with spans over 1e6 refused, such a regression fails here at once
+    # with spans over 1e6 refused, such a regression fails at once
     from edgesched import cli
 
     def bounded_range(*args):
@@ -241,8 +249,28 @@ def test_sweep_huge_range_is_rejected_before_it_is_built(tmp_path, capsys, monke
         return span
 
     monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+
+
+def test_sweep_huge_range_is_rejected_before_it_is_built(tmp_path, capsys, monkeypatch):
+    _refuse_huge_ranges(monkeypatch)
     assert main(["sweep", HOMOGENEOUS, "--grid", "S=1..1000000000000,m=1..2", "--out", str(tmp_path)]) == 2
     assert "--grid: S:" in capsys.readouterr().err
+
+
+def test_sweep_huge_control_factor_range_is_checked_before_it_is_built(tmp_path, capsys, monkeypatch):
+    _refuse_huge_ranges(monkeypatch)
+    assert main(["sweep", TABLE2, "--grid", "V=0..1000000000000", "--rounds", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --grid: V must be finite and > 0")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_control_factor_range_matches_its_list(tmp_path):
+    ranged, listed = tmp_path / "ranged", tmp_path / "listed"
+    assert main(["sweep", TABLE2, "--grid", "V=1..3", "--rounds", "2", "--out", str(ranged)]) == 0
+    assert main(["sweep", TABLE2, "--grid", "V=1,2,3", "--rounds", "2", "--out", str(listed)]) == 0
+    rows = (ranged / "sweep.csv").read_text()
+    assert rows == (listed / "sweep.csv").read_text()
+    assert [r.split(",")[0] for r in rows.splitlines()[1:]] == ["1.0", "2.0", "3.0"]
 
 
 def test_sweep_in_range_grid_writes_every_cell(tmp_path, homogeneous_cfg):

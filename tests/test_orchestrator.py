@@ -254,6 +254,14 @@ def test_round_evaluated_once_per_cluster(table2_cfg, monkeypatch):
     assert len(ups) == 6 * 3
 
 
+def test_upload_energy_evaluated_once_per_cluster_and_round(table2_cfg, monkeypatch):
+    # the validator's C8 check computes it and the evaluator reuses that value
+    calls = _count_calls(monkeypatch, comm.cu_transmit_energy)
+    trace = run_simulation(table2_cfg, 6, "loss")
+    assert len(trace.rounds) == 6
+    assert len(calls) == 6 * 3  # table2 has 3 clusters
+
+
 def test_run_starts_ruled_out_by_the_bound_are_not_searched(table2_cfg, monkeypatch):
     # 45 run starts per round on table2 (3 clusters, 15 each); most lie
     # strictly above the best plan's objective by the run-start bound alone

@@ -403,3 +403,130 @@ def test_power_bisection_stops_at_its_fixed_point(monkeypatch):
     interior = [c for c in per_call if c > 2]
     assert len(interior) > 100
     assert max(interior) <= 70
+
+
+def _full_power_control(cfg, env, n, y, v, n_segments, enforce_balance):
+    """power_control by the 200-step loop over the whole box, clamped the same way.
+
+    Returns the power and the box [max(floor, 1e-12 P_max), ceiling].
+    """
+    prob = _problem(cfg, env, n)
+    floor = res_solver._balance_power_floor(cfg, env, n, n_segments) if enforce_balance else 0.0
+    ceiling = _energy_power_ceiling(prob)
+    lo = max(floor, 1e-12 * prob.p_max)
+    p = _full_bisect_increasing(lambda q: _true_derivative(prob, v, y, q), lo, ceiling)
+    return min(max(p, floor), ceiling), lo, ceiling
+
+
+def _assert_derivative_monotone_near(prob, v, y, p, width=64):
+    # the exactness of the seeded bracket rests on this: the float derivative
+    # never decreases from one float to the next
+    qs = [p]
+    for _ in range(width):
+        qs.insert(0, math.nextafter(qs[0], 0.0))
+        qs.append(math.nextafter(qs[-1], math.inf))
+    values = [_true_derivative(prob, v, y, q) for q in qs]
+    assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+class _SeededPowerChecker:
+    """Runs power_control against the full-bracket reference and tallies its paths."""
+
+    def __init__(self, monkeypatch):
+        self.brackets = []
+        self.interior = 0
+        self.seeded = 0
+
+        def recording(fun, lo, hi):
+            self.brackets.append((lo, hi))
+            return _bisect_increasing(fun, lo, hi)
+
+        monkeypatch.setattr(res_solver, "_bisect_increasing", recording)
+
+    def check(self, cfg, env, n, y, v, n_segments, enforce_balance):
+        self.brackets.clear()
+        try:
+            got = power_control(cfg, env, n, y, v, n_segments, enforce_balance)
+        except InfeasibleError:
+            return
+        want, lo, ceiling = _full_power_control(cfg, env, n, y, v, n_segments, enforce_balance)
+        assert got == want
+        if lo < want < ceiling:
+            self.interior += 1
+            self.seeded += self.brackets == [self.brackets[0]] and self.brackets[0] != (lo, ceiling)
+            _assert_derivative_monotone_near(_problem(cfg, env, n), v, y, got)
+
+
+def test_seeded_power_equals_the_full_bracket_on_binding(monkeypatch):
+    cfg = load_config(BINDING)
+    checker = _SeededPowerChecker(monkeypatch)
+    for t in (1, 2, 3):
+        env = sample_round_environment(cfg, t)
+        for n in range(cfg.n_clusters):
+            for y in [0.0] + [10.0**e for e in range(-7, 2)]:
+                for enforce_balance in (True, False):
+                    checker.check(cfg, env, n, y, cfg.convergence.v_factor, 1, enforce_balance)
+    # the rest sit at signal-to-noise ratios under 0.03, where rounding
+    # 1 + p*h/N moves the float root by more than the seeded bracket's width
+    assert checker.interior > 150
+    assert checker.seeded > 0.8 * checker.interior
+
+
+def test_seeded_power_equals_the_full_bracket_on_random_problems(monkeypatch):
+    # 1,000 random clusters, 20 (queue, V, S, balance) draws each; a third of
+    # the clusters get an energy budget that binds inside (0, P_max)
+    rng = np.random.default_rng(2024)
+    checker = _SeededPowerChecker(monkeypatch)
+    floors = ceilings = 0
+    for _ in range(1000):
+        cfg = build_config(_power_doc(rng))
+        env = sample_round_environment(cfg, 1)
+        if rng.uniform() < 1 / 3:
+            prob = _problem(cfg, env, 0)
+            e_limit = prob.param_bits * math.log(2.0) * prob.noise_floor / (prob.bandwidth * prob.gain)
+            e_max = float(rng.uniform(e_limit, prob.upload_energy(prob.p_max)))
+            cluster = dataclasses.replace(cfg.clusters[0], uplink_energy_budget_j=e_max)
+            cfg = dataclasses.replace(cfg, clusters=(cluster,))
+        prob = _problem(cfg, env, 0)
+        try:
+            ceilings += _energy_power_ceiling(prob) < prob.p_max
+        except InfeasibleError:
+            continue
+        for _ in range(20):
+            y = 0.0 if rng.uniform() < 0.1 else float(10 ** rng.uniform(-6, 3))
+            v = float(10 ** rng.uniform(-3, 2))
+            s = int(rng.integers(1, 4))
+            enforce_balance = bool(rng.uniform() < 0.7)
+            if enforce_balance:
+                try:
+                    floors += res_solver._balance_power_floor(cfg, env, 0, s) > 0.0
+                except InfeasibleError:
+                    pass
+            checker.check(cfg, env, 0, y, v, s, enforce_balance)
+    assert floors > 500 and ceilings > 200
+    assert checker.interior > 5000
+    assert checker.seeded > 0.95 * checker.interior
+
+
+def test_seeded_power_control_takes_few_derivative_evaluations(monkeypatch):
+    # two endpoint checks and about 7 halvings of a bracket a few ulps wide;
+    # bisecting the whole box takes 55-56 evaluations on binding
+    evaluations = [0]
+    per_call = []
+
+    def counting_derivative(*args):
+        evaluations[0] += 1
+        return _true_derivative(*args)
+
+    def counting_power_control(*args, **kwargs):
+        evaluations[0] = 0
+        p = power_control(*args, **kwargs)
+        per_call.append(evaluations[0])
+        return p
+
+    monkeypatch.setattr(res_solver, "_true_derivative", counting_derivative)
+    monkeypatch.setattr(res_solver, "power_control", counting_power_control)
+    run_simulation(load_config(BINDING), 3, "lyapunov")
+    interior = [c for c in per_call if c > 2]
+    assert len(interior) > 100
+    assert max(interior) <= 12
