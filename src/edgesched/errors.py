@@ -18,6 +18,7 @@ class InfeasibleError(RuntimeError):
 
     def __init__(self, constraint: str, detail: str = ""):
         self.constraint = constraint
+        self.detail = detail
         msg = f"infeasible: {constraint}"
         if detail:
             msg += f" ({detail})"

@@ -22,6 +22,7 @@ from .errors import InfeasibleError, SimulationAborted
 from .lyapunov import cluster_delays, delay_terms, drift_penalty, drift_penalty_at, queue_update
 from .pipeline import SegmentPlan, pipeline_energy
 from .res_solver import _ranked_assignment, allocate_resources
+from .round_state import cluster_rounds
 from .seg_solver import optimal_micro_batches, schedule_segments
 
 TRACE_SCHEMA_VERSION = 1
@@ -64,16 +65,29 @@ def optimize_round(
     stabilizes (sup-norm < 1e-9) or 20 iterations pass. The returned decision
     is the best seen under the true drift-plus-penalty objective at the
     round's actual queue values.
+
+    Between sweeps only the scratch queues and the head powers change. One
+    ``ClusterRound`` per cluster, built here and dropped on return, keeps
+    what both solvers derive from (config, round environment, cluster) alone:
+    memory and energy block caps, the bound's and the bottleneck scan's
+    inputs, the balance cap per power, the check of each final plan, and the
+    power box's sub-problem, energy ceiling and balance floors. Every sweep
+    passes the same states, so the sweeps after the first read them instead
+    of deriving them again.
     """
     y_scratch = queues
     powers = tuple(cl.uplink_power_max_w for cl in cfg.clusters)
+    states = cluster_rounds(cfg, env)
     best_obj = math.inf
     best_decision: SchedulingDecision | None = None
     for _ in range(_MAX_INNER_ITERS):
         plans = tuple(
-            schedule_segments(cfg, env, n, y_scratch, v_factor, powers[n]) for n in range(cfg.n_clusters)
+            schedule_segments(cfg, env, n, y_scratch, v_factor, powers[n], state=states[n])
+            for n in range(cfg.n_clusters)
         )
-        assignment, powers = allocate_resources(cfg, env, y_scratch, v_factor, tuple(p.n_segments for p in plans))
+        assignment, powers = allocate_resources(
+            cfg, env, y_scratch, v_factor, tuple(p.n_segments for p in plans), states=states
+        )
         decision = SchedulingDecision(
             plans=plans, assignment=assignment, powers_w=powers, round_index=env.round_index
         )

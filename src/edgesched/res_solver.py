@@ -5,14 +5,21 @@ delay is the reciprocal of a concave rate), and the energy budget (C8) and the
 balance cap (C11) each bound the power to one side, so bisection on the true
 gradient inside that box finds the global optimum; each bisection stops at its
 float fixed point, capped at 200 steps. When the queue is positive the power
-bisection first tries a bracket a few ulps wide around the closed-form
-stationary power (``_stationary_power``) and falls back to the full box when
-that bracket does not hold the root. Both brackets reach the same float:
-every IEEE operation in ``_true_derivative`` is monotone, so its float values
-are non-decreasing in p, it is negative on a prefix of the floats, and the
+bisection first tries a narrow bracket around the closed-form stationary
+power (``_stationary_power``) and falls back to the full box when that
+bracket does not hold the root. Both brackets reach the same float: every
+IEEE operation in ``_true_derivative`` is monotone, so its float values are
+non-decreasing in p, it is negative on a prefix of the floats, and the
 bisection ends at the last float of that prefix wherever it starts. Channels
 are identical, so matching ranks the clusters by cost and the surplus ones sit
 out a round.
+
+The box does not depend on the queues. Each cluster's sub-problem
+constants, energy ceiling (a bisection when the budget binds) and balance
+floor per segment count are kept in its ``round_state.ClusterRound``, which
+``optimize_round`` shares across its block-coordinate descent sweeps and the
+matching reads too; only the comparisons of floor and ceiling against each
+other and P_max run on every call.
 
 Scipy is loaded only by the Hungarian test reference, ``_lexmin_assignment``.
 """
@@ -28,11 +35,15 @@ from .comm import ChannelAssignment, spectral_efficiency, transfer_energy, trans
 from .config import RoundEnvironment, SystemConfig
 from .convergence import balance_error_budget
 from .errors import InfeasibleError
+from .round_state import ClusterRound, cluster_rounds
 
 _BISECT_ITERS = 200
 _LN2 = math.log(2.0)
 # relative half-width of the bracket bisected around the closed-form power
 _SEED_REL = 4e-15
+# its floor at t = ln(1 + p*h/N) is _SEED_STEP/t: 1 + p*h/N rounds to steps of
+# 2**-52, which move the float root by up to about 2**-52/t relative at low SNR
+_SEED_STEP = 2.0**-51
 
 
 def linear_sum_assignment(cost):
@@ -119,8 +130,8 @@ def _true_derivative(prob: _UplinkProblem, v_factor: float, y_n: float, p: float
     return -v_factor * prob.payload * prob.f_grad(p) / (prob.bandwidth * fv * fv) + y_n
 
 
-def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> float | None:
-    """The power where the true derivative vanishes, in closed form.
+def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> tuple[float, float] | None:
+    """The power where the true derivative vanishes, in closed form, and its t.
 
     None when there is no interior stationary point to seed from: y_n <= 0, or
     A below is not a positive finite float.
@@ -130,7 +141,8 @@ def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> floa
     W (t = 2*W(sqrt(A)/2)). In s = ln t it is 2s + e^s = ln A, convex and
     increasing in s, so Newton steps from an upper bound on the root (ln A / 2,
     or ln ln A once ln A >= 2) descend to it without overshooting; they stop
-    when a step no longer moves s down. Then p = N*expm1(t)/h.
+    when a step no longer moves s down. Then p = N*expm1(t)/h; both p and t
+    are returned.
     """
     if y_n <= 0.0:
         return None
@@ -145,7 +157,8 @@ def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> floa
         if not s_next < s:
             break
         s = s_next
-    return prob.noise_floor * math.expm1(math.exp(s)) / prob.gain
+    t = math.exp(s)
+    return prob.noise_floor * math.expm1(t) / prob.gain, t
 
 
 def _objective(prob: _UplinkProblem, v_factor: float, y_n: float, p: float) -> float:
@@ -190,6 +203,8 @@ def power_control(
     v_factor: float,
     n_segments: int,
     enforce_balance: bool = True,
+    *,
+    state: ClusterRound | None = None,
 ) -> float:
     """Optimal uplink power of cluster n in [0, P_max] under C8 and C11.
 
@@ -198,29 +213,42 @@ def power_control(
     [floor, ceiling], starting just above zero when the floor is zero. The
     bisection stops at its float fixed point, capped at 200 steps.
 
-    When y_n > 0 it first bisects [p(1 - _SEED_REL), p(1 + _SEED_REL)], a
-    few ulps wide, around the closed-form stationary power p, if that bracket
-    lies strictly inside the box: about 7 halvings instead of 55. If there is
-    no such bracket, or the root is not inside it (the bisection returns an
-    endpoint), the full box is bisected. Both reach the same float (see the
-    module docstring). The root falls outside mostly at signal-to-noise
-    ratios under about 0.03, where rounding 1 + p*h/N moves the float root
-    by more than the bracket's width.
+    When y_n > 0 it first bisects [p(1 - w), p(1 + w)] around the
+    closed-form stationary power p, if that bracket lies strictly inside the
+    box: about 7 halvings instead of 55. The half-width w is the larger of
+    _SEED_REL, a few ulps, and _SEED_STEP/t with t = ln(1 + p*h/N): at low
+    signal-to-noise ratios 1 + p*h/N rounds in steps that move the float root
+    by up to about 2**-52/t relative, which a few ulps do not cover. If there
+    is no such bracket, or the root is not inside it (the bisection returns
+    an endpoint), the full box is bisected. Both reach the same float (see
+    the module docstring).
+
+    ``state`` is cluster n's ``ClusterRound`` for this round. It keeps the
+    sub-problem's constants, the energy ceiling and the balance floor per
+    segment count, so a caller that solves the round at several queues passes
+    the same one each time; without it a fresh one is built. The C11' and C8
+    comparisons of floor and ceiling are made on every call.
     """
-    prob = _problem(cfg, env, n)
-    p_floor = _balance_power_floor(cfg, env, n, n_segments) if enforce_balance else 0.0
+    if state is None:
+        state = ClusterRound(cfg, env, n)
+    prob = state.memo("problem", _problem, cfg, env, n)
+    p_floor = 0.0
+    if enforce_balance:
+        p_floor = state.memo(("floor", n_segments), _balance_power_floor, cfg, env, n, n_segments)
     if p_floor > prob.p_max * (1 + 1e-12):
         raise InfeasibleError(
             "C11'", f"cluster {n}: balance cap needs power {p_floor:.6g} W > P_max {prob.p_max} W"
         )
-    p_ceil = _energy_power_ceiling(prob)
+    p_ceil = state.memo("ceiling", _energy_power_ceiling, prob)
     if p_floor > p_ceil * (1 + 1e-12):
         raise InfeasibleError("C8", f"cluster {n}: energy budget caps power below the balance floor")
     lo = max(p_floor, 1e-12 * prob.p_max)
     fun = lambda q: _true_derivative(prob, v_factor, y_n, q)
-    seed = _stationary_power(prob, v_factor, y_n)
-    if seed is not None:
-        near_lo, near_hi = seed * (1.0 - _SEED_REL), seed * (1.0 + _SEED_REL)
+    stationary = _stationary_power(prob, v_factor, y_n)
+    if stationary is not None:
+        seed, t = stationary
+        half = max(_SEED_REL, _SEED_STEP / t)
+        near_lo, near_hi = seed * (1.0 - half), seed * (1.0 + half)
         if lo < near_lo and near_hi < p_ceil:
             p = _bisect_increasing(fun, near_lo, near_hi)
             if near_lo < p < near_hi:
@@ -263,10 +291,24 @@ def _lexmin_assignment(cost: np.ndarray) -> list[int]:
 
 
 def _cluster_costs(
-    cfg: SystemConfig, env: RoundEnvironment, queues: tuple[float, ...], v_factor: float, powers: tuple[float, ...]
+    cfg: SystemConfig,
+    env: RoundEnvironment,
+    queues: tuple[float, ...],
+    v_factor: float,
+    powers: tuple[float, ...],
+    states: tuple[ClusterRound, ...] | None = None,
 ) -> list[float]:
-    """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n."""
-    return [_objective(_problem(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
+    """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n.
+
+    ``states`` holds each cluster's ``ClusterRound``, whose sub-problem is
+    reused when ``power_control`` has built it; without them it is built here.
+    """
+    if states is None:
+        states = cluster_rounds(cfg, env)
+    return [
+        _objective(state.memo("problem", _problem, cfg, env, n), v_factor, queues[n], p)
+        for n, (state, p) in enumerate(zip(states, powers))
+    ]
 
 
 def matching_costs(
@@ -294,10 +336,13 @@ def channel_assignment(
     queues: tuple[float, ...],
     v_factor: float,
     candidate_powers: tuple[float, ...],
+    *,
+    states: tuple[ClusterRound, ...] | None = None,
 ) -> ChannelAssignment:
     """Minimum-cost matching, lex tie-break: the min(N, J) cheapest clusters by
-    (cost, index) transmit, on channels 0, 1, ... in cluster order."""
-    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers)
+    (cost, index) transmit, on channels 0, 1, ... in cluster order. ``states``
+    are the clusters' ``ClusterRound``s, as in ``allocate_resources``."""
+    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers, states)
     ranked = sorted(range(cfg.n_clusters), key=costs.__getitem__)
     return _ranked_assignment(cfg, sorted(ranked[: cfg.n_channels]))
 
@@ -309,17 +354,26 @@ def allocate_resources(
     v_factor: float,
     segment_counts: tuple[int, ...],
     enforce_balance: bool = True,
+    *,
+    states: tuple[ClusterRound, ...] | None = None,
 ) -> tuple[ChannelAssignment, tuple[float, ...]]:
     """Channel matching and uplink powers for one round, in a single pass.
 
     The power sub-problems have no cross-cluster coupling, so each cluster's
     optimal power is solved first; the matching is then priced at those
     powers, and clusters left without a channel transmit at zero power.
+
+    ``states`` holds each cluster's ``ClusterRound`` for this round, shared
+    by power control and matching; without them fresh ones are built.
     """
+    if states is None:
+        states = cluster_rounds(cfg, env)
     candidates = tuple(
-        power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance)
+        power_control(
+            cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance, state=states[n]
+        )
         for n in range(cfg.n_clusters)
     )
-    assignment = channel_assignment(cfg, env, queues, v_factor, candidates)
+    assignment = channel_assignment(cfg, env, queues, v_factor, candidates, states=states)
     powers = tuple(candidates[n] if assignment.is_transmitting(n) else 0.0 for n in range(cfg.n_clusters))
     return assignment, powers

@@ -32,6 +32,14 @@ exists, a run start whose lower bound, built from memory caps and these
 floors, lies strictly above the best objective is not searched at all: no
 plan there can win, not even on a tie. On the shipped table2 scenario this
 leaves 22 of the 270 partition solves of six rounds.
+
+What depends on (config, round environment, cluster) alone is kept for the
+round in the cluster's ``round_state.ClusterRound``, which ``optimize_round``
+shares across its block-coordinate descent sweeps: the memory caps, each run
+start's block caps, its C7/C9' pre-check, its bottleneck candidates and its
+floor inputs, the run-start bound's round-constant parts, the balance cap
+per head power and the check of each final plan. The queue sum, the cutoff
+and the balance cap are applied on every call.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .pipeline import (
     pipeline_latency_from_times,
     stage_profile,
 )
+from .round_state import ClusterRound
 
 
 def _chunk_work(b_hat: int, cfg: SystemConfig) -> float:
@@ -123,12 +132,11 @@ def optimal_micro_batches(
     return best_m
 
 
-def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> list[int]:
-    """Per-device block caps from memory and the round energy budget at this m."""
+def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, mem_caps: list[int]) -> list[int]:
+    """Per-device block caps from the memory caps and the round energy budget at this m."""
     work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
     caps = []
-    for dev, clock, hop in zip(cfg.clusters[n].devices, env.clock_hz[n], env.hop_s[n]):
-        cap = min(dev.block_cap, cfg.model.n_blocks)
+    for dev, cap, clock, hop in zip(cfg.clusters[n].devices, mem_caps, env.clock_hz[n], env.hop_s[n]):
         headroom = dev.energy_budget_j - dev.d2d_power_w * hop
         if headroom < 0:
             cap = 0
@@ -138,6 +146,33 @@ def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) ->
                 cap = min(cap, int(headroom / per_block * (1 + 1e-12)))
         caps.append(cap)
     return caps
+
+
+def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, mem_caps: list[int]) -> tuple[list[int], int]:
+    """Block caps at run start m and the fewest devices whose caps hold the L blocks.
+
+    Raises C7 when memory alone cannot host the blocks, and C9' when the
+    energy budgets cut the caps below them.
+    """
+    l_blocks = cfg.model.n_blocks
+    caps = _partition_caps(m, cfg, env, n, mem_caps)
+    need = _fewest_cover(l_blocks, caps)
+    if math.isinf(need):
+        raise InfeasibleError(
+            "C7" if sum(mem_caps) < l_blocks else "C9'", f"cluster {n}: device caps cannot host {l_blocks} blocks"
+        )
+    return caps, need
+
+
+def _bottleneck_pairs(
+    caps: list[int], work: float, speeds: tuple[float, ...], hops: tuple[float, ...], l_blocks: int
+) -> tuple[list[list[float]], list[tuple[float, int, int]]]:
+    """Occupancy of each device k at d = 1..caps[k] blocks, ascending in d, and
+    the candidate bottlenecks (u, j, d) with d < L in ascending order; the
+    occupancy expression is the one ``_bottleneck`` compares."""
+    occ = [[d * work / speeds[k] + hops[k] for d in range(1, cap + 1)] for k, cap in enumerate(caps)]
+    pairs = sorted((occ[j][d - 1], j, d) for j, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1))
+    return occ, pairs
 
 
 def optimal_partition(
@@ -152,6 +187,7 @@ def optimal_partition(
     *,
     cutoff: float = math.inf,
     s_cap: int | None = None,
+    state: ClusterRound | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
     """Exact argmin over integer block compositions at fixed m.
 
@@ -179,27 +215,20 @@ def optimal_partition(
 
     ``s_cap`` is the balance cap on S that ``_segment_cap`` gives for these
     arguments; a caller that solves several m for one cluster passes it in,
-    and when it is None it is computed here.
+    and when it is None it is computed here. ``state`` is cluster n's
+    ``ClusterRound``: it keeps this m's caps, their C7/C9' pre-check, the
+    floor's inputs and the sorted candidate pairs for the round. When it is
+    None a fresh one is built.
     """
-    devices = cfg.clusters[n].devices
-    n_dev = len(devices)
+    n_dev = cfg.clusters[n].n_devices
     l_blocks = cfg.model.n_blocks
-    caps = _partition_caps(m, cfg, env, n)
+    if state is None:
+        state = ClusterRound(cfg, env, n)
     if s_cap is None:
         s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
 
     # feasibility of the cap set as a whole
-    sorted_caps = sorted(caps, reverse=True)
-    if sum(sorted_caps) < l_blocks:
-        mem_only = sum(min(dev.block_cap, l_blocks) for dev in devices)
-        raise InfeasibleError("C7" if mem_only < l_blocks else "C9'", f"cluster {n}: device caps cannot host {l_blocks} blocks")
-    need = 0
-    acc = 0
-    for c in sorted_caps:
-        if acc >= l_blocks:
-            break
-        acc += c
-        need += 1
+    caps, need = state.memo(("caps", m), _cap_cover, m, cfg, env, n, state.mem_caps)
     if need > s_cap:
         raise InfeasibleError("C11" if s_cap < n_dev else "C2", f"cluster {n}: {need} segments needed, at most {s_cap} allowed")
 
@@ -219,13 +248,10 @@ def optimal_partition(
     # plans of two or more stages are scanned only when their floor reaches
     # the best one-stage plan or, while there is none, the cutoff
     s_lo = max(2, need)
-    if s_cap >= 2 and _stage_count_floor(cfg, env, n, v_factor, queue_sum, caps, s_lo, s_cap)(m, work) <= (
-        cutoff if best is None else best[0]
-    ):
-        # occupancy of device k at d = 1..caps[k] blocks, ascending in d; the
-        # expression is the one _bottleneck compares
-        occ = [[d * work / speeds[k] + hops[k] for d in range(1, caps[k] + 1)] for k in range(n_dev)]
-        pairs = sorted((occ[j][d - 1], j, d) for j in range(n_dev) for d in range(1, min(caps[j], l_blocks - 1) + 1))
+    if s_cap >= 2 and _stage_count_floor(
+        state.memo(("live", m), _live_stages, env, n, caps, l_blocks), v_factor, queue_sum, s_lo, s_cap
+    )(m, work) <= (cutoff if best is None else best[0]):
+        occ, pairs = state.memo(("pairs", m), _bottleneck_pairs, caps, work, speeds, hops, l_blocks)
         hop_max = max(hops)
         for u, j, d in pairs:
             limit = cutoff if best is None else best[0]
@@ -290,53 +316,65 @@ def _segment_cap(
     return min(cfg.clusters[n].n_devices, s_gamma)
 
 
-def _stage_count_floor(
-    cfg: SystemConfig,
-    env: RoundEnvironment,
-    n: int,
-    v_factor: float,
-    queue_sum: float,
-    caps: list[int],
-    s_lo: int,
-    s_cap: int,
-):
+def _live_stages(env: RoundEnvironment, n: int, caps: list[int], l_blocks: int):
+    """Speeds and hops of the devices with a positive cap in ``caps``, and, for
+    each S, L over the sum of the S fastest of those speeds."""
+    live = [k for k, cap in enumerate(caps) if cap]
+    speeds = [env.speed[n][k] for k in live]
+    loads = [l_blocks / fastest for fastest in accumulate(sorted(speeds, reverse=True))]
+    return speeds, [env.hop_s[n][k] for k in live], loads
+
+
+def _stage_count_floor(live: tuple, v_factor: float, queue_sum: float, s_lo: int, s_cap: int):
     """Least objective any plan of S stages, s_lo <= S <= s_cap, can reach, as a function of (m, work).
 
-    ``work`` is the chunk work at run start m. Only devices with a positive
-    block cap in ``caps`` can be stages. A plan's bottleneck occupancy U is at
-    least the least one-block occupancy, and at least L*work/(sum of the S
-    fastest speeds) + the least hop, because each stage k holds at most
-    (U - hop_k)*speed_k/work blocks. The bottleneck's hop is at most the
-    longest hop and at most U, so the objective is at least
-    V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum. The (1 - 1e-12)
-    slacks absorb float rounding. The floor is inf when no S in the range has
-    enough devices; the sorted speeds are then never built.
+    ``work`` is the chunk work at run start m. ``live`` is ``_live_stages``
+    of the block caps: only devices with a positive cap can be stages. A
+    plan's bottleneck occupancy U is at least the least one-block occupancy,
+    and at least L*work/(sum of the S fastest speeds) + the least hop,
+    because each stage k holds at most (U - hop_k)*speed_k/work blocks. The
+    bottleneck's hop is at most the longest hop and at most U, so the
+    objective is at least V*max((S+m-1)*U - hop_max, (S+m-2)*U) +
+    S*queue_sum. The (1 - 1e-12) slacks absorb float rounding. The floor is
+    inf when no S in the range has enough devices.
     """
-    live = [k for k, cap in enumerate(caps) if cap]
-    s_hi = min(s_cap, len(live))
+    speeds, hops, loads = live
+    s_hi = min(s_cap, len(speeds))
     if s_hi < s_lo:
         return lambda m, work: math.inf
-    speeds = [env.speed[n][k] for k in live]
-    hops = [env.hop_s[n][k] for k in live]
     hop_min, hop_max = min(hops), max(hops)
-    loads = [cfg.model.n_blocks / fastest for fastest in accumulate(sorted(speeds, reverse=True))]
     counts = list(zip(range(s_lo, s_hi + 1), loads[s_lo - 1 :]))
 
     def floor(m: int, work: float) -> float:
         one_block = min([work / speed + hop for speed, hop in zip(speeds, hops)])
         least = math.inf
+        # max and min written out as comparisons, which run faster and pick
+        # the operand max and min would
         for s, load in counts:
-            u = max(one_block, (load * work + hop_min) * (1 - 1e-12))
-            least = min(least, v_factor * max((s + m - 1) * u - hop_max, (s + m - 2) * u) * (1 - 1e-12) + s * queue_sum)
+            u = (load * work + hop_min) * (1 - 1e-12)
+            if not u > one_block:
+                u = one_block
+            pipelined, held = (s + m - 1) * u - hop_max, (s + m - 2) * u
+            obj = v_factor * (held if held > pipelined else pipelined) * (1 - 1e-12) + s * queue_sum
+            if obj < least:
+                least = obj
         return least
 
     return floor
 
 
-def _run_start_bound(
-    cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float, queue_sum: float, s_cap: int
-):
-    """Lower bound, as a function of m, on the objective of every plan at run start m.
+def _memory_stages(cfg: SystemConfig, env: RoundEnvironment, n: int, mem_caps: list[int]):
+    """The round-constant parts of ``_run_start_bound``: the speed of the
+    fastest device whose memory holds all L blocks (None when there is none),
+    the least segment count memory allows, at least 2, and ``_live_stages``
+    of the memory caps."""
+    l_blocks = cfg.model.n_blocks
+    s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap == l_blocks), default=None)
+    return s_fast, max(2, _fewest_cover(l_blocks, mem_caps)), _live_stages(env, n, mem_caps, l_blocks)
+
+
+def _run_start_bound(state: ClusterRound, v_factor: float, queue_sum: float, s_cap: int):
+    """Lower bound, as a function of m, on the objective of every plan at run start m, for the state's cluster.
 
     Built from memory caps alone, so it holds for every plan of at most
     ``s_cap`` stages that the energy caps allow. It is the smaller of two
@@ -348,13 +386,14 @@ def _run_start_bound(
       segment count s_lo memory allows up to ``s_cap``, on the devices memory
       lets hold a block; inf when s_cap < s_lo.
 
-    Everything that does not depend on m is computed here, once. Needs a
-    cluster whose memory caps can host the L blocks.
+    Everything that does not depend on m is computed here, once, and what
+    does not depend on the queues or ``s_cap`` either is kept in ``state``
+    for the round. Needs a cluster whose memory caps can host the L blocks.
     """
+    cfg = state.cfg
     l_blocks = cfg.model.n_blocks
-    caps = [min(dev.block_cap, l_blocks) for dev in cfg.clusters[n].devices]
-    s_fast = max((speed for speed, cap in zip(env.speed[n], caps) if cap == l_blocks), default=None)
-    many = _stage_count_floor(cfg, env, n, v_factor, queue_sum, caps, max(2, _fewest_cover(l_blocks, caps)), s_cap)
+    s_fast, s_lo, live = state.memo("memory", _memory_stages, cfg, state.env, state.n, state.mem_caps)
+    many = _stage_count_floor(live, v_factor, queue_sum, s_lo, s_cap)
 
     def bound(m: int) -> float:
         work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
@@ -362,6 +401,15 @@ def _run_start_bound(
         return min(one, many(m, work))
 
     return bound
+
+
+def _checked_plan(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> SegmentPlan:
+    """The plan (delta, m), after the structural checks and the energy budgets."""
+    plan = SegmentPlan(delta=delta, m=m)
+    plan.validate(cfg.clusters[n], cfg.model)
+    if not _feasible_energy_at_m(delta, m, cfg, env, n):
+        raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
+    return plan
 
 
 def schedule_segments(
@@ -372,6 +420,8 @@ def schedule_segments(
     v_factor: float,
     cu_power_w: float,
     enforce_balance: bool = True,
+    *,
+    state: ClusterRound | None = None,
 ) -> SegmentPlan:
     """Exact joint argmin over (partition, micro-batches) for cluster n.
 
@@ -388,9 +438,17 @@ def schedule_segments(
     The balance cap does not depend on m, so it is computed once, before the
     run starts; when it is unreachable, its C11 error is the one every run
     start would raise.
+
+    ``state`` is cluster n's ``ClusterRound`` for this round; a caller that
+    solves the round several times, at other queues or powers, passes the
+    same one each time. It keeps the balance cap per power, each run start's
+    caps and bottleneck candidates, the bound's round-constant parts and the
+    check of each final plan. Without it a fresh one is built.
     """
+    if state is None:
+        state = ClusterRound(cfg, env, n)
     queue_sum = sum(queues)
-    s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
+    s_cap = state.memo(("s_cap", cu_power_w, enforce_balance), _segment_cap, cfg, env, n, cu_power_w, enforce_balance)
     best_key = None
     first_error = None
     bound = None
@@ -398,13 +456,14 @@ def schedule_segments(
         if best_key is not None:
             # built once a plan exists, which proves memory can host the blocks
             if bound is None:
-                bound = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
+                bound = _run_start_bound(state, v_factor, queue_sum, s_cap)
             if bound(m) > best_key[0]:
                 continue
         cutoff = math.inf if best_key is None else best_key[0]
         try:
             found = optimal_partition(
-                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff, s_cap=s_cap
+                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance,
+                cutoff=cutoff, s_cap=s_cap, state=state,
             )
         except InfeasibleError as exc:
             first_error = first_error or exc
@@ -417,9 +476,4 @@ def schedule_segments(
             best_key = key
     if best_key is None:
         raise first_error
-
-    best_plan = SegmentPlan(delta=best_key[2], m=best_key[3])
-    best_plan.validate(cfg.clusters[n], cfg.model)
-    if not _feasible_energy_at_m(best_plan.delta, best_plan.m, cfg, env, n):
-        raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
-    return best_plan
+    return state.memo(("plan", best_key[2], best_key[3]), _checked_plan, best_key[2], best_key[3], cfg, env, n)

@@ -280,11 +280,33 @@ def test_segment_counts_priced_in_the_bound_leave_few_searches(table2_cfg, monke
 
 def test_segment_cap_computed_once_per_schedule_segments(monkeypatch):
     # binding runs every BCD sweep: 6 clusters x 20 sweeps x 4 rounds = 480
-    # schedule_segments calls, and the balance cap does not depend on m
+    # schedule_segments calls; the balance cap does not depend on m, and a
+    # round computes it once per cluster and head power
     caps = _count_calls(monkeypatch, seg_solver._segment_cap)
     schedules = _count_calls(monkeypatch, seg_solver.schedule_segments)
     run_simulation(load_config(BINDING), 4, "lyapunov")
-    assert len(caps) <= len(schedules) <= 480
+    keys = [(env.round_index, n, power, enforce) for _, env, n, power, enforce in caps]
+    assert len(set(keys)) == len(keys) < len(schedules) <= 480
+
+
+def test_round_constants_derived_once_per_round_on_binding(monkeypatch):
+    # 4 rounds of 20 sweeps over 6 clusters: each run start's block caps, the
+    # power sub-problem, its energy ceiling and each balance floor are derived
+    # once per round and cluster, not once per sweep
+    partition_caps = _count_calls(monkeypatch, seg_solver._partition_caps)
+    problems = _count_calls(monkeypatch, res_solver._problem)
+    ceilings = _count_calls(monkeypatch, res_solver._energy_power_ceiling)
+    floors = _count_calls(monkeypatch, res_solver._balance_power_floor)
+    sweeps = _count_calls(monkeypatch, res_solver.allocate_resources)
+    trace = run_simulation(load_config(BINDING), 4, "lyapunov")
+    assert len(trace.rounds) == 4 and len(sweeps) == 80
+    caps_keys = [(env.round_index, n, m) for m, _, env, n, _ in partition_caps]
+    problem_keys = [(env.round_index, n) for _, env, n in problems]
+    floor_keys = [(env.round_index, n, s) for _, env, n, s in floors]
+    assert 0 < len(caps_keys) == len(set(caps_keys)) <= 4 * 6 * 3  # b = 4 has run starts 1, 2, 4
+    assert len(problem_keys) == len(set(problem_keys)) == 4 * 6
+    assert 0 < len(ceilings) <= len(problem_keys)
+    assert 0 < len(floor_keys) == len(set(floor_keys))
 
 
 def _table2_on_64_channels():

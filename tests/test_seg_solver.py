@@ -12,8 +12,10 @@ from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
 from edgesched.pipeline import device_energy, micro_batch_size
+from edgesched.round_state import ClusterRound
 from edgesched.seg_solver import (
     _chunk_work,
+    _live_stages,
     _micro_batch_run_starts,
     _run_start_bound,
     _segment_cap,
@@ -544,7 +546,7 @@ def test_run_start_bound_is_below_every_composition():
     tight = 0
     for cfg, env, _, plans, q in _memory_battery():
         v = cfg.convergence.v_factor
-        bound = _run_start_bound(cfg, env, 0, v, q, cfg.clusters[0].n_devices)
+        bound = _run_start_bound(ClusterRound(cfg, env, 0), v, q, cfg.clusters[0].n_devices)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             best = min(cluster_objective(delta, m, cfg, env, 0, v, q) for delta in plans)
             assert bound(m) <= best
@@ -564,7 +566,7 @@ def test_stage_count_floor_is_below_every_composition_of_that_size():
                 s = sum(1 for d in delta if d > 0)
                 objs.setdefault(s, []).append(cluster_objective(delta, m, cfg, env, 0, v, q))
             for s in range(s_lo, cfg.clusters[0].n_devices + 1):
-                floor = _stage_count_floor(cfg, env, 0, v, q, caps, s, s)(m, work)
+                floor = _stage_count_floor(_live_stages(env, 0, caps, cfg.model.n_blocks), v, q, s, s)(m, work)
                 assert floor <= min(objs.get(s, [math.inf]))
                 pipelined += s in objs
     assert pipelined > 0
@@ -591,7 +593,7 @@ def test_stage_count_floor_is_tight_on_even_splits():
         doc["clusters"][0]["devices"] = [dict(device, gamma_max_bytes=2.5e8 * per, gamma0_bytes=2.5e8)] * k
         cfg = build_config(doc)
         env = sample_round_environment(cfg, 1)
-        floor = _stage_count_floor(cfg, env, 0, 10.0, 0.0, [per] * k, k, k)
+        floor = _stage_count_floor(_live_stages(env, 0, [per] * k, cfg.model.n_blocks), 10.0, 0.0, k, k)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             obj = cluster_objective((per,) * k, m, cfg, env, 0, 10.0, 0.0)
             assert obj * (1 - 1e-9) <= floor(m, _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)) <= obj
