@@ -404,14 +404,22 @@ def _bad(where: str):
     raise ConfigError(where, "expected an object")
 
 
+# Upper limits on model.L and model.b. A round's segment solve scans O(K*L)
+# bottleneck candidates at each of about 2*sqrt(b) micro-batch run starts;
+# far larger values, which int() still converts exactly (1e308 does), would
+# stall the first round instead of failing.
+MAX_BLOCKS = 1024
+MAX_BATCH_ITEMS = 65536
+
+
 def _parse_model(raw: dict) -> ModelSpec:
     where = "model"
     n_blocks = _num(raw, "L", where, _MODEL_DEFAULTS)
-    if n_blocks < 1 or n_blocks != int(n_blocks):
-        raise ConfigError(f"{where}.L", f"must be an integer >= 1, got {n_blocks}")
+    if not 1 <= n_blocks <= MAX_BLOCKS or n_blocks != int(n_blocks):
+        raise ConfigError(f"{where}.L", f"must be an integer in [1, {MAX_BLOCKS}], got {n_blocks:g}")
     batch = _num(raw, "b", where, _MODEL_DEFAULTS)
-    if batch < 1 or batch != int(batch):
-        raise ConfigError(f"{where}.b", f"must be an integer >= 1, got {batch}")
+    if not 1 <= batch <= MAX_BATCH_ITEMS or batch != int(batch):
+        raise ConfigError(f"{where}.b", f"must be an integer in [1, {MAX_BATCH_ITEMS}], got {batch:g}")
     sizes = {}
     for key in ("o_fwd_flops", "o_bwd_flops", "z_seg_bits", "g_seg_bits", "z_enc_bits", "theta_enc_bits"):
         sizes[key] = _require_positive(_num(raw, key, where, _MODEL_DEFAULTS), f"{where}.{key}")

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .comm import uplink_delay
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
 from .errors import InfeasibleError, SimulationAborted
-from .lyapunov import cluster_delays, delay_terms, drift_penalty, drift_penalty_at, queue_update
-from .pipeline import SegmentPlan, pipeline_energy
+from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update
+from .pipeline import SegmentPlan, pipeline_energy, pipeline_latency
 from .res_solver import _ranked_assignment, allocate_resources
 from .round_state import cluster_rounds
 from .seg_solver import optimal_micro_batches, schedule_segments
@@ -73,7 +74,13 @@ def optimize_round(
     inputs, the balance cap per power, the check of each final plan, and the
     power box's sub-problem, energy ceiling and balance floors. Every sweep
     passes the same states, so the sweeps after the first read them instead
-    of deriving them again.
+    of deriving them again. From the second sweep on, each cluster's segment
+    solve is answered from the round's segment frontier, built in that
+    sweep, and falls back to the search only where the frontier cannot
+    replay it (see ``schedule_segments``). A sweep is scored with
+    ``drift_penalty_at``: each plan's pipeline latency is kept in the
+    state, keyed by (delta, m), and only the uplink delays, which move with
+    the powers, are computed every sweep.
     """
     y_scratch = queues
     powers = tuple(cl.uplink_power_max_w for cl in cfg.clusters)
@@ -91,7 +98,12 @@ def optimize_round(
         decision = SchedulingDecision(
             plans=plans, assignment=assignment, powers_w=powers, round_index=env.round_index
         )
-        obj = drift_penalty(decision, cfg, env, queues, v_factor)
+        pipes = tuple(
+            states[n].memo(("latency", plan.delta, plan.m), pipeline_latency, plan, cfg, env, n)
+            for n, plan in enumerate(plans)
+        )
+        ups = tuple(uplink_delay(cfg, env, n, assignment, powers[n]) for n in range(cfg.n_clusters))
+        obj = drift_penalty_at(max(cluster_delays(pipes, ups)), decision, queues, v_factor)
         if obj < best_obj:
             best_obj, best_decision = obj, decision
         gamma_t = system_gamma(decision, cfg, env)

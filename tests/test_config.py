@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from edgesched.config import (
+    MAX_BATCH_ITEMS,
+    MAX_BLOCKS,
     Interval,
     build_config,
     db_to_linear,
@@ -111,6 +113,23 @@ def test_every_single_field_violation_rejected(mutate, field):
     mutate(doc)
     with pytest.raises(ConfigError):
         build_config(doc)
+
+
+@pytest.mark.parametrize("key, limit", [("L", MAX_BLOCKS), ("b", MAX_BATCH_ITEMS)])
+def test_model_sizes_are_bounded(key, limit):
+    # int() converts 1e308 exactly, so only the upper limit keeps such a size
+    # from reaching the solver, whose run-start loop would take about
+    # 2*sqrt(b) steps
+    doc = minimal_doc()
+    doc["clusters"][0]["devices"][0] = {"gamma_max_bytes": 1e15}  # memory for MAX_BLOCKS blocks
+    doc["model"] = {key: limit}
+    assert getattr(build_config(doc).model, {"L": "n_blocks", "b": "batch_items"}[key]) == limit
+    for value in (limit + 1, 1e308):
+        doc["model"] = {key: value}
+        with pytest.raises(ConfigError) as exc:
+            build_config(doc)
+        assert exc.value.field == f"model.{key}"
+        assert f"[1, {limit}]" in exc.value.reason
 
 
 def test_db_linear_roundtrip():

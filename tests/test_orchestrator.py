@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from edgesched import comm, pipeline, res_solver, seg_solver
+from edgesched import comm, orchestrator, pipeline, res_solver, seg_solver
 from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.decision import validate_decision
 from edgesched.errors import SimulationAborted
@@ -307,6 +307,57 @@ def test_round_constants_derived_once_per_round_on_binding(monkeypatch):
     assert len(problem_keys) == len(set(problem_keys)) == 4 * 6
     assert 0 < len(ceilings) <= len(problem_keys)
     assert 0 < len(floor_keys) == len(set(floor_keys))
+
+
+def _record_sweeps(monkeypatch) -> list:
+    """For every optimal_partition call, the ordinal of the schedule_segments
+    call it runs in, among that cluster's calls of that round."""
+    calls, ordinals, current = {}, [], []
+    schedule, partition = seg_solver.schedule_segments, seg_solver.optimal_partition
+
+    def tracked(cfg, env, n, *args, **kwargs):
+        key = (env.round_index, n)
+        calls[key] = calls.get(key, 0) + 1
+        current.append(calls[key])
+        try:
+            return schedule(cfg, env, n, *args, **kwargs)
+        finally:
+            current.pop()
+
+    def counted(*args, **kwargs):
+        ordinals.append(current[-1])
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "schedule_segments", tracked)
+    monkeypatch.setattr(seg_solver, "optimal_partition", counted)
+    return ordinals
+
+
+def test_repeat_segment_solves_answered_from_the_frontier_on_binding(monkeypatch):
+    # 4 rounds of 20 sweeps over 6 clusters: a cluster's first segment solve
+    # of a round searches, the second builds the round's frontier, and every
+    # later one is answered from it; every plan's pipeline latency is computed
+    # once per round, not once per sweep
+    ordinals = _record_sweeps(monkeypatch)
+    latencies = []
+
+    def latency(plan, cfg, env, n):
+        latencies.append((env.round_index, n, plan))
+        return pipeline.pipeline_latency(plan, cfg, env, n)
+
+    monkeypatch.setattr(orchestrator, "pipeline_latency", latency)
+    trace = run_simulation(load_config(BINDING), 4, "lyapunov")
+    assert len(trace.rounds) == 4
+    assert ordinals and max(ordinals) <= 2
+    assert 4 * 6 <= len(latencies) == len(set(latencies)) < 4 * 6 * 20
+
+
+def test_one_sweep_rounds_search_as_before_on_table2(table2_cfg, monkeypatch):
+    # table2's queues stay 0, so each round runs one sweep: every segment solve
+    # is a cluster's first of its round, and the frontier is never built
+    ordinals = _record_sweeps(monkeypatch)
+    run_simulation(table2_cfg, 6, "lyapunov")
+    assert ordinals == [1] * 22  # the partition searches of the search alone
 
 
 def _table2_on_64_channels():

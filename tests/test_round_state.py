@@ -1,6 +1,8 @@
 import numpy as np
 
+from edgesched import seg_solver
 from edgesched.config import build_config, sample_round_environment
+from edgesched.convergence import interference_error
 from edgesched.errors import InfeasibleError
 from edgesched.res_solver import power_control
 from edgesched.round_state import ClusterRound
@@ -69,3 +71,84 @@ def test_shared_round_state_equals_fresh_calls():
                     solved += 1
     assert {"C7", "C9'", "C11", "C11'", "C8"} <= constraints
     assert solved > 1000
+
+
+def _capped_system(rng):
+    """A random single-cluster system whose balance cap at the round's P_max
+    is one stage, and rises above it at higher powers."""
+    doc = random_system_doc(rng)
+    conv = doc["convergence"]
+    conv["C"] = 1.0
+    t = int(rng.integers(1, 5))
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, t)
+    eps = interference_error(
+        cfg.clusters[0].uplink_power_max_w, env.uplink_gain[0], env.uplink_interference_w[0], conv["C"]
+    )
+    # an error budget of eps + 1.5*phi^2/L leaves S^2 = 1.5 at P_max
+    budget = eps + 1.5 * conv["phi"] ** 2 / doc["model"]["L"]
+    conv["gamma_max_bound"] = (budget + conv["phi"] ** 2) * conv["beta"] * conv["eta"] ** 2 / 2
+    cfg = build_config(doc)
+    return cfg, sample_round_environment(cfg, t)
+
+
+def test_segment_frontier_answers_equal_fresh_searches(monkeypatch):
+    # from a state's second schedule_segments call with the same (V,
+    # enforce_balance) on, the round's segment frontier answers without a
+    # partition search; every answer and error equals a fresh state's search.
+    # A queue sum of 1e18 rounds plans of one segment count to the same
+    # objective, so delta decides and the frontier hands the call back to
+    # the search; so does a power above P_max, whose balance cap can exceed
+    # the frontier's, which is the cap at P_max, a call with no plan, and a
+    # negative queue sum, under which more stages can cost less
+    replayed, searches = [], []
+    frontier_key, partition = seg_solver._frontier_key, seg_solver.optimal_partition
+
+    def recorded(*args):
+        replayed.append(frontier_key(*args))
+        return replayed[-1]
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(seg_solver, "_frontier_key", recorded)
+    monkeypatch.setattr(seg_solver, "optimal_partition", counted)
+    rng = np.random.default_rng(16)
+    answered = ties = beyond_cap = wider = 0
+    for i in range(240):
+        if i % 3:
+            cfg = _strained_system(rng)
+            env = sample_round_environment(cfg, int(rng.integers(1, 5)))
+        else:
+            cfg, env = _capped_system(rng)
+        p_max = cfg.clusters[0].uplink_power_max_w
+        cap_at_p_max = _outcome(seg_solver._segment_cap, cfg, env, 0, p_max, True)
+        v_factors = (cfg.convergence.v_factor, float(rng.choice([0.01, 1.0, 10.0])))
+        state = ClusterRound(cfg, env, 0)
+        seen = set()
+        for _ in range(24):
+            q = float(rng.choice([0.0, 1e-9, 1e-3, 1.0, 50.0, 1e12, 1e18, -1.0]))
+            power = p_max * float(rng.choice([0.3, 1.0, 3.0, 100.0]))
+            enforce = bool(rng.uniform() < 0.8)
+            v = v_factors[int(rng.integers(0, 2))]
+            args = (cfg, env, 0, (q,), v, power, enforce)
+            n_replayed, n_searches = len(replayed), len(searches)
+            shared = _outcome(schedule_segments, *args, state=state)
+            replays, searched = replayed[n_replayed:], len(searches) > n_searches
+            assert shared == _outcome(schedule_segments, *args)
+            if (v, enforce) in seen:
+                if replays == [None]:  # a possible tie, or no plan and the search's error
+                    assert searched
+                    ties += not isinstance(shared, tuple)
+                elif replays:
+                    answered += 1
+                    assert not searched
+                elif searched and q >= 0:
+                    beyond_cap += 1
+                    assert power > p_max
+                    if isinstance(cap_at_p_max, int) and not isinstance(shared, tuple):
+                        wider += shared.n_segments > cap_at_p_max
+            seen.add((v, enforce))
+    assert answered > 1000
+    assert ties > 0 and beyond_cap > 0 and wider > 0
