@@ -31,21 +31,28 @@ def cluster_delays(pipes: Sequence[float], ups: Sequence[float]) -> tuple[float,
 
 
 def delay_terms(
-    decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment
+    decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment, latency=None
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Each cluster's pipeline latency, and its uplink delay or NOT_TRANSMITTING."""
+    """Each cluster's pipeline latency, and its uplink delay or NOT_TRANSMITTING.
+
+    ``latency(plan, cfg, env, n)`` gives a plan's pipeline latency; a caller
+    that keeps the latencies of plans it has seen passes its own. The default
+    is ``pipeline_latency``.
+    """
+    latency = latency or pipeline_latency
     n_clusters = cfg.n_clusters
-    pipes = tuple(pipeline_latency(decision.plans[n], cfg, env, n) for n in range(n_clusters))
+    pipes = tuple(latency(decision.plans[n], cfg, env, n) for n in range(n_clusters))
     ups = tuple(uplink_delay(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(n_clusters))
     return pipes, ups
 
 
-def round_delay(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
+def round_delay(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment, latency=None) -> float:
     """tau(t) = max over clusters of pipeline + upload delay.
 
     Clusters that skip the upload this round contribute pipeline latency only.
+    ``latency`` is as in ``delay_terms``.
     """
-    return max(cluster_delays(*delay_terms(decision, cfg, env)))
+    return max(cluster_delays(*delay_terms(decision, cfg, env, latency)))
 
 
 def drift_penalty_at(tau: float, decision: SchedulingDecision, queues: tuple[float, ...], v_factor: float) -> float:

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import uplink_delay
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
 from .errors import InfeasibleError, SimulationAborted
-from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update
+from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update, round_delay
 from .pipeline import SegmentPlan, pipeline_energy, pipeline_latency
 from .res_solver import _ranked_assignment, allocate_resources
 from .round_state import cluster_rounds
@@ -74,19 +73,24 @@ def optimize_round(
     inputs, the balance cap per power, the check of each final plan, and the
     power box's sub-problem, energy ceiling and balance floors. Every sweep
     passes the same states, so the sweeps after the first read them instead
-    of deriving them again. From the second sweep on, each cluster's segment
-    solve is answered from the round's segment frontier, built in that
-    sweep, and falls back to the search only where the frontier cannot
-    replay it (see ``schedule_segments``). A sweep is scored with
-    ``drift_penalty_at``: each plan's pipeline latency is kept in the
-    state, keyed by (delta, m), and only the uplink delays, which move with
-    the powers, are computed every sweep.
+    of deriving them again. Where a cluster's balance cap allows one stage,
+    its segment solves from the second sweep on are answered from the
+    round's one-stage frontier, built in that sweep, and fall back to the
+    search only where the frontier cannot replay it (see
+    ``schedule_segments``). A sweep is scored with ``drift_penalty_at`` of
+    ``round_delay``, which takes each plan's pipeline latency from the
+    state, keyed by (delta, m), so that only the uplink delays, which move
+    with the powers, are computed every sweep.
     """
     y_scratch = queues
     powers = tuple(cl.uplink_power_max_w for cl in cfg.clusters)
     states = cluster_rounds(cfg, env)
     best_obj = math.inf
     best_decision: SchedulingDecision | None = None
+
+    def latency(plan, cfg, env, n):
+        return states[n].memo(("latency", plan.delta, plan.m), pipeline_latency, plan, cfg, env, n)
+
     for _ in range(_MAX_INNER_ITERS):
         plans = tuple(
             schedule_segments(cfg, env, n, y_scratch, v_factor, powers[n], state=states[n])
@@ -98,12 +102,7 @@ def optimize_round(
         decision = SchedulingDecision(
             plans=plans, assignment=assignment, powers_w=powers, round_index=env.round_index
         )
-        pipes = tuple(
-            states[n].memo(("latency", plan.delta, plan.m), pipeline_latency, plan, cfg, env, n)
-            for n, plan in enumerate(plans)
-        )
-        ups = tuple(uplink_delay(cfg, env, n, assignment, powers[n]) for n in range(cfg.n_clusters))
-        obj = drift_penalty_at(max(cluster_delays(pipes, ups)), decision, queues, v_factor)
+        obj = drift_penalty_at(round_delay(decision, cfg, env, latency), decision, queues, v_factor)
         if obj < best_obj:
             best_obj, best_decision = obj, decision
         gamma_t = system_gamma(decision, cfg, env)

@@ -7,8 +7,8 @@ resource solvers derive from (config, round environment, cluster) alone, so
 that the sweeps after the first read it instead of deriving it again. It
 holds nothing that depends on queues, powers or cutoffs; each entry is keyed
 by the arguments it depends on besides those three. Among them is the
-segment frontier, which the segment solver builds on its second call with
-the same arguments and answers every later call from. A solver called
+one-stage frontier, which the segment solver builds on its second call under
+a balance cap of one stage and answers every later such call from. A solver called
 without one builds a fresh one, and ``optimize_round`` drops its states
 when it returns.
 """

@@ -42,17 +42,21 @@ per head power and the check of each final plan. The queue sum, the cutoff
 and the balance cap are applied on every call.
 
 Block-coordinate descent calls the solver once per sweep, and between sweeps
-only the queue sum q and the balance cap s_cap move. So from a state's second
-call with the same (V, enforce_balance) on, the state also keeps the round's
-segment frontier: at every run start, the best plan of every segment count
-up to the balance cap at the head's P_max, with its queue-free objective
-part. A call at (q >= 0, s_cap up to that cap) then replays the search's
-comparisons over those few plans, with no partition search. It hands the
-call back to the search when s_cap is above the frontier's cap (a power
-above P_max), when no run start has a plan (the search names the error),
-and when the rounding of a + S*q may tie the winner with a plan of its S
-that the frontier does not hold, where delta would decide. A solver called
-once per round, as in a one-sweep round, never builds it.
+only the queue sum q and the balance cap s_cap move. Under a cap of one
+stage the search weighs one-stage plans only, and prices each a + q, with a
+its queue-free part. So from a state's second call under that cap with the
+same V on, the state also keeps the round's one-stage frontier: at every run
+start, the least (a, delta) of its one-stage plans, V times that plan's
+latency, and the least a of the others. A call under that cap then replays
+the search's comparisons, cutoff and tie-breaks over those few plans, with
+no partition search. It hands the call back to the search when no run start
+has a one-stage plan (the search names the error), and when the rounding of
+a + q may tie the winner with another plan of its run start, where delta
+would decide. A call whose cap allows two or more stages always searches: a
+frontier over those counts would trade the search's prunes for a full scan
+of every run start, and no multi-sweep workload of the benchmark has such
+a cap. A solver called once per round, as in a one-sweep round, never builds
+the frontier.
 """
 
 from __future__ import annotations
@@ -251,12 +255,10 @@ def optimal_partition(
     hops = env.hop_s[n]
 
     best = None  # (objective, S, delta)
-    for j in range(n_dev):
-        if caps[j] >= l_blocks:
-            obj = v_factor * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m) + queue_sum
-            key = (obj, 1, tuple(l_blocks if k == j else 0 for k in range(n_dev)))
-            if obj <= cutoff and (best is None or key < best):
-                best = key
+    for a, delta in _one_stage_plans(m, caps, cfg, env, n, v_factor):
+        key = (a + queue_sum, 1, delta)
+        if key[0] <= cutoff and (best is None or key < best):
+            best = key
 
     # plans of two or more stages are scanned only when their floor reaches
     # the best one-stage plan or, while there is none, the cutoff
@@ -289,6 +291,19 @@ def optimal_partition(
         return None
     _, s, found = best
     return found, s
+
+
+def _one_stage_plans(m: int, caps: list[int], cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float):
+    """(a, delta) of every plan at run start m that puts all L blocks on one
+    device whose cap in ``caps`` holds them; a = V * its latency, the plan's
+    objective less the queue sum."""
+    l_blocks = cfg.model.n_blocks
+    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+    for j, cap in enumerate(caps):
+        if cap >= l_blocks:
+            t = l_blocks * work / env.speed[n][j]
+            a = v_factor * pipeline_latency_from_times([t], [env.hop_s[n][j]], m)
+            yield a, tuple(l_blocks if k == j else 0 for k in range(len(caps)))
 
 
 def _fewest_cover(blocks: int, caps: list[int]) -> float:
@@ -425,139 +440,52 @@ def _checked_plan(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundE
     return plan
 
 
-def _run_start_frontier(state: ClusterRound, m: int, v_factor: float, cap: int) -> tuple:
-    """The plans at run start m that ``optimal_partition`` can return at a
-    queue sum q >= 0 and a balance cap s_cap <= cap, for the state's cluster.
+def _one_stage_frontier(state: ClusterRound, v_factor: float) -> tuple:
+    """The plans ``optimal_partition`` can return under a balance cap of one
+    stage, for the state's cluster: at every run start m with a one-stage
+    plan, an entry (m, a, rest, delta, lat).
 
-    Every candidate of ``optimal_partition`` has a segment count S and a
-    queue-free part a (V*m*t for one stage, V*((S+m-1)*u - hop_j) for a
-    bottleneck pair), and is priced a + S*q. Per S the least (a, delta) is
-    kept; a plan whose a is not below that of every plan with fewer stages
-    can never win at q >= 0, so only the rest is returned, ascending in S and
-    strictly descending in a, as entries (S, a, rest, delta, lat):
-
-    - rest is a lower bound on the a of every other plan of S stages whose a
-      is above the entry's, so that a caller can tell when the rounding of
-      a + S*q might tie one of them with the entry (delta breaks such ties);
-    - lat is V * the entry's pipeline latency, which ``cluster_objective``
-      adds S*q to.
-
-    The bottleneck pairs are scanned in ascending u until the pair bound of
-    ``optimal_partition`` at S = 2, which grows with S, lies above the best
-    plan of one or two stages: no later pair can enter the frontier or tie
-    an entry, and the bound at that u caps each rest.
-
-    Returns (need, entries): need is the fewest stages the caps at m can
-    hold the blocks on, inf when they cannot, and the entries are empty when
-    need exceeds cap.
+    Each one-stage plan is priced a + q by the search, with a its queue-free
+    part ``_one_stage_plans`` gives. The entry holds the least (a, delta),
+    the search's winner among them at any q; rest is the least a of the other
+    one-stage plans above it (inf when there is none), so that a caller can
+    tell when the rounding of a + q might tie one of them with the entry,
+    where delta would decide; lat is V * the entry's pipeline latency, which
+    ``cluster_objective`` adds q to. A run start without a one-stage plan has
+    no entry: under that cap the search raises there.
     """
     cfg, env, n = state.cfg, state.env, state.n
-    try:
-        caps, need = state.memo(("caps", m), _cap_cover, m, cfg, env, n, state.mem_caps)
-    except InfeasibleError:
-        return math.inf, ()
-    if need > cap:
-        return need, ()
-    l_blocks = cfg.model.n_blocks
-    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
-    speeds, hops = env.speed[n], env.hop_s[n]
-    best: dict[int, tuple[float, tuple[int, ...]]] = {}  # S -> least (a, delta)
-    rest: dict[int, float] = {}
-
-    def offer(s: int, a: float, delta) -> None:
-        # delta is a callable, so that only a plan that is kept builds its delta
-        held = best.get(s)
-        if held is None or a < held[0]:
-            if held is not None:
-                rest[s] = held[0]
-            best[s] = a, delta()
-        elif a == held[0]:
-            best[s] = min(held, (a, delta()))
-        elif a < rest.get(s, math.inf):
-            rest[s] = a
-
-    for j, cap_j in enumerate(caps):
-        if cap_j >= l_blocks:
-            a = v_factor * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m)
-            offer(1, a, lambda: tuple(l_blocks if k == j else 0 for k in range(len(caps))))
-
-    if cap >= 2:
-        occ, pairs = state.memo(("pairs", m), _bottleneck_pairs, caps, work, speeds, hops, l_blocks)
-        hop_max = max(hops)
-
-        def lower(s: int, u: float) -> float:
-            return v_factor * max((s + m - 1) * u - hop_max, (s + m - 2) * u) * (1 - 1e-12)
-
-        for u, j, d in pairs:
-            # later pairs of S stages have a >= lower(S, u) >= lower(2, u); past
-            # the best plan of one or two stages they can only bound rest
-            if lower(2, u) > min([best[s][0] for s in (1, 2) if s in best], default=math.inf):
-                for s in range(2, cap + 1):
-                    rest[s] = min(rest.get(s, math.inf), lower(s, u))
-                break
-            # caps_u, s, a and delta are the floats and tuples optimal_partition builds
-            caps_u = [bisect_left(o, u) for o in occ[:j]] + [0] + [bisect_right(o, u) for o in occ[j + 1 :]]
-            s = 1 + _fewest_cover(l_blocks - d, caps_u)
-            if s <= cap:
-                offer(s, v_factor * ((s + m - 1) * u - hops[j]), lambda: _lexmin_cover(l_blocks - d, s - 1, caps_u, j, d))
-
-    entries = []
-    for s in sorted(best):
-        a, delta = best[s]
-        if not entries or a < entries[-1][1]:
-            lat = cluster_objective(delta, m, cfg, env, n, v_factor, 0.0)
-            entries.append((s, a, rest.get(s, math.inf), delta, lat))
-    return need, tuple(entries)
+    runs = []
+    for m in _micro_batch_run_starts(cfg.model.batch_items):
+        try:
+            caps, _ = state.memo(("caps", m), _cap_cover, m, cfg, env, n, state.mem_caps)
+        except InfeasibleError:
+            continue
+        plans = sorted(_one_stage_plans(m, caps, cfg, env, n, v_factor))
+        if plans:
+            a, delta = plans[0]
+            rest = next((other for other, _ in plans if other > a), math.inf)
+            runs.append((m, a, rest, delta, cluster_objective(delta, m, cfg, env, n, v_factor, 0.0)))
+    return tuple(runs)
 
 
-def _segment_frontier(state: ClusterRound, v_factor: float, enforce_balance: bool):
-    """The state's cluster's segment frontier for the round: the balance cap
-    at the head's P_max, and ``_run_start_frontier`` at every run start up to
-    that cap, as (m, need, entries). The cap is 0, and every call searches,
-    when it is unreachable at P_max.
+def _frontier_key(runs: tuple, queue_sum: float):
+    """The search's best key (objective, S, delta, m) under a balance cap of
+    one stage, replayed from ``_one_stage_frontier``'s runs with the search's
+    comparisons and cutoff in ascending m.
 
-    P_max gives the largest cap a call can pass without the frontier: the
-    interference error falls as the power rises, so the cap rises with it.
-    """
-    cfg, env, n = state.cfg, state.env, state.n
-    p_max = cfg.clusters[n].uplink_power_max_w
-    try:
-        cap = state.memo(("s_cap", p_max, enforce_balance), _segment_cap, cfg, env, n, p_max, enforce_balance)
-    except InfeasibleError:
-        return 0, ()
-    starts = _micro_batch_run_starts(cfg.model.batch_items)
-    return cap, tuple((m, *_run_start_frontier(state, m, v_factor, cap)) for m in starts)
-
-
-def _frontier_key(runs: tuple, queue_sum: float, s_cap: int):
-    """The search's best key (objective, S, delta, m) at (queue_sum >= 0,
-    s_cap), replayed from a frontier's runs with the search's comparisons
-    and cutoff.
-
-    None when only the search can answer: when the rounding of a + S*q may
-    tie the winning entry with a plan of its S that the frontier does not
-    hold, or when no run start has a plan, so that the search raises the
-    error it names.
+    None when the rounding of a + q may tie a run start's winner with another
+    of its one-stage plans: delta would decide, and only the search holds
+    every delta.
     """
     best_key = None
-    for m, need, entries in runs:
-        if need > s_cap:
-            continue  # the search's error here is ignored once a plan exists
-        win = None
-        for entry in entries:
-            if entry[0] > s_cap:
-                break
-            obj = entry[1] + entry[0] * queue_sum
-            if win is None or obj < win[0]:
-                win = obj, entry
-        if win is None:
-            continue
-        obj, (s, _, rest, delta, lat) = win
+    for m, a, rest, delta, lat in runs:
+        obj = a + queue_sum
         if best_key is not None and obj > best_key[0]:
             continue  # above the search's cutoff
-        if rest + s * queue_sum <= obj:
+        if rest + queue_sum <= obj:
             return None
-        key = (lat + s * queue_sum, s, delta, m)
+        key = (lat + queue_sum, 1, delta, m)
         if best_key is None or key < best_key:
             best_key = key
     return best_key
@@ -596,23 +524,22 @@ def schedule_segments(
     caps and bottleneck candidates, the bound's round-constant parts and the
     check of each final plan. Without it a fresh one is built.
 
-    From the state's second call with the same (v_factor, enforce_balance)
-    on, the state's segment frontier (``_segment_frontier``, built on that
-    call) answers instead of the search whenever the queue sum is at least 0
-    and the balance cap at most the cap at P_max, with the search's plan;
-    ``_frontier_key`` says when it falls back to the search.
+    From the state's second call under a balance cap of one stage with the
+    same v_factor on, the state's one-stage frontier (``_one_stage_frontier``,
+    built on that call) answers such calls instead of the search, with the
+    search's plan; ``_frontier_key`` says when it hands a call back. Calls
+    under a larger cap always search.
     """
     if state is None:
         state = ClusterRound(cfg, env, n)
     queue_sum = sum(queues)
-    solve = ("frontier", v_factor, enforce_balance)
-    repeated = state.repeated(solve)
     s_cap = state.memo(("s_cap", cu_power_w, enforce_balance), _segment_cap, cfg, env, n, cu_power_w, enforce_balance)
     best_key = None
-    if repeated and queue_sum >= 0:
-        frontier = state.memo(solve, _segment_frontier, state, v_factor, enforce_balance)
-        if s_cap <= frontier[0]:
-            best_key = _frontier_key(frontier[1], queue_sum, s_cap)
+    one_stage = ("one-stage", v_factor)
+    if s_cap == 1 and state.repeated(one_stage):
+        runs = state.memo(one_stage, _one_stage_frontier, state, v_factor)
+        if runs:
+            best_key = _frontier_key(runs, queue_sum)
     if best_key is None:
         first_error = None
         bound = None

@@ -92,15 +92,16 @@ def _capped_system(rng):
     return cfg, sample_round_environment(cfg, t)
 
 
-def test_segment_frontier_answers_equal_fresh_searches(monkeypatch):
-    # from a state's second schedule_segments call with the same (V,
-    # enforce_balance) on, the round's segment frontier answers without a
-    # partition search; every answer and error equals a fresh state's search.
-    # A queue sum of 1e18 rounds plans of one segment count to the same
-    # objective, so delta decides and the frontier hands the call back to
-    # the search; so does a power above P_max, whose balance cap can exceed
-    # the frontier's, which is the cap at P_max, a call with no plan, and a
-    # negative queue sum, under which more stages can cost less
+def test_one_stage_frontier_answers_equal_fresh_searches(monkeypatch):
+    # from a state's second schedule_segments call under a balance cap of one
+    # stage with the same V on, the round's one-stage frontier answers such
+    # calls without a partition search; every answer and error equals a fresh
+    # state's search. The frontier hands a call back to the search only on a
+    # possible rounding tie, which a queue sum of 1e12 or 1e18 brings about
+    # between one-stage plans of one run start, and a call has it always
+    # found a plan. A power above P_max, or enforce_balance=False, lifts the
+    # cap above one stage, and such calls search even once the frontier is
+    # built
     replayed, searches = [], []
     frontier_key, partition = seg_solver._frontier_key, seg_solver.optimal_partition
 
@@ -115,40 +116,46 @@ def test_segment_frontier_answers_equal_fresh_searches(monkeypatch):
     monkeypatch.setattr(seg_solver, "_frontier_key", recorded)
     monkeypatch.setattr(seg_solver, "optimal_partition", counted)
     rng = np.random.default_rng(16)
-    answered = ties = beyond_cap = wider = 0
+    answered = ties = no_plan = beyond_cap = wider = 0
     for i in range(240):
         if i % 3:
+            cfg, env = _capped_system(rng)
+        else:
             cfg = _strained_system(rng)
             env = sample_round_environment(cfg, int(rng.integers(1, 5)))
-        else:
-            cfg, env = _capped_system(rng)
         p_max = cfg.clusters[0].uplink_power_max_w
-        cap_at_p_max = _outcome(seg_solver._segment_cap, cfg, env, 0, p_max, True)
         v_factors = (cfg.convergence.v_factor, float(rng.choice([0.01, 1.0, 10.0])))
         state = ClusterRound(cfg, env, 0)
-        seen = set()
+        one_stage_calls = {v: 0 for v in v_factors}
         for _ in range(24):
             q = float(rng.choice([0.0, 1e-9, 1e-3, 1.0, 50.0, 1e12, 1e18, -1.0]))
             power = p_max * float(rng.choice([0.3, 1.0, 3.0, 100.0]))
             enforce = bool(rng.uniform() < 0.8)
             v = v_factors[int(rng.integers(0, 2))]
             args = (cfg, env, 0, (q,), v, power, enforce)
+            cap = _outcome(seg_solver._segment_cap, cfg, env, 0, power, enforce)
             n_replayed, n_searches = len(replayed), len(searches)
             shared = _outcome(schedule_segments, *args, state=state)
             replays, searched = replayed[n_replayed:], len(searches) > n_searches
             assert shared == _outcome(schedule_segments, *args)
-            if (v, enforce) in seen:
-                if replays == [None]:  # a possible tie, or no plan and the search's error
+            if cap != 1:
+                assert not replays
+                if one_stage_calls[v] > 1 and isinstance(cap, int):  # past the frontier's build
                     assert searched
-                    ties += not isinstance(shared, tuple)
-                elif replays:
+                    beyond_cap += power > p_max
+                    wider += not isinstance(shared, tuple) and shared.n_segments > 1
+                continue
+            if one_stage_calls[v] and not seg_solver._one_stage_frontier(ClusterRound(cfg, env, 0), v):
+                no_plan += 1  # no run start has a one-stage plan: the search names the error
+                assert not replays and isinstance(shared, tuple)
+            elif one_stage_calls[v]:
+                assert len(replays) == 1
+                if replays[0] is None:
+                    ties += 1
+                    assert searched and not isinstance(shared, tuple)
+                else:
                     answered += 1
                     assert not searched
-                elif searched and q >= 0:
-                    beyond_cap += 1
-                    assert power > p_max
-                    if isinstance(cap_at_p_max, int) and not isinstance(shared, tuple):
-                        wider += shared.n_segments > cap_at_p_max
-            seen.add((v, enforce))
-    assert answered > 1000
-    assert ties > 0 and beyond_cap > 0 and wider > 0
+            one_stage_calls[v] += 1
+    assert answered > 500
+    assert ties > 0 and no_plan > 0 and beyond_cap > 0 and wider > 0
