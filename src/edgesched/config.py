@@ -6,7 +6,10 @@ as linear power gains (configs give dB), noise density in W/Hz. Device compute
 speed is the product ``flops_per_cycle * clock_hz`` in FLOPs/s; the product is
 the contract, the two factors are reported separately only for configuration.
 Each round's speeds and D2D hop times are computed once, in
-``sample_round_environment``.
+``sample_round_environment``. What does not change between rounds is taken
+from the config: the layout of the round's draws, and the D2D gains and hop
+times of a cluster whose D2D channel is fixed (both its intervals
+degenerate), each computed on a config's first draw.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .comm import device_d2d_delay
-from .errors import ConfigError
+from .errors import ConfigError, StalledLinkError
 
 SEED_ENV_VAR = "EDGESCHED_SEED"
 
@@ -61,11 +65,6 @@ class Interval:
 
     lo: float
     hi: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.lo == self.hi:
-            return self.lo
-        return float(rng.uniform(self.lo, self.hi))
 
     @property
     def mid(self) -> float:
@@ -119,7 +118,7 @@ class DeviceProfile:
     energy_budget_j: float  # E_k^max per round
     kappa: float  # switched-capacitance scale: E_compute = kappa * cycles * f^2
 
-    @property
+    @cached_property
     def block_cap(self) -> int:
         """Most encoder blocks the memory budget can hold."""
         return int(self.mem_budget_bytes // self.mem_per_block_bytes)
@@ -176,6 +175,38 @@ class SystemConfig:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
+    @cached_property
+    def _draw_layout(self) -> tuple[tuple[float, ...], tuple[tuple[int, float, float], ...]]:
+        """A round's intervals in draw order: each one's lower end, and the
+        (position, lo, hi - lo) of each non-degenerate one, which takes a draw."""
+        intervals = []
+        for cl in self.clusters:
+            intervals += [cl.uplink_gain_db, cl.uplink_interference_w, cl.d2d_interference_w]
+            for dev in cl.devices:
+                intervals += [dev.clock_range_hz, cl.d2d_gain_db]
+        drawn = tuple((i, iv.lo, iv.hi - iv.lo) for i, iv in enumerate(intervals) if iv.lo != iv.hi)
+        return tuple(iv.lo for iv in intervals), drawn
+
+    @cached_property
+    def _fixed_d2d(self) -> tuple[tuple[tuple[float, ...], tuple[float, ...]] | None, ...]:
+        """Per cluster whose D2D gain and interference are both degenerate, its
+        devices' linear D2D gains and hop times, the same in every round; None
+        for the others. A fixed link whose hop raises StalledLinkError is None
+        too, so that every round raises the error again in cluster order."""
+        fixed = []
+        for n, cl in enumerate(self.clusters):
+            gain_db, intf = cl.d2d_gain_db, cl.d2d_interference_w
+            entry = None
+            if gain_db.lo == gain_db.hi and intf.lo == intf.hi:
+                gain = db_to_linear(gain_db.lo)
+                try:
+                    hops = tuple(device_d2d_delay(self, n, k, gain, intf.lo) for k in range(cl.n_devices))
+                    entry = ((gain,) * cl.n_devices, hops)
+                except StalledLinkError:
+                    pass
+            fixed.append(entry)
+        return tuple(fixed)
+
 
 @dataclass(frozen=True)
 class RoundEnvironment:
@@ -204,12 +235,21 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
     linear; clocks and interference are drawn uniformly on their W/Hz intervals.
     The draw order (clusters in config order; per cluster: uplink gain, uplink
     interference, d2d interference, then per device: clock, d2d gain) is part of
-    the determinism contract. Each device's speed and hop time are then derived
-    from its draws; a D2D link with zero rate raises StalledLinkError.
+    the determinism contract. A degenerate interval (lo == hi) is its point
+    value and takes no draw; the k others take the k values of one
+    ``rng.random(k)`` call, in that order, each scaled as numpy's
+    ``uniform(lo, hi)`` scales its draw, lo + (hi - lo) * u. Each device's speed
+    and hop time are then derived from its draws; a D2D link with zero rate
+    raises StalledLinkError. A cluster whose D2D channel is fixed takes its
+    gains and hop times from the config, where they are computed once.
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     rng = np.random.default_rng([cfg.rng_seed, t])
+    points, drawn = cfg._draw_layout
+    values = list(points)
+    for (i, lo, span), u in zip(drawn, rng.random(len(drawn)).tolist()):
+        values[i] = lo + span * u
     up_gain = []
     up_intf = []
     dd_intf = []
@@ -217,19 +257,23 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
     dd_gain = []
     speeds = []
     hops = []
-    for n, cl in enumerate(cfg.clusters):
-        up_gain.append(db_to_linear(cl.uplink_gain_db.sample(rng)))
-        up_intf.append(cl.uplink_interference_w.sample(rng))
-        dd_intf.append(cl.d2d_interference_w.sample(rng))
-        cl_clocks = []
-        cl_gain = []
-        for dev in cl.devices:
-            cl_clocks.append(dev.clock_range_hz.sample(rng))
-            cl_gain.append(db_to_linear(cl.d2d_gain_db.sample(rng)))
-        clocks.append(tuple(cl_clocks))
-        dd_gain.append(tuple(cl_gain))
+    at = 0  # a cluster's values: uplink gain, the two interferences, then (clock, d2d gain) per device
+    for n, (cl, fixed) in enumerate(zip(cfg.clusters, cfg._fixed_d2d)):
+        end = at + 3 + 2 * cl.n_devices
+        up_gain.append(db_to_linear(values[at]))
+        up_intf.append(values[at + 1])
+        dd_intf.append(values[at + 2])
+        cl_clocks = tuple(values[at + 3 : end : 2])
+        if fixed is None:
+            cl_gain = tuple(db_to_linear(g) for g in values[at + 4 : end : 2])
+            cl_hops = tuple(device_d2d_delay(cfg, n, k, g, dd_intf[n]) for k, g in enumerate(cl_gain))
+        else:
+            cl_gain, cl_hops = fixed
+        clocks.append(cl_clocks)
+        dd_gain.append(cl_gain)
         speeds.append(tuple(dev.flops_per_cycle * f for dev, f in zip(cl.devices, cl_clocks)))
-        hops.append(tuple(device_d2d_delay(cfg, n, k, g, dd_intf[n]) for k, g in enumerate(cl_gain)))
+        hops.append(cl_hops)
+        at = end
     return RoundEnvironment(
         round_index=t,
         uplink_gain=tuple(up_gain),
@@ -312,6 +356,8 @@ def _as_interval(value, where: str) -> Interval:
         lo, hi = _finite(value[0], where), _finite(value[1], where)
         if lo > hi:
             raise ConfigError(where, f"interval lower bound {lo} exceeds upper bound {hi}")
+        if not math.isfinite(hi - lo):  # a draw is lo + (hi - lo) * u
+            raise ConfigError(where, f"must be finite in width, got [{lo}, {hi}]")
         return Interval(lo, hi)
     raise ConfigError(where, "expected a number or a [lo, hi] pair")
 

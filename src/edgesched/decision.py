@@ -23,13 +23,17 @@ class SchedulingDecision:
         return tuple(p.n_segments for p in self.plans)
 
 
-def validate_decision(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> tuple[float, ...]:
+def validate_decision(
+    decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Assert the structural and resource constraints of an emitted decision.
 
     Covers block conservation, segment counts, matching structure, power
     boxes, memory, and the per-round energy budgets for heads and devices.
-    Raises InfeasibleError naming the violated constraint. Returns each
-    cluster's upload energy, which the C8 check computes, for the evaluator.
+    Raises InfeasibleError naming the violated constraint. Returns, for the
+    evaluator, what the energy checks compute: each cluster's upload energy
+    (C8), and each cluster's training energy 2m * sum of its scheduled
+    devices' energies (C9), summed as ``pipeline_energy`` sums it.
     """
     n_clusters = cfg.n_clusters
     if len(decision.plans) != n_clusters or len(decision.powers_w) != n_clusters:
@@ -37,6 +41,7 @@ def validate_decision(decision: SchedulingDecision, cfg: SystemConfig, env: Roun
     if decision.assignment.n_clusters != n_clusters or decision.assignment.n_channels != cfg.n_channels:
         raise InfeasibleError("C3", "assignment shape does not match the system")
     e_com = []
+    e_pipe = []
     for n, plan in enumerate(decision.plans):
         plan.validate(cfg.clusters[n], cfg.model)  # C1, C2, C7
         p = decision.powers_w[n]
@@ -46,8 +51,11 @@ def validate_decision(decision: SchedulingDecision, cfg: SystemConfig, env: Roun
         if e_up > cfg.clusters[n].uplink_energy_budget_j * (1 + 1e-9):
             raise InfeasibleError("C8", f"cluster {n} upload energy {e_up} J exceeds budget")
         e_com.append(e_up)
+        total = 0.0
         for k in plan.scheduled:
             e_k = device_energy(plan.delta[k], plan.m, cfg, env, n, k)
             if e_k > cfg.clusters[n].devices[k].energy_budget_j * (1 + 1e-9):
                 raise InfeasibleError("C9", f"cluster {n} device {k} energy {e_k} J exceeds budget")
-    return tuple(e_com)
+            total += e_k
+        e_pipe.append(2 * plan.m * total)
+    return tuple(e_com), tuple(e_pipe)

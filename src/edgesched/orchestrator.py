@@ -20,7 +20,7 @@ from .convergence import RunningGapBound, gamma_round_from_error, interference_e
 from .decision import SchedulingDecision, validate_decision
 from .errors import InfeasibleError, SimulationAborted
 from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update, round_delay
-from .pipeline import SegmentPlan, pipeline_energy, pipeline_latency
+from .pipeline import SegmentPlan, pipeline_latency
 from .res_solver import _ranked_assignment, allocate_resources
 from .round_state import cluster_rounds
 from .seg_solver import optimal_micro_batches, schedule_segments
@@ -374,15 +374,16 @@ def evaluate_round(
     queues: tuple[float, ...],
     bound: RunningGapBound,
     e_com: tuple[float, ...],
+    e_pipe: tuple[float, ...],
 ) -> tuple[RoundMetrics, tuple[float, ...]]:
     """Evaluate a validated decision and apply the single real queue update.
 
-    ``e_com`` holds each cluster's upload energy, as ``validate_decision`` returns it.
+    ``e_com`` and ``e_pipe`` hold each cluster's upload and training energy,
+    as ``validate_decision`` returns them.
     """
     n_clusters = cfg.n_clusters
     pipes, ups = delay_terms(decision, cfg, env)
     tau = max(cluster_delays(pipes, ups))
-    e_pipe = tuple(pipeline_energy(decision.plans[n], cfg, env, n) for n in range(n_clusters))
     e_sch = tuple(
         sum(cfg.clusters[n].devices[k].d2d_power_w * env.hop_s[n][k] for k in decision.plans[n].scheduled)
         for n in range(n_clusters)
@@ -437,7 +438,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 decision = optimize_round(cfg, env, queues, cfg.convergence.v_factor)
             else:
                 decision = baseline_decision(policy, cfg, env, queues, t, prev_totals)
-            e_com = validate_decision(decision, cfg, env)
+            e_com, e_pipe = validate_decision(decision, cfg, env)
         except InfeasibleError as exc:
             last_error = exc
             consecutive_failures += 1
@@ -448,7 +449,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 ) from exc
             continue
         consecutive_failures = 0
-        metrics, queues = evaluate_round(decision, cfg, env, queues, bound, e_com)
+        metrics, queues = evaluate_round(decision, cfg, env, queues, bound, e_com, e_pipe)
         prev_totals = cluster_delays(metrics.tau_pipe_s, metrics.tau_up_s)
         trace.rounds.append(metrics)
     if rounds and not trace.rounds:

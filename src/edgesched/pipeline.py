@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .config import ClusterProfile, DeviceProfile, ModelSpec, RoundEnvironment, SystemConfig
@@ -34,11 +35,11 @@ class SegmentPlan:
     delta: tuple[int, ...]
     m: int
 
-    @property
+    @cached_property
     def n_segments(self) -> int:
-        return sum(1 for d in self.delta if d > 0)
+        return len(self.scheduled)
 
-    @property
+    @cached_property
     def scheduled(self) -> tuple[int, ...]:
         return tuple(k for k, d in enumerate(self.delta) if d > 0)
 

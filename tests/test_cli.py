@@ -108,8 +108,23 @@ def _set(doc, path, value):
         (("clusters", 0, "devices", 0, "f_hz"), [1e8, math.inf], "lyapunov"),
         (("loss_proxy", "scale"), math.nan, "loss"),
         (("model", "b"), 10**400, "lyapunov"),  # an integer no float can hold
+        # finite ends, but a draw lo + (hi - lo) * u would overflow
+        (("clusters", 0, "h_up_db"), [-1e308, 1e308], "random"),
+        (("clusters", 0, "h_dd_db"), [-1e308, 1e308], "random"),
     ],
-    ids=["gamma_max_bound", "E_k_max_j", "gamma_max_bytes", "B_up_hz", "B_up_hz-loss", "h_up_db", "f_hz", "scale", "b"],
+    ids=[
+        "gamma_max_bound",
+        "E_k_max_j",
+        "gamma_max_bytes",
+        "B_up_hz",
+        "B_up_hz-loss",
+        "h_up_db",
+        "f_hz",
+        "scale",
+        "b",
+        "h_up_db-width",
+        "h_dd_db-width",
+    ],
 )
 def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, path, value, policy):
     with open(TABLE2, encoding="utf-8") as fh:

@@ -1,14 +1,17 @@
 import copy
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from edgesched.comm import device_d2d_delay
 from edgesched.config import (
     MAX_BATCH_ITEMS,
     MAX_BLOCKS,
     Interval,
+    RoundEnvironment,
     build_config,
     db_to_linear,
     dbm_per_hz_to_w_per_hz,
@@ -167,6 +170,80 @@ def test_gain_sampling_matches_analytic_mean():
     draws = [sample_round_environment(cfg, t).uplink_gain[0] for t in range(1, 5001)]
     analytic = (10 ** (b / 10) - 10 ** (a / 10)) * 10.0 / ((b - a) * math.log(10.0))
     assert abs(np.mean(draws) - analytic) / analytic < 0.01
+
+
+def _scalar_draw(cfg, t):
+    """The round-t environment with one scalar ``rng.uniform`` per non-degenerate interval."""
+    rng = np.random.default_rng([cfg.rng_seed, t])
+
+    def draw(iv):
+        return iv.lo if iv.lo == iv.hi else float(rng.uniform(iv.lo, iv.hi))
+
+    up_gain, up_intf, dd_intf, clocks, dd_gain = [], [], [], [], []
+    for cl in cfg.clusters:
+        up_gain.append(db_to_linear(draw(cl.uplink_gain_db)))
+        up_intf.append(draw(cl.uplink_interference_w))
+        dd_intf.append(draw(cl.d2d_interference_w))
+        pairs = [(draw(dev.clock_range_hz), db_to_linear(draw(cl.d2d_gain_db))) for dev in cl.devices]
+        clocks.append(tuple(f for f, _ in pairs))
+        dd_gain.append(tuple(g for _, g in pairs))
+    return RoundEnvironment(
+        round_index=t,
+        uplink_gain=tuple(up_gain),
+        uplink_interference_w=tuple(up_intf),
+        d2d_interference_w=tuple(dd_intf),
+        clock_hz=tuple(clocks),
+        d2d_gain=tuple(dd_gain),
+        speed=tuple(
+            tuple(dev.flops_per_cycle * f for dev, f in zip(cl.devices, fs)) for cl, fs in zip(cfg.clusters, clocks)
+        ),
+        hop_s=tuple(
+            tuple(device_d2d_delay(cfg, n, k, g, dd_intf[n]) for k, g in enumerate(gains))
+            for n, gains in enumerate(dd_gain)
+        ),
+    )
+
+
+def _mixed_intervals_doc(rng):
+    """Clusters whose every interval is, at random, a point or a [lo, hi] pair."""
+
+    def pick(lo, hi):
+        a, b = sorted(float(x) for x in rng.uniform(lo, hi, size=2))
+        return a if rng.random() < 0.4 else [a, b]
+
+    clusters = []
+    for _ in range(int(rng.integers(1, 4))):
+        devices = [{"f_hz": pick(1e8, 8e8)} for _ in range(int(rng.integers(1, 5)))]
+        clusters.append(
+            {
+                "devices": devices,
+                "h_up_db": pick(-3.0, 3.0),
+                "h_dd_db": pick(-35.0, -25.0),
+                "I_up_w": pick(0.0, 0.1),
+                "I_dd_w": pick(0.0, 1e-9),
+            }
+        )
+    return {"rng_seed": int(rng.integers(0, 10**6)), "J": len(clusters), "clusters": clusters}
+
+
+def test_environment_equals_the_scalar_draw_on_mixed_intervals():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        cfg = build_config(_mixed_intervals_doc(rng))
+        for t in (1, 2, 7, 59):
+            assert sample_round_environment(cfg, t) == _scalar_draw(cfg, t)
+
+
+def test_replaced_config_draws_from_its_own_intervals(table2_cfg):
+    sample_round_environment(table2_cfg, 4)  # the original's layout and fixed hops are built
+    changed = dataclasses.replace(
+        table2_cfg.clusters[0],
+        uplink_gain_db=Interval(-2.0, 2.0),
+        d2d_gain_db=Interval(-20.0, -20.0),  # still fixed, at another gain
+    )
+    cfg = dataclasses.replace(table2_cfg, clusters=(changed,) + table2_cfg.clusters[1:])
+    for t in (1, 4):
+        assert sample_round_environment(cfg, t) == _scalar_draw(cfg, t)
 
 
 def test_environment_fields_within_ranges(table2_cfg):

@@ -239,10 +239,29 @@ def _count_calls(monkeypatch, original) -> list:
 
 
 @pytest.mark.parametrize("policy", ["lyapunov", "loss"])
-def test_hop_times_computed_once_per_device_and_round(table2_cfg, policy, monkeypatch):
+def test_hop_times_computed_once_per_device_and_round(policy, monkeypatch):
+    # fresh configs: a config keeps the hop times of a fixed D2D channel once
+    # computed. table2 has 18 devices, and its D2D channels are fixed, so the
+    # hops are computed once per device and config; with a drawn D2D gain they
+    # are computed once per device and round
     calls = _count_calls(monkeypatch, comm.device_d2d_delay)
-    run_simulation(table2_cfg, 6, policy)
-    assert len(calls) == 6 * 18  # table2 has 18 devices
+    run_simulation(load_config(TABLE2), 6, policy)
+    assert len(calls) == 18
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for cluster in doc["clusters"]:
+        cluster["h_dd_db"] = [-31.0, -29.0]
+    calls.clear()
+    run_simulation(build_config(doc), 6, policy)
+    assert len(calls) == 6 * 18
+
+
+def test_device_energy_evaluated_once_per_scheduled_device_and_round(table2_cfg, monkeypatch):
+    # the validator's C9 check computes it and the evaluator reuses the sums
+    calls = _count_calls(monkeypatch, pipeline.device_energy)
+    trace = run_simulation(table2_cfg, 6, "loss")
+    assert len(trace.rounds) == 6
+    assert len(calls) == sum(sum(r.n_segments) for r in trace.rounds)
 
 
 def test_round_evaluated_once_per_cluster(table2_cfg, monkeypatch):
