@@ -120,8 +120,8 @@ class DeviceProfile:
 
     @cached_property
     def block_cap(self) -> int:
-        """Most encoder blocks the memory budget can hold."""
-        return int(self.mem_budget_bytes // self.mem_per_block_bytes)
+        """Most encoder blocks the memory budget can hold, at most ``MAX_BLOCKS``."""
+        return int(min(self.mem_budget_bytes // self.mem_per_block_bytes, MAX_BLOCKS))
 
 
 @dataclass(frozen=True)
@@ -362,6 +362,14 @@ def _as_interval(value, where: str) -> Interval:
     raise ConfigError(where, "expected a number or a [lo, hi] pair")
 
 
+def _from_db(convert, db: float, where: str) -> float:
+    """``convert(db)``, a config error where the linear value overflows."""
+    try:
+        return convert(db)
+    except OverflowError:
+        raise ConfigError(where, f"must be finite as a linear value, got {db} dB")
+
+
 def _num(raw: dict, key: str, where: str, defaults: dict | None = None) -> float:
     if key in raw:
         value = raw[key]
@@ -427,6 +435,8 @@ def _parse_cluster(raw: dict, where: str) -> ClusterProfile:
     b_dd = _require_positive(_num(raw, "B_dd_hz", where, _CLUSTER_DEFAULTS), f"{where}.B_dd_hz")
     h_up = _as_interval(raw.get("h_up_db", _CLUSTER_DEFAULTS["h_up_db"]), f"{where}.h_up_db")
     h_dd = _as_interval(raw.get("h_dd_db", _CLUSTER_DEFAULTS["h_dd_db"]), f"{where}.h_dd_db")
+    for gain_db, key in ((h_up, "h_up_db"), (h_dd, "h_dd_db")):
+        _from_db(db_to_linear, gain_db.hi, f"{where}.{key}")
     i_up = _require_nonnegative_interval(
         _as_interval(raw.get("I_up_w", _CLUSTER_DEFAULTS["I_up_w"]), f"{where}.I_up_w"), f"{where}.I_up_w"
     )
@@ -535,7 +545,8 @@ def build_config(doc: dict) -> SystemConfig:
     if "N0_w_per_hz" in doc:
         n0 = _require_positive(_num(doc, "N0_w_per_hz", "<root>"), "N0_w_per_hz")
     elif "N0_dbm_per_hz" in doc:
-        n0 = dbm_per_hz_to_w_per_hz(_num(doc, "N0_dbm_per_hz", "<root>"))
+        n0 = _from_db(dbm_per_hz_to_w_per_hz, _num(doc, "N0_dbm_per_hz", "<root>"), "N0_dbm_per_hz")
+        _require_positive(n0, "N0_dbm_per_hz")  # below about -3205 dBm/Hz it underflows to 0 W/Hz
     else:
         n0 = dbm_per_hz_to_w_per_hz(-174.0)
 

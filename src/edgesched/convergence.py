@@ -81,7 +81,7 @@ def balance_error_budget(params: ConvergenceParams, n_clusters: int, n_blocks: i
 def max_segments_within_gamma(
     eps: float, params: ConvergenceParams, n_clusters: int, n_blocks: int
 ) -> int:
-    """Largest S keeping the balance bound at most gamma_max for a given eps.
+    """Largest S, at most L, keeping the balance bound at most gamma_max for a given eps.
 
     Returns 0 when no segment count qualifies (the bound cap is unreachable).
     """
@@ -92,7 +92,8 @@ def max_segments_within_gamma(
     s2 = n_blocks * slack / phi2
     if s2 < 1.0:
         return 0
-    return int(math.floor(math.sqrt(s2) * (1 + 1e-12)))
+    # at most L: no plan has more segments than blocks, and floor(inf) raises
+    return math.floor(min(math.sqrt(s2) * (1 + 1e-12), n_blocks))
 
 
 def optimality_gap_bound(

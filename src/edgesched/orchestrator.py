@@ -74,9 +74,8 @@ def optimize_round(
     power box's sub-problem, energy ceiling and balance floors. Every sweep
     passes the same states, so the sweeps after the first read them instead
     of deriving them again. Where a cluster's balance cap allows one stage,
-    its segment solves from the second sweep on are answered from the
-    round's one-stage frontier, built in that sweep, and fall back to the
-    search only where the frontier cannot replay it (see
+    its segment solves are answered from the round's table of one-stage
+    plans, built on the first of them, without a search (see
     ``schedule_segments``). A sweep is scored with ``drift_penalty_at`` of
     ``round_delay``, which takes each plan's pipeline latency from the
     state, keyed by (delta, m), so that only the uplink delays, which move

@@ -6,11 +6,10 @@ the head powers change. A ``ClusterRound`` keeps what the segment and
 resource solvers derive from (config, round environment, cluster) alone, so
 that the sweeps after the first read it instead of deriving it again. It
 holds nothing that depends on queues, powers or cutoffs; each entry is keyed
-by the arguments it depends on besides those three. Among them is the
-one-stage frontier, which the segment solver builds on its second call under
-a balance cap of one stage and answers every later such call from. A solver called
-without one builds a fresh one, and ``optimize_round`` drops its states
-when it returns.
+by the arguments it depends on besides those three. Among them is the table
+of the round's one-stage plans, which answers every segment solve under a
+balance cap of one stage. A solver called without one builds a fresh one,
+and ``optimize_round`` drops its states when it returns.
 """
 
 from __future__ import annotations
@@ -29,20 +28,12 @@ class ClusterRound:
         self.env = env
         self.n = n
         self._memo: dict = {}
-        self._seen: set = set()
 
     @cached_property
     def mem_caps(self) -> list[int]:
         """Blocks each device's memory can hold, at most L."""
         l_blocks = self.cfg.model.n_blocks
         return [min(dev.block_cap, l_blocks) for dev in self.cfg.clusters[self.n].devices]
-
-    def repeated(self, key) -> bool:
-        """False on the first call with this key, True on every later one."""
-        if key in self._seen:
-            return True
-        self._seen.add(key)
-        return False
 
     def memo(self, key, fn, *args):
         """``fn(*args)``, computed on the first call with this key.

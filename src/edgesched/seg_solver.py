@@ -42,28 +42,19 @@ per head power and the check of each final plan. The queue sum, the cutoff
 and the balance cap are applied on every call.
 
 Block-coordinate descent calls the solver once per sweep, and between sweeps
-only the queue sum q and the balance cap s_cap move. Under a cap of one
-stage the search weighs one-stage plans only, and prices each a + q, with a
-its queue-free part. So from a state's second call under that cap with the
-same V on, the state also keeps the round's one-stage frontier: at every run
-start, the least (a, delta) of its one-stage plans, V times that plan's
-latency, and the least a of the others. A call under that cap then replays
-the search's comparisons, cutoff and tie-breaks over those few plans, with
-no partition search. It hands the call back to the search when no run start
-has a one-stage plan (the search names the error), and when the rounding of
-a + q may tie the winner with another plan of its run start, where delta
-would decide. A call whose cap allows two or more stages always searches: a
-frontier over those counts would trade the search's prunes for a full scan
-of every run start, and no multi-sweep workload of the benchmark has such
-a cap. A solver called once per round, as in a one-sweep round, never builds
-the frontier.
+only the queue sum q and the balance cap move. Under a cap of one stage every
+candidate has S = 1, so the queue term S*q is the same for all of them and
+the answer is a lookup in the round's sorted table of one-stage plans. A
+call whose cap allows two or more stages always searches: a table over those
+counts would trade the search's prunes for a full scan of every run start,
+and no multi-sweep workload of the benchmark has such a cap.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, takewhile
 
 from .config import RoundEnvironment, SystemConfig
 from .convergence import interference_error, max_segments_within_gamma
@@ -160,7 +151,7 @@ def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, me
         else:
             per_block = compute_energy(work, dev, clock)
             if per_block > 0:
-                cap = min(cap, int(headroom / per_block * (1 + 1e-12)))
+                cap = int(min(cap, headroom / per_block * (1 + 1e-12)))  # int(inf) would raise
         caps.append(cap)
     return caps
 
@@ -440,55 +431,20 @@ def _checked_plan(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundE
     return plan
 
 
-def _one_stage_frontier(state: ClusterRound, v_factor: float) -> tuple:
-    """The plans ``optimal_partition`` can return under a balance cap of one
-    stage, for the state's cluster: at every run start m with a one-stage
-    plan, an entry (m, a, rest, delta, lat).
-
-    Each one-stage plan is priced a + q by the search, with a its queue-free
-    part ``_one_stage_plans`` gives. The entry holds the least (a, delta),
-    the search's winner among them at any q; rest is the least a of the other
-    one-stage plans above it (inf when there is none), so that a caller can
-    tell when the rounding of a + q might tie one of them with the entry,
-    where delta would decide; lat is V * the entry's pipeline latency, which
-    ``cluster_objective`` adds q to. A run start without a one-stage plan has
-    no entry: under that cap the search raises there.
-    """
+def _one_stage_table(state: ClusterRound, v_factor: float) -> list[tuple]:
+    """Every one-stage plan (a, delta, m) of the state's cluster over all run
+    starts, sorted, with a = V * its latency, its objective less the queue
+    sum. A run start whose caps raise has no plans: under a balance cap of
+    one stage the search raises there."""
     cfg, env, n = state.cfg, state.env, state.n
-    runs = []
+    table = []
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         try:
             caps, _ = state.memo(("caps", m), _cap_cover, m, cfg, env, n, state.mem_caps)
         except InfeasibleError:
             continue
-        plans = sorted(_one_stage_plans(m, caps, cfg, env, n, v_factor))
-        if plans:
-            a, delta = plans[0]
-            rest = next((other for other, _ in plans if other > a), math.inf)
-            runs.append((m, a, rest, delta, cluster_objective(delta, m, cfg, env, n, v_factor, 0.0)))
-    return tuple(runs)
-
-
-def _frontier_key(runs: tuple, queue_sum: float):
-    """The search's best key (objective, S, delta, m) under a balance cap of
-    one stage, replayed from ``_one_stage_frontier``'s runs with the search's
-    comparisons and cutoff in ascending m.
-
-    None when the rounding of a + q may tie a run start's winner with another
-    of its one-stage plans: delta would decide, and only the search holds
-    every delta.
-    """
-    best_key = None
-    for m, a, rest, delta, lat in runs:
-        obj = a + queue_sum
-        if best_key is not None and obj > best_key[0]:
-            continue  # above the search's cutoff
-        if rest + queue_sum <= obj:
-            return None
-        key = (lat + queue_sum, 1, delta, m)
-        if best_key is None or key < best_key:
-            best_key = key
-    return best_key
+        table += [(a, delta, m) for a, delta in _one_stage_plans(m, caps, cfg, env, n, v_factor)]
+    return sorted(table)
 
 
 def schedule_segments(
@@ -524,47 +480,47 @@ def schedule_segments(
     caps and bottleneck candidates, the bound's round-constant parts and the
     check of each final plan. Without it a fresh one is built.
 
-    From the state's second call under a balance cap of one stage with the
-    same v_factor on, the state's one-stage frontier (``_one_stage_frontier``,
-    built on that call) answers such calls instead of the search, with the
-    search's plan; ``_frontier_key`` says when it hands a call back. Calls
-    under a larger cap always search.
+    Under a balance cap of one stage, ``_one_stage_table`` (kept in the state
+    per v_factor) answers instead of the search: it prices each plan a + q
+    with the floats ``cluster_objective`` computes, so the least (a + q,
+    delta, m) is the search's own key, and as a + q does not fall as a
+    rises, the plans that tie on it are a prefix of the table. When the
+    table is empty every run start raises, and the search names the error.
     """
     if state is None:
         state = ClusterRound(cfg, env, n)
     queue_sum = sum(queues)
     s_cap = state.memo(("s_cap", cu_power_w, enforce_balance), _segment_cap, cfg, env, n, cu_power_w, enforce_balance)
+    table = state.memo(("one-stage", v_factor), _one_stage_table, state, v_factor) if s_cap == 1 else None
+    if table:
+        least = table[0][0] + queue_sum
+        _, delta, m = min(takewhile(lambda plan: plan[0] + queue_sum == least, table), key=lambda plan: plan[1:])
+        return state.memo(("plan", delta, m), _checked_plan, delta, m, cfg, env, n)
     best_key = None
-    one_stage = ("one-stage", v_factor)
-    if s_cap == 1 and state.repeated(one_stage):
-        runs = state.memo(one_stage, _one_stage_frontier, state, v_factor)
-        if runs:
-            best_key = _frontier_key(runs, queue_sum)
+    first_error = None
+    bound = None
+    for m in _micro_batch_run_starts(cfg.model.batch_items):
+        if best_key is not None:
+            # built once a plan exists, which proves memory can host the blocks
+            if bound is None:
+                bound = _run_start_bound(state, v_factor, queue_sum, s_cap)
+            if bound(m) > best_key[0]:
+                continue
+        cutoff = math.inf if best_key is None else best_key[0]
+        try:
+            found = optimal_partition(
+                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance,
+                cutoff=cutoff, s_cap=s_cap, state=state,
+            )
+        except InfeasibleError as exc:
+            first_error = first_error or exc
+            continue
+        if found is None:
+            continue
+        delta, s = found
+        key = (cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum), s, delta, m)
+        if best_key is None or key < best_key:
+            best_key = key
     if best_key is None:
-        first_error = None
-        bound = None
-        for m in _micro_batch_run_starts(cfg.model.batch_items):
-            if best_key is not None:
-                # built once a plan exists, which proves memory can host the blocks
-                if bound is None:
-                    bound = _run_start_bound(state, v_factor, queue_sum, s_cap)
-                if bound(m) > best_key[0]:
-                    continue
-            cutoff = math.inf if best_key is None else best_key[0]
-            try:
-                found = optimal_partition(
-                    m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance,
-                    cutoff=cutoff, s_cap=s_cap, state=state,
-                )
-            except InfeasibleError as exc:
-                first_error = first_error or exc
-                continue
-            if found is None:
-                continue
-            delta, s = found
-            key = (cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum), s, delta, m)
-            if best_key is None or key < best_key:
-                best_key = key
-        if best_key is None:
-            raise first_error
+        raise first_error
     return state.memo(("plan", best_key[2], best_key[3]), _checked_plan, best_key[2], best_key[3], cfg, env, n)

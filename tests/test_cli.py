@@ -111,6 +111,9 @@ def _set(doc, path, value):
         # finite ends, but a draw lo + (hi - lo) * u would overflow
         (("clusters", 0, "h_up_db"), [-1e308, 1e308], "random"),
         (("clusters", 0, "h_dd_db"), [-1e308, 1e308], "random"),
+        # finite in dB, but 10 ** (dB / 10) overflows
+        (("clusters", 0, "h_up_db"), [1e300, 1e301], "random"),
+        (("N0_dbm_per_hz",), 1e308, "lyapunov"),
     ],
     ids=[
         "gamma_max_bound",
@@ -124,6 +127,8 @@ def _set(doc, path, value):
         "b",
         "h_up_db-width",
         "h_dd_db-width",
+        "h_up_db-linear",
+        "N0_dbm_per_hz-linear",
     ],
 )
 def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, path, value, policy):
@@ -137,6 +142,40 @@ def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, path, 
     assert rc == 2
     field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
     assert capsys.readouterr().err.startswith(f"config error: {field}: must be finite")
+
+
+def test_run_noise_density_below_float_range_is_a_config_error(tmp_path, capsys):
+    # -4000 dBm/Hz underflows to 0 W/Hz, which without D2D interference would
+    # leave a hop's signal-to-noise ratio without a denominator
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["N0_dbm_per_hz"] = -4000
+    for cluster in doc["clusters"]:
+        cluster["I_dd_w"] = 0
+    config = tmp_path / "quiet.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(config), "--rounds", "2", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: N0_dbm_per_hz: must be > 0")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("clusters", 0, "devices", 0, "gamma0_bytes"), 5e-324),  # memory / gamma0 is inf
+        (("clusters", 0, "devices", 0, "E_k_max_j"), 1e308),  # energy / per-block energy is inf
+        (("convergence", "gamma_max_bound"), 1e308),  # the balance cap's S^2 is inf
+    ],
+    ids=["gamma0_bytes", "E_k_max_j", "gamma_max_bound"],
+)
+def test_run_infinite_block_or_segment_cap_runs(tmp_path, path, value):
+    # a cap whose float quotient is infinite is clamped before int(), to at
+    # most MAX_BLOCKS blocks per device and at most L segments
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _set(doc, path, value)
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(config), "--rounds", "2", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_bad_path_exits_nonzero(tmp_path, capsys):

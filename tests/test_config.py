@@ -135,6 +135,13 @@ def test_model_sizes_are_bounded(key, limit):
         assert f"[1, {limit}]" in exc.value.reason
 
 
+def test_block_cap_of_a_vanishing_block_size_is_max_blocks():
+    # gamma_max / gamma0 overflows to inf, which int() cannot take
+    doc = minimal_doc()
+    doc["clusters"][0]["devices"][0] = {"gamma0_bytes": 5e-324}
+    assert build_config(doc).clusters[0].devices[0].block_cap == MAX_BLOCKS
+
+
 def test_db_linear_roundtrip():
     for db in (-30.0, -0.12, -0.08, 0.0, 3.0, 17.5):
         lin = db_to_linear(db)

@@ -83,6 +83,8 @@ def test_max_segments_within_gamma_inverts_gamma():
     assert gamma_round_from_error(s_cap, eps, p, n, l) <= p.gamma_max * (1 + 1e-9)
     assert gamma_round_from_error(s_cap + 1, eps, p, n, l) > p.gamma_max
     assert max_segments_within_gamma(1e9, p, n, l) == 0
+    # a budget whose S^2 overflows to inf allows every segment count up to L
+    assert max_segments_within_gamma(eps, params(gamma_max=1e308), n, l) == l
 
 
 def test_gap_bound_base_case():

@@ -352,12 +352,14 @@ def _record_sweeps(monkeypatch) -> list:
     return ordinals
 
 
-def test_repeat_segment_solves_answered_from_the_frontier_on_binding(monkeypatch):
-    # 4 rounds of 20 sweeps over 6 clusters: a cluster's first segment solve
-    # of a round searches, the second builds the round's frontier, and every
-    # later one is answered from it; every plan's pipeline latency is computed
-    # once per round, not once per sweep
+def test_segment_solves_answered_from_the_one_stage_table_on_binding(monkeypatch):
+    # 4 rounds of up to 20 sweeps over 6 clusters, each under a balance cap of
+    # one stage: every segment solve of every sweep, the first included, is
+    # answered from the round's table of one-stage plans without a partition
+    # search, and every plan's pipeline latency is computed once per round,
+    # not once per sweep
     ordinals = _record_sweeps(monkeypatch)
+    solves = _count_calls(monkeypatch, orchestrator.schedule_segments)
     latencies = []
 
     def latency(plan, cfg, env, n):
@@ -367,13 +369,14 @@ def test_repeat_segment_solves_answered_from_the_frontier_on_binding(monkeypatch
     monkeypatch.setattr(orchestrator, "pipeline_latency", latency)
     trace = run_simulation(load_config(BINDING), 4, "lyapunov")
     assert len(trace.rounds) == 4
-    assert ordinals and max(ordinals) <= 2
+    assert ordinals == []
+    assert len(solves) > 4 * 6 * 2  # more than two sweeps a round
     assert 4 * 6 <= len(latencies) == len(set(latencies)) < 4 * 6 * 20
 
 
 def test_one_sweep_rounds_search_as_before_on_table2(table2_cfg, monkeypatch):
-    # table2's queues stay 0, so each round runs one sweep: every segment solve
-    # is a cluster's first of its round, and the frontier is never built
+    # table2's queues stay 0, so each round runs one sweep, and its balance cap
+    # of three stages sends every segment solve to the search
     ordinals = _record_sweeps(monkeypatch)
     run_simulation(table2_cfg, 6, "lyapunov")
     assert ordinals == [1] * 22  # the partition searches of the search alone

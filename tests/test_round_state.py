@@ -40,39 +40,6 @@ def _strained_system(rng):
     return build_config(doc)
 
 
-def test_shared_round_state_equals_fresh_calls():
-    # one ClusterRound shared by a sequence of solves, as optimize_round shares
-    # it across its sweeps, gives every plan, power and error a fresh state
-    # gives, including repeated and interleaved inputs
-    rng = np.random.default_rng(15)
-    constraints = set()
-    solved = 0
-    for _ in range(300):
-        cfg = _strained_system(rng)
-        env = sample_round_environment(cfg, int(rng.integers(1, 5)))
-        p_max = cfg.clusters[0].uplink_power_max_w
-        v = cfg.convergence.v_factor
-        powers = [p_max, float(rng.uniform(0.01, 1.0)) * p_max]
-        state = ClusterRound(cfg, env, 0)
-        for _ in range(8):
-            q = float(rng.choice([0.0, 1e-3, 1.0, 50.0]))
-            power = powers[int(rng.integers(0, 2))]
-            enforce = bool(rng.uniform() < 0.8)
-            s = int(rng.integers(1, cfg.clusters[0].n_devices + 1))
-            for fn, args in (
-                (schedule_segments, (cfg, env, 0, (q,), v, power, enforce)),
-                (power_control, (cfg, env, 0, q, v, s, enforce)),
-            ):
-                shared = _outcome(fn, *args, state=state)
-                assert shared == _outcome(fn, *args)
-                if isinstance(shared, tuple):
-                    constraints.add(shared[1])
-                else:
-                    solved += 1
-    assert {"C7", "C9'", "C11", "C11'", "C8"} <= constraints
-    assert solved > 1000
-
-
 def _capped_system(rng):
     """A random single-cluster system whose balance cap at the round's P_max
     is one stage, and rises above it at higher powers."""
@@ -92,70 +59,75 @@ def _capped_system(rng):
     return cfg, sample_round_environment(cfg, t)
 
 
-def test_one_stage_frontier_answers_equal_fresh_searches(monkeypatch):
-    # from a state's second schedule_segments call under a balance cap of one
-    # stage with the same V on, the round's one-stage frontier answers such
-    # calls without a partition search; every answer and error equals a fresh
-    # state's search. The frontier hands a call back to the search only on a
-    # possible rounding tie, which a queue sum of 1e12 or 1e18 brings about
-    # between one-stage plans of one run start, and a call has it always
-    # found a plan. A power above P_max, or enforce_balance=False, lifts the
-    # cap above one stage, and such calls search even once the frontier is
-    # built
-    replayed, searches = [], []
-    frontier_key, partition = seg_solver._frontier_key, seg_solver.optimal_partition
+def _searched(monkeypatch, *args):
+    """schedule_segments' answer from the partition search alone, on a fresh state."""
+    with monkeypatch.context() as patch:
+        patch.setattr(seg_solver, "_one_stage_table", lambda state, v_factor: [])
+        return _outcome(schedule_segments, *args)
 
-    def recorded(*args):
-        replayed.append(frontier_key(*args))
-        return replayed[-1]
+
+def test_shared_round_state_equals_fresh_calls(monkeypatch):
+    # one ClusterRound shared by a sequence of solves, as optimize_round shares
+    # it across its sweeps, gives every plan, power and error a fresh state
+    # gives, including repeated and interleaved inputs, and every segment plan
+    # and error equals the partition search's. A third of the systems have a
+    # balance cap of one stage at P_max, where the round's table of one-stage
+    # plans answers without a search; queue sums of 1e12 to 1e18 round
+    # one-stage plans of different latency to ties, and each of two V values
+    # keeps its own table. A power far above P_max, or enforce_balance=False,
+    # lifts the cap above one stage, and such calls search
+    searches = []
+    partition = seg_solver.optimal_partition
 
     def counted(*args, **kwargs):
         searches.append(args)
         return partition(*args, **kwargs)
 
-    monkeypatch.setattr(seg_solver, "_frontier_key", recorded)
     monkeypatch.setattr(seg_solver, "optimal_partition", counted)
-    rng = np.random.default_rng(16)
-    answered = ties = no_plan = beyond_cap = wider = 0
-    for i in range(240):
-        if i % 3:
+    rng = np.random.default_rng(15)
+    constraints = set()
+    solved = tabled = ties = no_plan = wider = 0
+    for i in range(300):
+        if i % 3 == 2:
             cfg, env = _capped_system(rng)
         else:
             cfg = _strained_system(rng)
             env = sample_round_environment(cfg, int(rng.integers(1, 5)))
         p_max = cfg.clusters[0].uplink_power_max_w
         v_factors = (cfg.convergence.v_factor, float(rng.choice([0.01, 1.0, 10.0])))
+        powers = [p_max, float(rng.uniform(0.01, 1.0)) * p_max, 100.0 * p_max]
         state = ClusterRound(cfg, env, 0)
-        one_stage_calls = {v: 0 for v in v_factors}
-        for _ in range(24):
-            q = float(rng.choice([0.0, 1e-9, 1e-3, 1.0, 50.0, 1e12, 1e18, -1.0]))
-            power = p_max * float(rng.choice([0.3, 1.0, 3.0, 100.0]))
+        for _ in range(8):
+            q = float(rng.choice([0.0, 1e-3, 1.0, 50.0, 1e12, 1e16, 1e18, -1.0]))
+            power = powers[int(rng.integers(0, 3))]
             enforce = bool(rng.uniform() < 0.8)
             v = v_factors[int(rng.integers(0, 2))]
-            args = (cfg, env, 0, (q,), v, power, enforce)
-            cap = _outcome(seg_solver._segment_cap, cfg, env, 0, power, enforce)
-            n_replayed, n_searches = len(replayed), len(searches)
-            shared = _outcome(schedule_segments, *args, state=state)
-            replays, searched = replayed[n_replayed:], len(searches) > n_searches
-            assert shared == _outcome(schedule_segments, *args)
-            if cap != 1:
-                assert not replays
-                if one_stage_calls[v] > 1 and isinstance(cap, int):  # past the frontier's build
-                    assert searched
-                    beyond_cap += power > p_max
-                    wider += not isinstance(shared, tuple) and shared.n_segments > 1
-                continue
-            if one_stage_calls[v] and not seg_solver._one_stage_frontier(ClusterRound(cfg, env, 0), v):
-                no_plan += 1  # no run start has a one-stage plan: the search names the error
-                assert not replays and isinstance(shared, tuple)
-            elif one_stage_calls[v]:
-                assert len(replays) == 1
-                if replays[0] is None:
-                    ties += 1
-                    assert searched and not isinstance(shared, tuple)
+            s = int(rng.integers(1, cfg.clusters[0].n_devices + 1))
+            segment_args = (cfg, env, 0, (q,), v, power, enforce)
+            n_searches = len(searches)
+            plan = _outcome(schedule_segments, *segment_args, state=state)
+            searched = len(searches) > n_searches
+            assert plan == _outcome(schedule_segments, *segment_args) == _searched(monkeypatch, *segment_args)
+            powered = _outcome(power_control, cfg, env, 0, q, v, s, enforce, state=state)
+            assert powered == _outcome(power_control, cfg, env, 0, q, v, s, enforce)
+            for outcome in (plan, powered):
+                if isinstance(outcome, tuple):
+                    constraints.add(outcome[1])
                 else:
-                    answered += 1
-                    assert not searched
-            one_stage_calls[v] += 1
-    assert answered > 500
-    assert ties > 0 and no_plan > 0 and beyond_cap > 0 and wider > 0
+                    solved += 1
+            if _outcome(seg_solver._segment_cap, cfg, env, 0, power, enforce) != 1:
+                wider += not isinstance(plan, tuple) and plan.n_segments > 1
+                continue
+            table = seg_solver._one_stage_table(ClusterRound(cfg, env, 0), v)
+            if not table:
+                no_plan += 1  # no run start has a one-stage plan: the search names the error
+                assert isinstance(plan, tuple)
+                continue
+            assert not searched and not isinstance(plan, tuple)
+            tabled += 1
+            least = table[0][0] + q
+            ties += len({a for a, _, _ in table if a + q == least}) > 1
+    assert {"C7", "C9'", "C11", "C11'", "C8"} <= constraints
+    assert solved > 1000
+    assert tabled > 300
+    assert ties > 0 and no_plan > 0 and wider > 0
