@@ -396,6 +396,8 @@ def _parse_device(raw: dict, where: str) -> DeviceProfile:
     phi = _require_positive(_num(raw, "phi_flops_per_cycle", where, _DEVICE_DEFAULTS), f"{where}.phi_flops_per_cycle")
     clock = _as_interval(raw.get("f_hz", _DEVICE_DEFAULTS["f_hz"]), f"{where}.f_hz")
     _require_positive(clock.lo, f"{where}.f_hz")
+    if not clock.hi * clock.hi < math.inf:  # compute_energy squares the clock
+        raise ConfigError(f"{where}.f_hz", f"must have a finite square, got upper bound {clock.hi}")
     p_dd = _require_positive(_num(raw, "p_dd_w", where, _DEVICE_DEFAULTS), f"{where}.p_dd_w")
     p_max = _require_positive(_num(raw, "P_k_max_w", where, _DEVICE_DEFAULTS), f"{where}.P_k_max_w")
     if p_dd > p_max:
@@ -506,6 +508,12 @@ def _parse_convergence(raw: dict, clusters: tuple[ClusterProfile, ...]) -> Conve
     eta = _require_positive(_num(raw, "eta", where, _CONVERGENCE_DEFAULTS), f"{where}.eta")
     xi = _require_positive(_num(raw, "xi", where, _CONVERGENCE_DEFAULTS), f"{where}.xi")
     phi = _require_positive(_num(raw, "phi", where, _CONVERGENCE_DEFAULTS), f"{where}.phi")
+    # the convergence bounds square eta and phi, and divide by eta**2, phi**2 and beta*eta**2
+    for name, term in (("eta", eta * eta), ("phi", phi * phi), ("beta", beta * (eta * eta))):
+        if not 0 < term < math.inf:
+            raise ConfigError(
+                f"{where}.{name}", f"eta**2, phi**2 and beta*eta**2 must be finite and > 0, got a term of {term}"
+            )
     if "C" in raw:
         c = _require_positive(_num(raw, "C", where), f"{where}.C")
     else:

@@ -68,14 +68,14 @@ def optimize_round(
 
     Between sweeps only the scratch queues and the head powers change. One
     ``ClusterRound`` per cluster, built here and dropped on return, keeps
-    what both solvers derive from (config, round environment, cluster) alone:
-    memory and energy block caps, the bound's and the bottleneck scan's
-    inputs, the balance cap per power, the check of each final plan, and the
-    power box's sub-problem, energy ceiling and balance floors. Every sweep
-    passes the same states, so the sweeps after the first read them instead
-    of deriving them again. Where a cluster's balance cap allows one stage,
-    its segment solves are answered from the round's table of one-stage
-    plans, built on the first of them, without a search (see
+    what a later sweep asks for again and depends on (config, round
+    environment, cluster) alone: the balance cap per power, the check of each
+    final plan, and the power box's sub-problem, energy ceiling and balance
+    floors. Every sweep passes the same states, so the sweeps after the first
+    read them instead of deriving them again; an ``InfeasibleError`` ends the
+    round's solve, so none is kept. Where a cluster's balance cap allows one
+    stage, its segment solves are answered from the round's table of
+    one-stage plans, built on the first of them, without a search (see
     ``schedule_segments``). A sweep is scored with ``drift_penalty_at`` of
     ``round_delay``, which takes each plan's pipeline latency from the
     state, keyed by (delta, m), so that only the uplink delays, which move

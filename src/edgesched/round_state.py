@@ -2,22 +2,20 @@
 
 ``optimize_round`` solves each round's drift-plus-penalty problem by
 block-coordinate descent, and between its sweeps only the scratch queues and
-the head powers change. A ``ClusterRound`` keeps what the segment and
-resource solvers derive from (config, round environment, cluster) alone, so
-that the sweeps after the first read it instead of deriving it again. It
-holds nothing that depends on queues, powers or cutoffs; each entry is keyed
-by the arguments it depends on besides those three. Among them is the table
-of the round's one-stage plans, which answers every segment solve under a
-balance cap of one stage. A solver called without one builds a fresh one,
-and ``optimize_round`` drops its states when it returns.
+the head powers change. A ``ClusterRound`` keeps what a later sweep asks for
+again and depends on (config, round environment, cluster) alone: the balance
+cap per head power, the table of the round's one-stage plans per V (it
+answers every segment solve under a balance cap of one stage), the check and
+the pipeline latency of each chosen plan, and the power box (sub-problem
+constants, energy ceiling, balance floor per segment count). Each entry is
+keyed by the arguments it depends on besides those three. The partition
+search keeps nothing here. A solver called without a state builds a fresh
+one, and ``optimize_round`` drops its states when it returns.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .config import RoundEnvironment, SystemConfig
-from .errors import InfeasibleError
 
 
 class ClusterRound:
@@ -29,28 +27,13 @@ class ClusterRound:
         self.n = n
         self._memo: dict = {}
 
-    @cached_property
-    def mem_caps(self) -> list[int]:
-        """Blocks each device's memory can hold, at most L."""
-        l_blocks = self.cfg.model.n_blocks
-        return [min(dev.block_cap, l_blocks) for dev in self.cfg.clusters[self.n].devices]
-
     def memo(self, key, fn, *args):
-        """``fn(*args)``, computed on the first call with this key.
-
-        Later calls return the same value, or, when the first call raised an
-        ``InfeasibleError``, raise a new one with its constraint and message.
-        """
-        entry = self._memo.get(key)
-        if entry is None:
-            try:
-                entry = fn(*args), None
-            except InfeasibleError as exc:
-                entry = None, (exc.constraint, exc.detail)
-            self._memo[key] = entry
-        value, error = entry
-        if error is not None:
-            raise InfeasibleError(*error)
+        """``fn(*args)``, computed on the first call with this key; ``fn``
+        never returns None. An error is not kept: it ends the round's solve,
+        and a later call with the key raises it again."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = fn(*args)
         return value
 
 

@@ -33,21 +33,15 @@ floors, lies strictly above the best objective is not searched at all: no
 plan there can win, not even on a tie. On the shipped table2 scenario this
 leaves 22 of the 270 partition solves of six rounds.
 
-What depends on (config, round environment, cluster) alone is kept for the
-round in the cluster's ``round_state.ClusterRound``, which ``optimize_round``
-shares across its block-coordinate descent sweeps: the memory caps, each run
-start's block caps, its C7/C9' pre-check, its bottleneck candidates and its
-floor inputs, the run-start bound's round-constant parts, the balance cap
-per head power and the check of each final plan. The queue sum, the cutoff
-and the balance cap are applied on every call.
-
 Block-coordinate descent calls the solver once per sweep, and between sweeps
 only the queue sum q and the balance cap move. Under a cap of one stage every
 candidate has S = 1, so the queue term S*q is the same for all of them and
-the answer is a lookup in the round's sorted table of one-stage plans. A
-call whose cap allows two or more stages always searches: a table over those
-counts would trade the search's prunes for a full scan of every run start,
-and no multi-sweep workload of the benchmark has such a cap.
+the answer is a lookup in the round's sorted table of one-stage plans. The
+table, the balance cap per head power and the check of each final plan are
+kept in the cluster's ``round_state.ClusterRound``, which ``optimize_round``
+shares across its sweeps. A call whose cap allows two or more stages
+searches, and the search keeps nothing between calls: on the shipped and
+benchmarked workloads a round that searches runs one sweep.
 """
 
 from __future__ import annotations
@@ -156,13 +150,20 @@ def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, me
     return caps
 
 
-def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, mem_caps: list[int]) -> tuple[list[int], int]:
+def _memory_caps(cfg: SystemConfig, n: int) -> list[int]:
+    """Blocks each device of cluster n can hold in memory, at most L."""
+    l_blocks = cfg.model.n_blocks
+    return [min(dev.block_cap, l_blocks) for dev in cfg.clusters[n].devices]
+
+
+def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[int], int]:
     """Block caps at run start m and the fewest devices whose caps hold the L blocks.
 
     Raises C7 when memory alone cannot host the blocks, and C9' when the
     energy budgets cut the caps below them.
     """
     l_blocks = cfg.model.n_blocks
+    mem_caps = _memory_caps(cfg, n)
     caps = _partition_caps(m, cfg, env, n, mem_caps)
     need = _fewest_cover(l_blocks, caps)
     if math.isinf(need):
@@ -170,17 +171,6 @@ def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, mem_cap
             "C7" if sum(mem_caps) < l_blocks else "C9'", f"cluster {n}: device caps cannot host {l_blocks} blocks"
         )
     return caps, need
-
-
-def _bottleneck_pairs(
-    caps: list[int], work: float, speeds: tuple[float, ...], hops: tuple[float, ...], l_blocks: int
-) -> tuple[list[list[float]], list[tuple[float, int, int]]]:
-    """Occupancy of each device k at d = 1..caps[k] blocks, ascending in d, and
-    the candidate bottlenecks (u, j, d) with d < L in ascending order; the
-    occupancy expression is the one ``_bottleneck`` compares."""
-    occ = [[d * work / speeds[k] + hops[k] for d in range(1, cap + 1)] for k, cap in enumerate(caps)]
-    pairs = sorted((occ[j][d - 1], j, d) for j, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1))
-    return occ, pairs
 
 
 def optimal_partition(
@@ -195,7 +185,6 @@ def optimal_partition(
     *,
     cutoff: float = math.inf,
     s_cap: int | None = None,
-    state: ClusterRound | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
     """Exact argmin over integer block compositions at fixed m.
 
@@ -223,20 +212,15 @@ def optimal_partition(
 
     ``s_cap`` is the balance cap on S that ``_segment_cap`` gives for these
     arguments; a caller that solves several m for one cluster passes it in,
-    and when it is None it is computed here. ``state`` is cluster n's
-    ``ClusterRound``: it keeps this m's caps, their C7/C9' pre-check, the
-    floor's inputs and the sorted candidate pairs for the round. When it is
-    None a fresh one is built.
+    and when it is None it is computed here. Nothing is kept between calls.
     """
     n_dev = cfg.clusters[n].n_devices
     l_blocks = cfg.model.n_blocks
-    if state is None:
-        state = ClusterRound(cfg, env, n)
     if s_cap is None:
         s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
 
     # feasibility of the cap set as a whole
-    caps, need = state.memo(("caps", m), _cap_cover, m, cfg, env, n, state.mem_caps)
+    caps, need = _cap_cover(m, cfg, env, n)
     if need > s_cap:
         raise InfeasibleError("C11" if s_cap < n_dev else "C2", f"cluster {n}: {need} segments needed, at most {s_cap} allowed")
 
@@ -254,10 +238,14 @@ def optimal_partition(
     # plans of two or more stages are scanned only when their floor reaches
     # the best one-stage plan or, while there is none, the cutoff
     s_lo = max(2, need)
-    if s_cap >= 2 and _stage_count_floor(
-        state.memo(("live", m), _live_stages, env, n, caps, l_blocks), v_factor, queue_sum, s_lo, s_cap
-    )(m, work) <= (cutoff if best is None else best[0]):
-        occ, pairs = state.memo(("pairs", m), _bottleneck_pairs, caps, work, speeds, hops, l_blocks)
+    floor = _stage_count_floor(_live_stages(env, n, caps, l_blocks), v_factor, queue_sum, s_lo, s_cap)
+    if s_cap >= 2 and floor(m, work) <= (cutoff if best is None else best[0]):
+        # occupancy of each device k at d = 1..caps[k] blocks, ascending in d,
+        # and the candidate bottlenecks (u, j, d) with d < L in ascending u
+        occ = [[d * work / speeds[k] + hops[k] for d in range(1, cap + 1)] for k, cap in enumerate(caps)]
+        pairs = sorted(
+            (occ[j][d - 1], j, d) for j, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
+        )
         hop_max = max(hops)
         for u, j, d in pairs:
             limit = cutoff if best is None else best[0]
@@ -382,18 +370,8 @@ def _stage_count_floor(live: tuple, v_factor: float, queue_sum: float, s_lo: int
     return floor
 
 
-def _memory_stages(cfg: SystemConfig, env: RoundEnvironment, n: int, mem_caps: list[int]):
-    """The round-constant parts of ``_run_start_bound``: the speed of the
-    fastest device whose memory holds all L blocks (None when there is none),
-    the least segment count memory allows, at least 2, and ``_live_stages``
-    of the memory caps."""
-    l_blocks = cfg.model.n_blocks
-    s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap == l_blocks), default=None)
-    return s_fast, max(2, _fewest_cover(l_blocks, mem_caps)), _live_stages(env, n, mem_caps, l_blocks)
-
-
-def _run_start_bound(state: ClusterRound, v_factor: float, queue_sum: float, s_cap: int):
-    """Lower bound, as a function of m, on the objective of every plan at run start m, for the state's cluster.
+def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float, queue_sum: float, s_cap: int):
+    """Lower bound, as a function of m, on the objective of every plan of cluster n at run start m.
 
     Built from memory caps alone, so it holds for every plan of at most
     ``s_cap`` stages that the energy caps allow. It is the smaller of two
@@ -405,14 +383,14 @@ def _run_start_bound(state: ClusterRound, v_factor: float, queue_sum: float, s_c
       segment count s_lo memory allows up to ``s_cap``, on the devices memory
       lets hold a block; inf when s_cap < s_lo.
 
-    Everything that does not depend on m is computed here, once, and what
-    does not depend on the queues or ``s_cap`` either is kept in ``state``
-    for the round. Needs a cluster whose memory caps can host the L blocks.
+    Everything that does not depend on m is computed here, once. Needs a
+    cluster whose memory caps can host the L blocks.
     """
-    cfg = state.cfg
     l_blocks = cfg.model.n_blocks
-    s_fast, s_lo, live = state.memo("memory", _memory_stages, cfg, state.env, state.n, state.mem_caps)
-    many = _stage_count_floor(live, v_factor, queue_sum, s_lo, s_cap)
+    mem_caps = _memory_caps(cfg, n)
+    s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap == l_blocks), default=None)
+    s_lo = max(2, _fewest_cover(l_blocks, mem_caps))
+    many = _stage_count_floor(_live_stages(env, n, mem_caps, l_blocks), v_factor, queue_sum, s_lo, s_cap)
 
     def bound(m: int) -> float:
         work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
@@ -440,7 +418,7 @@ def _one_stage_table(state: ClusterRound, v_factor: float) -> list[tuple]:
     table = []
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         try:
-            caps, _ = state.memo(("caps", m), _cap_cover, m, cfg, env, n, state.mem_caps)
+            caps, _ = _cap_cover(m, cfg, env, n)
         except InfeasibleError:
             continue
         table += [(a, delta, m) for a, delta in _one_stage_plans(m, caps, cfg, env, n, v_factor)]
@@ -476,9 +454,9 @@ def schedule_segments(
 
     ``state`` is cluster n's ``ClusterRound`` for this round; a caller that
     solves the round several times, at other queues or powers, passes the
-    same one each time. It keeps the balance cap per power, each run start's
-    caps and bottleneck candidates, the bound's round-constant parts and the
-    check of each final plan. Without it a fresh one is built.
+    same one each time. It keeps the balance cap per power, the table of
+    one-stage plans and the check of each final plan. Without it a fresh one
+    is built.
 
     Under a balance cap of one stage, ``_one_stage_table`` (kept in the state
     per v_factor) answers instead of the search: it prices each plan a + q
@@ -503,14 +481,14 @@ def schedule_segments(
         if best_key is not None:
             # built once a plan exists, which proves memory can host the blocks
             if bound is None:
-                bound = _run_start_bound(state, v_factor, queue_sum, s_cap)
+                bound = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
             if bound(m) > best_key[0]:
                 continue
         cutoff = math.inf if best_key is None else best_key[0]
         try:
             found = optimal_partition(
                 m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance,
-                cutoff=cutoff, s_cap=s_cap, state=state,
+                cutoff=cutoff, s_cap=s_cap,
             )
         except InfeasibleError as exc:
             first_error = first_error or exc

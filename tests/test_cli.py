@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from edgesched.config import sample_round_environment
 from edgesched.orchestrator import uniform_partition
 from edgesched.pipeline import SegmentPlan, pipeline_latency
 
-from conftest import HOMOGENEOUS, TABLE2
+from conftest import BINDING, HOMOGENEOUS, TABLE2
 
 
 def test_run_zero_rounds_ok(tmp_path, capsys):
@@ -176,6 +177,65 @@ def test_run_infinite_block_or_segment_cap_runs(tmp_path, path, value):
     config = tmp_path / "wide.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(config), "--rounds", "2", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("clusters", 0, "devices", 0, "f_hz", 1), 1e308),  # compute_energy's clock**2 overflows
+        (("convergence", "eta"), 1e308),  # eta**2 overflows
+        (("convergence", "phi"), 1e308),  # phi**2 overflows
+        (("convergence", "eta"), 5e-324),  # eta**2 is 0, a divisor of the balance budget
+        (("convergence", "phi"), 5e-324),  # phi**2 is 0, the divisor of the segment cap
+        (("convergence", "beta"), 5e-324),  # beta*eta**2 is 0
+    ],
+    ids=["f_hz", "eta-huge", "phi-huge", "eta-tiny", "phi-tiny", "beta-tiny"],
+)
+def test_run_square_out_of_float_range_is_a_config_error(tmp_path, capsys, path, value):
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _set(doc, path, value)
+    config = tmp_path / "square.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(config), "--rounds", "2", "--out", str(tmp_path / "out")]) == 2
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    field = field.removesuffix("[1]")  # an interval's upper end names the field
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def _numeric_leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+@pytest.mark.parametrize("shipped", [TABLE2, BINDING, HOMOGENEOUS], ids=["table2", "binding", "homogeneous"])
+def test_no_config_number_exits_internal_error(tmp_path, capsys, shipped):
+    # every numeric leaf of a shipped config, in turn, at each extreme value:
+    # a run of 2 rounds ends in 0, 2 (config error) or 3 (infeasible), never
+    # in 4 (internal error), and no case stalls
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    config, out = tmp_path / "fuzz.json", str(tmp_path / "out")
+    failures, cases = [], 0
+    for path in _numeric_leaves(json.loads(text)):
+        for value in (math.inf, -math.inf, math.nan, 0, -1, 1e308, 5e-324):
+            doc = json.loads(text)
+            _set(doc, path, value)
+            config.write_text(json.dumps(doc), encoding="utf-8")  # written as Infinity / NaN
+            start = time.perf_counter()
+            rc = main(["run", str(config), "--rounds", "2", "--out", out])
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            if rc not in (0, 2, 3) or elapsed > 10.0:
+                failures.append((path, value, rc, elapsed, err))
+            cases += 1
+    assert cases > 300 and not failures
 
 
 def test_run_bad_path_exits_nonzero(tmp_path, capsys):

@@ -1,14 +1,17 @@
+from collections import Counter
+
 import numpy as np
 
 from edgesched import seg_solver
-from edgesched.config import build_config, sample_round_environment
+from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.convergence import interference_error
 from edgesched.errors import InfeasibleError
+from edgesched.orchestrator import run_simulation
 from edgesched.res_solver import power_control
 from edgesched.round_state import ClusterRound
 from edgesched.seg_solver import schedule_segments
 
-from conftest import random_system_doc
+from conftest import BINDING, random_system_doc
 
 
 def _outcome(fn, *args, **kwargs):
@@ -131,3 +134,27 @@ def test_shared_round_state_equals_fresh_calls(monkeypatch):
     assert solved > 1000
     assert tabled > 300
     assert ties > 0 and no_plan > 0 and wider > 0
+
+
+def test_round_state_keeps_no_family_that_no_sweep_reads_again(monkeypatch):
+    # binding runs every BCD sweep, so a key family stored in a ClusterRound
+    # and never read again is a cache with no job
+    stored, reread = Counter(), Counter()
+    memo = ClusterRound.memo
+
+    def counted(self, key, fn, *args):
+        family = key[0] if isinstance(key, tuple) else key
+        computed = []
+
+        def compute(*args):
+            computed.append(True)
+            return fn(*args)
+
+        value = memo(self, key, compute, *args)
+        (stored if computed else reread)[family] += 1
+        return value
+
+    monkeypatch.setattr(ClusterRound, "memo", counted)
+    trace = run_simulation(load_config(BINDING), 4, "lyapunov")
+    assert len(trace.rounds) == 4
+    assert stored and {family for family in stored if not reread[family]} == set()

@@ -12,7 +12,6 @@ from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
 from edgesched.pipeline import device_energy, micro_batch_size
-from edgesched.round_state import ClusterRound
 from edgesched.seg_solver import (
     _chunk_work,
     _live_stages,
@@ -546,7 +545,7 @@ def test_run_start_bound_is_below_every_composition():
     tight = 0
     for cfg, env, _, plans, q in _memory_battery():
         v = cfg.convergence.v_factor
-        bound = _run_start_bound(ClusterRound(cfg, env, 0), v, q, cfg.clusters[0].n_devices)
+        bound = _run_start_bound(cfg, env, 0, v, q, cfg.clusters[0].n_devices)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             best = min(cluster_objective(delta, m, cfg, env, 0, v, q) for delta in plans)
             assert bound(m) <= best
