@@ -78,22 +78,18 @@ def balance_error_budget(params: ConvergenceParams, n_clusters: int, n_blocks: i
     )
 
 
-def max_segments_within_gamma(
-    eps: float, params: ConvergenceParams, n_clusters: int, n_blocks: int
-) -> int:
-    """Largest S, at most L, keeping the balance bound at most gamma_max for a given eps.
+def balance_power_thresholds(
+    params: ConvergenceParams, n_clusters: int, n_blocks: int, gain: float, interference_w: float
+) -> list[float]:
+    """Least uplink power p_S keeping the balance bound at most gamma_max, for S = 1..L.
 
-    Returns 0 when no segment count qualifies (the bound cap is unreachable).
+    p_S = max(0, (C/budget - I)/h) with the ``balance_error_budget`` at S, or
+    inf where that budget is at most 0. Every float operation here is monotone
+    and the budget falls as S grows, so p_1 <= ... <= p_L, and the most
+    segments the cap allows at power p is the number of thresholds at or below p.
     """
-    phi2 = params.phi_bound**2
-    slack = balance_error_budget(params, n_clusters, n_blocks, 0) - eps
-    if slack <= 0:
-        return 0
-    s2 = n_blocks * slack / phi2
-    if s2 < 1.0:
-        return 0
-    # at most L: no plan has more segments than blocks, and floor(inf) raises
-    return math.floor(min(math.sqrt(s2) * (1 + 1e-12), n_blocks))
+    budgets = [balance_error_budget(params, n_clusters, n_blocks, s) for s in range(1, n_blocks + 1)]
+    return [max(0.0, (params.c_interference / b - interference_w) / gain) if b > 0.0 else math.inf for b in budgets]
 
 
 def optimality_gap_bound(

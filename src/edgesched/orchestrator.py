@@ -69,17 +69,17 @@ def optimize_round(
     Between sweeps only the scratch queues and the head powers change. One
     ``ClusterRound`` per cluster, built here and dropped on return, keeps
     what a later sweep asks for again and depends on (config, round
-    environment, cluster) alone: the balance cap per power, the check of each
-    final plan, and the power box's sub-problem, energy ceiling and balance
-    floors. Every sweep passes the same states, so the sweeps after the first
-    read them instead of deriving them again; an ``InfeasibleError`` ends the
-    round's solve, so none is kept. Where a cluster's balance cap allows one
-    stage, its segment solves are answered from the round's table of
-    one-stage plans, built on the first of them, without a search (see
-    ``schedule_segments``). A sweep is scored with ``drift_penalty_at`` of
-    ``round_delay``, which takes each plan's pipeline latency from the
-    state, keyed by (delta, m), so that only the uplink delays, which move
-    with the powers, are computed every sweep.
+    environment, cluster) alone: the C11 thresholds (the segment cap at any
+    power, the power floor at any segment count), the check of each final
+    plan, and the power box's sub-problem and energy ceiling. Every sweep
+    passes the same states, so the sweeps after the first read them instead of
+    deriving them again; an ``InfeasibleError`` ends the round's solve, so
+    none is kept. Where a cluster's balance cap allows one stage, its segment
+    solves are answered from the round's table of one-stage plans, built on
+    the first of them, without a search (see ``schedule_segments``). A sweep
+    is scored with ``drift_penalty_at`` of ``round_delay``, which takes each
+    plan's pipeline latency from the state, keyed by (delta, m), so that only
+    the uplink delays, which move with the powers, are computed every sweep.
     """
     y_scratch = queues
     powers = tuple(cl.uplink_power_max_w for cl in cfg.clusters)

@@ -2,21 +2,22 @@
 
 The per-cluster power objective V*tau_up(p) + Y*p is convex on p > 0 (the
 delay is the reciprocal of a concave rate), and the energy budget (C8) and the
-balance cap (C11) each bound the power to one side, so bisection on the true
-gradient inside that box finds the global optimum; each bisection stops at its
-float fixed point, capped at 200 steps. When the queue is positive the power
-bisection first tries a narrow bracket around the closed-form stationary
-power (``_stationary_power``) and falls back to the full box when that
-bracket does not hold the root. Both brackets reach the same float: every
-IEEE operation in ``_true_derivative`` is monotone, so its float values are
-non-decreasing in p, it is negative on a prefix of the floats, and the
-bisection ends at the last float of that prefix wherever it starts. Channels
-are identical, so matching ranks the clusters by cost and the surplus ones sit
-out a round.
+balance cap (C11) each bound the power to one side, C11 at the round's
+threshold p_S for S segments, the table the segment solver reads its cap from,
+so bisection on the true gradient inside that box finds the global optimum;
+each bisection stops at its float fixed point, capped at 200 steps. When the
+queue is positive the power bisection first tries a narrow bracket around the
+closed-form stationary power (``_stationary_power``) and falls back to the
+full box when that bracket does not hold the root. Both brackets reach the
+same float: every IEEE operation in ``_true_derivative`` is monotone, so its
+float values are non-decreasing in p, it is negative on a prefix of the
+floats, and the bisection ends at the last float of that prefix wherever it
+starts. Channels are identical, so matching ranks the clusters by cost and the
+surplus ones sit out a round.
 
 The box does not depend on the queues. Each cluster's sub-problem
-constants, energy ceiling (a bisection when the budget binds) and balance
-floor per segment count are kept in its ``round_state.ClusterRound``, which
+constants, energy ceiling (a bisection when the budget binds) and C11
+thresholds are kept in its ``round_state.ClusterRound``, which
 ``optimize_round`` shares across its block-coordinate descent sweeps and the
 matching reads too; only the comparisons of floor and ceiling against each
 other and P_max run on every call.
@@ -33,7 +34,6 @@ import numpy as np
 
 from .comm import ChannelAssignment, spectral_efficiency, transfer_energy, transfer_time
 from .config import RoundEnvironment, SystemConfig
-from .convergence import balance_error_budget
 from .errors import InfeasibleError
 from .round_state import ClusterRound, cluster_rounds
 
@@ -93,18 +93,6 @@ def _problem(cfg: SystemConfig, env: RoundEnvironment, n: int) -> _UplinkProblem
         p_max=cl.uplink_power_max_w,
         e_max=cl.uplink_energy_budget_j,
     )
-
-
-def _balance_power_floor(cfg: SystemConfig, env: RoundEnvironment, n: int, n_segments: int) -> float:
-    """Smallest power keeping the balance bound under its cap (C11 as a box)."""
-    params = cfg.convergence
-    eps_max = balance_error_budget(params, cfg.n_clusters, cfg.model.n_blocks, n_segments)
-    if params.c_interference == 0.0:
-        return 0.0
-    if eps_max <= 0.0:
-        raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at any power (S={n_segments})")
-    p_floor = (params.c_interference / eps_max - env.uplink_interference_w[n]) / env.uplink_gain[n]
-    return max(0.0, p_floor)
 
 
 def _energy_power_ceiling(prob: _UplinkProblem) -> float:
@@ -223,18 +211,24 @@ def power_control(
     an endpoint), the full box is bisected. Both reach the same float (see
     the module docstring).
 
+    The floor is the C11 threshold p_S at S = ``n_segments``, in [1, L].
     ``state`` is cluster n's ``ClusterRound`` for this round. It keeps the
-    sub-problem's constants, the energy ceiling and the balance floor per
-    segment count, so a caller that solves the round at several queues passes
-    the same one each time; without it a fresh one is built. The C11' and C8
-    comparisons of floor and ceiling are made on every call.
+    sub-problem's constants, the energy ceiling and the thresholds, so a
+    caller that solves the round at several queues passes the same one each
+    time; without it a fresh one is built. The C11' and C8 comparisons of
+    floor and ceiling are made on every call.
     """
     if state is None:
         state = ClusterRound(cfg, env, n)
     prob = state.memo("problem", _problem, cfg, env, n)
     p_floor = 0.0
     if enforce_balance:
-        p_floor = state.memo(("floor", n_segments), _balance_power_floor, cfg, env, n, n_segments)
+        thresholds = state.balance_thresholds
+        if not 1 <= n_segments <= len(thresholds):
+            raise InfeasibleError("C1", f"cluster {n}: segment count {n_segments} outside [1, {len(thresholds)}]")
+        p_floor = thresholds[n_segments - 1]
+        if math.isinf(p_floor):
+            raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at any power (S={n_segments})")
     if p_floor > prob.p_max * (1 + 1e-12):
         raise InfeasibleError(
             "C11'", f"cluster {n}: balance cap needs power {p_floor:.6g} W > P_max {prob.p_max} W"

@@ -3,19 +3,23 @@
 ``optimize_round`` solves each round's drift-plus-penalty problem by
 block-coordinate descent, and between its sweeps only the scratch queues and
 the head powers change. A ``ClusterRound`` keeps what a later sweep asks for
-again and depends on (config, round environment, cluster) alone: the balance
-cap per head power, the table of the round's one-stage plans per V (it
-answers every segment solve under a balance cap of one stage), the check and
-the pipeline latency of each chosen plan, and the power box (sub-problem
-constants, energy ceiling, balance floor per segment count). Each entry is
-keyed by the arguments it depends on besides those three. The partition
-search keeps nothing here. A solver called without a state builds a fresh
-one, and ``optimize_round`` drops its states when it returns.
+again and depends on (config, round environment, cluster) alone: the C11 power
+thresholds (the segment cap at any power, the power floor at any segment
+count), the table of the round's one-stage plans per V (it answers every
+segment solve under a balance cap of one stage), the check and the pipeline
+latency of each chosen plan, and the power sub-problem and energy ceiling.
+Each memo entry is keyed by the arguments it depends on besides those three.
+The partition search only reads the thresholds. A solver called without a
+state builds a fresh one, and ``optimize_round`` drops its states when it
+returns.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .config import RoundEnvironment, SystemConfig
+from .convergence import balance_power_thresholds
 
 
 class ClusterRound:
@@ -35,6 +39,14 @@ class ClusterRound:
         if value is None:
             value = self._memo[key] = fn(*args)
         return value
+
+    @cached_property
+    def balance_thresholds(self) -> list[float]:
+        """The cluster's ``balance_power_thresholds``; not a memo entry, as every solver call reads it."""
+        cfg, env, n = self.cfg, self.env, self.n
+        return balance_power_thresholds(
+            cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, env.uplink_gain[n], env.uplink_interference_w[n]
+        )
 
 
 def cluster_rounds(cfg: SystemConfig, env: RoundEnvironment) -> tuple[ClusterRound, ...]:

@@ -9,11 +9,12 @@ that starts a constant-ceil(b/m) run. Within a run the chunk size is fixed, so
 at any partition the latency grows with m and the energy budgets bind alike;
 the joint optimum therefore lies at a run start. Constraints: block
 conservation, segment count at most the device count, per-device memory,
-per-device round energy, and the balance-bound cap at the cluster's current
-uplink power. Device speeds and hop times are the round's, read from the
-``RoundEnvironment``; memory caps and energy budgets come from the config.
-Every plan is scored by ``cluster_objective`` and every energy budget is
-checked with ``pipeline.device_energy``.
+per-device round energy, and the balance cap (C11): S segments when the
+cluster's uplink power is at least the round's threshold p_S, the table that
+gives power control its floor. Device speeds and hop times are the round's,
+read from the ``RoundEnvironment``; memory caps and energy budgets come from
+the config. Every plan is scored by ``cluster_objective`` and every energy
+budget is checked with ``pipeline.device_energy``.
 
 Blocks are identical in cost, so at a fixed m a plan's objective depends only
 on its segment count S and its first bottleneck, a device j holding d blocks.
@@ -34,14 +35,14 @@ plan there can win, not even on a tie. On the shipped table2 scenario this
 leaves 22 of the 270 partition solves of six rounds.
 
 Block-coordinate descent calls the solver once per sweep, and between sweeps
-only the queue sum q and the balance cap move. Under a cap of one stage every
-candidate has S = 1, so the queue term S*q is the same for all of them and
-the answer is a lookup in the round's sorted table of one-stage plans. The
-table, the balance cap per head power and the check of each final plan are
-kept in the cluster's ``round_state.ClusterRound``, which ``optimize_round``
-shares across its sweeps. A call whose cap allows two or more stages
-searches, and the search keeps nothing between calls: on the shipped and
-benchmarked workloads a round that searches runs one sweep.
+only the queue sum q and the head power, and so the balance cap, move. Under
+a cap of one stage every candidate has S = 1, so the queue term S*q is the
+same for all of them and the answer is a lookup in the round's sorted table
+of one-stage plans. That table, the C11 thresholds and the check of each
+final plan are kept in the cluster's ``round_state.ClusterRound``, which
+``optimize_round`` shares across its sweeps. A call whose cap allows two or
+more stages searches, and the search keeps nothing between calls: on the
+shipped and benchmarked workloads a round that searches runs one sweep.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, takewhile
 
 from .config import RoundEnvironment, SystemConfig
-from .convergence import interference_error, max_segments_within_gamma
 from .errors import InfeasibleError
 from .pipeline import (
     SegmentPlan,
@@ -184,7 +184,7 @@ def optimal_partition(
     enforce_balance: bool = True,
     *,
     cutoff: float = math.inf,
-    s_cap: int | None = None,
+    state: ClusterRound | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
     """Exact argmin over integer block compositions at fixed m.
 
@@ -210,14 +210,13 @@ def optimal_partition(
     an instance without a feasible composition raises instead. ``speed_j``
     and ``hop_j`` are the round's ``env.speed[n][j]`` and ``env.hop_s[n][j]``.
 
-    ``s_cap`` is the balance cap on S that ``_segment_cap`` gives for these
-    arguments; a caller that solves several m for one cluster passes it in,
-    and when it is None it is computed here. Nothing is kept between calls.
+    The balance cap on S is ``_segment_cap`` at ``cu_power_w``, from the C11
+    thresholds of ``state``, cluster n's ``ClusterRound`` (a fresh one when
+    None). Beyond those thresholds the search keeps nothing between calls.
     """
     n_dev = cfg.clusters[n].n_devices
     l_blocks = cfg.model.n_blocks
-    if s_cap is None:
-        s_cap = _segment_cap(cfg, env, n, cu_power_w, enforce_balance)
+    s_cap = _segment_cap(state or ClusterRound(cfg, env, n), cu_power_w, enforce_balance)
 
     # feasibility of the cap set as a whole
     caps, need = _cap_cover(m, cfg, env, n)
@@ -309,18 +308,17 @@ def _lexmin_cover(blocks: int, slots: int, caps: list[int], j: int, d: int) -> t
     return tuple(delta)
 
 
-def _segment_cap(
-    cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: float, enforce_balance: bool
-) -> int:
+def _segment_cap(state: ClusterRound, cu_power_w: float, enforce_balance: bool) -> int:
+    """Most segments the state's cluster may use at head power cu_power_w: its
+    device count, and under C11 the number of the round's balance thresholds
+    at or below the power. Raises C11 when there is none."""
+    n_dev = state.cfg.clusters[state.n].n_devices
     if not enforce_balance:
-        return cfg.clusters[n].n_devices
-    eps = interference_error(
-        cu_power_w, env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference
-    )
-    s_gamma = max_segments_within_gamma(eps, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
+        return n_dev
+    s_gamma = bisect_right(state.balance_thresholds, cu_power_w)
     if s_gamma == 0:
-        raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at power {cu_power_w}")
-    return min(cfg.clusters[n].n_devices, s_gamma)
+        raise InfeasibleError("C11", f"cluster {state.n}: balance cap unreachable at power {cu_power_w}")
+    return min(n_dev, s_gamma)
 
 
 def _live_stages(env: RoundEnvironment, n: int, caps: list[int], l_blocks: int):
@@ -448,15 +446,15 @@ def schedule_segments(
     Ties are never skipped. When every m is infeasible, the error raised at
     m = 1 names the blocker.
 
-    The balance cap does not depend on m, so it is computed once, before the
-    run starts; when it is unreachable, its C11 error is the one every run
-    start would raise.
+    The balance cap does not depend on m, so it is read once, before the run
+    starts; when it is unreachable, its C11 error is the one every run start
+    would raise.
 
     ``state`` is cluster n's ``ClusterRound`` for this round; a caller that
     solves the round several times, at other queues or powers, passes the
-    same one each time. It keeps the balance cap per power, the table of
-    one-stage plans and the check of each final plan. Without it a fresh one
-    is built.
+    same one each time. It keeps the C11 thresholds, the table of one-stage
+    plans and the check of each final plan. Without it a fresh one is
+    built.
 
     Under a balance cap of one stage, ``_one_stage_table`` (kept in the state
     per v_factor) answers instead of the search: it prices each plan a + q
@@ -468,7 +466,7 @@ def schedule_segments(
     if state is None:
         state = ClusterRound(cfg, env, n)
     queue_sum = sum(queues)
-    s_cap = state.memo(("s_cap", cu_power_w, enforce_balance), _segment_cap, cfg, env, n, cu_power_w, enforce_balance)
+    s_cap = _segment_cap(state, cu_power_w, enforce_balance)
     table = state.memo(("one-stage", v_factor), _one_stage_table, state, v_factor) if s_cap == 1 else None
     if table:
         least = table[0][0] + queue_sum
@@ -487,8 +485,7 @@ def schedule_segments(
         cutoff = math.inf if best_key is None else best_key[0]
         try:
             found = optimal_partition(
-                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance,
-                cutoff=cutoff, s_cap=s_cap,
+                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff, state=state
             )
         except InfeasibleError as exc:
             first_error = first_error or exc

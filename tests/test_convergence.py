@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from edgesched.convergence import (
     RunningGapBound,
     gamma_round,
     gamma_round_from_error,
+    balance_power_thresholds,
     interference_error,
-    max_segments_within_gamma,
     optimality_gap_bound,
     sigma,
     sigma_positive_eta_threshold,
@@ -74,17 +75,21 @@ def test_gamma_decreasing_in_power():
     assert hi < lo
 
 
-def test_max_segments_within_gamma_inverts_gamma():
+def test_balance_power_thresholds_invert_gamma():
+    # the segment cap at power p is the number of thresholds at or below p
     p = params()
     n, l = 3, 6
-    eps = 0.1
-    s_cap = max_segments_within_gamma(eps, p, n, l)
-    assert s_cap >= 1
-    assert gamma_round_from_error(s_cap, eps, p, n, l) <= p.gamma_max * (1 + 1e-9)
-    assert gamma_round_from_error(s_cap + 1, eps, p, n, l) > p.gamma_max
-    assert max_segments_within_gamma(1e9, p, n, l) == 0
-    # a budget whose S^2 overflows to inf allows every segment count up to L
-    assert max_segments_within_gamma(eps, params(gamma_max=1e308), n, l) == l
+    power, gain, interference = 0.5, 0.98, 0.07
+    thresholds = balance_power_thresholds(p, n, l, gain, interference)
+    assert len(thresholds) == l and thresholds == sorted(thresholds)
+    s_cap = bisect.bisect_right(thresholds, power)
+    assert 1 <= s_cap < l
+    assert gamma_round(s_cap, power, gain, interference, p, n, l) <= p.gamma_max * (1 + 1e-9)
+    assert gamma_round(s_cap + 1, power, gain, interference, p, n, l) > p.gamma_max
+    # an error of 1e9 at zero power leaves no segment count under the cap
+    assert bisect.bisect_right(balance_power_thresholds(p, n, l, gain, p.c_interference / 1e9), 0.0) == 0
+    # a budget that overflows to inf allows every segment count up to L at any power
+    assert bisect.bisect_right(balance_power_thresholds(params(gamma_max=1e308), n, l, gain, interference), 0.0) == l
 
 
 def test_gap_bound_base_case():

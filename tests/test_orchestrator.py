@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from edgesched import comm, orchestrator, pipeline, res_solver, seg_solver
+from edgesched import comm, convergence, orchestrator, pipeline, res_solver, seg_solver
 from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.decision import validate_decision
 from edgesched.errors import SimulationAborted
@@ -297,35 +297,36 @@ def test_segment_counts_priced_in_the_bound_leave_few_searches(table2_cfg, monke
     assert len(calls) <= 30
 
 
-def test_segment_cap_computed_once_per_schedule_segments(monkeypatch):
+def test_balance_thresholds_built_once_per_round_and_cluster(monkeypatch):
     # binding runs every BCD sweep: 6 clusters x 20 sweeps x 4 rounds = 480
-    # schedule_segments calls; the balance cap does not depend on m, and a
-    # round computes it once per cluster and head power
-    caps = _count_calls(monkeypatch, seg_solver._segment_cap)
+    # schedule_segments and power_control calls; the C11 thresholds depend on
+    # neither the head power nor the segment count, and both solvers read
+    # the one table a round builds per cluster
+    tables = _count_calls(monkeypatch, convergence.balance_power_thresholds)
     schedules = _count_calls(monkeypatch, seg_solver.schedule_segments)
+    powers = _count_calls(monkeypatch, res_solver.power_control)
     run_simulation(load_config(BINDING), 4, "lyapunov")
-    keys = [(env.round_index, n, power, enforce) for _, env, n, power, enforce in caps]
-    assert len(set(keys)) == len(keys) < len(schedules) <= 480
+    assert len(tables) == 4 * 6 < len(schedules) <= 480
+    assert len(tables) < len(powers) <= 480
 
 
 def test_round_constants_derived_once_per_round_on_binding(monkeypatch):
     # 4 rounds of 20 sweeps over 6 clusters: each run start's block caps, the
-    # power sub-problem, its energy ceiling and each balance floor are derived
+    # power sub-problem, its energy ceiling and the C11 thresholds are derived
     # once per round and cluster, not once per sweep
     partition_caps = _count_calls(monkeypatch, seg_solver._partition_caps)
     problems = _count_calls(monkeypatch, res_solver._problem)
     ceilings = _count_calls(monkeypatch, res_solver._energy_power_ceiling)
-    floors = _count_calls(monkeypatch, res_solver._balance_power_floor)
+    tables = _count_calls(monkeypatch, convergence.balance_power_thresholds)
     sweeps = _count_calls(monkeypatch, res_solver.allocate_resources)
     trace = run_simulation(load_config(BINDING), 4, "lyapunov")
     assert len(trace.rounds) == 4 and len(sweeps) == 80
     caps_keys = [(env.round_index, n, m) for m, _, env, n, _ in partition_caps]
     problem_keys = [(env.round_index, n) for _, env, n in problems]
-    floor_keys = [(env.round_index, n, s) for _, env, n, s in floors]
     assert 0 < len(caps_keys) == len(set(caps_keys)) <= 4 * 6 * 3  # b = 4 has run starts 1, 2, 4
     assert len(problem_keys) == len(set(problem_keys)) == 4 * 6
     assert 0 < len(ceilings) <= len(problem_keys)
-    assert 0 < len(floor_keys) == len(set(floor_keys))
+    assert len(tables) == 4 * 6
 
 
 def _record_sweeps(monkeypatch) -> list:

@@ -9,6 +9,7 @@ from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.errors import InfeasibleError
 from edgesched.oracles import brute_force_assignment, grid_search_power
 from edgesched.orchestrator import run_simulation
+from edgesched.round_state import ClusterRound
 from edgesched.res_solver import (
     _bisect_increasing,
     _energy_power_ceiling,
@@ -411,7 +412,7 @@ def _full_power_control(cfg, env, n, y, v, n_segments, enforce_balance):
     Returns the power and the box [max(floor, 1e-12 P_max), ceiling].
     """
     prob = _problem(cfg, env, n)
-    floor = res_solver._balance_power_floor(cfg, env, n, n_segments) if enforce_balance else 0.0
+    floor = ClusterRound(cfg, env, n).balance_thresholds[n_segments - 1] if enforce_balance else 0.0
     ceiling = _energy_power_ceiling(prob)
     lo = max(floor, 1e-12 * prob.p_max)
     p = _full_bisect_increasing(lambda q: _true_derivative(prob, v, y, q), lo, ceiling)
@@ -517,10 +518,7 @@ def test_seeded_power_equals_the_full_bracket_on_random_problems(monkeypatch):
             s = int(rng.integers(1, 4))
             enforce_balance = bool(rng.uniform() < 0.7)
             if enforce_balance:
-                try:
-                    floors += res_solver._balance_power_floor(cfg, env, 0, s) > 0.0
-                except InfeasibleError:
-                    pass
+                floors += 0.0 < ClusterRound(cfg, env, 0).balance_thresholds[s - 1] < math.inf
             checker.check(cfg, env, 0, y, v, s, enforce_balance)
     assert floors > 500 and ceilings > 200
     assert checker.interior > 5000

@@ -118,7 +118,7 @@ def test_shared_round_state_equals_fresh_calls(monkeypatch):
                     constraints.add(outcome[1])
                 else:
                     solved += 1
-            if _outcome(seg_solver._segment_cap, cfg, env, 0, power, enforce) != 1:
+            if _outcome(seg_solver._segment_cap, ClusterRound(cfg, env, 0), power, enforce) != 1:
                 wider += not isinstance(plan, tuple) and plan.n_segments > 1
                 continue
             table = seg_solver._one_stage_table(ClusterRound(cfg, env, 0), v)

@@ -24,6 +24,8 @@ from edgesched.seg_solver import (
     optimal_partition,
     schedule_segments,
 )
+from edgesched.res_solver import power_control
+from edgesched.round_state import ClusterRound
 
 from conftest import REPO_ROOT, minimal_doc, random_system, random_system_doc
 
@@ -598,9 +600,9 @@ def test_stage_count_floor_is_tight_on_even_splits():
             assert obj * (1 - 1e-9) <= floor(m, _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)) <= obj
 
 
-def _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce=True, **kwargs):
+def _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce=True):
     try:
-        return optimal_partition(m, cfg, env, n, v, q, power, enforce, cutoff=cutoff, **kwargs)
+        return optimal_partition(m, cfg, env, n, v, q, power, enforce, cutoff=cutoff)
     except InfeasibleError as exc:
         return exc.constraint, str(exc)
 
@@ -675,35 +677,63 @@ def test_run_start_skip_keeps_an_exact_tie():
     assert (plan.delta, plan.m) == _unpruned_scan(cfg, env, 0, (0.0,), 1.0, 0.5) == ((2, 0, 0), 2)
 
 
-def test_partition_given_the_segment_cap_equals_computing_it():
-    # schedule_segments computes the balance cap once and passes it to every
-    # run start; a direct call computes it itself, with the same outcome
-    rng = np.random.default_rng(8)
-    cases = list(itertools.islice(_skip_battery(), 60)) + [
-        (cfg, sample_round_environment(cfg, 1), 0, float(rng.uniform(0.01, 0.5)))
-        for cfg in (random_system(rng, max_devices=6, max_blocks=12) for _ in range(150))
-    ]
-    given = unreachable = 0
-    for cfg, env, n, power in cases:
+def test_segment_cap_and_power_floor_agree_at_every_threshold():
+    # C11 is one table per cluster and round, the power thresholds p_1 <= ...
+    # <= p_L: the segment cap at head power p counts the thresholds at or
+    # below p, and power_control's floor at S segments is p_S. So at p_S and
+    # the next float up the cap allows S stages and just below p_S it does
+    # not, and a power that power_control clamps to its floor, p_1 included,
+    # leaves the next sweep's segment solve a plan instead of a C11 error.
+    # The balance cap is set from the round's channel so that p_1 falls
+    # anywhere in [0, P_max]. Below p_1 the cap is unreachable, and the
+    # partition search raises the cap's C11 error at every run start
+    rng = np.random.default_rng(21)
+    probes = clamped = plans = unreachable = 0
+    for _ in range(300):
+        doc = random_system_doc(rng)
+        conv = doc["convergence"]
+        conv["C"] = float(10 ** rng.uniform(-2, 0))
+        conv["phi"] = float(rng.uniform(0.5, 2.0))
+        t = int(rng.integers(1, 5))
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, t)
+        p_1 = float(rng.uniform(0.0, 1.0)) * cfg.clusters[0].uplink_power_max_w
+        budget = conv["C"] / (env.uplink_interference_w[0] + env.uplink_gain[0] * p_1) + conv["phi"] ** 2 / cfg.model.n_blocks
+        conv["gamma_max_bound"] = (budget + conv["phi"] ** 2) * conv["beta"] * conv["eta"] ** 2 / 2
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, t)
         v = cfg.convergence.v_factor
-        for enforce in (True, False):
+        state = ClusterRound(cfg, env, 0)
+        thresholds = state.balance_thresholds
+        for s, p_s in enumerate(thresholds[: cfg.clusters[0].n_devices], start=1):
+            if math.isinf(p_s):
+                break
+            for power in (p_s, math.nextafter(p_s, math.inf)):
+                assert _segment_cap(state, power, True) >= s
+            if p_s > 0.0:
+                try:
+                    assert _segment_cap(state, math.nextafter(p_s, 0.0), True) < s
+                except InfeasibleError as exc:
+                    assert s == 1 and exc.constraint == "C11"
+            probes += 1
             try:
-                s_cap = _segment_cap(cfg, env, n, power, enforce)
-            except InfeasibleError as exc:
-                # the cap raises first in optimal_partition, so every m gives its error
-                with pytest.raises(InfeasibleError) as got:
-                    optimal_partition(1, cfg, env, n, v, 0.0, power, enforce)
-                assert (got.value.constraint, str(got.value)) == (exc.constraint, str(exc))
-                unreachable += 1
+                power = power_control(cfg, env, 0, 1e18, v, s, state=state)
+            except InfeasibleError:
                 continue
-            for q in (0.0, 1.0):
-                for m in _micro_batch_run_starts(cfg.model.batch_items):
-                    computed = _partition_outcome(m, cfg, env, n, v, q, power, math.inf, enforce)
-                    cutoffs = [math.inf]
-                    if not isinstance(computed[0], str):
-                        cutoffs.append(cluster_objective(computed[0], m, cfg, env, n, v, q) * (1 - 1e-9))
-                    for cutoff in cutoffs:
-                        want = _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce)
-                        assert _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce, s_cap=s_cap) == want
-                        given += 1
-    assert given > 2000 and unreachable > 0
+            clamped += power == p_s
+            assert _segment_cap(state, power, True) >= s
+        if math.isinf(thresholds[0]):
+            continue
+        try:
+            schedule_segments(cfg, env, 0, (0.0,), v, thresholds[0], state=state)
+            plans += 1
+        except InfeasibleError as exc:
+            assert "balance cap unreachable" not in str(exc)  # C11 may still bind on a count memory needs
+        if thresholds[0] > 0.0:
+            below = math.nextafter(thresholds[0], 0.0)
+            with pytest.raises(InfeasibleError) as want:
+                _segment_cap(state, below, True)
+            for m in _micro_batch_run_starts(cfg.model.batch_items):
+                assert _partition_outcome(m, cfg, env, 0, v, 0.0, below, math.inf) == ("C11", str(want.value))
+            unreachable += 1
+    assert probes > 300 and clamped > 250 and plans > 150 and unreachable > 250
