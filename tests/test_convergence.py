@@ -7,9 +7,9 @@ import pytest
 from edgesched.config import ConvergenceParams
 from edgesched.convergence import (
     RunningGapBound,
+    balance_power_thresholds,
     gamma_round,
     gamma_round_from_error,
-    balance_power_thresholds,
     interference_error,
     optimality_gap_bound,
     sigma,

@@ -297,17 +297,22 @@ def test_segment_counts_priced_in_the_bound_leave_few_searches(table2_cfg, monke
     assert len(calls) <= 30
 
 
-def test_balance_thresholds_built_once_per_round_and_cluster(monkeypatch):
+def test_balance_thresholds_built_once_per_round_and_cluster(table2_cfg, monkeypatch):
     # binding runs every BCD sweep: 6 clusters x 20 sweeps x 4 rounds = 480
     # schedule_segments and power_control calls; the C11 thresholds depend on
     # neither the head power nor the segment count, and both solvers read
-    # the one table a round builds per cluster
+    # the one table a round builds per cluster. On table2 the segment solves
+    # search, and every partition search reads its caller's table too
     tables = _count_calls(monkeypatch, convergence.balance_power_thresholds)
     schedules = _count_calls(monkeypatch, seg_solver.schedule_segments)
     powers = _count_calls(monkeypatch, res_solver.power_control)
     run_simulation(load_config(BINDING), 4, "lyapunov")
     assert len(tables) == 4 * 6 < len(schedules) <= 480
     assert len(tables) < len(powers) <= 480
+    tables.clear()
+    searches = _count_calls(monkeypatch, seg_solver.optimal_partition)
+    run_simulation(table2_cfg, 6, "lyapunov")
+    assert len(tables) == 6 * 3 < len(searches)
 
 
 def test_round_constants_derived_once_per_round_on_binding(monkeypatch):

@@ -698,7 +698,9 @@ def test_segment_cap_and_power_floor_agree_at_every_threshold():
         cfg = build_config(doc)
         env = sample_round_environment(cfg, t)
         p_1 = float(rng.uniform(0.0, 1.0)) * cfg.clusters[0].uplink_power_max_w
-        budget = conv["C"] / (env.uplink_interference_w[0] + env.uplink_gain[0] * p_1) + conv["phi"] ** 2 / cfg.model.n_blocks
+        # an error budget of eps(p_1) + phi^2/L at S = 1 puts the first threshold at about p_1
+        eps = conv["C"] / (env.uplink_interference_w[0] + env.uplink_gain[0] * p_1)
+        budget = eps + conv["phi"] ** 2 / cfg.model.n_blocks
         conv["gamma_max_bound"] = (budget + conv["phi"] ** 2) * conv["beta"] * conv["eta"] ** 2 / 2
         cfg = build_config(doc)
         env = sample_round_environment(cfg, t)
