@@ -78,18 +78,27 @@ def balance_error_budget(params: ConvergenceParams, n_clusters: int, n_blocks: i
     )
 
 
-def balance_power_thresholds(
-    params: ConvergenceParams, n_clusters: int, n_blocks: int, gain: float, interference_w: float
-) -> list[float]:
-    """Least uplink power p_S keeping the balance bound at most gamma_max, for S = 1..L.
+def balance_power_threshold(
+    params: ConvergenceParams, n_clusters: int, n_blocks: int, n_segments: int, gain: float, interference_w: float
+) -> float:
+    """Least uplink power p_S keeping the balance bound at most gamma_max at S segments.
 
     p_S = max(0, (C/budget - I)/h) with the ``balance_error_budget`` at S, or
     inf where that budget is at most 0. Every float operation here is monotone
     and the budget falls as S grows, so p_1 <= ... <= p_L, and the most
     segments the cap allows at power p is the number of thresholds at or below p.
     """
-    budgets = [balance_error_budget(params, n_clusters, n_blocks, s) for s in range(1, n_blocks + 1)]
-    return [max(0.0, (params.c_interference / b - interference_w) / gain) if b > 0.0 else math.inf for b in budgets]
+    budget = balance_error_budget(params, n_clusters, n_blocks, n_segments)
+    return max(0.0, (params.c_interference / budget - interference_w) / gain) if budget > 0.0 else math.inf
+
+
+def balance_power_thresholds(
+    params: ConvergenceParams, n_clusters: int, n_blocks: int, gain: float, interference_w: float
+) -> list[float]:
+    """``balance_power_threshold`` p_S for S = 1..L, non-decreasing."""
+    return [
+        balance_power_threshold(params, n_clusters, n_blocks, s, gain, interference_w) for s in range(1, n_blocks + 1)
+    ]
 
 
 def optimality_gap_bound(

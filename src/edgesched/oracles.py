@@ -38,7 +38,6 @@ def brute_force_segment_plan(
     queues: tuple[float, ...],
     v_factor: float,
     cu_power_w: float,
-    enforce_balance: bool = True,
 ) -> tuple[tuple[int, ...], int, int, float]:
     """Exhaustive (delta, S, m) optimum for one cluster.
 
@@ -71,16 +70,19 @@ def brute_force_segment_plan(
         mem_cap.append(int(dev.mem_budget_bytes // dev.mem_per_block_bytes))
         e_budget.append(dev.energy_budget_j)
 
-    s_cap = k_dev
-    if enforce_balance:
-        params = cfg.convergence
-        phi2 = params.phi_bound**2
-        eps = params.c_interference / (cu_power_w * env.uplink_gain[n] + env.uplink_interference_w[n])
-        slack = 2.0 * cfg.n_clusters * params.gamma_max / (params.beta * params.eta**2) - eps - phi2
-        if slack <= 0:
-            s_cap = 0
-        else:
-            s_cap = min(s_cap, int(math.floor(math.sqrt(model.n_blocks * slack / phi2) * (1 + 1e-12))))
+    # C11: S segments need the head power at or above p_S = max(0, (C/budget(S) - I)/h)
+    params = cfg.convergence
+    phi2 = params.phi_bound**2
+    gain, interference = env.uplink_gain[n], env.uplink_interference_w[n]
+    allowed = set()
+    for s in range(1, k_dev + 1):
+        budget = (
+            2.0 * cfg.n_clusters * params.gamma_max / (params.beta * params.eta**2)
+            - phi2 * s**2 / model.n_blocks
+            - phi2
+        )
+        if budget > 0.0 and cu_power_w >= max(0.0, (params.c_interference / budget - interference) / gain):
+            allowed.add(s)
 
     best: tuple | None = None
 
@@ -98,7 +100,7 @@ def brute_force_segment_plan(
     for delta in all_compositions(0, model.n_blocks, []):
         scheduled = [k for k, d in enumerate(delta) if d > 0]
         s = len(scheduled)
-        if s == 0 or s > s_cap:
+        if s not in allowed:
             continue
         for m in range(1, model.batch_items + 1):
             b_hat = -(-model.batch_items // m)

@@ -19,10 +19,9 @@ from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
 from .errors import InfeasibleError, SimulationAborted
-from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update, round_delay
-from .pipeline import SegmentPlan, pipeline_latency
+from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update
+from .pipeline import SegmentPlan
 from .res_solver import _ranked_assignment, allocate_resources
-from .round_state import cluster_rounds
 from .seg_solver import optimal_micro_batches, schedule_segments
 
 TRACE_SCHEMA_VERSION = 1
@@ -30,9 +29,6 @@ TRACE_SCHEMA_VERSION = 1
 POLICIES = ("lyapunov", "random", "loss", "delay", "uniform")
 
 _POLICY_SALT = {"random": 101, "loss": 102, "delay": 103, "uniform": 104}
-
-_QUEUE_STABLE_TOL = 1e-9
-_MAX_INNER_ITERS = 20
 
 
 def _worst_terms(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> tuple[int, float]:
@@ -46,76 +42,24 @@ def _worst_terms(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvi
     return max(plan.n_segments for plan in decision.plans), eps_max
 
 
-def system_gamma(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
-    """System-wide balance bound: worst segment count with worst error term."""
-    s_max, eps_max = _worst_terms(decision, cfg, env)
-    return gamma_round_from_error(s_max, eps_max, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
-
-
 def optimize_round(
     cfg: SystemConfig,
     env: RoundEnvironment,
     queues: tuple[float, ...],
     v_factor: float,
 ) -> SchedulingDecision:
-    """One round of the drift-plus-penalty scheduler.
+    """One round of the drift-plus-penalty scheduler, solved once at the round's queues.
 
-    Block-coordinate descent between the per-cluster segment solver and the
-    resource solver, iterated on a scratch copy of the queues until that copy
-    stabilizes (sup-norm < 1e-9) or 20 iterations pass. The returned decision
-    is the best seen under the true drift-plus-penalty objective at the
-    round's actual queue values.
-
-    Between sweeps only the scratch queues and the head powers change. One
-    ``ClusterRound`` per cluster, built here and dropped on return, keeps
-    what a later sweep asks for again and depends on (config, round
-    environment, cluster) alone: the C11 thresholds (the segment cap at any
-    power, the power floor at any segment count), the check of each final
-    plan, and the power box's sub-problem and energy ceiling. Every sweep
-    passes the same states, so the sweeps after the first read them instead of
-    deriving them again; an ``InfeasibleError`` ends the round's solve, so
-    none is kept. Where a cluster's balance cap allows one stage, its segment
-    solves are answered from the round's table of one-stage plans, built on
-    the first of them, without a search (see ``schedule_segments``). A sweep
-    is scored with ``drift_penalty_at`` of ``round_delay``, which takes each
-    plan's pipeline latency from the state, keyed by (delta, m), so that only
-    the uplink delays, which move with the powers, are computed every sweep.
+    Each cluster's segments are scheduled at its full head power P_max, where
+    the balance cap allows the most segments; the resource solver then
+    matches channels and sets each power, no lower than the C11 floor of the
+    cluster's chosen segment count, which P_max meets.
     """
-    y_scratch = queues
-    powers = tuple(cl.uplink_power_max_w for cl in cfg.clusters)
-    states = cluster_rounds(cfg, env)
-    best_obj = math.inf
-    best_decision: SchedulingDecision | None = None
-
-    def latency(plan, cfg, env, n):
-        return states[n].memo(("latency", plan.delta, plan.m), pipeline_latency, plan, cfg, env, n)
-
-    for _ in range(_MAX_INNER_ITERS):
-        plans = tuple(
-            schedule_segments(cfg, env, n, y_scratch, v_factor, powers[n], state=states[n])
-            for n in range(cfg.n_clusters)
-        )
-        assignment, powers = allocate_resources(
-            cfg, env, y_scratch, v_factor, tuple(p.n_segments for p in plans), states=states
-        )
-        decision = SchedulingDecision(
-            plans=plans, assignment=assignment, powers_w=powers, round_index=env.round_index
-        )
-        obj = drift_penalty_at(round_delay(decision, cfg, env, latency), decision, queues, v_factor)
-        if obj < best_obj:
-            best_obj, best_decision = obj, decision
-        gamma_t = system_gamma(decision, cfg, env)
-        y_new = queue_update(y_scratch, gamma_t, cfg.convergence.gamma_max)
-        if max(abs(a - b) for a, b in zip(y_new, y_scratch)) < _QUEUE_STABLE_TOL:
-            break
-        y_scratch = y_new
-        # feed candidate powers back into the next sweep; excluded clusters
-        # keep their power bound so the balance cap is judged at full power
-        powers = tuple(
-            p if p > 0 else cl.uplink_power_max_w for p, cl in zip(powers, cfg.clusters)
-        )
-    assert best_decision is not None
-    return best_decision
+    plans = tuple(
+        schedule_segments(cfg, env, n, queues, v_factor, cl.uplink_power_max_w) for n, cl in enumerate(cfg.clusters)
+    )
+    assignment, powers = allocate_resources(cfg, env, queues, v_factor, tuple(p.n_segments for p in plans))
+    return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers, round_index=env.round_index)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +89,11 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
     ids = device_ids if device_ids is not None else _capable_devices(cfg, n)
     if not ids:
         raise InfeasibleError("C7", f"cluster {n}: no device can hold a block")
+    caps = {k: cl.devices[k].block_cap for k in ids}
+    if sum(caps.values()) < cfg.model.n_blocks:
+        raise InfeasibleError("C7", f"cluster {n}: memory cannot host all blocks")
     delta = [0] * cl.n_devices
     rem = cfg.model.n_blocks
-    caps = {k: cl.devices[k].block_cap for k in ids}
     share = {k: 0 for k in ids}
     for i, k in enumerate(ids):
         want = -(-rem // (len(ids) - i))
@@ -161,8 +107,6 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
             share[k] += 1
             rem -= 1
         i += 1
-        if i > 10 * len(ids) * cfg.model.n_blocks:
-            raise InfeasibleError("C7", f"cluster {n}: memory cannot host all blocks")
     for k, v in share.items():
         delta[k] = v
     return tuple(delta)

@@ -3,24 +3,18 @@
 The per-cluster power objective V*tau_up(p) + Y*p is convex on p > 0 (the
 delay is the reciprocal of a concave rate), and the energy budget (C8) and the
 balance cap (C11) each bound the power to one side, C11 at the round's
-threshold p_S for S segments, the table the segment solver reads its cap from,
-so bisection on the true gradient inside that box finds the global optimum;
-each bisection stops at its float fixed point, capped at 200 steps. When the
-queue is positive the power bisection first tries a narrow bracket around the
-closed-form stationary power (``_stationary_power``) and falls back to the
-full box when that bracket does not hold the root. Both brackets reach the
-same float: every IEEE operation in ``_true_derivative`` is monotone, so its
-float values are non-decreasing in p, it is negative on a prefix of the
-floats, and the bisection ends at the last float of that prefix wherever it
-starts. Channels are identical, so matching ranks the clusters by cost and the
-surplus ones sit out a round.
-
-The box does not depend on the queues. Each cluster's sub-problem
-constants, energy ceiling (a bisection when the budget binds) and C11
-thresholds are kept in its ``round_state.ClusterRound``, which
-``optimize_round`` shares across its block-coordinate descent sweeps and the
-matching reads too; only the comparisons of floor and ceiling against each
-other and P_max run on every call.
+threshold p_S for S segments (``convergence.balance_power_threshold``, the
+expression the segment solver reads its cap from), so bisection on the true
+gradient inside that box finds the global optimum; each bisection stops at
+its float fixed point, capped at 200 steps. When the queue is positive the
+power bisection first tries a narrow bracket around the closed-form
+stationary power (``_stationary_power``) and falls back to the full box when
+that bracket does not hold the root. Both brackets reach the same float:
+every IEEE operation in ``_true_derivative`` is monotone, so its float values
+are non-decreasing in p, it is negative on a prefix of the floats, and the
+bisection ends at the last float of that prefix wherever it starts. Channels
+are identical, so matching ranks the clusters by cost and the surplus ones
+sit out a round.
 
 Scipy is loaded only by the Hungarian test reference, ``_lexmin_assignment``.
 """
@@ -34,8 +28,8 @@ import numpy as np
 
 from .comm import ChannelAssignment, spectral_efficiency, transfer_energy, transfer_time
 from .config import RoundEnvironment, SystemConfig
+from .convergence import balance_power_threshold
 from .errors import InfeasibleError
-from .round_state import ClusterRound, cluster_rounds
 
 _BISECT_ITERS = 200
 _LN2 = math.log(2.0)
@@ -191,8 +185,6 @@ def power_control(
     v_factor: float,
     n_segments: int,
     enforce_balance: bool = True,
-    *,
-    state: ClusterRound | None = None,
 ) -> float:
     """Optimal uplink power of cluster n in [0, P_max] under C8 and C11.
 
@@ -212,28 +204,23 @@ def power_control(
     the module docstring).
 
     The floor is the C11 threshold p_S at S = ``n_segments``, in [1, L].
-    ``state`` is cluster n's ``ClusterRound`` for this round. It keeps the
-    sub-problem's constants, the energy ceiling and the thresholds, so a
-    caller that solves the round at several queues passes the same one each
-    time; without it a fresh one is built. The C11' and C8 comparisons of
-    floor and ceiling are made on every call.
     """
-    if state is None:
-        state = ClusterRound(cfg, env, n)
-    prob = state.memo("problem", _problem, cfg, env, n)
+    prob = _problem(cfg, env, n)
     p_floor = 0.0
     if enforce_balance:
-        thresholds = state.balance_thresholds
-        if not 1 <= n_segments <= len(thresholds):
-            raise InfeasibleError("C1", f"cluster {n}: segment count {n_segments} outside [1, {len(thresholds)}]")
-        p_floor = thresholds[n_segments - 1]
+        l_blocks = cfg.model.n_blocks
+        if not 1 <= n_segments <= l_blocks:
+            raise InfeasibleError("C1", f"cluster {n}: segment count {n_segments} outside [1, {l_blocks}]")
+        p_floor = balance_power_threshold(
+            cfg.convergence, cfg.n_clusters, l_blocks, n_segments, env.uplink_gain[n], env.uplink_interference_w[n]
+        )
         if math.isinf(p_floor):
             raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at any power (S={n_segments})")
     if p_floor > prob.p_max * (1 + 1e-12):
         raise InfeasibleError(
             "C11'", f"cluster {n}: balance cap needs power {p_floor:.6g} W > P_max {prob.p_max} W"
         )
-    p_ceil = state.memo("ceiling", _energy_power_ceiling, prob)
+    p_ceil = _energy_power_ceiling(prob)
     if p_floor > p_ceil * (1 + 1e-12):
         raise InfeasibleError("C8", f"cluster {n}: energy budget caps power below the balance floor")
     lo = max(p_floor, 1e-12 * prob.p_max)
@@ -290,19 +277,9 @@ def _cluster_costs(
     queues: tuple[float, ...],
     v_factor: float,
     powers: tuple[float, ...],
-    states: tuple[ClusterRound, ...] | None = None,
 ) -> list[float]:
-    """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n.
-
-    ``states`` holds each cluster's ``ClusterRound``, whose sub-problem is
-    reused when ``power_control`` has built it; without them it is built here.
-    """
-    if states is None:
-        states = cluster_rounds(cfg, env)
-    return [
-        _objective(state.memo("problem", _problem, cfg, env, n), v_factor, queues[n], p)
-        for n, (state, p) in enumerate(zip(states, powers))
-    ]
+    """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n."""
+    return [_objective(_problem(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
 
 
 def matching_costs(
@@ -330,13 +307,10 @@ def channel_assignment(
     queues: tuple[float, ...],
     v_factor: float,
     candidate_powers: tuple[float, ...],
-    *,
-    states: tuple[ClusterRound, ...] | None = None,
 ) -> ChannelAssignment:
     """Minimum-cost matching, lex tie-break: the min(N, J) cheapest clusters by
-    (cost, index) transmit, on channels 0, 1, ... in cluster order. ``states``
-    are the clusters' ``ClusterRound``s, as in ``allocate_resources``."""
-    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers, states)
+    (cost, index) transmit, on channels 0, 1, ... in cluster order."""
+    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers)
     ranked = sorted(range(cfg.n_clusters), key=costs.__getitem__)
     return _ranked_assignment(cfg, sorted(ranked[: cfg.n_channels]))
 
@@ -348,26 +322,17 @@ def allocate_resources(
     v_factor: float,
     segment_counts: tuple[int, ...],
     enforce_balance: bool = True,
-    *,
-    states: tuple[ClusterRound, ...] | None = None,
 ) -> tuple[ChannelAssignment, tuple[float, ...]]:
     """Channel matching and uplink powers for one round, in a single pass.
 
     The power sub-problems have no cross-cluster coupling, so each cluster's
     optimal power is solved first; the matching is then priced at those
     powers, and clusters left without a channel transmit at zero power.
-
-    ``states`` holds each cluster's ``ClusterRound`` for this round, shared
-    by power control and matching; without them fresh ones are built.
     """
-    if states is None:
-        states = cluster_rounds(cfg, env)
     candidates = tuple(
-        power_control(
-            cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance, state=states[n]
-        )
+        power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance)
         for n in range(cfg.n_clusters)
     )
-    assignment = channel_assignment(cfg, env, queues, v_factor, candidates, states=states)
+    assignment = channel_assignment(cfg, env, queues, v_factor, candidates)
     powers = tuple(candidates[n] if assignment.is_transmitting(n) else 0.0 for n in range(cfg.n_clusters))
     return assignment, powers

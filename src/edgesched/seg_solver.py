@@ -10,8 +10,9 @@ at any partition the latency grows with m and the energy budgets bind alike;
 the joint optimum therefore lies at a run start. Constraints: block
 conservation, segment count at most the device count, per-device memory,
 per-device round energy, and the balance cap (C11): S segments when the
-cluster's uplink power is at least the round's threshold p_S, the table that
-gives power control its floor. Device speeds and hop times are the round's,
+cluster's uplink power is at least the round's threshold p_S
+(``convergence.balance_power_threshold``), which is also power control's
+floor at S. Device speeds and hop times are the round's,
 read from the ``RoundEnvironment``; memory caps and energy budgets come from
 the config. Every plan is scored by ``cluster_objective`` and every energy
 budget is checked with ``pipeline.device_energy``.
@@ -34,24 +35,19 @@ floors, lies strictly above the best objective is not searched at all: no
 plan there can win, not even on a tie. On the shipped table2 scenario this
 leaves 22 of the 270 partition solves of six rounds.
 
-Block-coordinate descent calls the solver once per sweep, and between sweeps
-only the queue sum q and the head power, and so the balance cap, move. Under
-a cap of one stage every candidate has S = 1, so the queue term S*q is the
-same for all of them and the answer is a lookup in the round's sorted table
-of one-stage plans. That table, the C11 thresholds and the check of each
-final plan are kept in the cluster's ``round_state.ClusterRound``, which
-``optimize_round`` shares across its sweeps. A call whose cap allows two or
-more stages searches, and the search keeps nothing between calls: on the
-shipped and benchmarked workloads a round that searches runs one sweep.
+The balance cap does not depend on m: ``schedule_segments`` computes the
+thresholds once per call and hands every partition search the cap as a
+segment count. Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, takewhile
+from itertools import accumulate
 
 from .config import RoundEnvironment, SystemConfig
+from .convergence import balance_power_thresholds
 from .errors import InfeasibleError
 from .pipeline import (
     SegmentPlan,
@@ -61,7 +57,6 @@ from .pipeline import (
     pipeline_latency_from_times,
     stage_profile,
 )
-from .round_state import ClusterRound
 
 
 def _chunk_work(b_hat: int, cfg: SystemConfig) -> float:
@@ -180,11 +175,9 @@ def optimal_partition(
     n: int,
     v_factor: float,
     queue_sum: float,
-    cu_power_w: float,
-    enforce_balance: bool = True,
+    s_cap: int,
     *,
     cutoff: float = math.inf,
-    state: ClusterRound | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
     """Exact argmin over integer block compositions at fixed m.
 
@@ -210,13 +203,11 @@ def optimal_partition(
     an instance without a feasible composition raises instead. ``speed_j``
     and ``hop_j`` are the round's ``env.speed[n][j]`` and ``env.hop_s[n][j]``.
 
-    The balance cap on S is ``_segment_cap`` at ``cu_power_w``, from the C11
-    thresholds of ``state``, cluster n's ``ClusterRound`` (a fresh one when
-    None). Beyond those thresholds the search keeps nothing between calls.
+    ``s_cap`` is the most segments a plan may use: the device count, or less
+    under the balance cap, as ``_segment_cap`` gives it.
     """
     n_dev = cfg.clusters[n].n_devices
     l_blocks = cfg.model.n_blocks
-    s_cap = _segment_cap(state or ClusterRound(cfg, env, n), cu_power_w, enforce_balance)
 
     # feasibility of the cap set as a whole
     caps, need = _cap_cover(m, cfg, env, n)
@@ -308,17 +299,17 @@ def _lexmin_cover(blocks: int, slots: int, caps: list[int], j: int, d: int) -> t
     return tuple(delta)
 
 
-def _segment_cap(state: ClusterRound, cu_power_w: float, enforce_balance: bool) -> int:
-    """Most segments the state's cluster may use at head power cu_power_w: its
-    device count, and under C11 the number of the round's balance thresholds
-    at or below the power. Raises C11 when there is none."""
-    n_dev = state.cfg.clusters[state.n].n_devices
-    if not enforce_balance:
-        return n_dev
-    s_gamma = bisect_right(state.balance_thresholds, cu_power_w)
+def _segment_cap(cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: float) -> int:
+    """Most segments cluster n may use at head power cu_power_w: its device
+    count, and under C11 the number of the round's balance thresholds at or
+    below the power. Raises C11 when there is none."""
+    thresholds = balance_power_thresholds(
+        cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, env.uplink_gain[n], env.uplink_interference_w[n]
+    )
+    s_gamma = bisect_right(thresholds, cu_power_w)
     if s_gamma == 0:
-        raise InfeasibleError("C11", f"cluster {state.n}: balance cap unreachable at power {cu_power_w}")
-    return min(n_dev, s_gamma)
+        raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at power {cu_power_w}")
+    return min(cfg.clusters[n].n_devices, s_gamma)
 
 
 def _live_stages(env: RoundEnvironment, n: int, caps: list[int], l_blocks: int):
@@ -398,31 +389,6 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     return bound
 
 
-def _checked_plan(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> SegmentPlan:
-    """The plan (delta, m), after the structural checks and the energy budgets."""
-    plan = SegmentPlan(delta=delta, m=m)
-    plan.validate(cfg.clusters[n], cfg.model)
-    if not _feasible_energy_at_m(delta, m, cfg, env, n):
-        raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
-    return plan
-
-
-def _one_stage_table(state: ClusterRound, v_factor: float) -> list[tuple]:
-    """Every one-stage plan (a, delta, m) of the state's cluster over all run
-    starts, sorted, with a = V * its latency, its objective less the queue
-    sum. A run start whose caps raise has no plans: under a balance cap of
-    one stage the search raises there."""
-    cfg, env, n = state.cfg, state.env, state.n
-    table = []
-    for m in _micro_batch_run_starts(cfg.model.batch_items):
-        try:
-            caps, _ = _cap_cover(m, cfg, env, n)
-        except InfeasibleError:
-            continue
-        table += [(a, delta, m) for a, delta in _one_stage_plans(m, caps, cfg, env, n, v_factor)]
-    return sorted(table)
-
-
 def schedule_segments(
     cfg: SystemConfig,
     env: RoundEnvironment,
@@ -430,9 +396,6 @@ def schedule_segments(
     queues: tuple[float, ...],
     v_factor: float,
     cu_power_w: float,
-    enforce_balance: bool = True,
-    *,
-    state: ClusterRound | None = None,
 ) -> SegmentPlan:
     """Exact joint argmin over (partition, micro-batches) for cluster n.
 
@@ -446,32 +409,12 @@ def schedule_segments(
     Ties are never skipped. When every m is infeasible, the error raised at
     m = 1 names the blocker.
 
-    The balance cap does not depend on m, so it is read once, before the run
-    starts; when it is unreachable, its C11 error is the one every run start
-    would raise.
-
-    ``state`` is cluster n's ``ClusterRound`` for this round; a caller that
-    solves the round several times, at other queues or powers, passes the
-    same one each time. It keeps the C11 thresholds, the table of one-stage
-    plans and the check of each final plan. Without it a fresh one is
-    built.
-
-    Under a balance cap of one stage, ``_one_stage_table`` (kept in the state
-    per v_factor) answers instead of the search: it prices each plan a + q
-    with the floats ``cluster_objective`` computes, so the least (a + q,
-    delta, m) is the search's own key, and as a + q does not fall as a
-    rises, the plans that tie on it are a prefix of the table. When the
-    table is empty every run start raises, and the search names the error.
+    The balance cap at ``cu_power_w`` does not depend on m, so it is read
+    once, before the run starts; when it is unreachable, its C11 error is
+    raised before any search.
     """
-    if state is None:
-        state = ClusterRound(cfg, env, n)
     queue_sum = sum(queues)
-    s_cap = _segment_cap(state, cu_power_w, enforce_balance)
-    table = state.memo(("one-stage", v_factor), _one_stage_table, state, v_factor) if s_cap == 1 else None
-    if table:
-        least = table[0][0] + queue_sum
-        _, delta, m = min(takewhile(lambda plan: plan[0] + queue_sum == least, table), key=lambda plan: plan[1:])
-        return state.memo(("plan", delta, m), _checked_plan, delta, m, cfg, env, n)
+    s_cap = _segment_cap(cfg, env, n, cu_power_w)
     best_key = None
     first_error = None
     bound = None
@@ -484,9 +427,7 @@ def schedule_segments(
                 continue
         cutoff = math.inf if best_key is None else best_key[0]
         try:
-            found = optimal_partition(
-                m, cfg, env, n, v_factor, queue_sum, cu_power_w, enforce_balance, cutoff=cutoff, state=state
-            )
+            found = optimal_partition(m, cfg, env, n, v_factor, queue_sum, s_cap, cutoff=cutoff)
         except InfeasibleError as exc:
             first_error = first_error or exc
             continue
@@ -498,4 +439,9 @@ def schedule_segments(
             best_key = key
     if best_key is None:
         raise first_error
-    return state.memo(("plan", best_key[2], best_key[3]), _checked_plan, best_key[2], best_key[3], cfg, env, n)
+    _, _, delta, m = best_key
+    plan = SegmentPlan(delta=delta, m=m)
+    plan.validate(cfg.clusters[n], cfg.model)
+    if not _feasible_energy_at_m(delta, m, cfg, env, n):
+        raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
+    return plan

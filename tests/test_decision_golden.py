@@ -12,7 +12,7 @@ The inputs are the shipped configs: table2, homogeneous and binding
 (six two-device clusters on three channels under a tight balance cap). In
 binding the uplink interference is fixed at 0.058 W, so a cluster left off the
 air lifts the balance bound over its cap and the queues grow every round:
-power control and block-coordinate descent both work.
+power control works at positive queues.
 
 A change that is meant to keep decisions must keep this test passing. Only a
 change meant to alter decisions regenerates the fixture:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from edgesched.config import build_config, sample_round_environment
+from edgesched.convergence import balance_power_thresholds
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_assignment, brute_force_segment_plan, grid_search_power
 from edgesched.res_solver import power_control
-from edgesched.seg_solver import cluster_objective, optimal_micro_batches
+from edgesched.seg_solver import cluster_objective, optimal_micro_batches, schedule_segments
 
-from conftest import minimal_doc
+from conftest import minimal_doc, random_system_doc
 
 
 def test_segment_oracle_guards_are_hard_errors(table2_cfg):
@@ -42,10 +43,52 @@ def test_segment_oracle_infeasible_verdict_matches_solver():
     env = sample_round_environment(cfg, 1)
     with pytest.raises(OracleGuardError):
         brute_force_segment_plan(cfg, env, 0, (0.0,), 10.0, 0.5)
-    from edgesched.seg_solver import schedule_segments
-
     with pytest.raises(InfeasibleError):
         schedule_segments(cfg, env, 0, (0.0,), 10.0, 0.5)
+
+
+def test_segment_oracle_and_solver_agree_around_every_balance_threshold():
+    # the oracle writes C11 inline as p >= max(0, (C/budget(S) - I)/h); at
+    # each threshold p_S, and at the floats just below and just above it, it
+    # must allow the segment counts the solver allows: both infeasible, or
+    # the same plan. Balance caps are set from the round's channel so that
+    # p_1 falls anywhere in [0, P_max]; a small phi spreads later thresholds
+    # over the same range
+    rng = np.random.default_rng(45)
+    infeasible = solved = multi = 0
+    for _ in range(60):
+        doc = random_system_doc(rng, max_devices=4, max_blocks=6, max_batch=8)
+        conv = doc["convergence"]
+        conv["C"] = float(10 ** rng.uniform(-2, 0))
+        conv["phi"] = float(10 ** rng.uniform(-2, 0.3))
+        t = int(rng.integers(1, 5))
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, t)
+        p_1 = float(rng.uniform(0.0, 1.0)) * cfg.clusters[0].uplink_power_max_w
+        budget = conv["C"] / (env.uplink_interference_w[0] + env.uplink_gain[0] * p_1) + conv["phi"] ** 2 / cfg.model.n_blocks
+        conv["gamma_max_bound"] = (budget + conv["phi"] ** 2) * conv["beta"] * conv["eta"] ** 2 / 2
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, t)
+        v, queues = cfg.convergence.v_factor, (float(rng.choice([0.0, 1e-3])),)
+        thresholds = balance_power_thresholds(
+            cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, env.uplink_gain[0], env.uplink_interference_w[0]
+        )
+        for p_s in thresholds[: cfg.clusters[0].n_devices]:
+            if math.isinf(p_s):
+                break
+            for power in (math.nextafter(p_s, -math.inf), p_s, math.nextafter(p_s, math.inf)):
+                try:
+                    plan = schedule_segments(cfg, env, 0, queues, v, power)
+                except InfeasibleError:
+                    with pytest.raises(OracleGuardError):
+                        brute_force_segment_plan(cfg, env, 0, queues, v, power)
+                    infeasible += 1
+                    continue
+                delta, s, m, _ = brute_force_segment_plan(cfg, env, 0, queues, v, power)
+                assert (plan.delta, plan.m) == (delta, m)
+                solved += 1
+                multi += s > 1
+    assert infeasible > 30 and solved > 100 and multi > 10
 
 
 def test_assignment_oracle_basics():

@@ -6,19 +6,19 @@ import sys
 import numpy as np
 import pytest
 
-from edgesched import comm, convergence, orchestrator, pipeline, res_solver, seg_solver
+from edgesched import comm, convergence, pipeline, res_solver, seg_solver
+from edgesched.convergence import RunningGapBound, gamma_round_from_error, interference_error
 from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.decision import validate_decision
-from edgesched.errors import SimulationAborted
-from edgesched.lyapunov import drift_penalty
+from edgesched.errors import InfeasibleError, SimulationAborted
 from edgesched.oracles import brute_force_segment_plan, grid_search_power
 from edgesched.orchestrator import (
     POLICIES,
     baseline_decision,
     loss_proxy,
     optimize_round,
+    evaluate_round,
     run_simulation,
-    system_gamma,
     uniform_partition,
 )
 from edgesched.res_solver import _objective, _problem
@@ -101,40 +101,43 @@ def test_zero_rounds_empty_trace(table2_cfg):
     assert s["rounds"] == 0 and s["avg_tau_s"] == 0.0
 
 
-def test_system_gamma_uses_worst_cluster(table2_cfg):
-    env = sample_round_environment(table2_cfg, 1)
-    d = optimize_round(table2_cfg, env, (0.0,) * 3, 10.0)
-    from edgesched.convergence import gamma_round_from_error, interference_error
+def test_round_gamma_uses_worst_cluster():
+    # the balance bound of a round pairs the largest segment count with the
+    # largest upload error, which may come from different clusters; on binding
+    # the clusters off the air (p = 0) carry the largest error
+    cfg = load_config(BINDING)
+    env = sample_round_environment(cfg, 1)
+    queues = (0.0,) * cfg.n_clusters
+    d = optimize_round(cfg, env, queues, cfg.convergence.v_factor)
+    e_com, e_pipe = validate_decision(d, cfg, env)
+    bound = RunningGapBound(cfg.convergence.f0_gap, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
+    metrics, _ = evaluate_round(d, cfg, env, queues, bound, e_com, e_pipe)
+    errors = [
+        interference_error(d.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference)
+        for n in range(cfg.n_clusters)
+    ]
+    assert 0.0 in d.powers_w
+    s_max, eps_max = max(p.n_segments for p in d.plans), max(errors)
+    assert metrics.gamma_t == gamma_round_from_error(s_max, eps_max, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
+    assert metrics.gamma_t > gamma_round_from_error(s_max, min(errors), cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
 
-    s_max = max(p.n_segments for p in d.plans)
-    eps_max = max(
-        interference_error(
-            d.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], table2_cfg.convergence.c_interference
-        )
-        for n in range(3)
-    )
-    assert system_gamma(d, table2_cfg, env) == pytest.approx(
-        gamma_round_from_error(s_max, eps_max, table2_cfg.convergence, 3, 6), rel=1e-12
-    )
 
-
-def test_best_seen_decision_objective_never_worse_than_first_sweep(table2_cfg):
-    env = sample_round_environment(table2_cfg, 6)
-    queues = (0.1, 0.4, 0.9)
-    d = optimize_round(table2_cfg, env, queues, 10.0)
-    # a first-sweep reference: maximize-power seg solve + allocation once
-    from edgesched.res_solver import allocate_resources
-    from edgesched.seg_solver import schedule_segments
-    from edgesched.decision import SchedulingDecision
-
-    plans = tuple(schedule_segments(table2_cfg, env, n, queues, 10.0, 0.5) for n in range(3))
-    assignment, powers = allocate_resources(
-        table2_cfg, env, queues, 10.0, tuple(p.n_segments for p in plans)
-    )
-    ref = SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers, round_index=6)
-    assert drift_penalty(d, table2_cfg, env, queues, 10.0) <= drift_penalty(
-        ref, table2_cfg, env, queues, 10.0
-    ) * (1 + 1e-12)
+def test_lyapunov_round_is_one_pass_at_full_power(monkeypatch):
+    # every lyapunov round schedules each cluster's segments once, at the
+    # round's queues and its P_max, and allocates channels and powers once,
+    # at the same queues; binding's queues are positive after round 1
+    cfg = load_config(BINDING)
+    schedules = _count_calls(monkeypatch, seg_solver.schedule_segments)
+    allocations = _count_calls(monkeypatch, res_solver.allocate_resources)
+    trace = run_simulation(cfg, 4, "lyapunov")
+    assert len(trace.rounds) == 4 and max(trace.rounds[-1].queue_after) > 0.0
+    queues = [(0.0,) * cfg.n_clusters] + [r.queue_after for r in trace.rounds[:-1]]
+    assert [(env.round_index, n, q, v, p) for _, env, n, q, v, p in schedules] == [
+        (t, n, queues[t - 1], cfg.convergence.v_factor, cl.uplink_power_max_w)
+        for t in range(1, 5)
+        for n, cl in enumerate(cfg.clusters)
+    ]
+    assert [(env.round_index, q) for _, env, q, *_ in allocations] == [(t, queues[t - 1]) for t in range(1, 5)]
 
 
 def test_loss_proxy_deterministic_and_decaying(table2_cfg):
@@ -155,6 +158,22 @@ def test_uniform_partition_exact_split(table2_cfg):
     cfg = build_config(doc)
     delta = uniform_partition(cfg, 0)
     assert sum(delta) == 7 and max(delta) - min(delta) <= 1
+
+
+def test_uniform_partition_names_c7_when_memory_cannot_host_the_blocks():
+    # three devices of two blocks each cannot hold seven blocks, and neither
+    # can a subset of devices whose caps fall short of L
+    doc = minimal_doc()
+    doc["model"] = {"L": 7}
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": 5e8, "gamma0_bytes": 2.5e8} for _ in range(3)]
+    with pytest.raises(InfeasibleError) as short:
+        uniform_partition(build_config(doc), 0)
+    assert str(short.value) == "infeasible: C7 (cluster 0: memory cannot host all blocks)"
+    doc["clusters"][0]["devices"].append({"gamma_max_bytes": 2.5e9, "gamma0_bytes": 2.5e8})
+    cfg = build_config(doc)
+    assert uniform_partition(cfg, 0) == (2, 2, 2, 1)
+    with pytest.raises(InfeasibleError, match="C7"):
+        uniform_partition(cfg, 0, [0, 1, 2])
 
 
 def test_baselines_reproducible_and_valid(table2_cfg):
@@ -298,94 +317,26 @@ def test_segment_counts_priced_in_the_bound_leave_few_searches(table2_cfg, monke
 
 
 def test_balance_thresholds_built_once_per_round_and_cluster(table2_cfg, monkeypatch):
-    # binding runs every BCD sweep: 6 clusters x 20 sweeps x 4 rounds = 480
-    # schedule_segments and power_control calls; the C11 thresholds depend on
-    # neither the head power nor the segment count, and both solvers read
-    # the one table a round builds per cluster. On table2 the segment solves
-    # search, and every partition search reads its caller's table too
+    # a round solves each cluster's segments once, and that solve builds the
+    # C11 thresholds once and hands every partition search the cap; power
+    # control computes only its own floor p_S. On table2 the segment solves
+    # search, several times in some rounds
     tables = _count_calls(monkeypatch, convergence.balance_power_thresholds)
     schedules = _count_calls(monkeypatch, seg_solver.schedule_segments)
-    powers = _count_calls(monkeypatch, res_solver.power_control)
     run_simulation(load_config(BINDING), 4, "lyapunov")
-    assert len(tables) == 4 * 6 < len(schedules) <= 480
-    assert len(tables) < len(powers) <= 480
+    assert len(tables) == len(schedules) == 4 * 6
     tables.clear()
     searches = _count_calls(monkeypatch, seg_solver.optimal_partition)
     run_simulation(table2_cfg, 6, "lyapunov")
     assert len(tables) == 6 * 3 < len(searches)
 
 
-def test_round_constants_derived_once_per_round_on_binding(monkeypatch):
-    # 4 rounds of 20 sweeps over 6 clusters: each run start's block caps, the
-    # power sub-problem, its energy ceiling and the C11 thresholds are derived
-    # once per round and cluster, not once per sweep
-    partition_caps = _count_calls(monkeypatch, seg_solver._partition_caps)
-    problems = _count_calls(monkeypatch, res_solver._problem)
-    ceilings = _count_calls(monkeypatch, res_solver._energy_power_ceiling)
-    tables = _count_calls(monkeypatch, convergence.balance_power_thresholds)
-    sweeps = _count_calls(monkeypatch, res_solver.allocate_resources)
-    trace = run_simulation(load_config(BINDING), 4, "lyapunov")
-    assert len(trace.rounds) == 4 and len(sweeps) == 80
-    caps_keys = [(env.round_index, n, m) for m, _, env, n, _ in partition_caps]
-    problem_keys = [(env.round_index, n) for _, env, n in problems]
-    assert 0 < len(caps_keys) == len(set(caps_keys)) <= 4 * 6 * 3  # b = 4 has run starts 1, 2, 4
-    assert len(problem_keys) == len(set(problem_keys)) == 4 * 6
-    assert 0 < len(ceilings) <= len(problem_keys)
-    assert len(tables) == 4 * 6
-
-
-def _record_sweeps(monkeypatch) -> list:
-    """For every optimal_partition call, the ordinal of the schedule_segments
-    call it runs in, among that cluster's calls of that round."""
-    calls, ordinals, current = {}, [], []
-    schedule, partition = seg_solver.schedule_segments, seg_solver.optimal_partition
-
-    def tracked(cfg, env, n, *args, **kwargs):
-        key = (env.round_index, n)
-        calls[key] = calls.get(key, 0) + 1
-        current.append(calls[key])
-        try:
-            return schedule(cfg, env, n, *args, **kwargs)
-        finally:
-            current.pop()
-
-    def counted(*args, **kwargs):
-        ordinals.append(current[-1])
-        return partition(*args, **kwargs)
-
-    monkeypatch.setattr(orchestrator, "schedule_segments", tracked)
-    monkeypatch.setattr(seg_solver, "optimal_partition", counted)
-    return ordinals
-
-
-def test_segment_solves_answered_from_the_one_stage_table_on_binding(monkeypatch):
-    # 4 rounds of up to 20 sweeps over 6 clusters, each under a balance cap of
-    # one stage: every segment solve of every sweep, the first included, is
-    # answered from the round's table of one-stage plans without a partition
-    # search, and every plan's pipeline latency is computed once per round,
-    # not once per sweep
-    ordinals = _record_sweeps(monkeypatch)
-    solves = _count_calls(monkeypatch, orchestrator.schedule_segments)
-    latencies = []
-
-    def latency(plan, cfg, env, n):
-        latencies.append((env.round_index, n, plan))
-        return pipeline.pipeline_latency(plan, cfg, env, n)
-
-    monkeypatch.setattr(orchestrator, "pipeline_latency", latency)
-    trace = run_simulation(load_config(BINDING), 4, "lyapunov")
-    assert len(trace.rounds) == 4
-    assert ordinals == []
-    assert len(solves) > 4 * 6 * 2  # more than two sweeps a round
-    assert 4 * 6 <= len(latencies) == len(set(latencies)) < 4 * 6 * 20
-
-
 def test_one_sweep_rounds_search_as_before_on_table2(table2_cfg, monkeypatch):
-    # table2's queues stay 0, so each round runs one sweep, and its balance cap
-    # of three stages sends every segment solve to the search
-    ordinals = _record_sweeps(monkeypatch)
+    # table2's queues stay 0, and its balance cap of three stages sends every
+    # segment solve to the search
+    searches = _count_calls(monkeypatch, seg_solver.optimal_partition)
     run_simulation(table2_cfg, 6, "lyapunov")
-    assert ordinals == [1] * 22  # the partition searches of the search alone
+    assert len(searches) == 22
 
 
 def _table2_on_64_channels():

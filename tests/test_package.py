@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -35,6 +36,31 @@ def test_names_the_benchmark_binds_resolve():
     assert imported
     missing = [(m, a) for m, a in bound + imported if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def test_calls_the_benchmark_makes_bind():
+    # every call roundbench's spot checks make to an edgesched function, with
+    # its positional count and keyword names, must fit that function's
+    # signature, so a removed or reordered parameter fails here
+    with open(os.path.join(ROUNDBENCH, "spotchecks.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {
+        alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "edgesched"
+        for alias in node.names
+    }
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions
+    ]
+    assert {"schedule_segments", "power_control", "brute_force_segment_plan"} <= {c.func.id for c in calls}
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg for kw in call.keywords)
+        signature = inspect.signature(functions[call.func.id])
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
 
 
 _SCIPY_FREE_RUN = """

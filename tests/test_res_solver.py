@@ -6,10 +6,9 @@ import pytest
 
 from edgesched import res_solver
 from edgesched.config import build_config, load_config, sample_round_environment
+from edgesched.convergence import balance_power_threshold
 from edgesched.errors import InfeasibleError
 from edgesched.oracles import brute_force_assignment, grid_search_power
-from edgesched.orchestrator import run_simulation
-from edgesched.round_state import ClusterRound
 from edgesched.res_solver import (
     _bisect_increasing,
     _energy_power_ceiling,
@@ -382,28 +381,42 @@ def test_energy_ceiling_fixed_point_stop_is_exact_when_budget_binds():
     assert binding == 300
 
 
-def test_power_bisection_stops_at_its_fixed_point(monkeypatch):
-    # a bracket on (0, 0.5] W reaches its float fixed point within about 55
-    # halvings; a loop that runs all 200 steps makes 202 derivative evaluations
+def _derivative_evaluations(monkeypatch) -> list[int]:
+    """Derivative evaluations of each power_control call on binding, rounds
+    1-3, S = 1, at the queues 0, 5e-7, ..., 9.5e-6 the balance bound's
+    excess reaches in its first rounds there."""
     evaluations = [0]
-    per_call = []
 
     def counting_derivative(*args):
         evaluations[0] += 1
         return _true_derivative(*args)
 
-    def counting_power_control(*args, **kwargs):
-        evaluations[0] = 0
-        p = power_control(*args, **kwargs)
-        per_call.append(evaluations[0])
-        return p
-
     monkeypatch.setattr(res_solver, "_true_derivative", counting_derivative)
-    monkeypatch.setattr(res_solver, "power_control", counting_power_control)
-    run_simulation(load_config(BINDING), 3, "lyapunov")
-    interior = [c for c in per_call if c > 2]
+    cfg = load_config(BINDING)
+    per_call = []
+    for t in (1, 2, 3):
+        env = sample_round_environment(cfg, t)
+        for n in range(cfg.n_clusters):
+            for i in range(20):
+                evaluations[0] = 0
+                power_control(cfg, env, n, 5e-7 * i, cfg.convergence.v_factor, 1)
+                per_call.append(evaluations[0])
+    return per_call
+
+
+def test_power_bisection_stops_at_its_fixed_point(monkeypatch):
+    # a bracket on (0, 0.5] W reaches its float fixed point within about 55
+    # halvings; a loop that runs all 200 steps makes 202 derivative evaluations
+    interior = [c for c in _derivative_evaluations(monkeypatch) if c > 2]
     assert len(interior) > 100
     assert max(interior) <= 70
+
+
+def _threshold(cfg, env, n, n_segments):
+    """The C11 power floor p_S of cluster n in this round."""
+    return balance_power_threshold(
+        cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, n_segments, env.uplink_gain[n], env.uplink_interference_w[n]
+    )
 
 
 def _full_power_control(cfg, env, n, y, v, n_segments, enforce_balance):
@@ -412,7 +425,7 @@ def _full_power_control(cfg, env, n, y, v, n_segments, enforce_balance):
     Returns the power and the box [max(floor, 1e-12 P_max), ceiling].
     """
     prob = _problem(cfg, env, n)
-    floor = ClusterRound(cfg, env, n).balance_thresholds[n_segments - 1] if enforce_balance else 0.0
+    floor = _threshold(cfg, env, n, n_segments) if enforce_balance else 0.0
     ceiling = _energy_power_ceiling(prob)
     lo = max(floor, 1e-12 * prob.p_max)
     p = _full_bisect_increasing(lambda q: _true_derivative(prob, v, y, q), lo, ceiling)
@@ -518,7 +531,7 @@ def test_seeded_power_equals_the_full_bracket_on_random_problems(monkeypatch):
             s = int(rng.integers(1, 4))
             enforce_balance = bool(rng.uniform() < 0.7)
             if enforce_balance:
-                floors += 0.0 < ClusterRound(cfg, env, 0).balance_thresholds[s - 1] < math.inf
+                floors += 0.0 < _threshold(cfg, env, 0, s) < math.inf
             checker.check(cfg, env, 0, y, v, s, enforce_balance)
     assert floors > 500 and ceilings > 200
     assert checker.interior > 5000
@@ -528,22 +541,6 @@ def test_seeded_power_equals_the_full_bracket_on_random_problems(monkeypatch):
 def test_seeded_power_control_takes_few_derivative_evaluations(monkeypatch):
     # two endpoint checks and about 7 halvings of a bracket a few ulps wide;
     # bisecting the whole box takes 55-56 evaluations on binding
-    evaluations = [0]
-    per_call = []
-
-    def counting_derivative(*args):
-        evaluations[0] += 1
-        return _true_derivative(*args)
-
-    def counting_power_control(*args, **kwargs):
-        evaluations[0] = 0
-        p = power_control(*args, **kwargs)
-        per_call.append(evaluations[0])
-        return p
-
-    monkeypatch.setattr(res_solver, "_true_derivative", counting_derivative)
-    monkeypatch.setattr(res_solver, "power_control", counting_power_control)
-    run_simulation(load_config(BINDING), 3, "lyapunov")
-    interior = [c for c in per_call if c > 2]
+    interior = [c for c in _derivative_evaluations(monkeypatch) if c > 2]
     assert len(interior) > 100
     assert max(interior) <= 12

@@ -9,6 +9,7 @@ import pytest
 
 from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
+from edgesched.convergence import balance_power_thresholds
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
 from edgesched.pipeline import device_energy, micro_batch_size
@@ -25,9 +26,13 @@ from edgesched.seg_solver import (
     schedule_segments,
 )
 from edgesched.res_solver import power_control
-from edgesched.round_state import ClusterRound
 
 from conftest import REPO_ROOT, minimal_doc, random_system, random_system_doc
+
+
+def _partition(m, cfg, env, n, v, queue_sum, power, **kwargs):
+    """optimal_partition under the balance cap at head power ``power``, as schedule_segments calls it."""
+    return optimal_partition(m, cfg, env, n, v, queue_sum, _segment_cap(cfg, env, n, power), **kwargs)
 
 
 def _enumerate_m(delta, cfg, env, n, v, queue_sum):
@@ -89,7 +94,7 @@ def test_partition_single_device_forced():
     doc["model"] = {"L": 4}
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
-    delta, s = optimal_partition(2, cfg, env, 0, 10.0, 0.0, 0.5)
+    delta, s = _partition(2, cfg, env, 0, 10.0, 0.0, 0.5)
     assert delta == (4,) and s == 1
 
 
@@ -100,7 +105,7 @@ def test_partition_excludes_memory_starved_device(homogeneous_cfg):
     cfg2 = dataclasses.replace(cfg, clusters=(cluster,))
     env = sample_round_environment(cfg2, 1)
     for m in (1, 4, 16):
-        delta, _ = optimal_partition(m, cfg2, env, 0, 10.0, 0.0, 0.5)
+        delta, _ = _partition(m, cfg2, env, 0, 10.0, 0.0, 0.5)
         assert delta[0] == 0
     plan = schedule_segments(cfg2, env, 0, (0.0,), 10.0, 0.5)
     assert plan.delta[0] == 0
@@ -114,7 +119,7 @@ def test_partition_matches_exhaustive_on_homogeneous_cluster():
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
     for m in (1, 4, 9):
-        delta, s = optimal_partition(m, cfg, env, 0, 10.0, 0.3, 0.5)
+        delta, s = _partition(m, cfg, env, 0, 10.0, 0.3, 0.5)
         # exhaustive reference over all compositions
         best = None
         k = 6
@@ -246,10 +251,10 @@ def test_table2_plan_matches_oracle(table2_cfg, t):
 def test_partition_cutoff_keeps_ties_and_prunes_worse_plans(homogeneous_cfg):
     env = sample_round_environment(homogeneous_cfg, 1)
     args = (homogeneous_cfg, env, 0, 10.0, 0.0, 0.5)
-    delta, s = optimal_partition(4, *args)
+    delta, s = _partition(4, *args)
     obj = cluster_objective(delta, 4, homogeneous_cfg, env, 0, 10.0, 0.0)
-    assert optimal_partition(4, *args, cutoff=obj) == (delta, s)
-    assert optimal_partition(4, *args, cutoff=obj * (1 - 1e-9)) is None
+    assert _partition(4, *args, cutoff=obj) == (delta, s)
+    assert _partition(4, *args, cutoff=obj * (1 - 1e-9)) is None
 
 
 def test_infeasibility_reports_name_constraints():
@@ -308,7 +313,7 @@ def test_partition_respects_binding_energy_cap():
     from edgesched.pipeline import SegmentPlan, device_energy
 
     for m in (1, 4, 16):
-        delta, _ = optimal_partition(m, cfg, env, 0, 10.0, 0.0, 0.5)
+        delta, _ = _partition(m, cfg, env, 0, 10.0, 0.0, 0.5)
         plan = SegmentPlan(delta=delta, m=m)
         for k in plan.scheduled:
             budget = cfg.clusters[0].devices[k].energy_budget_j
@@ -416,7 +421,7 @@ def test_partition_breaks_exact_occupancy_ties_like_the_oracle():
                     continue
                 key = (cluster_objective(delta, m, cfg, env, 0, 10.0, q), sum(1 for d in delta if d > 0), delta)
                 best = key if best is None or key < best else best
-            assert optimal_partition(m, cfg, env, 0, 10.0, q, 0.5) == (best[2], best[1])
+            assert _partition(m, cfg, env, 0, 10.0, q, 0.5) == (best[2], best[1])
         plan = schedule_segments(cfg, env, 0, (q,), 10.0, 0.5)
         od, _, om, _ = brute_force_segment_plan(cfg, env, 0, (q,), 10.0, 0.5)
         assert (plan.delta, plan.m) == (od, om)
@@ -448,8 +453,56 @@ def test_partition_prices_tied_occupancies_at_the_first_device():
                         s = sum(1 for d in delta if d > 0)
                         key = (cluster_objective(delta, m, cfg, env_o, 0, 1.0, q), s, delta)
                         best = key if best is None or key < best else best
-                got = optimal_partition(m, cfg, env_o, 0, 1.0, q, 0.5)
+                got = _partition(m, cfg, env_o, 0, 1.0, q, 0.5)
                 assert got == (best[2], best[1])
+
+
+def _strained_system(rng):
+    """A random single-cluster system, often with one budget cut until it binds or excludes every plan."""
+    doc = random_system_doc(rng)
+    devices = doc["clusters"][0]["devices"]
+    cluster = doc["clusters"][0]
+    cut = rng.integers(0, 6)
+    if cut == 0:  # memory: one block per device, more blocks than devices (C7)
+        for dev in devices:
+            dev["gamma_max_bytes"] = 2.5e8
+        doc["model"]["L"] = int(rng.integers(len(devices), 9))
+    elif cut == 1:  # device energy (C9')
+        for dev in devices:
+            dev["E_k_max_j"] = float(10 ** rng.uniform(-6, -2))
+    elif cut == 2:  # balance cap (C11)
+        doc["convergence"]["gamma_max_bound"] = float(10 ** rng.uniform(-9, -5))
+    elif cut == 3:  # head power below the balance floor (C11')
+        cluster["P_n_max_w"] = float(10 ** rng.uniform(-4, -1))
+    elif cut == 4:  # upload energy (C8)
+        cluster["E_n_max_j"] = float(10 ** rng.uniform(-9, -3))
+    return build_config(doc)
+
+
+def test_strained_systems_name_every_constraint():
+    # a segment solve at P_max and a power solve at a drawn segment count, on
+    # systems with one budget cut: every failure is an InfeasibleError, and
+    # together they name each constraint a cut can bind
+    rng = np.random.default_rng(15)
+    constraints = set()
+    solved = 0
+    for _ in range(300):
+        cfg = _strained_system(rng)
+        env = sample_round_environment(cfg, int(rng.integers(1, 5)))
+        v = cfg.convergence.v_factor
+        q = float(rng.choice([0.0, 1e-3, 1.0, 50.0]))
+        s = int(rng.integers(1, cfg.clusters[0].n_devices + 1))
+        for solve, args in (
+            (schedule_segments, (cfg, env, 0, (q,), v, cfg.clusters[0].uplink_power_max_w)),
+            (power_control, (cfg, env, 0, q, v, s)),
+        ):
+            try:
+                solve(*args)
+                solved += 1
+            except InfeasibleError as exc:
+                constraints.add(exc.constraint)
+    assert {"C7", "C9'", "C11", "C11'", "C8"} <= constraints
+    assert solved > 250
 
 
 def _unpruned_scan(cfg, env, n, queues, v, power):
@@ -457,7 +510,7 @@ def _unpruned_scan(cfg, env, n, queues, v, power):
     best = first_error = None
     for m in _micro_batch_run_starts(cfg.model.batch_items):
         try:
-            delta, s = optimal_partition(m, cfg, env, n, v, sum(queues), power, cutoff=math.inf)
+            delta, s = _partition(m, cfg, env, n, v, sum(queues), power, cutoff=math.inf)
         except InfeasibleError as exc:
             first_error = first_error or exc
             continue
@@ -600,9 +653,9 @@ def test_stage_count_floor_is_tight_on_even_splits():
             assert obj * (1 - 1e-9) <= floor(m, _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)) <= obj
 
 
-def _partition_outcome(m, cfg, env, n, v, q, power, cutoff, enforce=True):
+def _partition_outcome(m, cfg, env, n, v, q, power, cutoff):
     try:
-        return optimal_partition(m, cfg, env, n, v, q, power, enforce, cutoff=cutoff)
+        return _partition(m, cfg, env, n, v, q, power, cutoff=cutoff)
     except InfeasibleError as exc:
         return exc.constraint, str(exc)
 
@@ -678,15 +731,15 @@ def test_run_start_skip_keeps_an_exact_tie():
 
 
 def test_segment_cap_and_power_floor_agree_at_every_threshold():
-    # C11 is one table per cluster and round, the power thresholds p_1 <= ...
-    # <= p_L: the segment cap at head power p counts the thresholds at or
-    # below p, and power_control's floor at S segments is p_S. So at p_S and
-    # the next float up the cap allows S stages and just below p_S it does
-    # not, and a power that power_control clamps to its floor, p_1 included,
-    # leaves the next sweep's segment solve a plan instead of a C11 error.
-    # The balance cap is set from the round's channel so that p_1 falls
-    # anywhere in [0, P_max]. Below p_1 the cap is unreachable, and the
-    # partition search raises the cap's C11 error at every run start
+    # C11 is one threshold p_S per segment count, p_1 <= ... <= p_L: the
+    # segment cap at head power p counts the thresholds at or below p, and
+    # power_control's floor at S segments is p_S. So at p_S and the next float
+    # up the cap allows S stages and just below p_S it does not, and a power
+    # that power_control clamps to its floor, p_1 included, leaves a segment
+    # solve at that power a plan instead of a C11 error. The balance cap is
+    # set from the round's channel so that p_1 falls anywhere in [0, P_max].
+    # Below p_1 the cap is unreachable, and the partition search raises the
+    # cap's C11 error at every run start
     rng = np.random.default_rng(21)
     probes = clamped = plans = unreachable = 0
     for _ in range(300):
@@ -705,36 +758,37 @@ def test_segment_cap_and_power_floor_agree_at_every_threshold():
         cfg = build_config(doc)
         env = sample_round_environment(cfg, t)
         v = cfg.convergence.v_factor
-        state = ClusterRound(cfg, env, 0)
-        thresholds = state.balance_thresholds
+        thresholds = balance_power_thresholds(
+            cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, env.uplink_gain[0], env.uplink_interference_w[0]
+        )
         for s, p_s in enumerate(thresholds[: cfg.clusters[0].n_devices], start=1):
             if math.isinf(p_s):
                 break
             for power in (p_s, math.nextafter(p_s, math.inf)):
-                assert _segment_cap(state, power, True) >= s
+                assert _segment_cap(cfg, env, 0, power) >= s
             if p_s > 0.0:
                 try:
-                    assert _segment_cap(state, math.nextafter(p_s, 0.0), True) < s
+                    assert _segment_cap(cfg, env, 0, math.nextafter(p_s, 0.0)) < s
                 except InfeasibleError as exc:
                     assert s == 1 and exc.constraint == "C11"
             probes += 1
             try:
-                power = power_control(cfg, env, 0, 1e18, v, s, state=state)
+                power = power_control(cfg, env, 0, 1e18, v, s)
             except InfeasibleError:
                 continue
             clamped += power == p_s
-            assert _segment_cap(state, power, True) >= s
+            assert _segment_cap(cfg, env, 0, power) >= s
         if math.isinf(thresholds[0]):
             continue
         try:
-            schedule_segments(cfg, env, 0, (0.0,), v, thresholds[0], state=state)
+            schedule_segments(cfg, env, 0, (0.0,), v, thresholds[0])
             plans += 1
         except InfeasibleError as exc:
             assert "balance cap unreachable" not in str(exc)  # C11 may still bind on a count memory needs
         if thresholds[0] > 0.0:
             below = math.nextafter(thresholds[0], 0.0)
             with pytest.raises(InfeasibleError) as want:
-                _segment_cap(state, below, True)
+                _segment_cap(cfg, env, 0, below)
             for m in _micro_batch_run_starts(cfg.model.batch_items):
                 assert _partition_outcome(m, cfg, env, 0, v, 0.0, below, math.inf) == ("C11", str(want.value))
             unreachable += 1
