@@ -4,15 +4,10 @@ The per-cluster power objective V*tau_up(p) + Y*p is convex on p > 0 (the
 delay is the reciprocal of a concave rate), and the energy budget (C8) and the
 balance cap (C11) each bound the power to one side, C11 at the round's
 threshold p_S for S segments (``convergence.balance_power_threshold``, the
-expression the segment solver reads its cap from), so bisection on the true
-gradient inside that box finds the global optimum; each bisection stops at
-its float fixed point, capped at 200 steps. When the queue is positive the
-power bisection first tries a narrow bracket around the closed-form
-stationary power (``_stationary_power``) and falls back to the full box when
-that bracket does not hold the root. Both brackets reach the same float:
-every IEEE operation in ``_true_derivative`` is monotone, so its float values
-are non-decreasing in p, it is negative on a prefix of the floats, and the
-bisection ends at the last float of that prefix wherever it starts. Channels
+expression the segment solver reads its cap from). A convex function of one
+variable is minimized on a box by its stationary point clamped to the box,
+and that point has a closed form through Lambert's W
+(``_stationary_power``), so power control evaluates no derivative. Channels
 are identical, so matching ranks the clusters by cost and the surplus ones
 sit out a round.
 
@@ -33,11 +28,6 @@ from .errors import InfeasibleError
 
 _BISECT_ITERS = 200
 _LN2 = math.log(2.0)
-# relative half-width of the bracket bisected around the closed-form power
-_SEED_REL = 4e-15
-# its floor at t = ln(1 + p*h/N) is _SEED_STEP/t: 1 + p*h/N rounds to steps of
-# 2**-52, which move the float root by up to about 2**-52/t relative at low SNR
-_SEED_STEP = 2.0**-51
 
 
 def linear_sum_assignment(cost):
@@ -63,10 +53,6 @@ class _UplinkProblem:
     param_bits: float  # theta_enc
     p_max: float
     e_max: float
-
-    def f_grad(self, p: float) -> float:
-        """Derivative of the spectral efficiency in p."""
-        return self.gain / ((self.noise_floor + p * self.gain) * _LN2)
 
     def delay(self, p: float) -> float:
         return transfer_time(self.payload, self.bandwidth, spectral_efficiency(p, self.gain, self.noise_floor))
@@ -102,35 +88,39 @@ def _energy_power_ceiling(prob: _UplinkProblem) -> float:
         raise InfeasibleError("C8", "upload-energy budget excludes every positive power")
     if prob.upload_energy(prob.p_max) <= prob.e_max:
         return prob.p_max
-    return _bisect(lambda q: prob.upload_energy(q) <= prob.e_max, 0.0, prob.p_max)[0]
+    lo, hi = 0.0, prob.p_max
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if prob.upload_energy(mid) <= prob.e_max:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-def _true_derivative(prob: _UplinkProblem, v_factor: float, y_n: float, p: float) -> float:
-    fv = spectral_efficiency(p, prob.gain, prob.noise_floor)
-    if fv <= 0.0:
-        return -math.inf
-    return -v_factor * prob.payload * prob.f_grad(p) / (prob.bandwidth * fv * fv) + y_n
+def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> float:
+    """The power where the objective's derivative vanishes, in closed form.
 
-
-def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> tuple[float, float] | None:
-    """The power where the true derivative vanishes, in closed form, and its t.
-
-    None when there is no interior stationary point to seed from: y_n <= 0, or
-    A below is not a positive finite float.
-
-    With t = ln(1 + p*h/N) and N = I + B*N0, V*payload*f'(p)/(B*f(p)^2) = y_n
-    reads t^2 * e^t = A = V*payload*h*ln2/(N*B*y_n), the equation of Lambert's
-    W (t = 2*W(sqrt(A)/2)). In s = ln t it is 2s + e^s = ln A, convex and
+    With t = ln(1 + p*h/N) and N = I + B*N0, the derivative
+    -V*payload*f'(p)/(B*f(p)^2) + y_n vanishes where t^2 * e^t = A =
+    V*payload*h*ln2/(N*B*y_n), the equation of Lambert's W
+    (t = 2*W(sqrt(A)/2)). In s = ln t it is 2s + e^s = ln A, convex and
     increasing in s, so Newton steps from an upper bound on the root (ln A / 2,
     or ln ln A once ln A >= 2) descend to it without overshooting; they stop
-    when a step no longer moves s down. Then p = N*expm1(t)/h; both p and t
-    are returned.
+    when a step no longer moves s down. Then p = N*expm1(t)/h.
+
+    The objective only falls when y_n <= 0 or A overflows, so the point is
+    inf; it only rises when A underflows to 0, so the point is 0.
     """
     if y_n <= 0.0:
-        return None
+        return math.inf
     a = v_factor * prob.payload * prob.gain * _LN2 / (prob.noise_floor * prob.bandwidth * y_n)
-    if not 0.0 < a < math.inf:
-        return None
+    if a == math.inf:
+        return math.inf
+    if a == 0.0:
+        return 0.0
     log_a = math.log(a)
     s = 0.5 * log_a if log_a < 2.0 else math.log(log_a)
     for _ in range(_BISECT_ITERS):
@@ -139,42 +129,11 @@ def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> tupl
         if not s_next < s:
             break
         s = s_next
-    t = math.exp(s)
-    return prob.noise_floor * math.expm1(t) / prob.gain, t
+    return prob.noise_floor * math.expm1(math.exp(s)) / prob.gain
 
 
 def _objective(prob: _UplinkProblem, v_factor: float, y_n: float, p: float) -> float:
     return v_factor * prob.delay(p) + y_n * p
-
-
-def _bisect(keep_lo, lo: float, hi: float) -> tuple[float, float]:
-    """Halve (lo, hi), moving lo where keep_lo(mid) holds, until the midpoint
-    rounds to an endpoint (no later step could move the bracket) or 200 steps."""
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if keep_lo(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def _bisect_increasing(fun, lo: float, hi: float) -> float:
-    """Root of an increasing function on [lo, hi]; endpoints if no sign change.
-
-    Inside, it returns the midpoint of the last float where fun < 0 and the
-    next one. For a fun whose float values are non-decreasing that pair is
-    the same for every bracket with fun(lo) < 0 < fun(hi), so a narrow
-    bracket around a good guess returns what the full one does, only sooner.
-    """
-    if fun(lo) >= 0.0:
-        return lo
-    if fun(hi) <= 0.0:
-        return hi
-    lo, hi = _bisect(lambda q: fun(q) < 0.0, lo, hi)
-    return 0.5 * (lo + hi)
 
 
 def power_control(
@@ -189,19 +148,8 @@ def power_control(
     """Optimal uplink power of cluster n in [0, P_max] under C8 and C11.
 
     The balance cap gives a power floor and the energy budget a ceiling; the
-    convex objective is minimized by bisection on its true gradient over
-    [floor, ceiling], starting just above zero when the floor is zero. The
-    bisection stops at its float fixed point, capped at 200 steps.
-
-    When y_n > 0 it first bisects [p(1 - w), p(1 + w)] around the
-    closed-form stationary power p, if that bracket lies strictly inside the
-    box: about 7 halvings instead of 55. The half-width w is the larger of
-    _SEED_REL, a few ulps, and _SEED_STEP/t with t = ln(1 + p*h/N): at low
-    signal-to-noise ratios 1 + p*h/N rounds in steps that move the float root
-    by up to about 2**-52/t relative, which a few ulps do not cover. If there
-    is no such bracket, or the root is not inside it (the bisection returns
-    an endpoint), the full box is bisected. Both reach the same float (see
-    the module docstring).
+    convex objective is minimized over [max(floor, 1e-12 P_max), ceiling] by
+    its closed-form stationary power clamped to that box.
 
     The floor is the C11 threshold p_S at S = ``n_segments``, in [1, L].
     """
@@ -224,18 +172,7 @@ def power_control(
     if p_floor > p_ceil * (1 + 1e-12):
         raise InfeasibleError("C8", f"cluster {n}: energy budget caps power below the balance floor")
     lo = max(p_floor, 1e-12 * prob.p_max)
-    fun = lambda q: _true_derivative(prob, v_factor, y_n, q)
-    stationary = _stationary_power(prob, v_factor, y_n)
-    if stationary is not None:
-        seed, t = stationary
-        half = max(_SEED_REL, _SEED_STEP / t)
-        near_lo, near_hi = seed * (1.0 - half), seed * (1.0 + half)
-        if lo < near_lo and near_hi < p_ceil:
-            p = _bisect_increasing(fun, near_lo, near_hi)
-            if near_lo < p < near_hi:
-                return p  # strictly inside [floor, ceiling], where the clamp below is a no-op
-    p = _bisect_increasing(fun, lo, p_ceil)
-    return min(max(p, p_floor), p_ceil)
+    return min(max(_stationary_power(prob, v_factor, y_n), lo), p_ceil)
 
 
 def _lexmin_assignment(cost: np.ndarray) -> list[int]:

@@ -10,15 +10,14 @@ from edgesched.convergence import balance_power_threshold
 from edgesched.errors import InfeasibleError
 from edgesched.oracles import brute_force_assignment, grid_search_power
 from edgesched.res_solver import (
-    _bisect_increasing,
     _energy_power_ceiling,
     _lexmin_assignment,
     _objective,
     _problem,
+    _stationary_power,
     allocate_resources,
     channel_assignment,
     matching_costs,
-    _true_derivative,
     power_control,
 )
 
@@ -53,6 +52,15 @@ def _power_doc(rng):
             }
         ],
     }
+
+
+def _derivative(prob, v, y, p):
+    """d/dp of V*tau_up(p) + y*p: -V*payload*f'(p)/(B*f(p)^2) + y, f the spectral efficiency."""
+    f = math.log2(1.0 + p * prob.gain / prob.noise_floor)
+    if f <= 0.0:
+        return -math.inf
+    f_grad = prob.gain / ((prob.noise_floor + p * prob.gain) * math.log(2.0))
+    return -v * prob.payload * f_grad / (prob.bandwidth * f * f) + y
 
 
 def _eps_cap(cfg, n_segments):
@@ -141,11 +149,9 @@ def test_power_objective_convex_gradient_brackets_optimum(table2_cfg):
     prob = _problem(table2_cfg, env, 0)
     y, v = 30.0, 10.0
     p_star = power_control(table2_cfg, env, 0, y, v, 1)
-    from edgesched.res_solver import _true_derivative
-
     if 1e-6 < p_star < prob.p_max * (1 - 1e-6):
-        assert _true_derivative(prob, v, y, p_star * 0.9) < 0
-        assert _true_derivative(prob, v, y, min(p_star * 1.1, prob.p_max)) > 0
+        assert _derivative(prob, v, y, p_star * 0.9) < 0
+        assert _derivative(prob, v, y, min(p_star * 1.1, prob.p_max)) > 0
 
 
 def test_forced_single_assignment(homogeneous_cfg):
@@ -305,111 +311,30 @@ def _full_bisect(keep_lo, lo, hi):
     return lo, hi
 
 
-def _full_bisect_increasing(fun, lo, hi):
-    if fun(lo) >= 0.0:
-        return lo
-    if fun(hi) <= 0.0:
-        return hi
-    lo, hi = _full_bisect(lambda q: fun(q) < 0.0, lo, hi)
-    return 0.5 * (lo + hi)
-
-
 def _full_energy_power_ceiling(prob):
     if prob.upload_energy(prob.p_max) <= prob.e_max:
         return prob.p_max
     return _full_bisect(lambda q: prob.upload_energy(q) <= prob.e_max, 0.0, prob.p_max)[0]
 
 
-def _assert_power_bisections_exact(monkeypatch, cfg, rounds, queues, n_segments):
-    """Every bisection power_control runs equals the 200-step loop bit for bit.
-
-    Returns how many of those bisections ended strictly inside their bracket.
-    """
-    calls = []
-
-    def recording(fun, lo, hi):
-        calls.append((fun, lo, hi))
-        return _bisect_increasing(fun, lo, hi)
-
-    monkeypatch.setattr(res_solver, "_bisect_increasing", recording)
-    for t in rounds:
-        env = sample_round_environment(cfg, t)
-        for n in range(cfg.n_clusters):
-            prob = _problem(cfg, env, n)
-            assert _energy_power_ceiling(prob) == _full_energy_power_ceiling(prob)
-            for y in queues:
-                for enforce_balance in (True, False):
-                    try:
-                        power_control(cfg, env, n, y, cfg.convergence.v_factor, n_segments, enforce_balance)
-                    except InfeasibleError:
-                        pass
-    interior = 0
-    for fun, lo, hi in calls:
-        got = _bisect_increasing(fun, lo, hi)
-        assert got == _full_bisect_increasing(fun, lo, hi)
-        interior += lo < got < hi
-    return interior
-
-
-def test_power_bisection_fixed_point_stop_is_exact_on_binding(monkeypatch):
-    queues = [0.0] + [10.0**e for e in range(-7, 2)]
-    assert _assert_power_bisections_exact(monkeypatch, load_config(BINDING), (1, 2, 3), queues, 1) > 50
-
-
-def test_power_bisection_fixed_point_stop_is_exact_on_table2(monkeypatch, table2_cfg):
-    queues = [0.0] + [10.0**e for e in range(-2, 5)]
-    for s in (1, 2, 3):
-        assert _assert_power_bisections_exact(monkeypatch, table2_cfg, (1, 2), queues, s) > 0
+def _binding_energy_budget(cfg, env, rng):
+    """cfg with cluster 0's energy budget drawn where it binds inside (0, P_max)."""
+    prob = _problem(cfg, env, 0)
+    e_limit = prob.param_bits * math.log(2.0) * prob.noise_floor / (prob.bandwidth * prob.gain)
+    e_max = float(rng.uniform(e_limit, prob.upload_energy(prob.p_max)))
+    cluster = dataclasses.replace(cfg.clusters[0], uplink_energy_budget_j=e_max)
+    return dataclasses.replace(cfg, clusters=(cluster,) + cfg.clusters[1:])
 
 
 def test_energy_ceiling_fixed_point_stop_is_exact_when_budget_binds():
     rng = np.random.default_rng(77)
-    binding = 0
     for _ in range(300):
         cfg = build_config(_power_doc(rng))
-        prob = _problem(cfg, sample_round_environment(cfg, 1), 0)
-        e_limit = prob.param_bits * math.log(2.0) * prob.noise_floor / (prob.bandwidth * prob.gain)
-        e_top = prob.upload_energy(prob.p_max)
-        prob = dataclasses.replace(prob, e_max=float(rng.uniform(e_limit, e_top)))
+        env = sample_round_environment(cfg, 1)
+        prob = _problem(_binding_energy_budget(cfg, env, rng), env, 0)
         ceiling = _energy_power_ceiling(prob)
         assert ceiling == _full_energy_power_ceiling(prob)
-        binding += ceiling < prob.p_max
-        v, y = float(rng.uniform(1e-3, 10.0)), float(rng.uniform(0.0, 50.0))
-        fun = lambda q: _true_derivative(prob, v, y, q)
-        lo = 1e-12 * prob.p_max
-        assert _bisect_increasing(fun, lo, ceiling) == _full_bisect_increasing(fun, lo, ceiling)
-    assert binding == 300
-
-
-def _derivative_evaluations(monkeypatch) -> list[int]:
-    """Derivative evaluations of each power_control call on binding, rounds
-    1-3, S = 1, at the queues 0, 5e-7, ..., 9.5e-6 the balance bound's
-    excess reaches in its first rounds there."""
-    evaluations = [0]
-
-    def counting_derivative(*args):
-        evaluations[0] += 1
-        return _true_derivative(*args)
-
-    monkeypatch.setattr(res_solver, "_true_derivative", counting_derivative)
-    cfg = load_config(BINDING)
-    per_call = []
-    for t in (1, 2, 3):
-        env = sample_round_environment(cfg, t)
-        for n in range(cfg.n_clusters):
-            for i in range(20):
-                evaluations[0] = 0
-                power_control(cfg, env, n, 5e-7 * i, cfg.convergence.v_factor, 1)
-                per_call.append(evaluations[0])
-    return per_call
-
-
-def test_power_bisection_stops_at_its_fixed_point(monkeypatch):
-    # a bracket on (0, 0.5] W reaches its float fixed point within about 55
-    # halvings; a loop that runs all 200 steps makes 202 derivative evaluations
-    interior = [c for c in _derivative_evaluations(monkeypatch) if c > 2]
-    assert len(interior) > 100
-    assert max(interior) <= 70
+        assert ceiling < prob.p_max
 
 
 def _threshold(cfg, env, n, n_segments):
@@ -419,107 +344,44 @@ def _threshold(cfg, env, n, n_segments):
     )
 
 
-def _full_power_control(cfg, env, n, y, v, n_segments, enforce_balance):
-    """power_control by the 200-step loop over the whole box, clamped the same way.
+class _BisectionReference:
+    """Checks power_control against 200 halvings of the true derivative on its box."""
 
-    Returns the power and the box [max(floor, 1e-12 P_max), ceiling].
-    """
-    prob = _problem(cfg, env, n)
-    floor = _threshold(cfg, env, n, n_segments) if enforce_balance else 0.0
-    ceiling = _energy_power_ceiling(prob)
-    lo = max(floor, 1e-12 * prob.p_max)
-    p = _full_bisect_increasing(lambda q: _true_derivative(prob, v, y, q), lo, ceiling)
-    return min(max(p, floor), ceiling), lo, ceiling
-
-
-def _assert_derivative_monotone_near(prob, v, y, p, width=64):
-    # the exactness of the seeded bracket rests on this: the float derivative
-    # never decreases from one float to the next
-    qs = [p]
-    for _ in range(width):
-        qs.insert(0, math.nextafter(qs[0], 0.0))
-        qs.append(math.nextafter(qs[-1], math.inf))
-    values = [_true_derivative(prob, v, y, q) for q in qs]
-    assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-class _SeededPowerChecker:
-    """Runs power_control against the full-bracket reference and tallies its paths."""
-
-    def __init__(self, monkeypatch):
-        self.brackets = []
+    def __init__(self):
         self.interior = 0
-        self.seeded = 0
-
-        def recording(fun, lo, hi):
-            self.brackets.append((lo, hi))
-            return _bisect_increasing(fun, lo, hi)
-
-        monkeypatch.setattr(res_solver, "_bisect_increasing", recording)
 
     def check(self, cfg, env, n, y, v, n_segments, enforce_balance):
-        self.brackets.clear()
         try:
             got = power_control(cfg, env, n, y, v, n_segments, enforce_balance)
         except InfeasibleError:
             return
-        want, lo, ceiling = _full_power_control(cfg, env, n, y, v, n_segments, enforce_balance)
-        assert got == want
-        if lo < want < ceiling:
+        prob = _problem(cfg, env, n)
+        floor = _threshold(cfg, env, n, n_segments) if enforce_balance else 0.0
+        lo, ceiling = max(floor, 1e-12 * prob.p_max), _energy_power_ceiling(prob)
+        if _derivative(prob, v, y, lo) >= 0.0:
+            want = lo
+        elif _derivative(prob, v, y, ceiling) <= 0.0:
+            want = ceiling
+        else:
+            want = 0.5 * sum(_full_bisect(lambda q: _derivative(prob, v, y, q) < 0.0, lo, ceiling))
             self.interior += 1
-            self.seeded += self.brackets == [self.brackets[0]] and self.brackets[0] != (lo, ceiling)
-            _assert_derivative_monotone_near(_problem(cfg, env, n), v, y, got)
+        want = min(want, ceiling)
+        assert min(lo, ceiling) <= got <= ceiling
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert _objective(prob, v, y, got) == pytest.approx(_objective(prob, v, y, want), rel=1e-13, abs=0.0)
 
 
-def test_seeded_power_equals_the_full_bracket_on_binding(monkeypatch):
-    cfg = load_config(BINDING)
-    checker = _SeededPowerChecker(monkeypatch)
-    for t in (1, 2, 3):
-        env = sample_round_environment(cfg, t)
-        for n in range(cfg.n_clusters):
-            for y in [0.0] + [10.0**e for e in range(-7, 2)]:
-                for enforce_balance in (True, False):
-                    checker.check(cfg, env, n, y, cfg.convergence.v_factor, 1, enforce_balance)
-    assert checker.interior > 150
-    assert checker.seeded >= 0.99 * checker.interior
-
-
-def test_seeded_power_covers_low_snr_on_binding(monkeypatch):
-    # without the balance cap, queues of 0.1-10 put the binding clusters at
-    # signal-to-noise ratios of 0.002-0.03, where 1 + p*h/N rounds in steps
-    # that move the float root by far more than a few ulps; the bracket's
-    # _SEED_STEP/t floor still holds the root
-    cfg = load_config(BINDING)
-    checker = _SeededPowerChecker(monkeypatch)
-    snr = []
-    for t in (1, 2, 3):
-        env = sample_round_environment(cfg, t)
-        for n in range(cfg.n_clusters):
-            prob = _problem(cfg, env, n)
-            for y in np.logspace(-1, 1, 11):
-                args = (cfg, env, n, float(y), cfg.convergence.v_factor, 1, False)
-                checker.check(*args)
-                snr.append(power_control(*args) * prob.gain / prob.noise_floor)
-    assert max(snr) < 0.03
-    assert checker.interior == 198
-    assert checker.seeded >= 0.99 * checker.interior
-
-
-def test_seeded_power_equals_the_full_bracket_on_random_problems(monkeypatch):
+def test_power_matches_the_derivative_bisection():
     # 1,000 random clusters, 20 (queue, V, S, balance) draws each; a third of
     # the clusters get an energy budget that binds inside (0, P_max)
     rng = np.random.default_rng(2024)
-    checker = _SeededPowerChecker(monkeypatch)
+    reference = _BisectionReference()
     floors = ceilings = 0
     for _ in range(1000):
         cfg = build_config(_power_doc(rng))
         env = sample_round_environment(cfg, 1)
         if rng.uniform() < 1 / 3:
-            prob = _problem(cfg, env, 0)
-            e_limit = prob.param_bits * math.log(2.0) * prob.noise_floor / (prob.bandwidth * prob.gain)
-            e_max = float(rng.uniform(e_limit, prob.upload_energy(prob.p_max)))
-            cluster = dataclasses.replace(cfg.clusters[0], uplink_energy_budget_j=e_max)
-            cfg = dataclasses.replace(cfg, clusters=(cluster,))
+            cfg = _binding_energy_budget(cfg, env, rng)
         prob = _problem(cfg, env, 0)
         try:
             ceilings += _energy_power_ceiling(prob) < prob.p_max
@@ -532,15 +394,94 @@ def test_seeded_power_equals_the_full_bracket_on_random_problems(monkeypatch):
             enforce_balance = bool(rng.uniform() < 0.7)
             if enforce_balance:
                 floors += 0.0 < _threshold(cfg, env, 0, s) < math.inf
-            checker.check(cfg, env, 0, y, v, s, enforce_balance)
+            reference.check(cfg, env, 0, y, v, s, enforce_balance)
     assert floors > 500 and ceilings > 200
-    assert checker.interior > 5000
-    assert checker.seeded > 0.95 * checker.interior
+    assert reference.interior > 5000
+    # without the balance cap, queues of 0.1-10 put the binding clusters at
+    # signal-to-noise ratios of 0.002-0.03, where 1 + p*h/N rounds in steps
+    # far coarser than the ulps of p
+    cfg = load_config(BINDING)
+    reference = _BisectionReference()
+    snr = []
+    for t in (1, 2, 3):
+        env = sample_round_environment(cfg, t)
+        for n in range(cfg.n_clusters):
+            prob = _problem(cfg, env, n)
+            for y in np.logspace(-1, 1, 11):
+                args = (cfg, env, n, float(y), cfg.convergence.v_factor, 1, False)
+                reference.check(*args)
+                snr.append(power_control(*args) * prob.gain / prob.noise_floor)
+    assert 0.002 < min(snr) and max(snr) < 0.03
+    assert reference.interior == 198
 
 
-def test_seeded_power_control_takes_few_derivative_evaluations(monkeypatch):
-    # two endpoint checks and about 7 halvings of a bracket a few ulps wide;
-    # bisecting the whole box takes 55-56 evaluations on binding
-    interior = [c for c in _derivative_evaluations(monkeypatch) if c > 2]
-    assert len(interior) > 100
-    assert max(interior) <= 12
+def _budget_bound_table2(table2_cfg):
+    env = sample_round_environment(table2_cfg, 1)
+    cfg = _binding_energy_budget(table2_cfg, env, np.random.default_rng(5))
+    return cfg, env, _problem(cfg, env, 0)
+
+
+def test_power_at_zero_queue_is_the_energy_ceiling(table2_cfg):
+    cfg, env, prob = _budget_bound_table2(table2_cfg)
+    ceiling = _energy_power_ceiling(prob)
+    assert ceiling < prob.p_max
+    assert _stationary_power(prob, 10.0, 0.0) == math.inf
+    assert power_control(cfg, env, 0, 0.0, 10.0, 1) == ceiling
+
+
+def test_power_is_the_energy_ceiling_when_the_stationary_equation_overflows(table2_cfg):
+    # the smallest positive queue makes A = V*payload*h*ln2/(N*B*y) overflow
+    cfg, env, prob = _budget_bound_table2(table2_cfg)
+    assert _stationary_power(prob, 10.0, 5e-324) == math.inf
+    assert power_control(cfg, env, 0, 5e-324, 10.0, 1) == _energy_power_ceiling(prob)
+
+
+def test_power_is_the_box_floor_when_the_stationary_equation_underflows(table2_cfg):
+    # V = 5e-324 against a queue of 1e300 makes A underflow to 0
+    env = sample_round_environment(table2_cfg, 1)
+    for n in range(table2_cfg.n_clusters):
+        prob = _problem(table2_cfg, env, n)
+        assert _stationary_power(prob, 5e-324, 1e300) == 0.0
+        for s in (1, 3):  # table2's C11 floor is 0 at S = 1 and positive at S = 3
+            floor = max(_threshold(table2_cfg, env, n, s), 1e-12 * prob.p_max)
+            assert power_control(table2_cfg, env, n, 1e300, 5e-324, s) == floor
+        assert power_control(table2_cfg, env, n, 1e300, 5e-324, 3, enforce_balance=False) == 1e-12 * prob.p_max
+
+
+def test_power_is_the_balance_floor_when_it_exceeds_the_stationary_power(table2_cfg):
+    env = sample_round_environment(table2_cfg, 1)
+    v, y = table2_cfg.convergence.v_factor, 1e3
+    for n in range(table2_cfg.n_clusters):
+        floor = _threshold(table2_cfg, env, n, 3)
+        assert 0.0 < _stationary_power(_problem(table2_cfg, env, n), v, y) < floor
+        assert power_control(table2_cfg, env, n, y, v, 3) == floor
+
+
+def test_power_matches_grid_search_at_low_snr_on_binding():
+    # criterion 4's grid check at the binding clusters' signal-to-noise
+    # ratios of 0.002-0.03, without the balance cap
+    cfg = load_config(BINDING)
+    v = cfg.convergence.v_factor
+    for t in (1, 2, 3):
+        env = sample_round_environment(cfg, t)
+        for n in range(cfg.n_clusters):
+            cl = cfg.clusters[n]
+            prob = _problem(cfg, env, n)
+            for y in (0.1, 1.0, 10.0):
+                p_star = power_control(cfg, env, n, y, v, 1, enforce_balance=False)
+                _, og = grid_search_power(
+                    cl.uplink_bandwidth_hz,
+                    env.uplink_gain[n],
+                    env.uplink_interference_w[n],
+                    cfg.noise_density_w_per_hz,
+                    cfg.model.uplink_payload_bits,
+                    cfg.model.enc_param_bits,
+                    cl.uplink_power_max_w,
+                    cl.uplink_energy_budget_j,
+                    y,
+                    v,
+                    math.inf,
+                    cfg.convergence.c_interference,
+                    1_000_000,
+                )
+                assert _objective(prob, v, y, p_star) <= og * (1 + 1e-3)

@@ -12,7 +12,8 @@ ulps passes it. This test pins the whole trace, byte for byte, on:
 
 A change that is meant to keep decisions must keep this test passing. A
 change meant to alter decisions regenerates the fixture and lists the keys
-that changed:
+that changed; the script prints how many changed and which, against the
+fixture it overwrites:
 
     PYTHONPATH=src python tests/test_trace_digests.py
 """
@@ -73,16 +74,31 @@ def _digests() -> dict:
     return {key: _digest(doc, policy, rounds) for key, doc, policy, rounds in _cases()}
 
 
-def test_trace_digests_match_the_fixture():
+def _load_fixture() -> dict:
     with open(FIXTURE, encoding="utf-8") as fh:
-        want = json.load(fh)
+        return json.load(fh)
+
+
+def _changed(want: dict, got: dict) -> list[str]:
+    """Keys whose digest differs, or that only one of the two has, sorted."""
+    return sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+
+
+def test_trace_digests_match_the_fixture():
+    want = _load_fixture()
     got = _digests()
     assert sorted(got) == sorted(want)
-    changed = [key for key in want if got[key] != want[key]]
+    changed = _changed(want, got)
     assert not changed, f"{len(changed)} of {len(want)} traces changed: {changed}"
 
 
 if __name__ == "__main__":
+    old = _load_fixture()
+    new = _digests()
     with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(_digests(), fh, indent=1, sort_keys=True)
+        json.dump(new, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    changed = _changed(old, new)
+    print(f"{len(changed)} of {len(new)} digests changed")
+    for key in changed:
+        print(f"  {key}")
