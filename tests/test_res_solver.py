@@ -371,7 +371,11 @@ class _BisectionReference:
         assert _objective(prob, v, y, got) == pytest.approx(_objective(prob, v, y, want), rel=1e-13, abs=0.0)
 
 
-def test_power_matches_the_derivative_bisection():
+# The two tests below keep their names from the seeded derivative bracket the
+# closed form replaced; both check power_control against the full-box bisection.
+
+
+def test_seeded_power_equals_the_full_bracket_on_random_problems():
     # 1,000 random clusters, 20 (queue, V, S, balance) draws each; a third of
     # the clusters get an energy budget that binds inside (0, P_max)
     rng = np.random.default_rng(2024)
@@ -397,6 +401,9 @@ def test_power_matches_the_derivative_bisection():
             reference.check(cfg, env, 0, y, v, s, enforce_balance)
     assert floors > 500 and ceilings > 200
     assert reference.interior > 5000
+
+
+def test_seeded_power_covers_low_snr_on_binding():
     # without the balance cap, queues of 0.1-10 put the binding clusters at
     # signal-to-noise ratios of 0.002-0.03, where 1 + p*h/N rounds in steps
     # far coarser than the ulps of p
