@@ -31,14 +31,21 @@ def _default_out() -> str:
     return os.environ.get(OUT_ENV_VAR, "out")
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # an empty name, or one that names a file
+        raise ConfigError("--out", f"cannot create output directory {path!r}: {exc.strerror}")
+
+
 def _with_seed(cfg: SystemConfig, seed: int | None) -> SystemConfig:
     return cfg if seed is None else dataclasses.replace(cfg, rng_seed=check_seed(seed, "--seed"))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _with_seed(load_config(args.config), args.seed)
+    _make_out_dir(args.out)
     trace = run_simulation(cfg, args.rounds, args.policy)
-    os.makedirs(args.out, exist_ok=True)
     trace.write_jsonl(os.path.join(args.out, "trace.jsonl"))
     trace.write_summary_csv(os.path.join(args.out, "summary.csv"))
     s = trace.summary()
@@ -64,9 +71,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("--seeds", f"expected comma-separated integers, got {args.seeds!r}")
     if not seeds:
         raise ConfigError("--seeds", "at least one seed is required")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("--seeds", "duplicate seeds")
     for seed in seeds:
         check_seed(seed, "--seeds")
     base = load_config(args.config)
+    _make_out_dir(args.out)
     lines = ["policy,seed,round,tau_s,tau_cum_s"]
     for policy in policies:
         for seed in seeds:
@@ -76,7 +86,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for r in trace.rounds:
                 cum += r.tau_round_s
                 lines.append(f"{policy},{seed},{r.round_index},{r.tau_round_s!r},{cum!r}")
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "compare.csv"), "\n".join(lines) + "\n")
     print(f"policies={','.join(policies)} seeds={len(seeds)} rounds={args.rounds} -> compare.csv")
     return EXIT_OK
@@ -183,7 +192,7 @@ def _sweep_control_factor(cfg: SystemConfig, v_values: Iterable[float], rounds: 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     cfg = _with_seed(load_config(args.config), args.seed)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     if "V" in grid:
         _sweep_control_factor(cfg, _values(grid["V"]), args.rounds, args.out)
     else:

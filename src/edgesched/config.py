@@ -27,8 +27,6 @@ from .errors import ConfigError, StalledLinkError
 
 SEED_ENV_VAR = "EDGESCHED_SEED"
 
-SCHEMA_VERSION = 1
-
 
 def check_seed(seed: object, name: str) -> int:
     """The one seed rule, for the config file and every override: an integer >= 0."""

@@ -64,41 +64,25 @@ def gamma_round_from_error(
     )
 
 
-def balance_error_budget(params: ConvergenceParams, n_clusters: int, n_blocks: int, n_segments: int) -> float:
-    """Interference error the balance cap leaves at S segments.
-
-    2*N*gamma_max/(beta*eta^2) - phi^2*S^2/L - phi^2: the bound stays at most
-    gamma_max exactly when eps(p) is at most this budget.
-    """
-    phi2 = params.phi_bound**2
-    return (
-        2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2)
-        - phi2 * n_segments**2 / n_blocks
-        - phi2
-    )
-
-
 def balance_power_threshold(
     params: ConvergenceParams, n_clusters: int, n_blocks: int, n_segments: int, gain: float, interference_w: float
 ) -> float:
     """Least uplink power p_S keeping the balance bound at most gamma_max at S segments.
 
-    p_S = max(0, (C/budget - I)/h) with the ``balance_error_budget`` at S, or
-    inf where that budget is at most 0. Every float operation here is monotone
-    and the budget falls as S grows, so p_1 <= ... <= p_L, and the most
-    segments the cap allows at power p is the number of thresholds at or below p.
+    The bound stays at most gamma_max exactly when eps(p) is at most the error
+    budget 2*N*gamma_max/(beta*eta^2) - phi^2*S^2/L - phi^2, so
+    p_S = max(0, (C/budget - I)/h), or inf where the budget is at most 0.
+    Every float operation here is monotone and the budget falls as S grows,
+    so p_1 <= ... <= p_L, and the most segments the cap allows at power p is
+    the number of thresholds at or below p.
     """
-    budget = balance_error_budget(params, n_clusters, n_blocks, n_segments)
+    phi2 = params.phi_bound**2
+    budget = (
+        2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2)
+        - phi2 * n_segments**2 / n_blocks
+        - phi2
+    )
     return max(0.0, (params.c_interference / budget - interference_w) / gain) if budget > 0.0 else math.inf
-
-
-def balance_power_thresholds(
-    params: ConvergenceParams, n_clusters: int, n_blocks: int, gain: float, interference_w: float
-) -> list[float]:
-    """``balance_power_threshold`` p_S for S = 1..L, non-decreasing."""
-    return [
-        balance_power_threshold(params, n_clusters, n_blocks, s, gain, interference_w) for s in range(1, n_blocks + 1)
-    ]
 
 
 def optimality_gap_bound(

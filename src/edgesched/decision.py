@@ -17,7 +17,6 @@ class SchedulingDecision:
     plans: tuple[SegmentPlan, ...]
     assignment: ChannelAssignment
     powers_w: tuple[float, ...]
-    round_index: int
 
     def segment_counts(self) -> tuple[int, ...]:
         return tuple(p.n_segments for p in self.plans)
@@ -45,8 +44,9 @@ def validate_decision(
     for n, plan in enumerate(decision.plans):
         plan.validate(cfg.clusters[n], cfg.model)  # C1, C2, C7
         p = decision.powers_w[n]
-        if not 0.0 <= p <= cfg.clusters[n].uplink_power_max_w * (1 + 1e-12):
-            raise InfeasibleError("C6", f"cluster {n} power {p} outside [0, {cfg.clusters[n].uplink_power_max_w}]")
+        p_max = cfg.clusters[n].uplink_power_max_w if decision.assignment.is_transmitting(n) else 0.0  # {0} off the air
+        if not 0.0 <= p <= p_max * (1 + 1e-12):
+            raise InfeasibleError("C6", f"cluster {n} power {p} outside [0, {p_max}]")
         e_up = cu_transmit_energy(cfg, env, n, decision.assignment, p)
         if e_up > cfg.clusters[n].uplink_energy_budget_j * (1 + 1e-9):
             raise InfeasibleError("C8", f"cluster {n} upload energy {e_up} J exceeds budget")

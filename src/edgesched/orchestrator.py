@@ -31,17 +31,6 @@ POLICIES = ("lyapunov", "random", "loss", "delay", "uniform")
 _POLICY_SALT = {"random": 101, "loss": 102, "delay": 103, "uniform": 104}
 
 
-def _worst_terms(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> tuple[int, float]:
-    """Largest segment count and largest upload distortion term over all clusters at the decided powers."""
-    eps_max = max(
-        interference_error(
-            decision.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference
-        )
-        for n in range(cfg.n_clusters)
-    )
-    return max(plan.n_segments for plan in decision.plans), eps_max
-
-
 def optimize_round(
     cfg: SystemConfig,
     env: RoundEnvironment,
@@ -59,7 +48,7 @@ def optimize_round(
         schedule_segments(cfg, env, n, queues, v_factor, cl.uplink_power_max_w) for n, cl in enumerate(cfg.clusters)
     )
     assignment, powers = allocate_resources(cfg, env, queues, v_factor, tuple(p.n_segments for p in plans))
-    return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers, round_index=env.round_index)
+    return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +161,7 @@ def baseline_decision(
             else 0.0
             for n in range(n_clusters)
         )
-        return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers, round_index=t)
+        return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers)
 
     if policy in ("loss", "delay"):
         if policy == "loss":
@@ -189,7 +178,7 @@ def baseline_decision(
             cfg.clusters[n].uplink_power_max_w if assignment.is_transmitting(n) else 0.0
             for n in range(n_clusters)
         )
-        return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers, round_index=t)
+        return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers)
 
     if policy == "uniform":
         deltas = [uniform_partition(cfg, n) for n in range(n_clusters)]
@@ -208,7 +197,7 @@ def baseline_decision(
             tuple(p.n_segments for p in plans),
             enforce_balance=False,
         )
-        return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers, round_index=t)
+        return SchedulingDecision(plans=plans, assignment=assignment, powers_w=powers)
 
     raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
@@ -331,7 +320,11 @@ def evaluate_round(
         sum(cfg.clusters[n].devices[k].d2d_power_w * env.hop_s[n][k] for k in decision.plans[n].scheduled)
         for n in range(n_clusters)
     )
-    s_max, eps_max = _worst_terms(decision, cfg, env)
+    s_max = max(plan.n_segments for plan in decision.plans)
+    eps_max = max(
+        interference_error(p, env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference)
+        for n, p in enumerate(decision.powers_w)
+    )
     gamma_t = gamma_round_from_error(s_max, eps_max, cfg.convergence, n_clusters, cfg.model.n_blocks)
     queue_after = queue_update(queues, gamma_t, cfg.convergence.gamma_max)
     dp = drift_penalty_at(tau, decision, queues, cfg.convergence.v_factor)

@@ -35,9 +35,10 @@ floors, lies strictly above the best objective is not searched at all: no
 plan there can win, not even on a tie. On the shipped table2 scenario this
 leaves 22 of the 270 partition solves of six rounds.
 
-The balance cap does not depend on m: ``schedule_segments`` computes the
-thresholds once per call and hands every partition search the cap as a
-segment count. Nothing is kept between calls.
+The balance cap does not depend on m: ``schedule_segments`` counts the
+thresholds p_1, p_2, ... at or below the head power once per call, up to the
+device count, and hands every partition search the cap as a segment count.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .config import RoundEnvironment, SystemConfig
-from .convergence import balance_power_thresholds
+from .convergence import balance_power_threshold
 from .errors import InfeasibleError
 from .pipeline import (
     SegmentPlan,
@@ -129,9 +130,21 @@ def optimal_micro_batches(
     return best_m
 
 
-def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, mem_caps: list[int]) -> list[int]:
-    """Per-device block caps from the memory caps and the round energy budget at this m."""
-    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+def _memory_caps(cfg: SystemConfig, n: int) -> list[int]:
+    """Blocks each device of cluster n can hold in memory, at most L."""
+    l_blocks = cfg.model.n_blocks
+    return [min(dev.block_cap, l_blocks) for dev in cfg.clusters[n].devices]
+
+
+def _cap_cover(work: float, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[int], int]:
+    """Per-device block caps at chunk work ``work``, from the memory caps and
+    the round energy budget, and the fewest devices whose caps hold the L blocks.
+
+    Raises C7 when memory alone cannot host the blocks, and C9' when the
+    energy budgets cut the caps below them.
+    """
+    l_blocks = cfg.model.n_blocks
+    mem_caps = _memory_caps(cfg, n)
     caps = []
     for dev, cap, clock, hop in zip(cfg.clusters[n].devices, mem_caps, env.clock_hz[n], env.hop_s[n]):
         headroom = dev.energy_budget_j - dev.d2d_power_w * hop
@@ -142,24 +155,6 @@ def _partition_caps(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, me
             if per_block > 0:
                 cap = int(min(cap, headroom / per_block * (1 + 1e-12)))  # int(inf) would raise
         caps.append(cap)
-    return caps
-
-
-def _memory_caps(cfg: SystemConfig, n: int) -> list[int]:
-    """Blocks each device of cluster n can hold in memory, at most L."""
-    l_blocks = cfg.model.n_blocks
-    return [min(dev.block_cap, l_blocks) for dev in cfg.clusters[n].devices]
-
-
-def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[int], int]:
-    """Block caps at run start m and the fewest devices whose caps hold the L blocks.
-
-    Raises C7 when memory alone cannot host the blocks, and C9' when the
-    energy budgets cut the caps below them.
-    """
-    l_blocks = cfg.model.n_blocks
-    mem_caps = _memory_caps(cfg, n)
-    caps = _partition_caps(m, cfg, env, n, mem_caps)
     need = _fewest_cover(l_blocks, caps)
     if math.isinf(need):
         raise InfeasibleError(
@@ -208,27 +203,28 @@ def optimal_partition(
     """
     n_dev = cfg.clusters[n].n_devices
     l_blocks = cfg.model.n_blocks
-
-    # feasibility of the cap set as a whole
-    caps, need = _cap_cover(m, cfg, env, n)
-    if need > s_cap:
-        raise InfeasibleError("C11" if s_cap < n_dev else "C2", f"cluster {n}: {need} segments needed, at most {s_cap} allowed")
-
-    b_hat = micro_batch_size(cfg.model.batch_items, m)
-    work = _chunk_work(b_hat, cfg)
+    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
     speeds = env.speed[n]
     hops = env.hop_s[n]
 
+    # feasibility of the cap set as a whole
+    caps, need = _cap_cover(work, cfg, env, n)
+    if need > s_cap:
+        raise InfeasibleError("C11" if s_cap < n_dev else "C2", f"cluster {n}: {need} segments needed, at most {s_cap} allowed")
+
     best = None  # (objective, S, delta)
-    for a, delta in _one_stage_plans(m, caps, cfg, env, n, v_factor):
-        key = (a + queue_sum, 1, delta)
-        if key[0] <= cutoff and (best is None or key < best):
-            best = key
+    # one-stage plans: all L blocks on one device whose cap holds them
+    for j, cap in enumerate(caps):
+        if cap >= l_blocks:
+            obj = v_factor * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m) + queue_sum
+            key = (obj, 1, tuple(l_blocks if k == j else 0 for k in range(n_dev)))
+            if obj <= cutoff and (best is None or key < best):
+                best = key
 
     # plans of two or more stages are scanned only when their floor reaches
     # the best one-stage plan or, while there is none, the cutoff
     s_lo = max(2, need)
-    floor = _stage_count_floor(_live_stages(env, n, caps, l_blocks), v_factor, queue_sum, s_lo, s_cap)
+    floor = _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
     if s_cap >= 2 and floor(m, work) <= (cutoff if best is None else best[0]):
         # occupancy of each device k at d = 1..caps[k] blocks, ascending in d,
         # and the candidate bottlenecks (u, j, d) with d < L in ascending u
@@ -262,19 +258,6 @@ def optimal_partition(
     return found, s
 
 
-def _one_stage_plans(m: int, caps: list[int], cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float):
-    """(a, delta) of every plan at run start m that puts all L blocks on one
-    device whose cap in ``caps`` holds them; a = V * its latency, the plan's
-    objective less the queue sum."""
-    l_blocks = cfg.model.n_blocks
-    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
-    for j, cap in enumerate(caps):
-        if cap >= l_blocks:
-            t = l_blocks * work / env.speed[n][j]
-            a = v_factor * pipeline_latency_from_times([t], [env.hop_s[n][j]], m)
-            yield a, tuple(l_blocks if k == j else 0 for k in range(len(caps)))
-
-
 def _fewest_cover(blocks: int, caps: list[int]) -> float:
     """Fewest devices whose caps sum to at least ``blocks``; inf when none do."""
     reach = list(accumulate(sorted(caps, reverse=True)))
@@ -300,45 +283,43 @@ def _lexmin_cover(blocks: int, slots: int, caps: list[int], j: int, d: int) -> t
 
 
 def _segment_cap(cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: float) -> int:
-    """Most segments cluster n may use at head power cu_power_w: its device
-    count, and under C11 the number of the round's balance thresholds at or
-    below the power. Raises C11 when there is none."""
-    thresholds = balance_power_thresholds(
-        cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, env.uplink_gain[n], env.uplink_interference_w[n]
-    )
-    s_gamma = bisect_right(thresholds, cu_power_w)
-    if s_gamma == 0:
+    """Most segments cluster n may use at head power cu_power_w: the count of
+    S = 1, 2, ... up to its device count and L whose balance threshold p_S
+    (C11) is at or below the power. The thresholds rise with S, so the count
+    stops at the first one above it. Raises C11 when p_1 is above it."""
+    s_cap = 0
+    while s_cap < min(cfg.clusters[n].n_devices, cfg.model.n_blocks) and balance_power_threshold(
+        cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, s_cap + 1, env.uplink_gain[n], env.uplink_interference_w[n]
+    ) <= cu_power_w:
+        s_cap += 1
+    if s_cap == 0:
         raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at power {cu_power_w}")
-    return min(cfg.clusters[n].n_devices, s_gamma)
+    return s_cap
 
 
-def _live_stages(env: RoundEnvironment, n: int, caps: list[int], l_blocks: int):
-    """Speeds and hops of the devices with a positive cap in ``caps``, and, for
-    each S, L over the sum of the S fastest of those speeds."""
-    live = [k for k, cap in enumerate(caps) if cap]
-    speeds = [env.speed[n][k] for k in live]
-    loads = [l_blocks / fastest for fastest in accumulate(sorted(speeds, reverse=True))]
-    return speeds, [env.hop_s[n][k] for k in live], loads
-
-
-def _stage_count_floor(live: tuple, v_factor: float, queue_sum: float, s_lo: int, s_cap: int):
+def _stage_count_floor(
+    env: RoundEnvironment, n: int, caps: list[int], l_blocks: int, v_factor: float, queue_sum: float, s_lo: int, s_cap: int
+):
     """Least objective any plan of S stages, s_lo <= S <= s_cap, can reach, as a function of (m, work).
 
-    ``work`` is the chunk work at run start m. ``live`` is ``_live_stages``
-    of the block caps: only devices with a positive cap can be stages. A
-    plan's bottleneck occupancy U is at least the least one-block occupancy,
-    and at least L*work/(sum of the S fastest speeds) + the least hop,
-    because each stage k holds at most (U - hop_k)*speed_k/work blocks. The
-    bottleneck's hop is at most the longest hop and at most U, so the
-    objective is at least V*max((S+m-1)*U - hop_max, (S+m-2)*U) +
-    S*queue_sum. The (1 - 1e-12) slacks absorb float rounding. The floor is
-    inf when no S in the range has enough devices.
+    ``work`` is the chunk work at run start m. Only devices of cluster n with
+    a positive cap in ``caps`` can be stages. A plan's bottleneck occupancy U
+    is at least the least one-block occupancy, and at least L*work/(sum of
+    the S fastest speeds) + the least hop, because each stage k holds at most
+    (U - hop_k)*speed_k/work blocks. The bottleneck's hop is at most the
+    longest hop and at most U, so the objective is at least
+    V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum. The (1 - 1e-12)
+    slacks absorb float rounding. The floor is inf when no S in the range has
+    enough devices.
     """
-    speeds, hops, loads = live
+    speeds = [speed for speed, cap in zip(env.speed[n], caps) if cap]
+    hops = [hop for hop, cap in zip(env.hop_s[n], caps) if cap]
     s_hi = min(s_cap, len(speeds))
     if s_hi < s_lo:
         return lambda m, work: math.inf
     hop_min, hop_max = min(hops), max(hops)
+    # L over the sum of the S fastest speeds, for each S
+    loads = [l_blocks / fastest for fastest in accumulate(sorted(speeds, reverse=True))]
     counts = list(zip(range(s_lo, s_hi + 1), loads[s_lo - 1 :]))
 
     def floor(m: int, work: float) -> float:
@@ -379,7 +360,7 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     mem_caps = _memory_caps(cfg, n)
     s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap == l_blocks), default=None)
     s_lo = max(2, _fewest_cover(l_blocks, mem_caps))
-    many = _stage_count_floor(_live_stages(env, n, mem_caps, l_blocks), v_factor, queue_sum, s_lo, s_cap)
+    many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
 
     def bound(m: int) -> float:
         work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edgesched.config import build_config, load_config
+from edgesched.convergence import balance_power_threshold
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TABLE2 = os.path.join(REPO_ROOT, "configs", "table2.json")
@@ -71,3 +72,10 @@ def random_system_doc(rng: np.random.Generator, max_devices=4, max_blocks=8, max
 
 def random_system(rng: np.random.Generator, **kwargs):
     return build_config(random_system_doc(rng, **kwargs))
+
+
+def balance_thresholds(params, n_clusters: int, n_blocks: int, gain: float, interference_w: float) -> list[float]:
+    """The C11 thresholds p_1, ..., p_L, each from ``balance_power_threshold``."""
+    return [
+        balance_power_threshold(params, n_clusters, n_blocks, s, gain, interference_w) for s in range(1, n_blocks + 1)
+    ]

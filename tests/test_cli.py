@@ -272,6 +272,35 @@ def test_compare_duplicate_policy_rejected(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_compare_duplicate_seed_rejected(tmp_path, capsys):
+    rc = main(["compare", TABLE2, "--policies", "loss", "--seeds", "1,1", "--rounds", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--seeds: duplicate" in capsys.readouterr().err
+    assert not (tmp_path / "compare.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", TABLE2],
+        ["compare", TABLE2, "--policies", "loss"],
+        ["sweep", HOMOGENEOUS, "--grid", "V=1"],
+    ],
+    ids=["run", "compare", "sweep"],
+)
+@pytest.mark.parametrize("out", ["", "file"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, out):
+    if out:
+        out = str(tmp_path / "taken")
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+    assert main(argv + ["--rounds", "1", "--out", out]) == 2
+    assert "config error: --out" in capsys.readouterr().err
+    # the same holds for the default taken from EDGESCHED_OUT_DIR
+    monkeypatch.setenv("EDGESCHED_OUT_DIR", out)
+    assert main(argv + ["--rounds", "1"]) == 2
+    assert "config error: --out" in capsys.readouterr().err
+
+
 def test_compare_unknown_policy_rejected(tmp_path):
     rc = main(["compare", TABLE2, "--policies", "lyapunov,bogus", "--rounds", "1", "--out", str(tmp_path)])
     assert rc == 2

@@ -7,7 +7,6 @@ import pytest
 from edgesched.config import ConvergenceParams
 from edgesched.convergence import (
     RunningGapBound,
-    balance_power_thresholds,
     gamma_round,
     gamma_round_from_error,
     interference_error,
@@ -15,6 +14,8 @@ from edgesched.convergence import (
     sigma,
     sigma_positive_eta_threshold,
 )
+
+from conftest import balance_thresholds
 
 
 def params(beta=1.0, eta=0.01, xi=1.0, phi=1.0, c=0.0559, gamma_max=5e-5, v=10.0):
@@ -80,16 +81,34 @@ def test_balance_power_thresholds_invert_gamma():
     p = params()
     n, l = 3, 6
     power, gain, interference = 0.5, 0.98, 0.07
-    thresholds = balance_power_thresholds(p, n, l, gain, interference)
+    thresholds = balance_thresholds(p, n, l, gain, interference)
     assert len(thresholds) == l and thresholds == sorted(thresholds)
     s_cap = bisect.bisect_right(thresholds, power)
     assert 1 <= s_cap < l
     assert gamma_round(s_cap, power, gain, interference, p, n, l) <= p.gamma_max * (1 + 1e-9)
     assert gamma_round(s_cap + 1, power, gain, interference, p, n, l) > p.gamma_max
     # an error of 1e9 at zero power leaves no segment count under the cap
-    assert bisect.bisect_right(balance_power_thresholds(p, n, l, gain, p.c_interference / 1e9), 0.0) == 0
+    assert bisect.bisect_right(balance_thresholds(p, n, l, gain, p.c_interference / 1e9), 0.0) == 0
     # a budget that overflows to inf allows every segment count up to L at any power
-    assert bisect.bisect_right(balance_power_thresholds(params(gamma_max=1e308), n, l, gain, interference), 0.0) == l
+    assert bisect.bisect_right(balance_thresholds(params(gamma_max=1e308), n, l, gain, interference), 0.0) == l
+
+
+def test_balance_thresholds_never_decrease():
+    # the segment cap counts p_1, p_2, ... and stops at the first one above
+    # the head power, which counts every threshold at or below it only when
+    # p_1 <= ... <= p_L
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        p = params(
+            beta=float(10 ** rng.uniform(-2, 2)),
+            eta=float(10 ** rng.uniform(-3, -1)),
+            phi=float(10 ** rng.uniform(-2, 1)),
+            c=float(10 ** rng.uniform(-3, 0)),
+            gamma_max=float(10 ** rng.uniform(-6, -2)),
+        )
+        n, l = int(rng.integers(1, 9)), int(rng.integers(1, 1025))
+        thresholds = balance_thresholds(p, n, l, float(10 ** rng.uniform(-3, 1)), float(10 ** rng.uniform(-12, -1)))
+        assert thresholds == sorted(thresholds)
 
 
 def test_gap_bound_base_case():

@@ -46,7 +46,6 @@ def _decision(cfg, plans, assigned, powers):
         plans=tuple(plans),
         assignment=ChannelAssignment(n_channels=cfg.n_channels, assigned=tuple(assigned)),
         powers_w=tuple(powers),
-        round_index=1,
     )
 
 

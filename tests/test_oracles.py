@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from edgesched.config import build_config, sample_round_environment
-from edgesched.convergence import balance_power_thresholds
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_assignment, brute_force_segment_plan, grid_search_power
 from edgesched.res_solver import power_control
 from edgesched.seg_solver import cluster_objective, optimal_micro_batches, schedule_segments
 
-from conftest import minimal_doc, random_system_doc
+from conftest import balance_thresholds, minimal_doc, random_system_doc
 
 
 def test_segment_oracle_guards_are_hard_errors(table2_cfg):
@@ -70,7 +69,7 @@ def test_segment_oracle_and_solver_agree_around_every_balance_threshold():
         cfg = build_config(doc)
         env = sample_round_environment(cfg, t)
         v, queues = cfg.convergence.v_factor, (float(rng.choice([0.0, 1e-3])),)
-        thresholds = balance_power_thresholds(
+        thresholds = balance_thresholds(
             cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, env.uplink_gain[0], env.uplink_interference_w[0]
         )
         for p_s in thresholds[: cfg.clusters[0].n_devices]:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from edgesched import comm, convergence, pipeline, res_solver, seg_solver
+from edgesched import comm, convergence, orchestrator, pipeline, res_solver, seg_solver
 from edgesched.convergence import RunningGapBound, gamma_round_from_error, interference_error
 from edgesched.config import build_config, load_config, sample_round_environment
 from edgesched.decision import validate_decision
@@ -92,6 +92,23 @@ def test_every_emitted_decision_validates(table2_cfg):
     env = sample_round_environment(table2_cfg, 1)
     d = optimize_round(table2_cfg, env, (0.0,) * 3, 10.0)
     validate_decision(d, table2_cfg, env)
+
+
+def test_power_on_a_cluster_with_no_channel_violates_c6():
+    # off the air the power box is {0}: a phantom power there would lower the
+    # round's upload error and so the balance bound evaluate_round prices
+    cfg = load_config(BINDING)
+    env = sample_round_environment(cfg, 1)
+    d = optimize_round(cfg, env, (0.0,) * cfg.n_clusters, cfg.convergence.v_factor)
+    off = [n for n in range(cfg.n_clusters) if not d.assignment.is_transmitting(n)]
+    assert off and all(d.powers_w[n] == 0.0 for n in off)
+    validate_decision(d, cfg, env)
+    for n in off:
+        powers = list(d.powers_w)
+        powers[n] = cfg.clusters[n].uplink_power_max_w
+        with pytest.raises(InfeasibleError, match=f"cluster {n} power") as exc:
+            validate_decision(dataclasses.replace(d, powers_w=tuple(powers)), cfg, env)
+        assert exc.value.constraint == "C6"
 
 
 def test_zero_rounds_empty_trace(table2_cfg):
@@ -316,19 +333,39 @@ def test_segment_counts_priced_in_the_bound_leave_few_searches(table2_cfg, monke
     assert len(calls) <= 30
 
 
-def test_balance_thresholds_built_once_per_round_and_cluster(table2_cfg, monkeypatch):
-    # a round solves each cluster's segments once, and that solve builds the
-    # C11 thresholds once and hands every partition search the cap; power
-    # control computes only its own floor p_S. On table2 the segment solves
-    # search, several times in some rounds
-    tables = _count_calls(monkeypatch, convergence.balance_power_thresholds)
-    schedules = _count_calls(monkeypatch, seg_solver.schedule_segments)
-    run_simulation(load_config(BINDING), 4, "lyapunov")
-    assert len(tables) == len(schedules) == 4 * 6
-    tables.clear()
+def _table2_1024_blocks():
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["model"]["L"] = 1024
+    for cl in doc["clusters"]:
+        cl["devices"] = [dict(dev, gamma_max_bytes=2.56e11) for dev in cl["devices"][:2]]
+    return build_config(doc)
+
+
+@pytest.mark.parametrize("system, rounds", [("binding", 4), ("table2", 6), ("table2-L1024", 3)])
+def test_lyapunov_round_evaluates_at_most_k_plus_one_thresholds_per_cluster(system, rounds, table2_cfg, monkeypatch):
+    # the segment cap counts p_1, p_2, ... up to min(K, L) and stops at the
+    # first threshold above the head power, and power control reads its one
+    # floor p_S, however many partition searches the round runs. Building all
+    # of p_1..p_L instead would evaluate 1024 per cluster and round at L = 1024
+    cfg = table2_cfg if system == "table2" else load_config(BINDING) if system == "binding" else _table2_1024_blocks()
+    thresholds = _count_calls(monkeypatch, convergence.balance_power_threshold)
     searches = _count_calls(monkeypatch, seg_solver.optimal_partition)
-    run_simulation(table2_cfg, 6, "lyapunov")
-    assert len(tables) == 6 * 3 < len(searches)
+    per_round = []
+    one_round = orchestrator.optimize_round
+
+    def counted_round(*args):
+        before = len(thresholds)
+        decision = one_round(*args)
+        per_round.append(len(thresholds) - before)
+        return decision
+
+    monkeypatch.setattr(orchestrator, "optimize_round", counted_round)
+    trace = run_simulation(cfg, rounds, "lyapunov")
+    assert len(trace.rounds) == len(per_round) == rounds
+    assert max(per_round) <= sum(min(cl.n_devices, cfg.model.n_blocks) + 1 for cl in cfg.clusters)
+    if system == "table2":
+        assert len(searches) > rounds * cfg.n_clusters  # some segment solves search several run starts
 
 
 def test_one_sweep_rounds_search_as_before_on_table2(table2_cfg, monkeypatch):

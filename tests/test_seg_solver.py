@@ -9,13 +9,11 @@ import pytest
 
 from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
-from edgesched.convergence import balance_power_thresholds
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
 from edgesched.pipeline import device_energy, micro_batch_size
 from edgesched.seg_solver import (
     _chunk_work,
-    _live_stages,
     _micro_batch_run_starts,
     _run_start_bound,
     _segment_cap,
@@ -27,7 +25,7 @@ from edgesched.seg_solver import (
 )
 from edgesched.res_solver import power_control
 
-from conftest import REPO_ROOT, minimal_doc, random_system, random_system_doc
+from conftest import REPO_ROOT, balance_thresholds, minimal_doc, random_system, random_system_doc
 
 
 def _partition(m, cfg, env, n, v, queue_sum, power, **kwargs):
@@ -620,7 +618,7 @@ def test_stage_count_floor_is_below_every_composition_of_that_size():
                 s = sum(1 for d in delta if d > 0)
                 objs.setdefault(s, []).append(cluster_objective(delta, m, cfg, env, 0, v, q))
             for s in range(s_lo, cfg.clusters[0].n_devices + 1):
-                floor = _stage_count_floor(_live_stages(env, 0, caps, cfg.model.n_blocks), v, q, s, s)(m, work)
+                floor = _stage_count_floor(env, 0, caps, cfg.model.n_blocks, v, q, s, s)(m, work)
                 assert floor <= min(objs.get(s, [math.inf]))
                 pipelined += s in objs
     assert pipelined > 0
@@ -647,7 +645,7 @@ def test_stage_count_floor_is_tight_on_even_splits():
         doc["clusters"][0]["devices"] = [dict(device, gamma_max_bytes=2.5e8 * per, gamma0_bytes=2.5e8)] * k
         cfg = build_config(doc)
         env = sample_round_environment(cfg, 1)
-        floor = _stage_count_floor(_live_stages(env, 0, [per] * k, cfg.model.n_blocks), 10.0, 0.0, k, k)
+        floor = _stage_count_floor(env, 0, [per] * k, cfg.model.n_blocks, 10.0, 0.0, k, k)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             obj = cluster_objective((per,) * k, m, cfg, env, 0, 10.0, 0.0)
             assert obj * (1 - 1e-9) <= floor(m, _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)) <= obj
@@ -758,7 +756,7 @@ def test_segment_cap_and_power_floor_agree_at_every_threshold():
         cfg = build_config(doc)
         env = sample_round_environment(cfg, t)
         v = cfg.convergence.v_factor
-        thresholds = balance_power_thresholds(
+        thresholds = balance_thresholds(
             cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, env.uplink_gain[0], env.uplink_interference_w[0]
         )
         for s, p_s in enumerate(thresholds[: cfg.clusters[0].n_devices], start=1):
@@ -793,3 +791,12 @@ def test_segment_cap_and_power_floor_agree_at_every_threshold():
                 assert _partition_outcome(m, cfg, env, 0, v, 0.0, below, math.inf) == ("C11", str(want.value))
             unreachable += 1
     assert probes > 300 and clamped > 250 and plans > 150 and unreachable > 250
+
+
+def test_segment_cap_at_a_nan_power_is_unreachable():
+    # no threshold is at or below NaN; configs keep P_n_max_w finite and > 0
+    cfg = random_system(np.random.default_rng(3))
+    env = sample_round_environment(cfg, 1)
+    with pytest.raises(InfeasibleError, match="balance cap unreachable") as exc:
+        _segment_cap(cfg, env, 0, math.nan)
+    assert exc.value.constraint == "C11"
