@@ -19,11 +19,12 @@ budget is checked with ``pipeline.device_energy``.
 
 Blocks are identical in cost, so at a fixed m a plan's objective depends only
 on its segment count S and its first bottleneck, a device j holding d blocks.
-The partition solve enumerates the O(K*L) candidate bottlenecks (j, d) and,
-for each, covers the other blocks with the fewest devices whose occupancy
-stays under the bottleneck's: the identical-block case of 1-D chain
-partitioning (Pinar & Aykanat, "Fast optimal load balancing algorithms for 1D
-partitioning", JPDC 2004).
+The partition solve sweeps the O(K*L) device occupancies once, in ascending
+order, keeping each device's count of those below the current one, its block
+cap there (the monotone probes of Pinar & Aykanat, "Fast optimal load
+balancing algorithms for 1D partitioning", JPDC 2004). At each candidate
+bottleneck (j, d) it covers the other blocks with the fewest devices that stay
+under it, as in 1-D chain partitioning; ties are broken after the sweep.
 
 The same early exit works one level up. Each segment count S has a floor on
 the objective of every S-stage plan, from its least bottleneck: the larger of
@@ -44,8 +45,9 @@ Nothing is kept between calls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from bisect import bisect_left
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 from .config import RoundEnvironment, SystemConfig
 from .convergence import balance_power_threshold
@@ -182,16 +184,18 @@ def optimal_partition(
     V*((S+m-1)*u - hop_j) + S*queue_sum. So every pair (j, d) is a candidate:
     each other device k takes at most as many blocks as keep its occupancy
     below u (k < j, strictly, so that j stays first) or at most u (k > j), and
-    the fewest such devices that cover the other L-d blocks give S. Pairs are
-    scanned in ascending u until a lower bound on every later pair exceeds
-    the best plan. Among equal (objective, S) the lexicographically smallest
-    delta wins, the oracle's tie-break.
+    the fewest such devices that cover the other L-d blocks give S. The pairs
+    and those caps come from one ascending sweep, ``_bottlenecks``, cut off
+    once a lower bound on every later pair exceeds the best plan. The scan
+    keeps the least (objective, S), the bar, and the (j, d, caps) of every
+    plan at it, one-stage plans included; the lexicographically smallest of
+    their deltas, the oracle's tie-break, is built after the scan.
 
     Before the scan, ``_stage_count_floor`` prices every segment count the
     caps and the balance cap allow. When that floor lies strictly above the
     best one-stage plan, or above a finite cutoff, no plan of two or more
-    stages can win or tie, and the occupancy lists are not built, the pairs
-    not sorted and the scan not run.
+    stages can win or tie, and the occupancies are not sorted and the sweep
+    not run.
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
@@ -201,7 +205,6 @@ def optimal_partition(
     ``s_cap`` is the most segments a plan may use: the device count, or less
     under the balance cap, as ``_segment_cap`` gives it.
     """
-    n_dev = cfg.clusters[n].n_devices
     l_blocks = cfg.model.n_blocks
     work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
     speeds = env.speed[n]
@@ -210,52 +213,73 @@ def optimal_partition(
     # feasibility of the cap set as a whole
     caps, need = _cap_cover(work, cfg, env, n)
     if need > s_cap:
-        raise InfeasibleError("C11" if s_cap < n_dev else "C2", f"cluster {n}: {need} segments needed, at most {s_cap} allowed")
+        raise InfeasibleError("C11" if s_cap < len(caps) else "C2", f"cluster {n}: {need} segments needed, at most {s_cap} allowed")
 
-    best = None  # (objective, S, delta)
+    bar = (cutoff, math.inf)  # least (objective, S) so far; the cutoff while there is none
+    ties = []  # (j, d, caps) of every plan at the bar
     # one-stage plans: all L blocks on one device whose cap holds them
     for j, cap in enumerate(caps):
         if cap >= l_blocks:
-            obj = v_factor * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m) + queue_sum
-            key = (obj, 1, tuple(l_blocks if k == j else 0 for k in range(n_dev)))
-            if obj <= cutoff and (best is None or key < best):
-                best = key
+            key = (v_factor * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m) + queue_sum, 1)
+            if key < bar:
+                bar, ties = key, []
+            if key == bar:
+                ties.append((j, l_blocks, caps))
 
-    # plans of two or more stages are scanned only when their floor reaches
-    # the best one-stage plan or, while there is none, the cutoff
+    # plans of two or more stages are scanned only when their floor reaches the bar
     s_lo = max(2, need)
     floor = _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
-    if s_cap >= 2 and floor(m, work) <= (cutoff if best is None else best[0]):
-        # occupancy of each device k at d = 1..caps[k] blocks, ascending in d,
-        # and the candidate bottlenecks (u, j, d) with d < L in ascending u
-        occ = [[d * work / speeds[k] + hops[k] for d in range(1, cap + 1)] for k, cap in enumerate(caps)]
-        pairs = sorted(
-            (occ[j][d - 1], j, d) for j, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
-        )
+    if s_cap >= 2 and floor(m, work) <= bar[0]:
         hop_max = max(hops)
-        for u, j, d in pairs:
-            limit = cutoff if best is None else best[0]
+        for u, j, d, caps_u in _bottlenecks([min(cap, l_blocks - 1) for cap in caps], work, speeds, hops):
             # every later pair has u' >= u, S >= s_lo and hop_j <= min(hop_max, u')
             lower = v_factor * max((s_lo + m - 1) * u - hop_max, (s_lo + m - 2) * u) * (1 - 1e-12) + s_lo * queue_sum
-            if lower > limit:
+            if lower > bar[0]:
                 break
-            caps_u = [bisect_left(o, u) for o in occ[:j]] + [0] + [bisect_right(o, u) for o in occ[j + 1 :]]
             s = 1 + _fewest_cover(l_blocks - d, caps_u)
             if s > s_cap:
                 continue
-            obj = v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum
-            if obj > limit or (best is not None and (obj, s) > best[:2]):
-                continue
-            key = (obj, s, _lexmin_cover(l_blocks - d, s - 1, caps_u, j, d))
-            if best is None or key < best:
-                best = key
+            key = (v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum, s)
+            if key < bar:
+                bar, ties = key, []
+            if key == bar:
+                ties.append((j, d, caps_u))
 
-    if best is None:
+    if not ties:
         if math.isinf(cutoff):
             raise InfeasibleError("C1", f"cluster {n}: no feasible block composition")
         return None
-    _, s, found = best
-    return found, s
+    return min(_lexmin_cover(l_blocks - d, bar[1] - 1, caps_u, j, d) for j, d, caps_u in ties), bar[1]
+
+
+def _bottlenecks(caps: list[int], work: float, speeds, hops):
+    """Candidate bottlenecks (u, j, d), d = 1..caps[j], ascending, each with the caps under it.
+
+    Sweeps the events (u, k, d), u = d*work/speeds[k] + hops[k], in ascending
+    order. ``cnt`` counts each device's events strictly below the current u,
+    ``le`` those at or below it. The events at one u form a group, and a pair
+    in it gets the caps ``cnt`` before j (so that j stays the first
+    bottleneck), 0 at j and ``le`` after j, in a fresh list. A device beside a
+    bottleneck holds at most L-1 blocks, so callers pass caps cut to L-1: no
+    d = L occupancy is a pair, and a cap of L covers no more than L-1 does.
+    """
+    events = sorted((d * work / speeds[k] + hops[k], k, d) for k, cap in enumerate(caps) for d in range(1, cap + 1))
+    cnt = [0] * len(caps)
+    for u, group in groupby(events, itemgetter(0)):
+        group = list(group)
+        if len(group) == 1:  # one event: le differs from cnt only at j, whose cap is 0
+            _, j, d = group[0]
+            caps_u = cnt[:]
+            caps_u[j] = 0
+            yield u, j, d, caps_u
+            cnt[j] += 1
+            continue
+        le = cnt[:]
+        for _, k, _ in group:
+            le[k] += 1
+        for _, j, d in group:
+            yield u, j, d, cnt[:j] + [0] + le[j + 1 :]
+        cnt = le
 
 
 def _fewest_cover(blocks: int, caps: list[int]) -> float:

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import os
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
-from edgesched.pipeline import device_energy, micro_batch_size
+from edgesched.pipeline import device_energy, micro_batch_size, pipeline_latency_from_times
 from edgesched.seg_solver import (
+    _cap_cover,
     _chunk_work,
+    _fewest_cover,
+    _lexmin_cover,
     _micro_batch_run_starts,
     _run_start_bound,
     _segment_cap,
@@ -800,3 +804,145 @@ def test_segment_cap_at_a_nan_power_is_unreachable():
     with pytest.raises(InfeasibleError, match="balance cap unreachable") as exc:
         _segment_cap(cfg, env, 0, math.nan)
     assert exc.value.constraint == "C11"
+
+
+def _per_pair_partition(m, cfg, env, n, v, queue_sum, s_cap, cutoff):
+    """Reference: the bottleneck scan that rebuilds every pair's caps by
+    bisection and builds the lexmin delta of every pair that ties or beats the
+    best so far, without the stage-count floor. Returns (delta, S), None or the
+    error's constraint."""
+    l_blocks = cfg.model.n_blocks
+    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+    speeds, hops = env.speed[n], env.hop_s[n]
+    try:
+        caps, need = _cap_cover(work, cfg, env, n)
+    except InfeasibleError as exc:
+        return exc.constraint
+    if need > s_cap:
+        return "C11" if s_cap < len(caps) else "C2"
+    best = None  # (objective, S, delta)
+    for j, cap in enumerate(caps):
+        if cap >= l_blocks:
+            obj = v * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m) + queue_sum
+            key = (obj, 1, tuple(l_blocks if k == j else 0 for k in range(len(caps))))
+            if obj <= cutoff and (best is None or key < best):
+                best = key
+    occ = [[d * work / speeds[k] + hops[k] for d in range(1, cap + 1)] for k, cap in enumerate(caps)]
+    pairs = sorted((occ[j][d - 1], j, d) for j, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1))
+    s_lo, hop_max = max(2, need), max(hops)
+    for u, j, d in pairs:
+        limit = cutoff if best is None else best[0]
+        lower = v * max((s_lo + m - 1) * u - hop_max, (s_lo + m - 2) * u) * (1 - 1e-12) + s_lo * queue_sum
+        if lower > limit:
+            break
+        caps_u = [bisect_left(o, u) for o in occ[:j]] + [0] + [bisect_right(o, u) for o in occ[j + 1 :]]
+        s = 1 + _fewest_cover(l_blocks - d, caps_u)
+        if s > s_cap:
+            continue
+        obj = v * ((s + m - 1) * u - hops[j]) + s * queue_sum
+        if obj > limit or (best is not None and (obj, s) > best[:2]):
+            continue
+        key = (obj, s, _lexmin_cover(l_blocks - d, s - 1, caps_u, j, d))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return "C1" if math.isinf(cutoff) else None
+    return best[2], best[1]
+
+
+def _tied_system(rng):
+    """A random cluster of up to 12 devices and 24 blocks, memory caps of L on
+    about a third of the devices. Most draws get dyadic speeds and hops, so
+    occupancies tie exactly across devices. Zero hops next to a 16 s one let
+    the scan reach a device's d = L occupancy: below it lies that device's
+    one-stage plan, which otherwise ends the scan first."""
+    k, l_blocks = int(rng.integers(2, 13)), int(rng.integers(2, 25))
+    doc = minimal_doc()
+    doc["model"] = {"L": l_blocks, "b": int(rng.integers(1, 9)), "o_fwd_flops": 2.0**20, "o_bwd_flops": 2.0**20}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    caps = [l_blocks if rng.random() < 0.35 else int(rng.integers(1, l_blocks + 1)) for _ in range(k)]
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": 2.5e8 * cap, "gamma0_bytes": 2.5e8} for cap in caps]
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, int(rng.integers(1, 4)))
+    if rng.random() < 0.8:
+        speed = tuple(2.0 ** int(rng.integers(20, 25)) for _ in range(k))
+        hop = tuple(float(rng.choice([0.0, 0.0, 0.25, 1.0, 16.0])) for _ in range(k))
+        env = dataclasses.replace(env, speed=(speed,), hop_s=(hop,))
+    return cfg, env
+
+
+def test_partition_sweep_equals_the_per_pair_scan(monkeypatch):
+    # the sweep's running counts must give every pair the caps that bisecting
+    # each device's occupancies gave, and the deferred tie-break the delta the
+    # eager one did. The recorder counts the scanned pairs whose occupancy u
+    # ties with devices on both sides of j, and those where a device after j
+    # reaches u at d = L: the reference counts that occupancy toward its cap,
+    # the sweep leaves it out
+    from edgesched import seg_solver
+
+    sweep = seg_solver._bottlenecks
+    seen = {"straddle": 0, "cap_l": 0}
+    system = {}
+
+    def recorded(caps, work, speeds, hops):
+        full, _ = _cap_cover(work, system["cfg"], system["env"], 0)
+        events = [(d * work / speeds[k] + hops[k], k, d) for k, cap in enumerate(full) for d in range(1, cap + 1)]
+        for u, j, d, caps_u in sweep(caps, work, speeds, hops):
+            yield u, j, d, caps_u
+            # the scan asks for the next pair, so it did not break at this one
+            at_u = [(k, e) for x, k, e in events if x == u and k != j]
+            seen["straddle"] += any(k < j for k, _ in at_u) and any(k > j for k, _ in at_u)
+            seen["cap_l"] += any(k > j and e == system["cfg"].model.n_blocks for k, e in at_u)
+
+    monkeypatch.setattr(seg_solver, "_bottlenecks", recorded)
+    rng = np.random.default_rng(25)
+    calls = plans = 0
+    for _ in range(120):
+        cfg, env = _tied_system(rng)
+        system.update(cfg=cfg, env=env)
+        v = float(rng.choice([0.01, 1.0, 10.0]))
+        for q in (0.0, float(rng.uniform(0.0, 1.0))):
+            for m in _micro_batch_run_starts(cfg.model.batch_items)[:3]:
+                s_cap = int(rng.integers(1, cfg.clusters[0].n_devices + 1))
+                cutoffs = [math.inf, float(10 ** rng.uniform(-1, 2))]
+                full = _per_pair_partition(m, cfg, env, 0, v, q, s_cap, math.inf)
+                if isinstance(full, tuple):
+                    obj = cluster_objective(full[0], m, cfg, env, 0, v, q)
+                    cutoffs += [obj, math.nextafter(obj, -math.inf)]
+                    plans += 1
+                for cutoff in cutoffs:
+                    want = _per_pair_partition(m, cfg, env, 0, v, q, s_cap, cutoff)
+                    try:
+                        got = optimal_partition(m, cfg, env, 0, v, q, s_cap, cutoff=cutoff)
+                    except InfeasibleError as exc:
+                        got = exc.constraint
+                    assert got == want
+                    calls += 1
+    assert calls > 2000 and plans > 400 and seen["straddle"] > 1000 and seen["cap_l"] > 20
+
+
+def test_deferred_tie_break_takes_the_least_delta_of_a_later_pair():
+    # dyadic speeds and hops, one item per chunk: device k holding d blocks has
+    # occupancy d*t_k + hop_k with t = (1, 1, 0.5) s and hops (0.25, 1.25,
+    # 0.25) s. The plans (1, 0, 3) and (0, 1, 3) both cost 2*u - hop_j = 3.25 s
+    # on two stages, but the first one's bottleneck (u = 1.75 at device 2) is
+    # scanned before the second one's (u = 2.25 at device 1), whose delta is
+    # the lexicographically smaller
+    doc = minimal_doc()
+    doc["model"] = {"L": 4, "b": 1, "o_fwd_flops": 2.0**20, "o_bwd_flops": 2.0**20}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": cap * 2.5e8, "gamma0_bytes": 2.5e8} for cap in (2, 2, 3)]
+    cfg = build_config(doc)
+    env = dataclasses.replace(
+        sample_round_environment(cfg, 1), speed=((2.0**21, 2.0**21, 2.0**22),), hop_s=((0.25, 1.25, 0.25),)
+    )
+    assert cluster_objective((1, 0, 3), 1, cfg, env, 0, 1.0, 0.0) == cluster_objective((0, 1, 3), 1, cfg, env, 0, 1.0, 0.0) == 3.25
+    for q in (0.0, 0.5):
+        keys = sorted(
+            (cluster_objective(delta, 1, cfg, env, 0, 1.0, q), sum(1 for d in delta if d > 0), delta)
+            for delta in itertools.product(range(3), range(3), range(4))
+            if sum(delta) == 4
+        )
+        assert [key[2] for key in keys if key[:2] == keys[0][:2]] == [(0, 1, 3), (1, 0, 3)]
+        assert optimal_partition(1, cfg, env, 0, 1.0, q, 3) == (keys[0][2], keys[0][1]) == ((0, 1, 3), 2)
+        assert schedule_segments(cfg, env, 0, (q,), 1.0, 0.5).delta == (0, 1, 3)
