@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import StalledLinkError
 
 if TYPE_CHECKING:  # config imports this module to fill in each round's hop times
+    import numpy as np
+
     from .config import ClusterProfile, ModelSpec, RoundEnvironment, SystemConfig
 
 #: Sentinel delay for a cluster that skips the upload this round.
@@ -52,7 +52,9 @@ class ChannelAssignment:
         return len(self.assigned)
 
     def matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix, clusters x channels."""
+        """Dense 0/1 matrix, clusters x channels (a test tool; loads numpy)."""
+        import numpy as np
+
         m = np.zeros((self.n_clusters, self.n_channels), dtype=np.int8)
         for n, j in enumerate(self.assigned):
             if j is not None:

@@ -20,10 +20,9 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .comm import device_d2d_delay
 from .errors import ConfigError, StalledLinkError
+from .rng import draw
 
 SEED_ENV_VAR = "EDGESCHED_SEED"
 
@@ -234,19 +233,20 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
     The draw order (clusters in config order; per cluster: uplink gain, uplink
     interference, d2d interference, then per device: clock, d2d gain) is part of
     the determinism contract. A degenerate interval (lo == hi) is its point
-    value and takes no draw; the k others take the k values of one
-    ``rng.random(k)`` call, in that order, each scaled as numpy's
-    ``uniform(lo, hi)`` scales its draw, lo + (hi - lo) * u. Each device's speed
-    and hop time are then derived from its draws; a D2D link with zero rate
-    raises StalledLinkError. A cluster whose D2D channel is fixed takes its
-    gains and hop times from the config, where they are computed once.
+    value and takes no draw; the k others take, in that order, the k doubles
+    ``rng.draw([rng_seed, t], k)`` returns (numpy's
+    ``default_rng([rng_seed, t]).random(k)``, bit for bit, without numpy), each
+    scaled as numpy's ``uniform(lo, hi)`` scales its draw, lo + (hi - lo) * u.
+    Each device's speed and hop time are then derived from its draws; a D2D
+    link with zero rate raises StalledLinkError. A cluster whose D2D channel is
+    fixed takes its gains and hop times from the config, where they are
+    computed once.
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    rng = np.random.default_rng([cfg.rng_seed, t])
     points, drawn = cfg._draw_layout
     values = list(points)
-    for (i, lo, span), u in zip(drawn, rng.random(len(drawn)).tolist()):
+    for (i, lo, span), u in zip(drawn, draw([cfg.rng_seed, t], len(drawn))):
         values[i] = lo + span * u
     up_gain = []
     up_intf = []

@@ -12,8 +12,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
@@ -22,7 +21,11 @@ from .errors import InfeasibleError, SimulationAborted
 from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update
 from .pipeline import SegmentPlan
 from .res_solver import _ranked_assignment, allocate_resources
+from .rng import draw
 from .seg_solver import optimal_micro_batches, schedule_segments
+
+if TYPE_CHECKING:  # only the random policy draws from numpy, imported on its first call
+    import numpy as np
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -57,13 +60,18 @@ def optimize_round(
 
 
 def _policy_rng(cfg: SystemConfig, policy: str, t: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng([cfg.rng_seed, _POLICY_SALT[policy], t])
 
 
 def loss_proxy(cfg: SystemConfig, t: int, n: int) -> float:
-    """Synthetic per-cluster training-loss stand-in: decaying plus seeded noise."""
-    rng = np.random.default_rng([cfg.rng_seed, 991, t, n])
-    noise = cfg.loss_proxy_noise * float(rng.uniform(-1.0, 1.0))
+    """Synthetic per-cluster training-loss stand-in: decaying plus seeded noise.
+
+    The noise is numpy's ``default_rng([rng_seed, 991, t, n]).uniform(-1, 1)``,
+    lo + (hi - lo) * u, drawn without numpy.
+    """
+    noise = cfg.loss_proxy_noise * (-1.0 + 2.0 * draw([cfg.rng_seed, 991, t, n], 1)[0])
     return cfg.loss_proxy_scale * math.exp(-t / cfg.loss_proxy_tau0) * (1.0 + noise)
 
 
@@ -166,9 +174,8 @@ def baseline_decision(
     if policy in ("loss", "delay"):
         if policy == "loss":
             scores = [(-loss_proxy(cfg, t, n), n) for n in range(n_clusters)]
-        elif prev_round_delay is None:
-            rng = _policy_rng(cfg, policy, t)
-            scores = [(float(rng.uniform()), n) for n in range(n_clusters)]
+        elif prev_round_delay is None:  # numpy's N draws of _policy_rng(...).uniform()
+            scores = list(zip(draw([cfg.rng_seed, _POLICY_SALT[policy], t], n_clusters), range(n_clusters)))
         else:
             scores = [(prev_round_delay[n], n) for n in range(n_clusters)]
         order = [n for _, n in sorted(scores)]

@@ -11,20 +11,23 @@ and that point has a closed form through Lambert's W
 are identical, so matching ranks the clusters by cost and the surplus ones
 sit out a round.
 
-Scipy is loaded only by the Hungarian test reference, ``_lexmin_assignment``.
+Scipy is loaded only by the Hungarian test reference, ``_lexmin_assignment``,
+and numpy only by it and ``matching_costs``, the oracle's input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .comm import ChannelAssignment, spectral_efficiency, transfer_energy, transfer_time
 from .config import RoundEnvironment, SystemConfig
 from .convergence import balance_power_threshold
 from .errors import InfeasibleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BISECT_ITERS = 200
 _LN2 = math.log(2.0)
@@ -182,6 +185,8 @@ def _lexmin_assignment(cost: np.ndarray) -> list[int]:
     Rows are fixed in order to their smallest workable column, re-solving the
     reduced problem to confirm the total stays optimal.
     """
+    import numpy as np
+
     d = cost.shape[0]
     rows, cols = linear_sum_assignment(cost)
     best_total = float(cost[rows, cols].sum())
@@ -228,6 +233,8 @@ def matching_costs(
 ) -> np.ndarray:
     """Cost of placing cluster n on channel j. Every row is constant, since
     channels are identical; the N x J form is kept as the oracle's input."""
+    import numpy as np
+
     costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers)
     return np.tile(np.array(costs)[:, None], (1, cfg.n_channels))
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import cache
 from itertools import accumulate, groupby
 from operator import itemgetter
 
@@ -80,7 +81,8 @@ def cluster_objective(
     return v_factor * pipeline_latency_from_times(times, hops, m) + len(times) * queue_sum
 
 
-def _micro_batch_run_starts(batch_items: int) -> list[int]:
+@cache
+def _micro_batch_run_starts(batch_items: int) -> tuple[int, ...]:
     """First m of every constant-ceil(b/m) run; the objective grows within a run."""
     starts = []
     m = 1
@@ -90,7 +92,7 @@ def _micro_batch_run_starts(batch_items: int) -> list[int]:
         if v == 1:
             break
         m = (batch_items - 1) // (v - 1) + 1
-    return starts
+    return tuple(starts)
 
 
 def _feasible_energy_at_m(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> bool:

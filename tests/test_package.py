@@ -91,3 +91,39 @@ def test_scheduling_never_imports_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+_NUMPY_FREE_RUN = """
+import os, sys
+before = set(sys.modules)
+import edgesched
+from edgesched import cli
+for policy in ("lyapunov", "uniform", "loss", "delay"):
+    rc = cli.main(["run", sys.argv[2], "--rounds", "3", "--policy", policy, "--out", os.path.join(sys.argv[1], policy)])
+    assert rc == 0, (policy, rc)
+loaded = sorted(set(sys.modules) - before)
+foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "edgesched"]
+numpy_free = "numpy" not in sys.modules
+rc = cli.main(["run", sys.argv[2], "--rounds", "3", "--policy", "random", "--out", os.path.join(sys.argv[1], "random")])
+assert rc == 0, ("random", rc)
+print(numpy_free, foreign, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_free_policies_load_only_the_standard_library(tmp_path):
+    # importing numpy costs more than a whole run; only the random policy,
+    # the oracles and the test tools may load it. One fresh interpreter,
+    # because this test process has numpy loaded already
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    table2 = os.path.join(REPO_ROOT, "configs", "table2.json")
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_RUN, str(tmp_path), table2],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "True [] True"
+    for policy in ("lyapunov", "uniform", "loss", "delay", "random"):
+        assert os.path.getsize(tmp_path / policy / "trace.jsonl") > 0, policy
