@@ -29,7 +29,6 @@ from .config import (
 )
 from .convergence import (
     RunningGapBound,
-    gamma_round,
     interference_error,
     optimality_gap_bound,
     sigma,
@@ -99,7 +98,6 @@ __all__ = [
     "db_to_linear",
     "drift_penalty",
     "event_sim_makespan",
-    "gamma_round",
     "interference_error",
     "load_config",
     "micro_batch_size",

@@ -1,8 +1,10 @@
 """Closed-form wireless link quantities: uplink rate/delay/energy and D2D hops.
 
 One link model serves the uplink, the D2D hops and the power solver:
-``spectral_efficiency``, ``transfer_time`` and ``transfer_energy``. All
-functions are pure; the per-round realized gains stand in for channel
+``spectral_efficiency``, ``transfer_time`` and ``transfer_energy``. A cluster
+head's uplink in one round is ``uplink(cfg, env, n)``, an ``Uplink``: the
+power solver, the validator and the evaluator all price the upload with it.
+All functions are pure; the per-round realized gains stand in for channel
 expectations, so the optimizer and the evaluator always see the same channel.
 Downlink is assumed free (ample base-station bandwidth) and has no model here.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import StalledLinkError
 
@@ -85,17 +87,53 @@ def transfer_energy(power_w: float, bits: float, bandwidth_hz: float, efficiency
     return 0.0 if power_w == 0.0 else transfer_time(power_w * bits, bandwidth_hz, efficiency)
 
 
-def cluster_uplink_efficiency(
-    cluster: ClusterProfile, env: RoundEnvironment, n: int, power_w: float, n0: float
-) -> float:
-    """Spectral efficiency of cluster n's head at the given power, this round."""
-    noise_floor = env.uplink_interference_w[n] + cluster.uplink_bandwidth_hz * n0
-    return spectral_efficiency(power_w, env.uplink_gain[n], noise_floor)
+class Uplink(NamedTuple):
+    """Round-resolved constants of one cluster head's uplink, the one uplink model.
+
+    A ``NamedTuple``, so that building one per cluster and round stays cheap.
+    """
+
+    bandwidth: float
+    gain: float
+    noise_floor: float  # I + B*N0
+    payload: float  # z_enc + theta_enc
+    param_bits: float  # theta_enc
+    p_max: float
+    e_max: float
+
+    def delay(self, p: float) -> float:
+        """Upload time of (encoder output + parameters) at power p; inf at a zero rate."""
+        return transfer_time(self.payload, self.bandwidth, spectral_efficiency(p, self.gain, self.noise_floor))
+
+    def upload_energy(self, p: float) -> float:
+        """Upload energy p * theta_enc / rate at power p. Counts parameters only, not activations."""
+        efficiency = spectral_efficiency(p, self.gain, self.noise_floor)
+        return transfer_energy(p, self.param_bits, self.bandwidth, efficiency)
+
+
+def uplink(cfg: SystemConfig, env: RoundEnvironment, n: int) -> Uplink:
+    """Cluster n's uplink this round."""
+    cl = cfg.clusters[n]
+    # positional, in field order: keywords make the construction half again as slow
+    return Uplink(
+        cl.uplink_bandwidth_hz,
+        env.uplink_gain[n],
+        env.uplink_interference_w[n] + cl.uplink_bandwidth_hz * cfg.noise_density_w_per_hz,
+        cfg.model.uplink_payload_bits,
+        cfg.model.enc_param_bits,
+        cl.uplink_power_max_w,
+        cl.uplink_energy_budget_j,
+    )
 
 
 def cluster_uplink_rate(cluster: ClusterProfile, env: RoundEnvironment, n: int, power_w: float, n0: float) -> float:
-    """Uplink rate B*f of cluster n's head at the given power, this round, in bits/s."""
-    return cluster.uplink_bandwidth_hz * cluster_uplink_efficiency(cluster, env, n, power_w, n0)
+    """Uplink rate B*f of cluster n's head at the given power, this round, in bits/s.
+
+    Derived here on its own, not through ``uplink``, so that tests can check
+    the uplink model against it.
+    """
+    noise_floor = env.uplink_interference_w[n] + cluster.uplink_bandwidth_hz * n0
+    return cluster.uplink_bandwidth_hz * spectral_efficiency(power_w, env.uplink_gain[n], noise_floor)
 
 
 def uplink_delay(
@@ -112,12 +150,11 @@ def uplink_delay(
     """
     if not assignment.is_transmitting(n):
         return NOT_TRANSMITTING
-    cl = cfg.clusters[n]
-    payload = cfg.model.uplink_payload_bits
-    efficiency = cluster_uplink_efficiency(cl, env, n, power_w, cfg.noise_density_w_per_hz)
-    delay = transfer_time(payload, cl.uplink_bandwidth_hz, efficiency)
+    delay = uplink(cfg, env, n).delay(power_w)
     if math.isinf(delay):
-        raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate with {payload} bits pending")
+        raise StalledLinkError(
+            f"stalled uplink: cluster {n} has zero rate with {cfg.model.uplink_payload_bits} bits pending"
+        )
     return delay
 
 
@@ -131,9 +168,7 @@ def cu_transmit_energy(
     """Upload energy p * theta_enc / rate. Counts parameters only, not activations."""
     if not assignment.is_transmitting(n):
         return 0.0
-    cl = cfg.clusters[n]
-    efficiency = cluster_uplink_efficiency(cl, env, n, power_w, cfg.noise_density_w_per_hz)
-    energy = transfer_energy(power_w, cfg.model.enc_param_bits, cl.uplink_bandwidth_hz, efficiency)
+    energy = uplink(cfg, env, n).upload_energy(power_w)
     if math.isinf(energy):
         raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate at power {power_w}")
     return energy

@@ -369,13 +369,9 @@ def _from_db(convert, db: float, where: str) -> float:
 
 
 def _num(raw: dict, key: str, where: str, defaults: dict | None = None) -> float:
-    if key in raw:
-        value = raw[key]
-    elif defaults is not None and key in defaults:
-        value = defaults[key]
-    else:
-        raise ConfigError(f"{where}.{key}", "required field is missing")
-    return _finite(value, f"{where}.{key}")
+    """``raw[key]``, else ``defaults[key]``, as a finite number. Callers without
+    defaults check ``key in raw`` first."""
+    return _finite(raw[key] if key in raw else defaults[key], f"{where}.{key}")
 
 
 def _require_positive(value: float, where: str) -> float:

@@ -33,28 +33,10 @@ def sigma_positive_eta_threshold(params: ConvergenceParams, n_segments: int, n_c
     return 2.0 * params.xi / (params.beta * (1.0 + n_segments**2 / (n_clusters * n_blocks)))
 
 
-def gamma_round(
-    n_segments: int,
-    power_w: float,
-    gain: float,
-    interference_w: float,
-    params: ConvergenceParams,
-    n_clusters: int,
-    n_blocks: int,
-) -> float:
-    """One-round balance bound (beta*eta^2/2N)(phi^2*S^2/L + eps(p) + phi^2)."""
-    if n_segments < 1:
-        raise ValueError(f"segment count must be >= 1, got {n_segments}")
-    if power_w < 0:
-        raise ValueError(f"power must be >= 0, got {power_w}")
-    eps = interference_error(power_w, gain, interference_w, params.c_interference)
-    return gamma_round_from_error(n_segments, eps, params, n_clusters, n_blocks)
-
-
 def gamma_round_from_error(
     n_segments: int, eps: float, params: ConvergenceParams, n_clusters: int, n_blocks: int
 ) -> float:
-    """Balance bound with a precomputed interference error term."""
+    """One-round balance bound (beta*eta^2/2N)(phi^2*S^2/L + eps + phi^2) at interference error eps."""
     phi2 = params.phi_bound**2
     return (
         params.beta

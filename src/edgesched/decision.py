@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .comm import ChannelAssignment, cu_transmit_energy
 from .config import RoundEnvironment, SystemConfig
 from .errors import InfeasibleError
-from .pipeline import SegmentPlan, device_energy
+from .pipeline import ENERGY_BUDGET_SLACK, SegmentPlan, device_energy
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,13 @@ def validate_decision(
         if not 0.0 <= p <= p_max * (1 + 1e-12):
             raise InfeasibleError("C6", f"cluster {n} power {p} outside [0, {p_max}]")
         e_up = cu_transmit_energy(cfg, env, n, decision.assignment, p)
-        if e_up > cfg.clusters[n].uplink_energy_budget_j * (1 + 1e-9):
+        if e_up > cfg.clusters[n].uplink_energy_budget_j * (1 + ENERGY_BUDGET_SLACK):
             raise InfeasibleError("C8", f"cluster {n} upload energy {e_up} J exceeds budget")
         e_com.append(e_up)
         total = 0.0
         for k in plan.scheduled:
             e_k = device_energy(plan.delta[k], plan.m, cfg, env, n, k)
-            if e_k > cfg.clusters[n].devices[k].energy_budget_j * (1 + 1e-9):
+            if e_k > cfg.clusters[n].devices[k].energy_budget_j * (1 + ENERGY_BUDGET_SLACK):
                 raise InfeasibleError("C9", f"cluster {n} device {k} energy {e_k} J exceeds budget")
             total += e_k
         e_pipe.append(2 * plan.m * total)

@@ -64,23 +64,28 @@ class SegmentPlan:
                 raise InfeasibleError("C7", f"device {k}: {d} blocks exceed its memory cap of {dev.block_cap}")
 
 
+def chunk_work(micro_batch: int, model: ModelSpec) -> float:
+    """FLOPs of one chunk through one block: b_hat*o_fwd + o_bwd."""
+    return micro_batch * model.fwd_flops + model.bwd_flops
+
+
 def stage_time(blocks: int, micro_batch: int, flops_per_sec: float, model: ModelSpec) -> float:
     """Per-chunk compute time of one stage: delta*(b_hat*o_fwd + o_bwd)/speed."""
     if blocks == 0:
         return 0.0
-    return blocks * (micro_batch * model.fwd_flops + model.bwd_flops) / flops_per_sec
+    return blocks * chunk_work(micro_batch, model) / flops_per_sec
 
 
 def stage_profile(
     delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int
 ) -> tuple[list[float], list[float]]:
     """Per-chunk compute and hop times of cluster n's scheduled devices, in order."""
-    b_hat = micro_batch_size(cfg.model.batch_items, m)
+    work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
     speeds, hop_s = env.speed[n], env.hop_s[n]
     times, hops = [], []
     for k, d in enumerate(delta):
         if d > 0:
-            times.append(stage_time(d, b_hat, speeds[k], cfg.model))
+            times.append(d * work / speeds[k])
             hops.append(hop_s[k])
     return times, hops
 
@@ -121,6 +126,12 @@ def compute_energy(flops: float, dev: DeviceProfile, clock_hz: float) -> float:
     return dev.kappa * (flops / dev.flops_per_cycle) * clock_hz**2
 
 
+#: Relative slack on the per-round energy budgets, C8 (head upload) and C9
+#: (device): an energy of at most budget * (1 + ENERGY_BUDGET_SLACK) is within
+#: budget, in the solvers and in ``decision.validate_decision`` alike.
+ENERGY_BUDGET_SLACK = 1e-12
+
+
 def device_energy(blocks: int, m: int, cfg: SystemConfig, env: RoundEnvironment, n: int, k: int) -> float:
     """Per-chunk energy of scheduled device k of cluster n: compute plus its hop.
 
@@ -128,7 +139,7 @@ def device_energy(blocks: int, m: int, cfg: SystemConfig, env: RoundEnvironment,
     training energy scales it with the chunk count.
     """
     dev = cfg.clusters[n].devices[k]
-    flops = blocks * (micro_batch_size(cfg.model.batch_items, m) * cfg.model.fwd_flops + cfg.model.bwd_flops)
+    flops = blocks * chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
     return compute_energy(flops, dev, env.clock_hz[n][k]) + dev.d2d_power_w * env.hop_s[n][k]
 
 

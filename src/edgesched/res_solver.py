@@ -18,13 +18,13 @@ and numpy only by it and ``matching_costs``, the oracle's input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .comm import ChannelAssignment, spectral_efficiency, transfer_energy, transfer_time
+from .comm import ChannelAssignment, Uplink, uplink
 from .config import RoundEnvironment, SystemConfig
 from .convergence import balance_power_threshold
 from .errors import InfeasibleError
+from .pipeline import ENERGY_BUDGET_SLACK
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,40 +45,10 @@ def linear_sum_assignment(cost):
     return solve(cost)
 
 
-@dataclass(frozen=True)
-class _UplinkProblem:
-    """Round-resolved constants of one cluster's power sub-problem."""
-
-    bandwidth: float
-    gain: float
-    noise_floor: float  # I + B*N0
-    payload: float  # z_enc + theta_enc
-    param_bits: float  # theta_enc
-    p_max: float
-    e_max: float
-
-    def delay(self, p: float) -> float:
-        return transfer_time(self.payload, self.bandwidth, spectral_efficiency(p, self.gain, self.noise_floor))
-
-    def upload_energy(self, p: float) -> float:
-        efficiency = spectral_efficiency(p, self.gain, self.noise_floor)
-        return transfer_energy(p, self.param_bits, self.bandwidth, efficiency)
+_problem = uplink  # the name the tests import the uplink model by
 
 
-def _problem(cfg: SystemConfig, env: RoundEnvironment, n: int) -> _UplinkProblem:
-    cl = cfg.clusters[n]
-    return _UplinkProblem(
-        bandwidth=cl.uplink_bandwidth_hz,
-        gain=env.uplink_gain[n],
-        noise_floor=env.uplink_interference_w[n] + cl.uplink_bandwidth_hz * cfg.noise_density_w_per_hz,
-        payload=cfg.model.uplink_payload_bits,
-        param_bits=cfg.model.enc_param_bits,
-        p_max=cl.uplink_power_max_w,
-        e_max=cl.uplink_energy_budget_j,
-    )
-
-
-def _energy_power_ceiling(prob: _UplinkProblem) -> float:
+def _energy_power_ceiling(prob: Uplink) -> float:
     """Largest power satisfying the upload-energy budget (C8 as a box).
 
     The upload energy increases from its p->0 limit theta*ln2*(I+B*N0)/(B*h);
@@ -87,7 +57,7 @@ def _energy_power_ceiling(prob: _UplinkProblem) -> float:
     to its float fixed point (at most 200 steps), returning the feasible end.
     """
     e_limit = prob.param_bits * _LN2 * prob.noise_floor / (prob.bandwidth * prob.gain)
-    if e_limit > prob.e_max * (1 + 1e-12):
+    if e_limit > prob.e_max * (1 + ENERGY_BUDGET_SLACK):
         raise InfeasibleError("C8", "upload-energy budget excludes every positive power")
     if prob.upload_energy(prob.p_max) <= prob.e_max:
         return prob.p_max
@@ -103,7 +73,7 @@ def _energy_power_ceiling(prob: _UplinkProblem) -> float:
     return lo
 
 
-def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> float:
+def _stationary_power(prob: Uplink, v_factor: float, y_n: float) -> float:
     """The power where the objective's derivative vanishes, in closed form.
 
     With t = ln(1 + p*h/N) and N = I + B*N0, the derivative
@@ -135,7 +105,7 @@ def _stationary_power(prob: _UplinkProblem, v_factor: float, y_n: float) -> floa
     return prob.noise_floor * math.expm1(math.exp(s)) / prob.gain
 
 
-def _objective(prob: _UplinkProblem, v_factor: float, y_n: float, p: float) -> float:
+def _objective(prob: Uplink, v_factor: float, y_n: float, p: float) -> float:
     return v_factor * prob.delay(p) + y_n * p
 
 
@@ -156,7 +126,7 @@ def power_control(
 
     The floor is the C11 threshold p_S at S = ``n_segments``, in [1, L].
     """
-    prob = _problem(cfg, env, n)
+    prob = uplink(cfg, env, n)
     p_floor = 0.0
     if enforce_balance:
         l_blocks = cfg.model.n_blocks
@@ -221,7 +191,7 @@ def _cluster_costs(
     powers: tuple[float, ...],
 ) -> list[float]:
     """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n."""
-    return [_objective(_problem(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
+    return [_objective(uplink(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
 
 
 def matching_costs(

@@ -54,17 +54,15 @@ from .config import RoundEnvironment, SystemConfig
 from .convergence import balance_power_threshold
 from .errors import InfeasibleError
 from .pipeline import (
+    ENERGY_BUDGET_SLACK,
     SegmentPlan,
+    chunk_work,
     compute_energy,
     device_energy,
     micro_batch_size,
     pipeline_latency_from_times,
     stage_profile,
 )
-
-
-def _chunk_work(b_hat: int, cfg: SystemConfig) -> float:
-    return b_hat * cfg.model.fwd_flops + cfg.model.bwd_flops
 
 
 def cluster_objective(
@@ -98,7 +96,7 @@ def _micro_batch_run_starts(batch_items: int) -> tuple[int, ...]:
 def _feasible_energy_at_m(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> bool:
     devices = cfg.clusters[n].devices
     return all(
-        device_energy(d, m, cfg, env, n, k) <= devices[k].energy_budget_j * (1 + 1e-12)
+        device_energy(d, m, cfg, env, n, k) <= devices[k].energy_budget_j * (1 + ENERGY_BUDGET_SLACK)
         for k, d in enumerate(delta)
         if d > 0
     )
@@ -157,7 +155,7 @@ def _cap_cover(work: float, cfg: SystemConfig, env: RoundEnvironment, n: int) ->
         else:
             per_block = compute_energy(work, dev, clock)
             if per_block > 0:
-                cap = int(min(cap, headroom / per_block * (1 + 1e-12)))  # int(inf) would raise
+                cap = int(min(cap, headroom / per_block * (1 + ENERGY_BUDGET_SLACK)))  # int(inf) would raise
         caps.append(cap)
     need = _fewest_cover(l_blocks, caps)
     if math.isinf(need):
@@ -208,7 +206,7 @@ def optimal_partition(
     under the balance cap, as ``_segment_cap`` gives it.
     """
     l_blocks = cfg.model.n_blocks
-    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+    work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
     speeds = env.speed[n]
     hops = env.hop_s[n]
 
@@ -389,7 +387,7 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
 
     def bound(m: int) -> float:
-        work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+        work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
         one = math.inf if s_fast is None else v_factor * (m * (l_blocks * work / s_fast)) + queue_sum
         return min(one, many(m, work))
 

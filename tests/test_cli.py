@@ -276,6 +276,11 @@ def test_compare_duplicate_seed_rejected(tmp_path, capsys):
     rc = main(["compare", TABLE2, "--policies", "loss", "--seeds", "1,1", "--rounds", "1", "--out", str(tmp_path)])
     assert rc == 2
     assert "--seeds: duplicate" in capsys.readouterr().err
+    # seeds that are not integers, and a list without one, are rejected alike
+    for seeds in ("a,b", ","):
+        rc = main(["compare", TABLE2, "--policies", "loss", "--seeds", seeds, "--rounds", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--seeds:" in capsys.readouterr().err
     assert not (tmp_path / "compare.csv").exists()
 
 
@@ -361,6 +366,15 @@ def test_sweep_malformed_grid(tmp_path, capsys):
     assert main(["sweep", TABLE2, "--grid", "S=1..2", "--out", str(tmp_path)]) == 2
     assert main(["sweep", TABLE2, "--grid", "", "--out", str(tmp_path)]) == 2
     assert main(["sweep", HOMOGENEOUS, "--grid", "S=1.5,2.9,m=1,2.5", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # a range bound that is not an integer, a value that is not a number, a repeated axis
+    for grid, message in (
+        ("S=1..x,m=1", "S: range bounds must be integers"),
+        ("V=abc", "V: expected numbers"),
+        ("S=1..2,S=3..4,m=1", "duplicate grid axis 'S'"),
+    ):
+        assert main(["sweep", TABLE2, "--grid", grid, "--out", str(tmp_path)]) == 2
+        assert f"--grid: {message}" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

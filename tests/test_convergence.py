@@ -7,7 +7,6 @@ import pytest
 from edgesched.config import ConvergenceParams
 from edgesched.convergence import (
     RunningGapBound,
-    gamma_round,
     gamma_round_from_error,
     interference_error,
     optimality_gap_bound,
@@ -22,6 +21,11 @@ def params(beta=1.0, eta=0.01, xi=1.0, phi=1.0, c=0.0559, gamma_max=5e-5, v=10.0
     return ConvergenceParams(
         beta=beta, eta=eta, xi=xi, phi_bound=phi, c_interference=c, gamma_max=gamma_max, v_factor=v
     )
+
+
+def gamma_at_power(s, power, gain, interference, p, n, l):
+    """The balance bound at uplink power ``power``, as the evaluator forms it."""
+    return gamma_round_from_error(s, interference_error(power, gain, interference, p.c_interference), p, n, l)
 
 
 def test_interference_error_values():
@@ -54,25 +58,21 @@ def test_gamma_round_values():
     p = params(c=0.0)
     n, l = 3, 6
     expected = p.beta * p.eta**2 / (2 * n) * (1.0 / l + 1.0)  # phi=1, S=1, eps=0
-    assert gamma_round(1, 0.5, 0.98, 0.07, p, n, l) == pytest.approx(expected, rel=1e-12)
+    assert gamma_at_power(1, 0.5, 0.98, 0.07, p, n, l) == pytest.approx(expected, rel=1e-12)
     p2 = params()
-    vals = [gamma_round(s, 0.5, 0.98, 0.07, p2, n, l) for s in range(1, 7)]
+    vals = [gamma_at_power(s, 0.5, 0.98, 0.07, p2, n, l) for s in range(1, 7)]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # strictly increasing in S
     # direct evaluation at representative values
     eps = interference_error(0.5, 0.98, 0.07, 0.0559)
     direct = 1.0 * 1e-4 / 6 * (9 / 6 + eps + 1.0)
-    assert gamma_round(3, 0.5, 0.98, 0.07, p2, n, l) == pytest.approx(direct, rel=1e-12)
+    assert gamma_at_power(3, 0.5, 0.98, 0.07, p2, n, l) == pytest.approx(direct, rel=1e-12)
     assert gamma_round_from_error(3, eps, p2, n, l) == pytest.approx(direct, rel=1e-12)
-    with pytest.raises(ValueError):
-        gamma_round(0, 0.5, 0.98, 0.07, p2, n, l)
-    with pytest.raises(ValueError):
-        gamma_round(1, -0.5, 0.98, 0.07, p2, n, l)
 
 
 def test_gamma_decreasing_in_power():
     p = params()
-    lo = gamma_round(2, 0.05, 0.98, 0.07, p, 3, 6)
-    hi = gamma_round(2, 0.5, 0.98, 0.07, p, 3, 6)
+    lo = gamma_at_power(2, 0.05, 0.98, 0.07, p, 3, 6)
+    hi = gamma_at_power(2, 0.5, 0.98, 0.07, p, 3, 6)
     assert hi < lo
 
 
@@ -85,8 +85,8 @@ def test_balance_power_thresholds_invert_gamma():
     assert len(thresholds) == l and thresholds == sorted(thresholds)
     s_cap = bisect.bisect_right(thresholds, power)
     assert 1 <= s_cap < l
-    assert gamma_round(s_cap, power, gain, interference, p, n, l) <= p.gamma_max * (1 + 1e-9)
-    assert gamma_round(s_cap + 1, power, gain, interference, p, n, l) > p.gamma_max
+    assert gamma_at_power(s_cap, power, gain, interference, p, n, l) <= p.gamma_max * (1 + 1e-9)
+    assert gamma_at_power(s_cap + 1, power, gain, interference, p, n, l) > p.gamma_max
     # an error of 1e9 at zero power leaves no segment count under the cap
     assert bisect.bisect_right(balance_thresholds(p, n, l, gain, p.c_interference / 1e9), 0.0) == 0
     # a budget that overflows to inf allows every segment count up to L at any power

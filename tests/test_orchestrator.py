@@ -193,6 +193,89 @@ def test_uniform_partition_names_c7_when_memory_cannot_host_the_blocks():
         uniform_partition(cfg, 0, [0, 1, 2])
 
 
+def test_uniform_partition_tops_up_devices_below_their_share():
+    # caps (5, 1) and L = 5: the even split (3, 2) does not fit device 1, and
+    # the block it cannot take goes back to device 0
+    doc = minimal_doc()
+    doc["model"] = {"L": 5}
+    doc["clusters"][0]["devices"] = [
+        {"gamma_max_bytes": 1.25e9, "gamma0_bytes": 2.5e8},
+        {"gamma_max_bytes": 2.5e8, "gamma0_bytes": 2.5e8},
+    ]
+    assert uniform_partition(build_config(doc), 0) == (4, 1)
+
+
+def _one_block_devices_doc():
+    """One cluster of four one-block devices and L = 2: a random plan of one
+    stage cannot hold the blocks, and one of three or four stages breaks C1."""
+    doc = minimal_doc()
+    doc["model"] = {"L": 2, "b": 16}
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": 2.5e8, "gamma0_bytes": 2.5e8} for _ in range(4)]
+    return doc
+
+
+class _RecordingRng:
+    """A policy generator that logs every ``integers`` draw as (lo, hi, value)."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def integers(self, lo, hi):
+        value = self._rng.integers(lo, hi)
+        self._log.append((lo, hi, int(value)))
+        return value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_random_policy_redraws_plans_that_break_a_constraint(monkeypatch, tmp_path):
+    cfg = build_config(_one_block_devices_doc())
+    policy_rng = orchestrator._policy_rng
+    log = []
+    monkeypatch.setattr(orchestrator, "_policy_rng", lambda *args: _RecordingRng(policy_rng(*args), log))
+    retried = set()
+    for t in range(1, 13):
+        env = sample_round_environment(cfg, t)
+        del log[:]
+        decision = baseline_decision("random", cfg, env, (0.0,), t, None)
+        validate_decision(decision, cfg, env)
+        stage_draws = [s for lo, hi, s in log if (lo, hi) == (1, 5)]  # segment counts drawn
+        assert stage_draws[-1] == decision.plans[0].n_segments == 2
+        retried.update(stage_draws[:-1])
+    assert 1 in retried and retried & {3, 4}  # too little memory, and more stages than blocks
+    monkeypatch.undo()
+    runs = []
+    for i in range(2):
+        trace = run_simulation(cfg, 12, "random")
+        assert len(trace.rounds) == 12
+        trace.write_jsonl(str(tmp_path / f"trace{i}.jsonl"))
+        runs.append((tmp_path / f"trace{i}.jsonl").read_bytes())
+    assert runs[0] == runs[1]
+
+
+class _EveryDeviceRng:
+    """A policy generator whose every plan draw schedules all devices."""
+
+    def integers(self, lo, hi):
+        return hi - 1
+
+    def permutation(self, ids):
+        return list(ids)
+
+
+def test_random_policy_falls_back_to_the_uniform_split():
+    # four one-block stages for two blocks break C1 on all 200 draws. No
+    # memory layout does this for certain: a draw of min(K, L) stages always
+    # holds the blocks when the whole cluster does
+    cfg = build_config(_one_block_devices_doc())
+    env = sample_round_environment(cfg, 1)
+    plan = orchestrator._random_plan(cfg, env, 0, _EveryDeviceRng())
+    assert uniform_partition(cfg, 0) == (1, 1, 0, 0)
+    assert plan == pipeline.SegmentPlan(delta=(1, 1, 0, 0), m=1)
+    plan.validate(cfg.clusters[0], cfg.model)
+
+
 def test_baselines_reproducible_and_valid(table2_cfg):
     env = sample_round_environment(table2_cfg, 9)
     for policy in ("random", "loss", "delay", "uniform"):

@@ -20,21 +20,35 @@ def test_every_exported_name_resolves():
 
 
 def test_names_the_benchmark_binds_resolve():
-    # roundbench traces and imports these by name; a rename must fail here
+    # roundbench traces, imports and patches these by name; a rename must fail here
     spec = importlib.util.spec_from_file_location("roundbench_tracer", os.path.join(ROUNDBENCH, "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    bound = [(module, attr) for _, module, attr in tracer.SPANS + tracer.COUNTERS]
-    with open(os.path.join(ROUNDBENCH, "spotchecks.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imported = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "edgesched"
-        for alias in node.names
+    traced = [
+        getattr(importlib.import_module(module), attr, None) for _, module, attr in tracer.SPANS + tracer.COUNTERS
     ]
-    assert imported
-    missing = [(m, a) for m, a in bound + imported if not hasattr(importlib.import_module(m), a)]
+    assert traced and all(callable(fn) for fn in traced)
+    missing = []
+    for script in ("spotchecks.py", "harness.py", "run.py"):
+        with open(os.path.join(ROUNDBENCH, script), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        bound = {
+            alias.asname or alias.name: getattr(importlib.import_module(node.module), alias.name, None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "edgesched"
+            for alias in node.names
+        }
+        assert bound, script
+        missing += [(script, name) for name, value in bound.items() if value is None]
+        # attributes read off an imported module, such as harness's orchestrator.run_simulation
+        missing += [
+            (script, f"{node.value.id}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and inspect.ismodule(bound.get(node.value.id))
+            and not hasattr(bound[node.value.id], node.attr)
+        ]
     assert missing == []
 
 

@@ -12,10 +12,9 @@ from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan
-from edgesched.pipeline import device_energy, micro_batch_size, pipeline_latency_from_times
+from edgesched.pipeline import chunk_work, device_energy, micro_batch_size, pipeline_latency_from_times
 from edgesched.seg_solver import (
     _cap_cover,
-    _chunk_work,
     _fewest_cover,
     _lexmin_cover,
     _micro_batch_run_starts,
@@ -616,7 +615,7 @@ def test_stage_count_floor_is_below_every_composition_of_that_size():
         v = cfg.convergence.v_factor
         s_lo = max(2, min(sum(1 for d in delta if d > 0) for delta in plans))
         for m in _micro_batch_run_starts(cfg.model.batch_items):
-            work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+            work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
             objs = {}
             for delta in plans:
                 s = sum(1 for d in delta if d > 0)
@@ -652,7 +651,7 @@ def test_stage_count_floor_is_tight_on_even_splits():
         floor = _stage_count_floor(env, 0, [per] * k, cfg.model.n_blocks, 10.0, 0.0, k, k)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             obj = cluster_objective((per,) * k, m, cfg, env, 0, 10.0, 0.0)
-            assert obj * (1 - 1e-9) <= floor(m, _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)) <= obj
+            assert obj * (1 - 1e-9) <= floor(m, chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)) <= obj
 
 
 def _partition_outcome(m, cfg, env, n, v, q, power, cutoff):
@@ -812,7 +811,7 @@ def _per_pair_partition(m, cfg, env, n, v, queue_sum, s_cap, cutoff):
     best so far, without the stage-count floor. Returns (delta, S), None or the
     error's constraint."""
     l_blocks = cfg.model.n_blocks
-    work = _chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg)
+    work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
     speeds, hops = env.speed[n], env.hop_s[n]
     try:
         caps, need = _cap_cover(work, cfg, env, n)
