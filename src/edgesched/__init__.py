@@ -7,13 +7,7 @@ Lyapunov drift-plus-penalty scheduler (block partition, micro-batch count,
 channel matching, uplink power control) against baseline policies.
 """
 
-from .comm import (
-    NOT_TRANSMITTING,
-    ChannelAssignment,
-    cu_transmit_energy,
-    d2d_delay,
-    uplink_delay,
-)
+from .comm import NOT_TRANSMITTING, ChannelAssignment, d2d_delay
 from .config import (
     ClusterProfile,
     ConvergenceParams,
@@ -59,9 +53,7 @@ from .pipeline import (
     SegmentPlan,
     event_sim_makespan,
     micro_batch_size,
-    pipeline_energy,
     pipeline_latency,
-    stage_time,
 )
 from .res_solver import allocate_resources, channel_assignment, power_control
 from .seg_solver import optimal_micro_batches, optimal_partition, schedule_segments
@@ -93,7 +85,6 @@ __all__ = [
     "baseline_decision",
     "build_config",
     "channel_assignment",
-    "cu_transmit_energy",
     "d2d_delay",
     "db_to_linear",
     "drift_penalty",
@@ -105,7 +96,6 @@ __all__ = [
     "optimal_micro_batches",
     "optimal_partition",
     "optimize_round",
-    "pipeline_energy",
     "pipeline_latency",
     "power_control",
     "queue_update",
@@ -115,7 +105,5 @@ __all__ = [
     "schedule_segments",
     "sigma",
     "sigma_positive_eta_threshold",
-    "stage_time",
-    "uplink_delay",
     "validate_decision",
 ]

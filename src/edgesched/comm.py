@@ -3,7 +3,7 @@
 One link model serves the uplink, the D2D hops and the power solver:
 ``spectral_efficiency``, ``transfer_time`` and ``transfer_energy``. A cluster
 head's uplink in one round is ``uplink(cfg, env, n)``, an ``Uplink``: the
-power solver, the validator and the evaluator all price the upload with it.
+power solver and the validator both price the upload with it.
 All functions are pure; the per-round realized gains stand in for channel
 expectations, so the optimizer and the evaluator always see the same channel.
 Downlink is assumed free (ample base-station bandwidth) and has no model here.
@@ -134,44 +134,6 @@ def cluster_uplink_rate(cluster: ClusterProfile, env: RoundEnvironment, n: int, 
     """
     noise_floor = env.uplink_interference_w[n] + cluster.uplink_bandwidth_hz * n0
     return cluster.uplink_bandwidth_hz * spectral_efficiency(power_w, env.uplink_gain[n], noise_floor)
-
-
-def uplink_delay(
-    cfg: SystemConfig,
-    env: RoundEnvironment,
-    n: int,
-    assignment: ChannelAssignment,
-    power_w: float,
-) -> float:
-    """Upload time of (encoder output + parameters), or NOT_TRANSMITTING.
-
-    Raises StalledLinkError when the cluster holds a channel but its rate is
-    zero (the config keeps the payload positive).
-    """
-    if not assignment.is_transmitting(n):
-        return NOT_TRANSMITTING
-    delay = uplink(cfg, env, n).delay(power_w)
-    if math.isinf(delay):
-        raise StalledLinkError(
-            f"stalled uplink: cluster {n} has zero rate with {cfg.model.uplink_payload_bits} bits pending"
-        )
-    return delay
-
-
-def cu_transmit_energy(
-    cfg: SystemConfig,
-    env: RoundEnvironment,
-    n: int,
-    assignment: ChannelAssignment,
-    power_w: float,
-) -> float:
-    """Upload energy p * theta_enc / rate. Counts parameters only, not activations."""
-    if not assignment.is_transmitting(n):
-        return 0.0
-    energy = uplink(cfg, env, n).upload_energy(power_w)
-    if math.isinf(energy):
-        raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate at power {power_w}")
-    return energy
 
 
 def d2d_delay(

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 from .comm import device_d2d_delay
 from .errors import ConfigError, StalledLinkError
 from .rng import draw
-
-SEED_ENV_VAR = "EDGESCHED_SEED"
 
 
 def check_seed(seed: object, name: str) -> int:
@@ -164,9 +161,9 @@ class SystemConfig:
     noise_density_w_per_hz: float  # N_0
     convergence: ConvergenceParams
     rng_seed: int
-    loss_proxy_scale: float = 1.0  # baseline loss proxy: a * exp(-t/tau0) * (1+noise)
-    loss_proxy_tau0: float = 50.0
-    loss_proxy_noise: float = 0.1
+    loss_proxy_scale: float  # baseline loss proxy: a * exp(-t/tau0) * (1+noise)
+    loss_proxy_tau0: float
+    loss_proxy_noise: float
 
     @property
     def n_clusters(self) -> int:
@@ -331,6 +328,8 @@ _CONVERGENCE_DEFAULTS = {
     "V": 10.0,
     "F0_gap": 1.0,
 }
+
+_LOSS_PROXY_DEFAULTS = {"scale": 1.0, "tau0": 50.0, "noise": 0.1}
 
 
 def _finite(value, where: str) -> float:
@@ -558,13 +557,6 @@ def build_config(doc: dict) -> SystemConfig:
     convergence = _parse_convergence(conv_raw, clusters)
 
     seed = check_seed(doc.get("rng_seed", 0), "rng_seed")
-    seed_raw = os.environ.get(SEED_ENV_VAR)
-    if seed_raw is not None:
-        try:
-            seed = int(seed_raw)
-        except ValueError:
-            raise ConfigError(SEED_ENV_VAR, f"environment override must be an integer, got {seed_raw!r}")
-        check_seed(seed, SEED_ENV_VAR)
 
     proxy = doc.get("loss_proxy", {})
     if not isinstance(proxy, dict):
@@ -577,18 +569,15 @@ def build_config(doc: dict) -> SystemConfig:
         noise_density_w_per_hz=n0,
         convergence=convergence,
         rng_seed=seed,
-        loss_proxy_scale=_num(proxy, "scale", "loss_proxy", {"scale": 1.0}),
-        loss_proxy_tau0=_require_positive(_num(proxy, "tau0", "loss_proxy", {"tau0": 50.0}), "loss_proxy.tau0"),
-        loss_proxy_noise=_num(proxy, "noise", "loss_proxy", {"noise": 0.1}),
+        loss_proxy_scale=_num(proxy, "scale", "loss_proxy", _LOSS_PROXY_DEFAULTS),
+        loss_proxy_tau0=_require_positive(_num(proxy, "tau0", "loss_proxy", _LOSS_PROXY_DEFAULTS), "loss_proxy.tau0"),
+        loss_proxy_noise=_num(proxy, "noise", "loss_proxy", _LOSS_PROXY_DEFAULTS),
     )
     return cfg
 
 
 def load_config(path: str) -> SystemConfig:
-    """Load, default-fill, and validate a JSON system config.
-
-    The ``EDGESCHED_SEED`` environment variable overrides ``rng_seed``.
-    """
+    """Load, default-fill, and validate a JSON system config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

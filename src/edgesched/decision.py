@@ -1,13 +1,14 @@
-"""Per-round scheduling decision and its feasibility validation."""
+"""Per-round scheduling decision, and the one pass that checks and prices it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .comm import ChannelAssignment, cu_transmit_energy
+from .comm import NOT_TRANSMITTING, ChannelAssignment, uplink
 from .config import RoundEnvironment, SystemConfig
-from .errors import InfeasibleError
-from .pipeline import ENERGY_BUDGET_SLACK, SegmentPlan, device_energy
+from .errors import InfeasibleError, StalledLinkError
+from .pipeline import ENERGY_BUDGET_SLACK, SegmentPlan, device_energy, pipeline_latency
 
 
 @dataclass(frozen=True)
@@ -24,38 +25,50 @@ class SchedulingDecision:
 
 def validate_decision(
     decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Assert the structural and resource constraints of an emitted decision.
+) -> tuple[tuple[float, ...], ...]:
+    """Check an emitted decision against the constraints and price it, cluster by cluster.
 
     Covers block conservation, segment counts, matching structure, power
     boxes, memory, and the per-round energy budgets for heads and devices.
-    Raises InfeasibleError naming the violated constraint. Returns, for the
-    evaluator, what the energy checks compute: each cluster's upload energy
-    (C8), and each cluster's training energy 2m * sum of its scheduled
-    devices' energies (C9), summed as ``pipeline_energy`` sums it.
+    Raises InfeasibleError naming the violated constraint, and
+    StalledLinkError for a cluster on the air whose uplink rate is zero.
+    Returns five per-cluster tuples: pipeline latency; upload delay, or
+    NOT_TRANSMITTING off the air; upload energy (C8, 0 off the air);
+    training energy, 2m * the sum of the scheduled devices' energies (C9);
+    and hop energy, the sum of their D2D power times hop time.
     """
     n_clusters = cfg.n_clusters
     if len(decision.plans) != n_clusters or len(decision.powers_w) != n_clusters:
         raise InfeasibleError("C1", "decision does not cover every cluster")
     if decision.assignment.n_clusters != n_clusters or decision.assignment.n_channels != cfg.n_channels:
         raise InfeasibleError("C3", "assignment shape does not match the system")
-    e_com = []
-    e_pipe = []
+    pipes, ups, e_com, e_pipe, e_sch = [], [], [], [], []
     for n, plan in enumerate(decision.plans):
-        plan.validate(cfg.clusters[n], cfg.model)  # C1, C2, C7
+        cl = cfg.clusters[n]
+        plan.validate(cl, cfg.model)  # C1, C2, C7
         p = decision.powers_w[n]
-        p_max = cfg.clusters[n].uplink_power_max_w if decision.assignment.is_transmitting(n) else 0.0  # {0} off the air
+        on_air = decision.assignment.is_transmitting(n)
+        p_max = cl.uplink_power_max_w if on_air else 0.0  # {0} off the air
         if not 0.0 <= p <= p_max * (1 + 1e-12):
             raise InfeasibleError("C6", f"cluster {n} power {p} outside [0, {p_max}]")
-        e_up = cu_transmit_energy(cfg, env, n, decision.assignment, p)
-        if e_up > cfg.clusters[n].uplink_energy_budget_j * (1 + ENERGY_BUDGET_SLACK):
-            raise InfeasibleError("C8", f"cluster {n} upload energy {e_up} J exceeds budget")
-        e_com.append(e_up)
-        total = 0.0
+        up, e_up = NOT_TRANSMITTING, 0.0
+        if on_air:
+            link = uplink(cfg, env, n)
+            up, e_up = link.delay(p), link.upload_energy(p)
+            if math.isinf(up):
+                raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate at power {p}")
+            if e_up > cl.uplink_energy_budget_j * (1 + ENERGY_BUDGET_SLACK):
+                raise InfeasibleError("C8", f"cluster {n} upload energy {e_up} J exceeds budget")
+        total = hop = 0.0
         for k in plan.scheduled:
             e_k = device_energy(plan.delta[k], plan.m, cfg, env, n, k)
-            if e_k > cfg.clusters[n].devices[k].energy_budget_j * (1 + ENERGY_BUDGET_SLACK):
+            if e_k > cl.devices[k].energy_budget_j * (1 + ENERGY_BUDGET_SLACK):
                 raise InfeasibleError("C9", f"cluster {n} device {k} energy {e_k} J exceeds budget")
             total += e_k
+            hop += cl.devices[k].d2d_power_w * env.hop_s[n][k]
+        pipes.append(pipeline_latency(plan, cfg, env, n))
+        ups.append(up)
+        e_com.append(e_up)
         e_pipe.append(2 * plan.m * total)
-    return tuple(e_com), tuple(e_pipe)
+        e_sch.append(hop)
+    return tuple(pipes), tuple(ups), tuple(e_com), tuple(e_pipe), tuple(e_sch)

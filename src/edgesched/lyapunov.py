@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .comm import NOT_TRANSMITTING, uplink_delay
+from .comm import NOT_TRANSMITTING
 from .config import RoundEnvironment, SystemConfig
-from .decision import SchedulingDecision
-from .pipeline import pipeline_latency
+from .decision import SchedulingDecision, validate_decision
 
 
 def queue_update(values: tuple[float, ...], gamma_t: float, gamma_max: float) -> tuple[float, ...]:
@@ -30,22 +29,13 @@ def cluster_delays(pipes: Sequence[float], ups: Sequence[float]) -> tuple[float,
     return tuple(p if u == NOT_TRANSMITTING else p + u for p, u in zip(pipes, ups))
 
 
-def delay_terms(
-    decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Each cluster's pipeline latency, and its uplink delay or NOT_TRANSMITTING."""
-    n_clusters = cfg.n_clusters
-    pipes = tuple(pipeline_latency(decision.plans[n], cfg, env, n) for n in range(n_clusters))
-    ups = tuple(uplink_delay(cfg, env, n, decision.assignment, decision.powers_w[n]) for n in range(n_clusters))
-    return pipes, ups
-
-
 def round_delay(decision: SchedulingDecision, cfg: SystemConfig, env: RoundEnvironment) -> float:
-    """tau(t) = max over clusters of pipeline + upload delay.
+    """tau(t) = max over clusters of pipeline + upload delay, as ``validate_decision`` prices them.
 
     Clusters that skip the upload this round contribute pipeline latency only.
+    Raises what the validator raises on an infeasible decision.
     """
-    return max(cluster_delays(*delay_terms(decision, cfg, env)))
+    return max(cluster_delays(*validate_decision(decision, cfg, env)[:2]))
 
 
 def drift_penalty_at(tau: float, decision: SchedulingDecision, queues: tuple[float, ...], v_factor: float) -> float:

@@ -1,8 +1,8 @@
 """Round coordination: the Lyapunov scheduler, baseline policies, simulation.
 
 One simulated round: sample the environment, let the active policy produce a
-decision, validate it, evaluate delays/energies/the balance bound, update the
-virtual queues once, and append everything to the trace.
+decision, validate and price it (delays and energies), evaluate the balance
+bound, update the virtual queues once, and append everything to the trace.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
 from .decision import SchedulingDecision, validate_decision
 from .errors import InfeasibleError, SimulationAborted
-from .lyapunov import cluster_delays, delay_terms, drift_penalty_at, queue_update
+from .lyapunov import cluster_delays, drift_penalty_at, queue_update
 from .pipeline import SegmentPlan
 from .res_solver import _ranked_assignment, allocate_resources
 from .rng import draw
@@ -312,21 +312,16 @@ def evaluate_round(
     env: RoundEnvironment,
     queues: tuple[float, ...],
     bound: RunningGapBound,
-    e_com: tuple[float, ...],
-    e_pipe: tuple[float, ...],
+    costs: tuple[tuple[float, ...], ...],
 ) -> tuple[RoundMetrics, tuple[float, ...]]:
     """Evaluate a validated decision and apply the single real queue update.
 
-    ``e_com`` and ``e_pipe`` hold each cluster's upload and training energy,
-    as ``validate_decision`` returns them.
+    ``costs`` holds the per-cluster delays and energies ``validate_decision``
+    returns for the decision.
     """
     n_clusters = cfg.n_clusters
-    pipes, ups = delay_terms(decision, cfg, env)
+    pipes, ups, e_com, e_pipe, e_sch = costs
     tau = max(cluster_delays(pipes, ups))
-    e_sch = tuple(
-        sum(cfg.clusters[n].devices[k].d2d_power_w * env.hop_s[n][k] for k in decision.plans[n].scheduled)
-        for n in range(n_clusters)
-    )
     s_max = max(plan.n_segments for plan in decision.plans)
     eps_max = max(
         interference_error(p, env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference)
@@ -381,7 +376,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 decision = optimize_round(cfg, env, queues, cfg.convergence.v_factor)
             else:
                 decision = baseline_decision(policy, cfg, env, queues, t, prev_totals)
-            e_com, e_pipe = validate_decision(decision, cfg, env)
+            costs = validate_decision(decision, cfg, env)
         except InfeasibleError as exc:
             last_error = exc
             consecutive_failures += 1
@@ -392,7 +387,7 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 ) from exc
             continue
         consecutive_failures = 0
-        metrics, queues = evaluate_round(decision, cfg, env, queues, bound, e_com, e_pipe)
+        metrics, queues = evaluate_round(decision, cfg, env, queues, bound, costs)
         prev_totals = cluster_delays(metrics.tau_pipe_s, metrics.tau_up_s)
         trace.rounds.append(metrics)
     if rounds and not trace.rounds:

@@ -43,9 +43,6 @@ class SegmentPlan:
     def scheduled(self) -> tuple[int, ...]:
         return tuple(k for k, d in enumerate(self.delta) if d > 0)
 
-    def micro_batch(self, model: ModelSpec) -> int:
-        return micro_batch_size(model.batch_items, self.m)
-
     def validate(self, cluster: ClusterProfile, model: ModelSpec) -> None:
         """Structural invariants: block conservation, segment count, memory."""
         if len(self.delta) != cluster.n_devices:
@@ -67,13 +64,6 @@ class SegmentPlan:
 def chunk_work(micro_batch: int, model: ModelSpec) -> float:
     """FLOPs of one chunk through one block: b_hat*o_fwd + o_bwd."""
     return micro_batch * model.fwd_flops + model.bwd_flops
-
-
-def stage_time(blocks: int, micro_batch: int, flops_per_sec: float, model: ModelSpec) -> float:
-    """Per-chunk compute time of one stage: delta*(b_hat*o_fwd + o_bwd)/speed."""
-    if blocks == 0:
-        return 0.0
-    return blocks * chunk_work(micro_batch, model) / flops_per_sec
 
 
 def stage_profile(
@@ -141,14 +131,6 @@ def device_energy(blocks: int, m: int, cfg: SystemConfig, env: RoundEnvironment,
     dev = cfg.clusters[n].devices[k]
     flops = blocks * chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
     return compute_energy(flops, dev, env.clock_hz[n][k]) + dev.d2d_power_w * env.hop_s[n][k]
-
-
-def pipeline_energy(plan: SegmentPlan, cfg: SystemConfig, env: RoundEnvironment, n: int) -> float:
-    """Training energy 2m * sum over scheduled devices of (compute + hop energy)."""
-    total = 0.0
-    for k in plan.scheduled:
-        total += device_energy(plan.delta[k], plan.m, cfg, env, n, k)
-    return 2 * plan.m * total
 
 
 def event_sim_makespan(stage_times: Sequence[float], hop_times: Sequence[float], m: int) -> float:

@@ -46,19 +46,16 @@ def test_run_non_integer_seed_is_a_config_error(tmp_path, capsys, seed):
 
 
 @pytest.mark.parametrize(
-    "argv, env_seed, name",
+    "argv, name",
     [
-        (["run", TABLE2, "--seed", "-3"], None, "--seed"),
-        (["compare", TABLE2, "--seeds=-1"], None, "--seeds"),
-        (["sweep", HOMOGENEOUS, "--grid", "V=1", "--seed", "-2"], None, "--seed"),
-        (["run", TABLE2], "-1", "EDGESCHED_SEED"),
+        (["run", TABLE2, "--seed", "-3"], "--seed"),
+        (["compare", TABLE2, "--seeds=-1"], "--seeds"),
+        (["sweep", HOMOGENEOUS, "--grid", "V=1", "--seed", "-2"], "--seed"),
     ],
-    ids=["run", "compare", "sweep", "env"],
+    ids=["run", "compare", "sweep"],
 )
-def test_negative_seed_override_is_a_config_error(tmp_path, capsys, monkeypatch, argv, env_seed, name):
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, argv, name):
     # the config file's rng_seed rule (an integer >= 0) holds for every override
-    if env_seed is not None:
-        monkeypatch.setenv("EDGESCHED_SEED", env_seed)
     assert main(argv + ["--rounds", "1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {name}: must be an integer >= 0")
 

@@ -4,16 +4,11 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
-from edgesched.comm import (
-    NOT_TRANSMITTING,
-    ChannelAssignment,
-    cluster_uplink_rate,
-    cu_transmit_energy,
-    d2d_delay,
-    uplink_delay,
-)
+from edgesched.comm import NOT_TRANSMITTING, ChannelAssignment, cluster_uplink_rate, d2d_delay, uplink
 from edgesched.config import build_config, sample_round_environment
+from edgesched.decision import SchedulingDecision, validate_decision
 from edgesched.errors import StalledLinkError
+from edgesched.pipeline import SegmentPlan
 
 from conftest import minimal_doc
 
@@ -66,70 +61,77 @@ def _uplink_cfg(z_enc=4e6, theta_enc=4e6):
     return build_config(doc)
 
 
+def _one_cluster_decision(cfg, channel, power):
+    # the minimal system's one cluster, every block on its one device
+    return SchedulingDecision(
+        plans=(SegmentPlan(delta=(cfg.model.n_blocks,), m=1),),
+        assignment=ChannelAssignment(n_channels=1, assigned=(channel,)),
+        powers_w=(power,),
+    )
+
+
 def test_uplink_delay_is_unit_payload_ratio():
     # payload 1 Mb at 1 Mb/s is one second: scale the payload to the realized rate
     cfg = _uplink_cfg()
     env = sample_round_environment(cfg, 1)
-    assignment = ChannelAssignment(n_channels=1, assigned=(0,))
     rate = cluster_uplink_rate(cfg.clusters[0], env, 0, 0.5, cfg.noise_density_w_per_hz)
     cfg2 = _uplink_cfg(z_enc=rate / 2, theta_enc=rate / 2)  # payload == rate bits
-    assert uplink_delay(cfg2, env, 0, assignment, 0.5) == pytest.approx(1.0, rel=1e-12)
+    assert uplink(cfg2, env, 0).delay(0.5) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_uplink_delay_8mb_payload_matches_ratio():
     cfg = _uplink_cfg(z_enc=4e6, theta_enc=4e6)
     env = sample_round_environment(cfg, 1)
-    assignment = ChannelAssignment(n_channels=1, assigned=(0,))
     rate = cluster_uplink_rate(cfg.clusters[0], env, 0, 0.5, cfg.noise_density_w_per_hz)
-    assert uplink_delay(cfg, env, 0, assignment, 0.5) == pytest.approx(8e6 / rate, rel=1e-9)
+    assert uplink(cfg, env, 0).delay(0.5) == pytest.approx(8e6 / rate, rel=1e-9)
 
 
 def test_uplink_delay_times_rate_recovers_payload():
     cfg = _uplink_cfg()
     env = sample_round_environment(cfg, 1)
-    assignment = ChannelAssignment(n_channels=1, assigned=(0,))
     for p in (0.05, 0.2, 0.5):
-        delay = uplink_delay(cfg, env, 0, assignment, p)
+        delay = uplink(cfg, env, 0).delay(p)
         rate = cluster_uplink_rate(cfg.clusters[0], env, 0, p, cfg.noise_density_w_per_hz)
         assert delay * rate == pytest.approx(cfg.model.uplink_payload_bits, rel=1e-12)
 
 
 def test_unassigned_cluster_not_transmitting():
+    # off the air the validator prices no upload: no delay, no energy
     cfg = _uplink_cfg()
     env = sample_round_environment(cfg, 1)
-    assignment = ChannelAssignment(n_channels=1, assigned=(None,))
-    assert uplink_delay(cfg, env, 0, assignment, 0.5) == NOT_TRANSMITTING
+    _, ups, e_com, _, _ = validate_decision(_one_cluster_decision(cfg, None, 0.0), cfg, env)
+    assert ups == (NOT_TRANSMITTING,) and e_com == (0.0,)
     assert math.isinf(NOT_TRANSMITTING)
 
 
 def test_stalled_uplink_raises():
+    # on the air at zero power the rate is zero with the payload pending
     cfg = _uplink_cfg()
     env = sample_round_environment(cfg, 1)
-    assignment = ChannelAssignment(n_channels=1, assigned=(0,))
+    assert math.isinf(uplink(cfg, env, 0).delay(0.0))
     with pytest.raises(StalledLinkError, match="stalled uplink"):
-        uplink_delay(cfg, env, 0, assignment, 0.0)
+        validate_decision(_one_cluster_decision(cfg, 0, 0.0), cfg, env)
 
 
 def test_transmit_energy_zero_cases_and_product():
     cfg = _uplink_cfg()
     env = sample_round_environment(cfg, 1)
-    on = ChannelAssignment(n_channels=1, assigned=(0,))
-    off = ChannelAssignment(n_channels=1, assigned=(None,))
-    assert cu_transmit_energy(cfg, env, 0, off, 0.5) == 0.0
-    assert cu_transmit_energy(cfg, env, 0, on, 0.0) == 0.0
+    link = uplink(cfg, env, 0)
+    assert link.upload_energy(0.0) == 0.0
     p = 0.3
     rate = cluster_uplink_rate(cfg.clusters[0], env, 0, p, cfg.noise_density_w_per_hz)
     param_only_time = cfg.model.enc_param_bits / rate
-    assert cu_transmit_energy(cfg, env, 0, on, p) == pytest.approx(p * param_only_time, rel=1e-12)
+    assert link.upload_energy(p) == pytest.approx(p * param_only_time, rel=1e-12)
+    _, ups, e_com, _, _ = validate_decision(_one_cluster_decision(cfg, 0, p), cfg, env)
+    assert ups == (link.delay(p),) and e_com == (link.upload_energy(p),)
 
 
 def test_transmit_energy_linear_in_parameter_payload():
     env_args = dict(z_enc=4e6)
     cfg_full = _uplink_cfg(theta_enc=4e6, **env_args)
     cfg_half = _uplink_cfg(theta_enc=2e6, **env_args)
-    on = ChannelAssignment(n_channels=1, assigned=(0,))
-    e_full = cu_transmit_energy(cfg_full, env := sample_round_environment(cfg_full, 1), 0, on, 0.5)
-    e_half = cu_transmit_energy(cfg_half, env, 0, on, 0.5)
+    e_full = uplink(cfg_full, env := sample_round_environment(cfg_full, 1), 0).upload_energy(0.5)
+    e_half = uplink(cfg_half, env, 0).upload_energy(0.5)
     assert e_half == pytest.approx(e_full / 2, rel=1e-12)
 
 

@@ -279,18 +279,5 @@ def test_environment_speed_and_hop_rederive_from_draws(table2_cfg):
                 assert env.hop_s[n][k] == pytest.approx(hop, rel=1e-12)
 
 
-def test_seed_env_override(monkeypatch, tmp_path):
-    doc = minimal_doc()
-    doc["rng_seed"] = 5
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_config(str(path)).rng_seed == 5
-    monkeypatch.setenv("EDGESCHED_SEED", "99")
-    assert load_config(str(path)).rng_seed == 99
-    monkeypatch.setenv("EDGESCHED_SEED", "zzz")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
-
-
 def test_table2_from_disk_matches_fixture(table2_cfg):
     assert load_config(TABLE2) == table2_cfg

@@ -80,13 +80,14 @@ def _one_channel_too_many(doc, decision, *_):
 )
 def test_validator_names_the_violated_constraint(edit, factor, constraint):
     doc, cfg, env, decision = _loss_round()
-    e_com, e_pipe = validate_decision(decision, cfg, env)
+    costs = validate_decision(decision, cfg, env)
+    e_com = costs[2]  # upload energies
     assert all(e > 0 for e in e_com) and ENERGY_BUDGET_SLACK < OVER - 1
     edited = edit(doc, decision, cfg, env, e_com, factor)
     # the budgets take no part in sampling, so the round's environment stays valid
     cfg_edited = build_config(doc)
     if constraint is None:
-        assert validate_decision(edited, cfg_edited, env) == (e_com, e_pipe)
+        assert validate_decision(edited, cfg_edited, env) == costs
         return
     with pytest.raises(InfeasibleError) as err:
         validate_decision(edited, cfg_edited, env)

@@ -6,6 +6,7 @@ import pytest
 from edgesched.comm import ChannelAssignment, cluster_uplink_rate
 from edgesched.config import sample_round_environment
 from edgesched.decision import SchedulingDecision
+from edgesched.errors import InfeasibleError
 from edgesched.lyapunov import drift_penalty, queue_update, round_delay
 from edgesched.pipeline import SegmentPlan, pipeline_latency
 
@@ -84,6 +85,16 @@ def test_round_delay_skips_upload_for_virtual_clusters(table2_cfg):
             rate_n = cluster_uplink_rate(table2_cfg.clusters[n], env, n, 0.5, table2_cfg.noise_density_w_per_hz)
             totals.append(pipes[n] + table2_cfg.model.uplink_payload_bits / rate_n)
     assert round_delay(d, table2_cfg, env) == pytest.approx(max(totals), rel=1e-12)
+
+
+def test_round_delay_and_drift_penalty_reject_an_infeasible_decision(table2_cfg):
+    # both price the decision through validate_decision: a power off the air breaks C6
+    env = sample_round_environment(table2_cfg, 1)
+    d = _decision(table2_cfg, _uniform_plans(table2_cfg), (0, None, 1), (0.5, 0.5, 0.5))
+    with pytest.raises(InfeasibleError, match="C6"):
+        round_delay(d, table2_cfg, env)
+    with pytest.raises(InfeasibleError, match="C6"):
+        drift_penalty(d, table2_cfg, env, (0.0,) * 3, 7.0)
 
 
 def test_drift_penalty_degenerate_weights(table2_cfg):

@@ -126,9 +126,9 @@ def test_round_gamma_uses_worst_cluster():
     env = sample_round_environment(cfg, 1)
     queues = (0.0,) * cfg.n_clusters
     d = optimize_round(cfg, env, queues, cfg.convergence.v_factor)
-    e_com, e_pipe = validate_decision(d, cfg, env)
+    costs = validate_decision(d, cfg, env)
     bound = RunningGapBound(cfg.convergence.f0_gap, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
-    metrics, _ = evaluate_round(d, cfg, env, queues, bound, e_com, e_pipe)
+    metrics, _ = evaluate_round(d, cfg, env, queues, bound, costs)
     errors = [
         interference_error(d.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference)
         for n in range(cfg.n_clusters)
@@ -384,20 +384,30 @@ def test_device_energy_evaluated_once_per_scheduled_device_and_round(table2_cfg,
 
 
 def test_round_evaluated_once_per_cluster(table2_cfg, monkeypatch):
-    # a baseline decides without the closed forms, so every call is the evaluator's
+    # a baseline decides without the closed forms, so every call is the
+    # validator's, which prices each cluster once for the evaluator
     pipes = _count_calls(monkeypatch, pipeline.pipeline_latency)
-    ups = _count_calls(monkeypatch, comm.uplink_delay)
+    links = _count_calls(monkeypatch, comm.uplink)
     run_simulation(table2_cfg, 6, "loss")
-    assert len(pipes) == 6 * 3  # table2 has 3 clusters
-    assert len(ups) == 6 * 3
+    assert len(pipes) == 6 * 3  # table2 has 3 clusters, all on the air under loss
+    assert len(links) == 6 * 3
 
 
 def test_upload_energy_evaluated_once_per_cluster_and_round(table2_cfg, monkeypatch):
-    # the validator's C8 check computes it and the evaluator reuses that value
-    calls = _count_calls(monkeypatch, comm.cu_transmit_energy)
+    # the validator's C8 check prices it on the uplink it built for the delay,
+    # and the evaluator reuses that value
+    links = _count_calls(monkeypatch, comm.uplink)
+    energies = []
+    upload_energy = comm.Uplink.upload_energy
+
+    def counted(link, p):
+        energies.append(p)
+        return upload_energy(link, p)
+
+    monkeypatch.setattr(comm.Uplink, "upload_energy", counted)
     trace = run_simulation(table2_cfg, 6, "loss")
     assert len(trace.rounds) == 6
-    assert len(calls) == 6 * 3  # table2 has 3 clusters
+    assert len(links) == len(energies) == 6 * 3  # table2 has 3 clusters, all on the air
 
 
 def test_run_starts_ruled_out_by_the_bound_are_not_searched(table2_cfg, monkeypatch):

@@ -77,6 +77,28 @@ def test_calls_the_benchmark_makes_bind():
         signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
 
 
+_ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_library_reads_no_environment_outside_the_cli():
+    # a library call must not depend on the caller's shell; only the CLI reads
+    # one, the deployment path EDGESCHED_OUT_DIR
+    package = os.path.dirname(edgesched.__file__)
+    reads = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "cli.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                if node.attr in _ENVIRONMENT_READS:
+                    reads.append((name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(name, node.lineno, a.name) for a in node.names if a.name in _ENVIRONMENT_READS]
+    assert reads == []
+
+
 _SCIPY_FREE_RUN = """
 import os, sys
 import edgesched

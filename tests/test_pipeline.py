@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from edgesched.comm import device_d2d_delay
+from edgesched.comm import ChannelAssignment, device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
+from edgesched.decision import SchedulingDecision, validate_decision
 from edgesched.errors import InfeasibleError
 from edgesched.pipeline import (
     SegmentPlan,
+    chunk_work,
     event_sim_makespan,
     micro_batch_size,
-    pipeline_energy,
     pipeline_latency,
     pipeline_latency_from_times,
-    stage_time,
+    stage_profile,
 )
 
 from conftest import minimal_doc
@@ -31,12 +32,15 @@ def test_micro_batch_size_values():
 
 
 def test_stage_time_values(table2_cfg):
-    model = table2_cfg.model  # o_fwd = o_bwd = 2e6
-    assert stage_time(0, 8, 2e9, model) == 0.0
-    t1 = stage_time(1, 8, 2e9, model)
-    assert stage_time(2, 8, 2e9, model) == pytest.approx(2 * t1, rel=1e-12)
-    # delta=2, b_hat=8, o=o'=2e6, speed=2e9 -> 2*(1.6e7+2e6)/2e9 = 0.018 s
-    assert stage_time(2, 8, 2e9, model) == pytest.approx(0.018, rel=1e-12)
+    model = table2_cfg.model  # o_fwd = o_bwd = 2e6, b = 64
+    # b_hat=8, o=o'=2e6 -> one chunk through one block is 8*2e6+2e6 FLOPs
+    assert chunk_work(8, model) == 1.8e7
+    # a stage per scheduled device, delta*work/speed each, with its hop; m=8 gives b_hat=8
+    env = sample_round_environment(table2_cfg, 1)
+    delta = (2, 0, 1, 0, 0, 3)
+    times, hops = stage_profile(delta, 8, table2_cfg, env, 0)
+    assert times == [d * 1.8e7 / env.speed[0][k] for k, d in enumerate(delta) if d]
+    assert hops == [env.hop_s[0][k] for k, d in enumerate(delta) if d]
 
 
 def test_latency_single_stage_and_closed_form():
@@ -121,6 +125,14 @@ def test_pipeline_latency_monotonicity(table2_cfg):
     assert fast <= slow
 
 
+def _priced_off_air(plans, cfg, env):
+    # validate_decision's training and hop energies, every cluster off the air
+    off = ChannelAssignment(n_channels=cfg.n_channels, assigned=(None,) * cfg.n_clusters)
+    decision = SchedulingDecision(plans=tuple(plans), assignment=off, powers_w=(0.0,) * cfg.n_clusters)
+    _, _, _, e_pipe, e_sch = validate_decision(decision, cfg, env)
+    return e_pipe, e_sch
+
+
 def test_pipeline_energy_forms():
     doc = minimal_doc()
     doc["model"] = {"L": 2, "b": 16, "o_fwd_flops": 1e6, "o_bwd_flops": 5e5}
@@ -137,13 +149,13 @@ def test_pipeline_energy_forms():
     work = 2 * (16 * 1e6 + 5e5)
     e_comp = 1e-27 * work / 10 * (2e8) ** 2
     e_hop = 0.08 * hop
-    assert pipeline_energy(plan1, cfg, env, 0) == pytest.approx(2 * 1 * (e_comp + e_hop), rel=1e-12)
+    assert _priced_off_air([plan1], cfg, env)[0][0] == pytest.approx(2 * 1 * (e_comp + e_hop), rel=1e-12)
     # linear in m at fixed chunk size: compare m vs 2m with the same b_hat
     doc["model"]["b"] = 8
     cfg2 = build_config(doc)
     env2 = sample_round_environment(cfg2, 1)
-    e2 = pipeline_energy(SegmentPlan(delta=(2,), m=2), cfg2, env2, 0)  # b_hat = 4
-    e4 = pipeline_energy(SegmentPlan(delta=(2,), m=4), cfg2, env2, 0)  # b_hat = 2
+    e2 = _priced_off_air([SegmentPlan(delta=(2,), m=2)], cfg2, env2)[0][0]  # b_hat = 4
+    e4 = _priced_off_air([SegmentPlan(delta=(2,), m=4)], cfg2, env2)[0][0]  # b_hat = 2
     work2 = 2 * (4 * 1e6 + 5e5)
     work4 = 2 * (2 * 1e6 + 5e5)
     hop2 = device_d2d_delay(cfg2, 0, 0, env2.d2d_gain[0][0], env2.d2d_interference_w[0])
@@ -155,14 +167,16 @@ def test_pipeline_energy_forms():
 
 def test_pipeline_energy_table2_instance(table2_cfg):
     env = sample_round_environment(table2_cfg, 2)
-    plan = SegmentPlan(delta=(1, 1, 1, 1, 1, 1), m=8)
-    total = 0.0
-    b_hat = plan.micro_batch(table2_cfg.model)
+    plans = [SegmentPlan(delta=(1,) * cl.n_devices, m=8) for cl in table2_cfg.clusters]
+    total = hop_total = 0.0
+    b_hat = micro_batch_size(table2_cfg.model.batch_items, 8)
     for k, dev in enumerate(table2_cfg.clusters[0].devices):
         work = 1 * (b_hat * 2e6 + 2e6)
         total += dev.kappa * work / dev.flops_per_cycle * env.clock_hz[0][k] ** 2
-        total += dev.d2d_power_w * device_d2d_delay(table2_cfg, 0, k, env.d2d_gain[0][k], env.d2d_interference_w[0])
-    assert pipeline_energy(plan, table2_cfg, env, 0) == pytest.approx(2 * 8 * total, rel=1e-12)
+        hop_total += dev.d2d_power_w * device_d2d_delay(table2_cfg, 0, k, env.d2d_gain[0][k], env.d2d_interference_w[0])
+    e_pipe, e_sch = _priced_off_air(plans, table2_cfg, env)
+    assert e_pipe[0] == pytest.approx(2 * 8 * (total + hop_total), rel=1e-12)
+    assert e_sch[0] == pytest.approx(hop_total, rel=1e-12)
 
 
 def test_relaxed_chunk_objective_is_convex_with_integer_minimizer_adjacent():

@@ -191,7 +191,7 @@ def test_heterogeneous_plan_favors_fast_devices():
 
     times, hops = stage_profile(plan.delta, plan.m, cfg, env, 0)
     u = [t + d for t, d in zip(times, hops)]
-    uniform = [2 * (plan.micro_batch(cfg.model) * 2e6 + 2e6) / speeds[k] + hops[0] for k in range(6)]
+    uniform = [2 * (micro_batch_size(cfg.model.batch_items, plan.m) * 2e6 + 2e6) / speeds[k] + hops[0] for k in range(6)]
     assert max(u) - min(u) <= max(uniform) - min(uniform) + 1e-12
 
 
@@ -320,7 +320,7 @@ def test_partition_respects_binding_energy_cap():
             budget = cfg.clusters[0].devices[k].energy_budget_j
             assert device_energy(plan.delta[k], plan.m, cfg, env, 0, k) <= budget * (1 + 1e-9)
         # the expensive device must carry fewer blocks than its memory allows
-        work = plan.micro_batch(cfg.model) * 2e6 + 2e6
+        work = micro_batch_size(cfg.model.batch_items, plan.m) * 2e6 + 2e6
         cap0 = int((2.0 - 0.085 * device_energy_hop(cfg, env)) / (3e-24 * work / 16 * (4e8) ** 2))
         assert delta[0] <= cap0
 
