@@ -18,6 +18,7 @@ from .config import RoundEnvironment, SystemConfig
 from .errors import OracleGuardError
 
 _SEG_GUARD = {"devices": 6, "blocks": 12, "batch": 64}
+_PAIR_GUARD = {"devices": 16, "blocks": 32, "batch": 64}
 _ASSIGN_GUARD = 6
 _GRID_GUARD = 5_000_000
 
@@ -29,6 +30,45 @@ def _oracle_latency(times: list[float], hops: list[float], m: int) -> float:
     u = [t + d for t, d in zip(times, hops)]
     j = max(range(s), key=lambda i: (u[i], -i))  # first index attaining the max
     return (s + m - 1) * u[j] - hops[j]
+
+
+def _device_terms(cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[float], ...]:
+    """Per-device speed, hop time, hop energy, kappa*f^2/phi, memory cap and energy budget of cluster n."""
+    cluster = cfg.clusters[n]
+    model = cfg.model
+    ln2 = math.log(2.0)
+    n0 = cfg.noise_density_w_per_hz
+    speeds, hops, hop_energy, kf2phi, mem_cap, e_budget = [], [], [], [], [], []
+    for k, dev in enumerate(cluster.devices):
+        speeds.append(dev.flops_per_cycle * env.clock_hz[n][k])
+        sinr = dev.d2d_power_w * env.d2d_gain[n][k] / (
+            env.d2d_interference_w[n] + cluster.d2d_bandwidth_hz * n0
+        )
+        rate = cluster.d2d_bandwidth_hz * math.log(1.0 + sinr) / ln2
+        hop = (model.act_seg_bits + model.grad_seg_bits) / rate
+        hops.append(hop)
+        hop_energy.append(dev.d2d_power_w * hop)
+        kf2phi.append(dev.kappa * env.clock_hz[n][k] ** 2 / dev.flops_per_cycle)
+        mem_cap.append(int(dev.mem_budget_bytes // dev.mem_per_block_bytes))
+        e_budget.append(dev.energy_budget_j)
+    return speeds, hops, hop_energy, kf2phi, mem_cap, e_budget
+
+
+def _allowed_segments(cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: float) -> set[int]:
+    """C11: S segments need the head power at or above p_S = max(0, (C/budget(S) - I)/h)."""
+    params = cfg.convergence
+    phi2 = params.phi_bound**2
+    gain, interference = env.uplink_gain[n], env.uplink_interference_w[n]
+    allowed = set()
+    for s in range(1, cfg.clusters[n].n_devices + 1):
+        budget = (
+            2.0 * cfg.n_clusters * params.gamma_max / (params.beta * params.eta**2)
+            - phi2 * s**2 / cfg.model.n_blocks
+            - phi2
+        )
+        if budget > 0.0 and cu_power_w >= max(0.0, (params.c_interference / budget - interference) / gain):
+            allowed.add(s)
+    return allowed
 
 
 def brute_force_segment_plan(
@@ -45,44 +85,15 @@ def brute_force_segment_plan(
     objective, then smallest S, then lexicographically smallest delta, then
     smallest m. Guarded to small instances.
     """
-    cluster = cfg.clusters[n]
     model = cfg.model
-    k_dev = cluster.n_devices
+    k_dev = cfg.clusters[n].n_devices
     if k_dev > _SEG_GUARD["devices"] or model.n_blocks > _SEG_GUARD["blocks"] or model.batch_items > _SEG_GUARD["batch"]:
         raise OracleGuardError(
             f"segment-plan oracle guard: need K<={_SEG_GUARD['devices']}, L<={_SEG_GUARD['blocks']}, "
             f"b<={_SEG_GUARD['batch']}"
         )
-
-    ln2 = math.log(2.0)
-    n0 = cfg.noise_density_w_per_hz
-    speeds, hops, hop_energy, kf2phi, mem_cap, e_budget = [], [], [], [], [], []
-    for k, dev in enumerate(cluster.devices):
-        speeds.append(dev.flops_per_cycle * env.clock_hz[n][k])
-        sinr = dev.d2d_power_w * env.d2d_gain[n][k] / (
-            env.d2d_interference_w[n] + cluster.d2d_bandwidth_hz * n0
-        )
-        rate = cluster.d2d_bandwidth_hz * math.log(1.0 + sinr) / ln2
-        hop = (model.act_seg_bits + model.grad_seg_bits) / rate
-        hops.append(hop)
-        hop_energy.append(dev.d2d_power_w * hop)
-        kf2phi.append(dev.kappa * env.clock_hz[n][k] ** 2 / dev.flops_per_cycle)
-        mem_cap.append(int(dev.mem_budget_bytes // dev.mem_per_block_bytes))
-        e_budget.append(dev.energy_budget_j)
-
-    # C11: S segments need the head power at or above p_S = max(0, (C/budget(S) - I)/h)
-    params = cfg.convergence
-    phi2 = params.phi_bound**2
-    gain, interference = env.uplink_gain[n], env.uplink_interference_w[n]
-    allowed = set()
-    for s in range(1, k_dev + 1):
-        budget = (
-            2.0 * cfg.n_clusters * params.gamma_max / (params.beta * params.eta**2)
-            - phi2 * s**2 / model.n_blocks
-            - phi2
-        )
-        if budget > 0.0 and cu_power_w >= max(0.0, (params.c_interference / budget - interference) / gain):
-            allowed.add(s)
+    speeds, hops, hop_energy, kf2phi, mem_cap, e_budget = _device_terms(cfg, env, n)
+    allowed = _allowed_segments(cfg, env, n, cu_power_w)
 
     best: tuple | None = None
 
@@ -120,6 +131,123 @@ def brute_force_segment_plan(
                 best = key
     if best is None:
         raise OracleGuardError("segment-plan oracle: instance is infeasible")
+    obj, s, delta, m = best
+    return delta, s, m, obj
+
+
+def _most_held(caps: list[int], skip: int) -> list[list[int]]:
+    """most[i][t]: the most blocks t of the devices i, i+1, ..., ``skip`` left out, can hold (a DP, no sort)."""
+    k_dev = len(caps)
+    most = [[0] * (k_dev + 1) for _ in range(k_dev + 1)]
+    for i in range(k_dev - 1, -1, -1):
+        for t in range(1, k_dev + 1):
+            take = most[i + 1][t - 1] + (0 if i == skip else caps[i])
+            most[i][t] = max(most[i + 1][t], take)
+    return most
+
+
+def pair_scan_partition(
+    cfg: SystemConfig,
+    env: RoundEnvironment,
+    n: int,
+    m: int,
+    v_factor: float,
+    queue_sum: float,
+    s_cap: int,
+) -> tuple[tuple[int, ...], int, float] | None:
+    """Exact (delta, S, objective) at micro-batch count m over plans of at most s_cap stages.
+
+    Visits every first bottleneck (j, d), device j holding d blocks at
+    occupancy u = d*work/speed_j + hop_j, and rebuilds the other devices'
+    caps from scratch: the blocks that keep device k's occupancy below u
+    (k < j) or at most u (k > j), within its memory and its energy budget.
+    The fewest devices that hold the other L-d blocks come from ``_most_held``
+    (d = L is the one-stage plan). Among the pairs at the least (objective,
+    S), each one's smallest delta is built device by device, taking the
+    fewest blocks that leave the rest a cover, and the least of those deltas
+    is returned; ties are broken as ``brute_force_segment_plan`` breaks them.
+    None when no plan exists. Polynomial, guarded to K <= 16 and L <= 32.
+    """
+    model = cfg.model
+    k_dev, l_blocks = cfg.clusters[n].n_devices, model.n_blocks
+    if k_dev > _PAIR_GUARD["devices"] or l_blocks > _PAIR_GUARD["blocks"]:
+        raise OracleGuardError(f"pair-scan oracle guard: need K<={_PAIR_GUARD['devices']}, L<={_PAIR_GUARD['blocks']}")
+    speeds, hops, hop_energy, kf2phi, mem_cap, e_budget = _device_terms(cfg, env, n)
+    work = -(-model.batch_items // m) * model.fwd_flops + model.bwd_flops
+    caps = []
+    for k in range(k_dev):
+        held = 0
+        while held < min(mem_cap[k], l_blocks) and (held + 1) * work * kf2phi[k] + hop_energy[k] <= e_budget[k] * (1 + 1e-12):
+            held += 1
+        caps.append(held)
+
+    def occupancy(k: int, d: int) -> float:
+        return d * work / speeds[k] + hops[k]
+
+    best_key, tied = None, []
+    for j in range(k_dev):
+        for d in range(1, caps[j] + 1):
+            u = occupancy(j, d)
+            under = [
+                sum(1 for x in range(1, caps[k] + 1) if (occupancy(k, x) < u if k < j else occupancy(k, x) <= u))
+                for k in range(k_dev)
+            ]
+            most = _most_held(under, j)
+            s = 1 + next((t for t in range(k_dev + 1) if most[0][t] >= l_blocks - d), math.inf)
+            if s > s_cap:
+                continue
+            obj = v_factor * (m * (d * work / speeds[j]) if s == 1 else (s + m - 1) * u - hops[j]) + s * queue_sum
+            if best_key is None or (obj, s) < best_key:
+                best_key, tied = (obj, s), []
+            if (obj, s) == best_key:
+                tied.append((j, d, under, most))
+    if best_key is None:
+        return None
+
+    deltas = []
+    for j, d, under, most in tied:
+        delta, blocks, slots = [0] * k_dev, l_blocks - d, best_key[1] - 1
+        delta[j] = d
+        for i in range(k_dev):
+            if i == j:
+                continue
+            # the fewest blocks on device i that leave the devices after it a cover in the slots left
+            x = next(x for x in range(under[i] + 1) if slots - (x > 0) >= 0 and blocks - x <= most[i + 1][slots - (x > 0)])
+            delta[i], blocks, slots = x, blocks - x, slots - (x > 0)
+        deltas.append(tuple(delta))
+    delta = min(deltas)
+    scheduled = [k for k in range(k_dev) if delta[k]]
+    times = [delta[k] * work / speeds[k] for k in scheduled]
+    obj = v_factor * _oracle_latency(times, [hops[k] for k in scheduled], m) + len(scheduled) * queue_sum
+    return delta, len(scheduled), obj
+
+
+def pair_scan_segment_plan(
+    cfg: SystemConfig,
+    env: RoundEnvironment,
+    n: int,
+    queues: tuple[float, ...],
+    v_factor: float,
+    cu_power_w: float,
+) -> tuple[tuple[int, ...], int, int, float]:
+    """(delta, S, m, objective) of ``pair_scan_partition`` at every m in [1, b], at the C11 segment cap.
+
+    Returns what ``brute_force_segment_plan`` returns, ties broken alike, on
+    clusters of up to 16 devices, 32 blocks and a batch of 64.
+    """
+    if cfg.model.batch_items > _PAIR_GUARD["batch"]:
+        raise OracleGuardError(f"pair-scan oracle guard: need b<={_PAIR_GUARD['batch']}")
+    allowed = _allowed_segments(cfg, env, n, cu_power_w)
+    s_cap = next(s for s in range(1, cfg.clusters[n].n_devices + 2) if s not in allowed) - 1
+    best = None
+    for m in range(1, cfg.model.batch_items + 1):
+        found = pair_scan_partition(cfg, env, n, m, v_factor, sum(queues), s_cap)
+        if found is not None:
+            delta, s, obj = found
+            if best is None or (obj, s, delta, m) < best:
+                best = (obj, s, delta, m)
+    if best is None:
+        raise OracleGuardError("pair-scan oracle: instance is infeasible")
     obj, s, delta, m = best
     return delta, s, m, obj
 

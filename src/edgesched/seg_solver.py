@@ -22,9 +22,16 @@ on its segment count S and its first bottleneck, a device j holding d blocks.
 The partition solve sweeps the O(K*L) device occupancies once, in ascending
 order, keeping each device's count of those below the current one, its block
 cap there (the monotone probes of Pinar & Aykanat, "Fast optimal load
-balancing algorithms for 1D partitioning", JPDC 2004). At each candidate
-bottleneck (j, d) it covers the other blocks with the fewest devices that stay
-under it, as in 1-D chain partitioning; ties are broken after the sweep.
+balancing algorithms for 1D partitioning", JPDC 2004), with their running sum
+and largest count. From those two numbers it rejects most candidate
+bottlenecks (j, d) in O(1), as Nicol's probes do ("Rectilinear partitioning of
+irregular data parallel computations", JPDC 1994): when the other caps sum to
+less than the other L-d blocks, or when even the fewest stages any cover could
+take, 1 + ceil((L-d)/largest count), exceed the balance cap or price the plan
+above the best so far. Only the other pairs cover those blocks with the fewest
+devices that stay under the bottleneck, as in 1-D chain partitioning, and
+ties are broken after the sweep. The sweep stops at an occupancy past which
+no plan can reach the best, inverted from a floor once per new best.
 
 The same early exit works one level up. Each segment count S has a floor on
 the objective of every S-stage plan, from its least bottleneck: the larger of
@@ -185,11 +192,21 @@ def optimal_partition(
     each other device k takes at most as many blocks as keep its occupancy
     below u (k < j, strictly, so that j stays first) or at most u (k > j), and
     the fewest such devices that cover the other L-d blocks give S. The pairs
-    and those caps come from one ascending sweep, ``_bottlenecks``, cut off
-    once a lower bound on every later pair exceeds the best plan. The scan
-    keeps the least (objective, S), the bar, and the (j, d, caps) of every
-    plan at it, one-stage plans included; the lexicographically smallest of
-    their deltas, the oracle's tie-break, is built after the scan.
+    come from one ascending sweep of the occupancies, which keeps each
+    device's count below u (its cap there), their sum and their largest
+    count. Before a pair copies those caps and counts its cover, it is
+    rejected in O(1) when (a) the other devices' caps sum to less than L-d,
+    or (b) S_min = 1 + ceil((L-d)/largest count), the fewest stages any cover
+    takes, exceeds ``s_cap``, or its objective already lies strictly above
+    the bar. At V >= 0 and queue_sum >= 0 the float objective grows with S,
+    so (b) drops no tie. The sweep stops past ``u_stop``, where the floor
+    V*max((s_lo+m-1)*u - hop_max, (s_lo+m-2)*u) + s_lo*queue_sum of every
+    later pair exceeds the bar: inverted once per bar and widened by
+    (1 + 1e-9) and a 1e-12 share of s_lo*queue_sum, it stops no earlier than
+    that float floor would. The scan keeps the least (objective, S), the bar,
+    and the (j, d, caps) of every plan at it, one-stage plans included; the
+    lexicographically smallest of their deltas, the oracle's tie-break, is
+    built after the scan.
 
     Before the scan, ``_stage_count_floor`` prices every segment count the
     caps and the balance cap allow. When that floor lies strictly above the
@@ -231,55 +248,57 @@ def optimal_partition(
     floor = _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
     if s_cap >= 2 and floor(m, work) <= bar[0]:
         hop_max = max(hops)
-        for u, j, d, caps_u in _bottlenecks([min(cap, l_blocks - 1) for cap in caps], work, speeds, hops):
-            # every later pair has u' >= u, S >= s_lo and hop_j <= min(hop_max, u')
-            lower = v_factor * max((s_lo + m - 1) * u - hop_max, (s_lo + m - 2) * u) * (1 - 1e-12) + s_lo * queue_sum
-            if lower > bar[0]:
+
+        def stop_at(obj: float) -> float:  # u_stop of a bar at obj
+            room = (obj - s_lo * queue_sum * (1 - 1e-12)) / (v_factor * (1 - 1e-12)) if v_factor else math.inf
+            return min((room + hop_max) / (s_lo + m - 1), room / (s_lo + m - 2)) * (1 + 1e-9)
+
+        u_stop = stop_at(bar[0])
+        # no device beside a bottleneck holds L blocks, so no event has d = L
+        events = sorted(
+            (d * work / speeds[k] + hops[k], k, d) for k, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
+        )
+        cnt = [0] * len(caps)  # each device's occupancies at or below u
+        total = top = 0  # their sum and the largest count
+        for u, group in groupby(events, itemgetter(0)):
+            if u > u_stop:
                 break
-            s = 1 + _fewest_cover(l_blocks - d, caps_u)
-            if s > s_cap:
-                continue
-            key = (v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum, s)
-            if key < bar:
-                bar, ties = key, []
-            if key == bar:
-                ties.append((j, d, caps_u))
+            group = list(group)
+            most = top  # the largest cap beside j: a lone event's own count is no cap
+            for _, k, _ in group:
+                cnt[k] += 1
+                if cnt[k] > top:
+                    top = cnt[k]
+            if len(group) > 1:  # devices after j in a tie count their events at u
+                most = top
+            total += len(group)
+            for _, j, d in group:
+                # devices before j with an occupancy at u must stay under it
+                before = bisect_left(group, (u, j)) if len(group) > 1 else 0
+                rest = l_blocks - d
+                if total - cnt[j] - before < rest:  # (a) the others' caps cannot cover the rest
+                    continue
+                s = 1 - (-rest // most)  # (b) no cover takes fewer stages; the key grows with S
+                if s > s_cap or v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum > bar[0]:
+                    continue
+                caps_u = cnt[:]
+                caps_u[j] = 0
+                for _, k, _ in group[:before]:
+                    caps_u[k] -= 1
+                s = 1 + _fewest_cover(rest, caps_u)
+                if s > s_cap:
+                    continue
+                key = (v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum, s)
+                if key < bar:
+                    bar, ties, u_stop = key, [], stop_at(key[0])
+                if key == bar:
+                    ties.append((j, d, caps_u))
 
     if not ties:
         if math.isinf(cutoff):
             raise InfeasibleError("C1", f"cluster {n}: no feasible block composition")
         return None
     return min(_lexmin_cover(l_blocks - d, bar[1] - 1, caps_u, j, d) for j, d, caps_u in ties), bar[1]
-
-
-def _bottlenecks(caps: list[int], work: float, speeds, hops):
-    """Candidate bottlenecks (u, j, d), d = 1..caps[j], ascending, each with the caps under it.
-
-    Sweeps the events (u, k, d), u = d*work/speeds[k] + hops[k], in ascending
-    order. ``cnt`` counts each device's events strictly below the current u,
-    ``le`` those at or below it. The events at one u form a group, and a pair
-    in it gets the caps ``cnt`` before j (so that j stays the first
-    bottleneck), 0 at j and ``le`` after j, in a fresh list. A device beside a
-    bottleneck holds at most L-1 blocks, so callers pass caps cut to L-1: no
-    d = L occupancy is a pair, and a cap of L covers no more than L-1 does.
-    """
-    events = sorted((d * work / speeds[k] + hops[k], k, d) for k, cap in enumerate(caps) for d in range(1, cap + 1))
-    cnt = [0] * len(caps)
-    for u, group in groupby(events, itemgetter(0)):
-        group = list(group)
-        if len(group) == 1:  # one event: le differs from cnt only at j, whose cap is 0
-            _, j, d = group[0]
-            caps_u = cnt[:]
-            caps_u[j] = 0
-            yield u, j, d, caps_u
-            cnt[j] += 1
-            continue
-        le = cnt[:]
-        for _, k, _ in group:
-            le[k] += 1
-        for _, j, d in group:
-            yield u, j, d, cnt[:j] + [0] + le[j + 1 :]
-        cnt = le
 
 
 def _fewest_cover(blocks: int, caps: list[int]) -> float:

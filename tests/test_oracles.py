@@ -5,7 +5,13 @@ import pytest
 
 from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
-from edgesched.oracles import brute_force_assignment, brute_force_segment_plan, grid_search_power
+from edgesched.oracles import (
+    brute_force_assignment,
+    brute_force_segment_plan,
+    grid_search_power,
+    pair_scan_partition,
+    pair_scan_segment_plan,
+)
 from edgesched.res_solver import power_control
 from edgesched.seg_solver import cluster_objective, optimal_micro_batches, schedule_segments
 
@@ -88,6 +94,57 @@ def test_segment_oracle_and_solver_agree_around_every_balance_threshold():
                 solved += 1
                 multi += s > 1
     assert infeasible > 30 and solved > 100 and multi > 10
+
+
+def test_pair_scan_oracle_equals_the_brute_force():
+    # the pair-scan oracle visits every first bottleneck with caps rebuilt from
+    # scratch and counts covers by a DP; wherever the brute force runs, both
+    # give the same plan, m, objective and infeasibility verdict. Half the
+    # clusters have devices of one type, whose plans tie; small energy
+    # budgets bind at some chunk counts, and head powers below P_max put some
+    # under the balance cap
+    rng = np.random.default_rng(31)
+    solved = infeasible = multi = 0
+    for i in range(300):
+        doc = random_system_doc(rng, max_devices=6, max_blocks=10, max_batch=8)
+        for dev in doc["clusters"][0]["devices"]:
+            dev["gamma_max_bytes"] = float(rng.uniform(2.5e8, 2.5e8 * (doc["model"]["L"] + 1)))
+            if i % 2:
+                dev.update(phi_flops_per_cycle=16.0, f_hz=4e8, p_dd_w=0.1)
+            if rng.random() < 0.3:
+                dev["E_k_max_j"] = float(np.exp(rng.uniform(np.log(1e-3), np.log(3e-2))))
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, int(rng.integers(1, 4)))
+        queues, v, power = (float(rng.choice([0.0, 1e-3, 1.0])),), cfg.convergence.v_factor, float(rng.uniform(0.0, 0.5))
+        try:
+            want = brute_force_segment_plan(cfg, env, 0, queues, v, power)
+        except OracleGuardError:
+            with pytest.raises(OracleGuardError):
+                pair_scan_segment_plan(cfg, env, 0, queues, v, power)
+            infeasible += 1
+            continue
+        assert pair_scan_segment_plan(cfg, env, 0, queues, v, power) == want
+        solved += 1
+        multi += want[1] > 1
+    assert solved > 200 and infeasible > 50 and multi > 60
+
+
+def test_pair_scan_oracle_guards_are_hard_errors():
+    doc = minimal_doc()
+    doc["clusters"][0]["devices"] = [{}] * 17
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, 1)
+    with pytest.raises(OracleGuardError):
+        pair_scan_partition(cfg, env, 0, 1, 10.0, 0.0, 17)
+    doc = minimal_doc()
+    doc["model"] = {"L": 33}
+    cfg = build_config(doc)
+    with pytest.raises(OracleGuardError):
+        pair_scan_partition(cfg, sample_round_environment(cfg, 1), 0, 1, 10.0, 0.0, 1)
+    doc["model"] = {"L": 32, "b": 65}
+    cfg = build_config(doc)
+    with pytest.raises(OracleGuardError):
+        pair_scan_segment_plan(cfg, sample_round_environment(cfg, 1), 0, (0.0,), 10.0, 0.5)
 
 
 def test_assignment_oracle_basics():

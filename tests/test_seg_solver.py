@@ -11,7 +11,8 @@ import pytest
 from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
 from edgesched.errors import InfeasibleError, OracleGuardError
-from edgesched.oracles import brute_force_segment_plan
+from edgesched.oracles import brute_force_segment_plan, pair_scan_partition, pair_scan_segment_plan
+from edgesched.orchestrator import run_simulation
 from edgesched.pipeline import chunk_work, device_energy, micro_batch_size, pipeline_latency_from_times
 from edgesched.seg_solver import (
     _cap_cover,
@@ -805,11 +806,13 @@ def test_segment_cap_at_a_nan_power_is_unreachable():
     assert exc.value.constraint == "C11"
 
 
-def _per_pair_partition(m, cfg, env, n, v, queue_sum, s_cap, cutoff):
+def _per_pair_partition(m, cfg, env, n, v, queue_sum, s_cap, cutoff, seen=None):
     """Reference: the bottleneck scan that rebuilds every pair's caps by
     bisection and builds the lexmin delta of every pair that ties or beats the
     best so far, without the stage-count floor. Returns (delta, S), None or the
-    error's constraint."""
+    error's constraint. ``seen``, when given, counts the scanned pairs whose
+    occupancy u ties with devices on both sides of j ("straddle"), and those
+    where a device after j reaches u at d = L ("cap_l")."""
     l_blocks = cfg.model.n_blocks
     work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
     speeds, hops = env.speed[n], env.hop_s[n]
@@ -834,6 +837,10 @@ def _per_pair_partition(m, cfg, env, n, v, queue_sum, s_cap, cutoff):
         lower = v * max((s_lo + m - 1) * u - hop_max, (s_lo + m - 2) * u) * (1 - 1e-12) + s_lo * queue_sum
         if lower > limit:
             break
+        if seen is not None:
+            at_u = [(k, e) for k, o in enumerate(occ) if k != j for e, x in enumerate(o, 1) if x == u]
+            seen["straddle"] += any(k < j for k, _ in at_u) and any(k > j for k, _ in at_u)
+            seen["cap_l"] += any(k > j and e == l_blocks for k, e in at_u)
         caps_u = [bisect_left(o, u) for o in occ[:j]] + [0] + [bisect_right(o, u) for o in occ[j + 1 :]]
         s = 1 + _fewest_cover(l_blocks - d, caps_u)
         if s > s_cap:
@@ -870,35 +877,18 @@ def _tied_system(rng):
     return cfg, env
 
 
-def test_partition_sweep_equals_the_per_pair_scan(monkeypatch):
+def test_partition_sweep_equals_the_per_pair_scan():
     # the sweep's running counts must give every pair the caps that bisecting
     # each device's occupancies gave, and the deferred tie-break the delta the
-    # eager one did. The recorder counts the scanned pairs whose occupancy u
+    # eager one did. The reference counts the pairs it scans whose occupancy u
     # ties with devices on both sides of j, and those where a device after j
     # reaches u at d = L: the reference counts that occupancy toward its cap,
     # the sweep leaves it out
-    from edgesched import seg_solver
-
-    sweep = seg_solver._bottlenecks
     seen = {"straddle": 0, "cap_l": 0}
-    system = {}
-
-    def recorded(caps, work, speeds, hops):
-        full, _ = _cap_cover(work, system["cfg"], system["env"], 0)
-        events = [(d * work / speeds[k] + hops[k], k, d) for k, cap in enumerate(full) for d in range(1, cap + 1)]
-        for u, j, d, caps_u in sweep(caps, work, speeds, hops):
-            yield u, j, d, caps_u
-            # the scan asks for the next pair, so it did not break at this one
-            at_u = [(k, e) for x, k, e in events if x == u and k != j]
-            seen["straddle"] += any(k < j for k, _ in at_u) and any(k > j for k, _ in at_u)
-            seen["cap_l"] += any(k > j and e == system["cfg"].model.n_blocks for k, e in at_u)
-
-    monkeypatch.setattr(seg_solver, "_bottlenecks", recorded)
     rng = np.random.default_rng(25)
     calls = plans = 0
     for _ in range(120):
         cfg, env = _tied_system(rng)
-        system.update(cfg=cfg, env=env)
         v = float(rng.choice([0.01, 1.0, 10.0]))
         for q in (0.0, float(rng.uniform(0.0, 1.0))):
             for m in _micro_batch_run_starts(cfg.model.batch_items)[:3]:
@@ -910,7 +900,7 @@ def test_partition_sweep_equals_the_per_pair_scan(monkeypatch):
                     cutoffs += [obj, math.nextafter(obj, -math.inf)]
                     plans += 1
                 for cutoff in cutoffs:
-                    want = _per_pair_partition(m, cfg, env, 0, v, q, s_cap, cutoff)
+                    want = _per_pair_partition(m, cfg, env, 0, v, q, s_cap, cutoff, seen)
                     try:
                         got = optimal_partition(m, cfg, env, 0, v, q, s_cap, cutoff=cutoff)
                     except InfeasibleError as exc:
@@ -945,3 +935,120 @@ def test_deferred_tie_break_takes_the_least_delta_of_a_later_pair():
         assert [key[2] for key in keys if key[:2] == keys[0][:2]] == [(0, 1, 3), (1, 0, 3)]
         assert optimal_partition(1, cfg, env, 0, 1.0, q, 3) == (keys[0][2], keys[0][1]) == ((0, 1, 3), 2)
         assert schedule_segments(cfg, env, 0, (q,), 1.0, 0.5).delta == (0, 1, 3)
+
+
+def _encoder_shaped_system(rng):
+    """A cluster of 8 to 16 devices and 12 to 32 blocks whose memory caps stay
+    under L/2, so every plan has at least three stages. Devices come in a few
+    types; (phi, f) = (8, 8e8) and (16, 4e8) give the same speed, and the
+    fixed D2D gain gives devices of one D2D power the same hop, so
+    occupancies tie within and across types."""
+    k, l_blocks = int(rng.integers(8, 17)), int(rng.integers(12, 33))
+    doc = minimal_doc()
+    doc["model"] = {"L": l_blocks, "b": int(rng.integers(1, 9)), "o_fwd_flops": 2.0**20, "o_bwd_flops": 2.0**20}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    types = [(8, 8e8), (16, 4e8), (16, 8e8)]
+    devices = []
+    for _ in range(k):
+        phi, f_hz = types[int(rng.integers(len(types)))]
+        cap = int(rng.integers(-(-l_blocks // k), (l_blocks - 1) // 2 + 1))
+        devices.append(
+            {
+                "phi_flops_per_cycle": phi,
+                "f_hz": f_hz,
+                "p_dd_w": float(rng.choice([0.07, 0.1])),
+                "gamma_max_bytes": 2.5e8 * cap,
+                "gamma0_bytes": 2.5e8,
+            }
+        )
+    doc["clusters"][0]["devices"] = devices
+    cfg = build_config(doc)
+    return cfg, sample_round_environment(cfg, 1)
+
+
+def test_partition_and_schedule_equal_the_pair_scan_oracle_on_encoder_shapes():
+    # the oracle rebuilds every pair's caps, counts covers by a DP and takes
+    # the least delta over the tied pairs; a plan that puts different block
+    # counts on two devices of the same speed, hop and cap has a tie (swap
+    # them), so the solver's tie-break is checked there. V = 0, which no
+    # config allows, prices plans by S alone and must not stop the sweep
+    rng = np.random.default_rng(29)
+    partitions = deep = tied = plans = 0
+    for _ in range(24):
+        cfg, env = _encoder_shaped_system(rng)
+        k = cfg.clusters[0].n_devices
+        for q in (0.0, float(rng.choice([1e-3, 0.5]))):
+            v = float(rng.choice([0.0, 0.01, 1.0, 10.0]))
+            for m in _micro_batch_run_starts(cfg.model.batch_items)[:2]:
+                for s_cap in (int(rng.integers(3, k)), k):
+                    want = pair_scan_partition(cfg, env, 0, m, v, q, s_cap)
+                    try:
+                        got = optimal_partition(m, cfg, env, 0, v, q, s_cap)
+                    except InfeasibleError:
+                        got = None
+                    assert got == (None if want is None else want[:2])
+                    if want is None:
+                        continue
+                    partitions += 1
+                    deep += want[1] >= 3
+                    caps, _ = _cap_cover(chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model), cfg, env, 0)
+                    kinds = [(env.speed[0][i], env.hop_s[0][i], caps[i]) for i in range(k)]
+                    tied += any(kinds[a] == kinds[b] and want[0][a] != want[0][b] for a in range(k) for b in range(a))
+            delta, _, m, _ = pair_scan_segment_plan(cfg, env, 0, (q,), v, cfg.clusters[0].uplink_power_max_w)
+            plan = schedule_segments(cfg, env, 0, (q,), v, cfg.clusters[0].uplink_power_max_w)
+            assert (plan.delta, plan.m) == (delta, m)
+            plans += 1
+    assert partitions > 150 and deep == partitions and tied > 25 and plans == 48
+
+
+def test_pretest_keeps_a_pair_whose_least_stage_count_ties_the_bar():
+    # dyadic instance at m = 2: one item per chunk of 2^20 flops, speeds
+    # (2^22, 2^21, 2^21) flop/s, so blocks take (0.25, 0.5, 0.5) s; hops
+    # (0.25, 1, 0.25) s, from spectral efficiencies log2(1 + 15) = 4 and
+    # log2(1 + 1) = 1 over 2^16 bits at 2^16 Hz; caps (2, 2, 3), L = 5, V = 1,
+    # queue_sum = 0.5. The scan sets the bar at (6.0, 2) with (2, 0, 3), whose
+    # first bottleneck is device 2 at u = 1.75: 3*1.75 - 0.25 + 2*0.5. The
+    # later pair (j, d) = (1, 2) at u = 2.0 is alone at its occupancy; the
+    # largest running count below it is device 2's 3, so its least stage count
+    # 1 + ceil(3/3) = 2 is its true S, and its objective 3*2 - 1 + 1 = 6.0
+    # equals the bar exactly. Only if it stays in the ties does the
+    # lexicographically smaller (0, 2, 3) win
+    doc = minimal_doc()
+    doc["N0_w_per_hz"] = 1e-300
+    doc["model"] = {"L": 5, "b": 2, "o_fwd_flops": 2.0**19, "o_bwd_flops": 2.0**19, "z_seg_bits": 2.0**15, "g_seg_bits": 2.0**15}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    doc["clusters"][0].update(B_dd_hz=2.0**16, h_dd_db=0.0, I_dd_w=2.0**-5)
+    doc["clusters"][0]["devices"] = [
+        {"phi_flops_per_cycle": phi, "f_hz": 2.0**21, "p_dd_w": p_dd, "P_k_max_w": 0.5, "gamma_max_bytes": cap * 2.5e8, "gamma0_bytes": 2.5e8}
+        for phi, p_dd, cap in ((2.0, 15 * 2.0**-5, 2), (1.0, 2.0**-5, 2), (1.0, 15 * 2.0**-5, 3))
+    ]
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, 1)
+    assert env.speed[0] == (2.0**22, 2.0**21, 2.0**21) and env.hop_s[0] == (0.25, 1.0, 0.25)
+    assert _cap_cover(2.0**20, cfg, env, 0)[0] == [2, 2, 3]
+    devices = ((0.25, 0.25, 2), (0.5, 1.0, 2), (0.5, 0.25, 3))  # (block time, hop, cap)
+    assert [sum(d * t + hop == 2.0 for d in range(1, cap + 1)) for t, hop, cap in devices] == [0, 1, 0]
+    assert [sum(d * t + hop < 2.0 for d in range(1, cap + 1)) for t, hop, cap in devices] == [2, 1, 3]
+    assert cluster_objective((2, 0, 3), 2, cfg, env, 0, 1.0, 0.5) == cluster_objective((0, 2, 3), 2, cfg, env, 0, 1.0, 0.5) == 6.0
+    want = pair_scan_partition(cfg, env, 0, 2, 1.0, 0.5, 3)
+    assert want == ((0, 2, 3), 2, 6.0)
+    assert optimal_partition(2, cfg, env, 0, 1.0, 0.5, 3) == want[:2]
+
+
+def test_fewest_cover_runs_for_a_third_of_the_pairs_it_did(monkeypatch):
+    # 12 lyapunov rounds of the roundbench encoder shape (K=10, L=16), seed 1:
+    # pricing every candidate bottleneck from the running counts first, the
+    # cover count ran 1,760 times when every scanned pair counted its cover
+    from edgesched import seg_solver
+
+    calls = []
+    fewest = seg_solver._fewest_cover
+
+    def counted(*args):
+        calls.append(args)
+        return fewest(*args)
+
+    monkeypatch.setattr(seg_solver, "_fewest_cover", counted)
+    trace = run_simulation(build_config(_workload_doc("encoder", 1)), 12, "lyapunov")
+    assert len(trace.rounds) == 12
+    assert len(calls) <= 1760 // 3
