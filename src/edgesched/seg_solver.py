@@ -37,11 +37,12 @@ The same early exit works one level up. Each segment count S has a floor on
 the objective of every S-stage plan, from its least bottleneck: the larger of
 the least one-block occupancy and the load spread over the S fastest
 devices. A partition solve whose floors all lie strictly above its best
-one-stage plan or its cutoff skips the bottleneck scan, and once a plan
-exists, a run start whose lower bound, built from memory caps and these
-floors, lies strictly above the best objective is not searched at all: no
-plan there can win, not even on a tie. On the shipped table2 scenario this
-leaves 22 of the 270 partition solves of six rounds.
+one-stage plan or its cutoff skips the bottleneck scan. The run starts are
+searched best-first, in ascending lower bound, built from memory caps and
+these floors (branch and bound: Land & Doig, Econometrica 1960), until one's
+bound lies strictly above the best objective: no plan there or later can
+win, not even on a tie. Six table2 rounds search 22 of their 270 run starts,
+and 12 rounds of the benchmark's encoder cluster 36 of 180.
 
 The balance cap does not depend on m: ``schedule_segments`` counts the
 thresholds p_1, p_2, ... at or below the head power once per call, up to the
@@ -256,7 +257,8 @@ def optimal_partition(
         u_stop = stop_at(bar[0])
         # no device beside a bottleneck holds L blocks, so no event has d = L
         events = sorted(
-            (d * work / speeds[k] + hops[k], k, d) for k, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
+            (u, k, d) for k, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
+            if (u := d * work / speeds[k] + hops[k]) <= u_stop  # u_stop only falls: the rest is never scanned
         )
         cnt = [0] * len(caps)  # each device's occupancies at or below u
         total = top = 0  # their sum and the largest count
@@ -396,19 +398,21 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
       segment count s_lo memory allows up to ``s_cap``, on the devices memory
       lets hold a block; inf when s_cap < s_lo.
 
-    Everything that does not depend on m is computed here, once. Needs a
-    cluster whose memory caps can host the L blocks.
+    Everything that does not depend on m is computed here, once. The bound
+    is inf at every m when the memory caps cannot host the L blocks.
     """
     l_blocks = cfg.model.n_blocks
     mem_caps = _memory_caps(cfg, n)
     s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap == l_blocks), default=None)
     s_lo = max(2, _fewest_cover(l_blocks, mem_caps))
     many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
+    batch_items, model = cfg.model.batch_items, cfg.model
 
     def bound(m: int) -> float:
-        work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
+        work = chunk_work(micro_batch_size(batch_items, m), model)
         one = math.inf if s_fast is None else v_factor * (m * (l_blocks * work / s_fast)) + queue_sum
-        return min(one, many(m, work))
+        least = many(m, work)
+        return least if least < one else one
 
     return bound
 
@@ -423,15 +427,15 @@ def schedule_segments(
 ) -> SegmentPlan:
     """Exact joint argmin over (partition, micro-batches) for cluster n.
 
-    Runs the partition search at every ceil(b/m) run start in ascending m,
-    passing the best objective so far as its cutoff, and keeps the least
-    (objective, S, delta, m), the oracle's tie-break. Once a plan exists, a
-    run start whose ``_run_start_bound`` (every segment count up to the
-    balance cap priced by ``_stage_count_floor``) lies strictly above the best
-    objective is skipped: every plan there is worse, so its search could only
-    have returned None or raised an error that is ignored once a plan exists.
-    Ties are never skipped. When every m is infeasible, the error raised at
-    m = 1 names the blocker.
+    Prices every ceil(b/m) run start by ``_run_start_bound`` (every segment
+    count up to the balance cap priced by ``_stage_count_floor``) and runs
+    the partition search at them best-first, in ascending (bound, m), each at
+    the best objective so far as its cutoff, keeping the least (objective, S,
+    delta, m), the oracle's tie-break. It stops at the first bound strictly
+    above the best objective: every plan there and later is worse. Ties are
+    never skipped, so the order cannot change the plan. When no m has a
+    plan, nothing was ruled out, and the error raised at m = 1 names the
+    blocker.
 
     The balance cap at ``cu_power_w`` does not depend on m, so it is read
     once, before the run starts; when it is unreachable, its C11 error is
@@ -439,21 +443,17 @@ def schedule_segments(
     """
     queue_sum = sum(queues)
     s_cap = _segment_cap(cfg, env, n, cu_power_w)
-    best_key = None
-    first_error = None
-    bound = None
-    for m in _micro_batch_run_starts(cfg.model.batch_items):
-        if best_key is not None:
-            # built once a plan exists, which proves memory can host the blocks
-            if bound is None:
-                bound = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
-            if bound(m) > best_key[0]:
-                continue
+    bound = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
+    best_key = error = None
+    for lower, m in sorted([(bound(m), m) for m in _micro_batch_run_starts(cfg.model.batch_items)]):
         cutoff = math.inf if best_key is None else best_key[0]
+        if lower > cutoff:  # so is every later bound
+            break
         try:
             found = optimal_partition(m, cfg, env, n, v_factor, queue_sum, s_cap, cutoff=cutoff)
         except InfeasibleError as exc:
-            first_error = first_error or exc
+            if m == 1:
+                error = exc
             continue
         if found is None:
             continue
@@ -462,7 +462,7 @@ def schedule_segments(
         if best_key is None or key < best_key:
             best_key = key
     if best_key is None:
-        raise first_error
+        raise error
     _, _, delta, m = best_key
     plan = SegmentPlan(delta=delta, m=m)
     plan.validate(cfg.clusters[n], cfg.model)

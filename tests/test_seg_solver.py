@@ -732,6 +732,75 @@ def test_run_start_skip_keeps_an_exact_tie():
     assert (plan.delta, plan.m) == _unpruned_scan(cfg, env, 0, (0.0,), 1.0, 0.5) == ((2, 0, 0), 2)
 
 
+def _schedule_outcome(solve, cfg, env, queues, v, power):
+    """(delta, m) of a plan, or (constraint, message) of the error raised."""
+    try:
+        found = solve(cfg, env, 0, queues, v, power)
+    except InfeasibleError as exc:
+        return exc.constraint, str(exc)
+    return found if isinstance(found, tuple) else (found.delta, found.m)
+
+
+def test_best_first_search_equals_unpruned_scan_on_wide_encoder_shapes():
+    # the roundbench encoder cluster widened to K=32 devices and L=64 blocks
+    # with 12-block memory caps, past the pair-scan oracle's K <= 16. A
+    # balance bound of 1e-4 caps the plan at about 7 stages at P_max, and at
+    # 5 stages at p_5, below the 6 that memory needs, which raises C11
+    solved = failed = 0
+    for gamma_max in (1.0, 1e-4):
+        doc = _workload_doc("encoder", 1)
+        doc["convergence"]["gamma_max_bound"] = gamma_max
+        devices = doc["clusters"][0]["devices"]
+        doc["clusters"][0]["devices"] = [dict(devices[i % len(devices)], gamma_max_bytes=12 * 2.5e8) for i in range(32)]
+        doc["model"]["L"] = 64
+        cfg = build_config(doc)
+        v = cfg.convergence.v_factor
+        for t in (1, 2, 3):
+            env = sample_round_environment(cfg, t)
+            powers = [cfg.clusters[0].uplink_power_max_w]
+            if gamma_max < 1:
+                powers.append(balance_thresholds(cfg.convergence, 1, 64, env.uplink_gain[0], env.uplink_interference_w[0])[4])
+            for q in (0.0, 1e-3, 1.0):
+                for power in powers:
+                    want = _schedule_outcome(_unpruned_scan, cfg, env, (q,), v, power)
+                    assert _schedule_outcome(schedule_segments, cfg, env, (q,), v, power) == want
+                    failed += isinstance(want[0], str)
+                    solved += not isinstance(want[0], str)
+    assert solved == 18 and failed == 9
+
+
+def test_no_plan_raises_the_error_of_m_1_though_another_run_start_is_searched_first():
+    # four devices with 2-block memory caps and L = 4, and a balance bound
+    # that allows 2 stages. The budgets hold one block per device at m = 2
+    # but none at m = 1, whose chunk is 9/5 as costly: m = 1 raises C9'
+    # (the caps cannot host the blocks) and m = 2 raises C11 (4 stages
+    # needed). Chunks dominate the hops, so memory prices m = 2 below m = 1
+    # and the best-first search reaches it first
+    doc = minimal_doc()
+    doc["model"] = {"L": 4, "b": 2, "o_fwd_flops": 2.0**30, "o_bwd_flops": 2.0**28}
+    doc["convergence"] = {"gamma_max_bound": 1.5e-4}
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": 5e8, "gamma0_bytes": 2.5e8}] * 4
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, 1)
+    devices = tuple(
+        dataclasses.replace(dev, energy_budget_j=0.5 * (device_energy(1, 2, cfg, env, 0, k) + device_energy(2, 2, cfg, env, 0, k)))
+        for k, dev in enumerate(cfg.clusters[0].devices)
+    )
+    cfg = dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=devices),))
+    v, power = cfg.convergence.v_factor, cfg.clusters[0].uplink_power_max_w
+    s_cap = _segment_cap(cfg, env, 0, power)
+    assert s_cap == 2
+    bound = _run_start_bound(cfg, env, 0, v, 0.0, s_cap)
+    assert _micro_batch_run_starts(2) == (1, 2) and bound(2) < bound(1)
+    for m, constraint in ((1, "C9'"), (2, "C11")):
+        with pytest.raises(InfeasibleError) as exc:
+            optimal_partition(m, cfg, env, 0, v, 0.0, s_cap)
+        assert exc.value.constraint == constraint
+    with pytest.raises(InfeasibleError) as exc:
+        schedule_segments(cfg, env, 0, (0.0,), v, power)
+    assert (exc.value.constraint, str(exc.value)) == ("C9'", "infeasible: C9' (cluster 0: device caps cannot host 4 blocks)")
+
+
 def test_segment_cap_and_power_floor_agree_at_every_threshold():
     # C11 is one threshold p_S per segment count, p_1 <= ... <= p_L: the
     # segment cap at head power p counts the thresholds at or below p, and
@@ -1052,3 +1121,21 @@ def test_fewest_cover_runs_for_a_third_of_the_pairs_it_did(monkeypatch):
     trace = run_simulation(build_config(_workload_doc("encoder", 1)), 12, "lyapunov")
     assert len(trace.rounds) == 12
     assert len(calls) <= 1760 // 3
+
+
+def test_best_first_search_runs_three_partition_searches_per_encoder_solve(monkeypatch):
+    # 12 lyapunov rounds of the roundbench encoder shape, seed 1: searching
+    # the run starts in ascending bound finds the best m first or second, and
+    # its objective rules out the rest. In ascending m it took 49 searches
+    from edgesched import seg_solver
+
+    calls = []
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return optimal_partition(m, *args, **kwargs)
+
+    monkeypatch.setattr(seg_solver, "optimal_partition", counted)
+    trace = run_simulation(build_config(_workload_doc("encoder", 1)), 12, "lyapunov")
+    assert len(trace.rounds) == 12
+    assert len(calls) == 36
