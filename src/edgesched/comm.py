@@ -110,6 +110,14 @@ class Uplink(NamedTuple):
         efficiency = spectral_efficiency(p, self.gain, self.noise_floor)
         return transfer_energy(p, self.param_bits, self.bandwidth, efficiency)
 
+    def delay_and_energy(self, p: float) -> tuple[float, float]:
+        """``(delay(p), upload_energy(p))`` from one spectral efficiency."""
+        efficiency = spectral_efficiency(p, self.gain, self.noise_floor)
+        return (
+            transfer_time(self.payload, self.bandwidth, efficiency),
+            transfer_energy(p, self.param_bits, self.bandwidth, efficiency),
+        )
+
 
 def uplink(cfg: SystemConfig, env: RoundEnvironment, n: int) -> Uplink:
     """Cluster n's uplink this round."""

@@ -53,8 +53,7 @@ def validate_decision(
             raise InfeasibleError("C6", f"cluster {n} power {p} outside [0, {p_max}]")
         up, e_up = NOT_TRANSMITTING, 0.0
         if on_air:
-            link = uplink(cfg, env, n)
-            up, e_up = link.delay(p), link.upload_energy(p)
+            up, e_up = uplink(cfg, env, n).delay_and_energy(p)
             if math.isinf(up):
                 raise StalledLinkError(f"stalled uplink: cluster {n} has zero rate at power {p}")
             if e_up > cl.uplink_energy_budget_j * (1 + ENERGY_BUDGET_SLACK):

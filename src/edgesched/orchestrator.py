@@ -12,7 +12,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .config import RoundEnvironment, SystemConfig, sample_round_environment
 from .convergence import RunningGapBound, gamma_round_from_error, interference_error
@@ -21,11 +20,8 @@ from .errors import InfeasibleError, SimulationAborted
 from .lyapunov import cluster_delays, drift_penalty_at, queue_update
 from .pipeline import SegmentPlan
 from .res_solver import _ranked_assignment, allocate_resources
-from .rng import draw
+from .rng import Generator, draw
 from .seg_solver import optimal_micro_batches, schedule_segments
-
-if TYPE_CHECKING:  # only the random policy draws from numpy, imported on its first call
-    import numpy as np
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -59,10 +55,8 @@ def optimize_round(
 # ---------------------------------------------------------------------------
 
 
-def _policy_rng(cfg: SystemConfig, policy: str, t: int) -> np.random.Generator:
-    import numpy as np
-
-    return np.random.default_rng([cfg.rng_seed, _POLICY_SALT[policy], t])
+def _policy_rng(cfg: SystemConfig, policy: str, t: int) -> Generator:
+    return Generator([cfg.rng_seed, _POLICY_SALT[policy], t])
 
 
 def loss_proxy(cfg: SystemConfig, t: int, n: int) -> float:
@@ -109,13 +103,13 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
     return tuple(delta)
 
 
-def _random_plan(cfg: SystemConfig, env: RoundEnvironment, n: int, rng: np.random.Generator) -> SegmentPlan:
+def _random_plan(cfg: SystemConfig, env: RoundEnvironment, n: int, rng: Generator) -> SegmentPlan:
     cl = cfg.clusters[n]
     ids = _capable_devices(cfg, n)
     caps = {k: cl.devices[k].block_cap for k in ids}
     for _ in range(200):
-        s = int(rng.integers(1, len(ids) + 1))
-        chosen = list(rng.permutation(ids)[:s])
+        s = rng.integers(1, len(ids) + 1)
+        chosen = rng.permutation(ids)[:s]
         if sum(caps[k] for k in chosen) < cfg.model.n_blocks:
             continue
         delta = [0] * cl.n_devices
@@ -124,11 +118,11 @@ def _random_plan(cfg: SystemConfig, env: RoundEnvironment, n: int, rng: np.rando
             delta[k] = 1
             rem -= 1
         while rem > 0:
-            k = chosen[int(rng.integers(0, len(chosen)))]
+            k = chosen[rng.integers(0, len(chosen))]
             if delta[k] < caps[k]:
                 delta[k] += 1
                 rem -= 1
-        m = int(rng.integers(1, cfg.model.batch_items + 1))
+        m = rng.integers(1, cfg.model.batch_items + 1)
         plan = SegmentPlan(delta=tuple(delta), m=m)
         try:
             plan.validate(cl, cfg.model)
@@ -160,11 +154,11 @@ def baseline_decision(
     n_clusters = cfg.n_clusters
     if policy == "random":
         rng = _policy_rng(cfg, policy, t)
-        order = list(rng.permutation(n_clusters))
+        order = rng.permutation(n_clusters)
         assignment = _ranked_assignment(cfg, order)
         plans = tuple(_random_plan(cfg, env, n, rng) for n in range(n_clusters))
         powers = tuple(
-            float(rng.uniform(0.05, 1.0)) * cfg.clusters[n].uplink_power_max_w
+            rng.uniform(0.05, 1.0) * cfg.clusters[n].uplink_power_max_w
             if assignment.is_transmitting(n)
             else 0.0
             for n in range(n_clusters)
@@ -174,7 +168,7 @@ def baseline_decision(
     if policy in ("loss", "delay"):
         if policy == "loss":
             scores = [(-loss_proxy(cfg, t, n), n) for n in range(n_clusters)]
-        elif prev_round_delay is None:  # numpy's N draws of _policy_rng(...).uniform()
+        elif prev_round_delay is None:  # _policy_rng(...)'s first N uniform(0, 1) draws
             scores = list(zip(draw([cfg.rng_seed, _POLICY_SALT[policy], t], n_clusters), range(n_clusters)))
         else:
             scores = [(prev_round_delay[n], n) for n in range(n_clusters)]

@@ -1,15 +1,16 @@
-"""numpy's ``default_rng(entropy).random(k)``, bit for bit, without numpy.
+"""numpy's ``default_rng(entropy)``, bit for bit, without numpy.
 
-Every seeded draw on the scheduling path is a short list of integers fed to
-numpy's default generator. numpy turns the list into a state in two steps,
-both ported here: ``SeedSequence`` (NEP 19) hashes the entropy's 32-bit words
-into a 4-word pool and expands the pool into four 64-bit words, and
-``PCG64`` (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Every seeded draw the scheduler makes comes from numpy's default generator
+seeded with a short list of integers. numpy turns the list into a state in
+two steps, both ported here: ``SeedSequence`` (NEP 19) hashes the entropy's
+32-bit words into a 4-word pool and expands the pool into four 64-bit words,
+and ``PCG64`` (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation", 2014) takes its
-128-bit LCG state and increment from them. Each double in [0, 1) is the top
-53 bits of one XSL-RR output. Importing numpy costs more than a whole
-scheduled run, so the run path draws here; the ``random`` policy, the oracles
-and the tests use numpy's ``Generator``.
+128-bit LCG state and increment from them. ``draw`` returns ``random(k)``:
+each double in [0, 1) is the top 53 bits of one XSL-RR output. ``Generator``
+adds the ``integers``, ``permutation`` and ``uniform`` calls of the
+``random`` policy. Importing numpy costs more than a whole scheduled run, so
+no policy loads it; only the oracles and the test tools do.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ _CROSS = tuple((s, d, *h) for (s, d), h in zip(_PAIRS, _FILL[4:]))
 _GENERATE = tuple((i & 3, *h) for i, h in enumerate(_hashes(0x8B51F9DD, 0x58F38DED, 8)))
 
 
-def draw(entropy: list[int], k: int) -> list[float]:
-    """The k doubles of ``numpy.random.default_rng(entropy).random(k)``.
-
-    Each entry of ``entropy`` is an int >= 0, split into little-endian 32-bit
-    words (0 is one zero word). ``uniform(lo, hi)`` is ``lo + (hi - lo) * u``.
-    """
+def _seed(entropy: list[int]) -> tuple[int, int]:
+    """PCG64's 128-bit (state, increment) after ``default_rng(entropy)``'s seeding."""
     words = []
     for e in entropy:
         if e < 0:
@@ -83,13 +80,93 @@ def draw(entropy: list[int], k: int) -> list[float]:
         state.append(v ^ v >> 16)
     seed = state[0] << 64 | state[1] << 96 | state[2] | state[3] << 32
     inc = (state[4] << 65 | state[5] << 97 | state[6] << 1 | state[7] << 33 | 1) & _M128
-    # pcg64 srandom: step from 0, add the seed, step again. Each output is
-    # z = hi ^ lo rotated right by the top 6 bits; z doubled to 128 bits makes
-    # the rotation a shift, and 11 more bits leave the top 53
-    x = ((inc + seed) * _PCG_MULT + inc) & _M128
+    # pcg64 srandom: step from 0, add the seed, step again
+    return ((inc + seed) * _PCG_MULT + inc) & _M128, inc
+
+
+def draw(entropy: list[int], k: int) -> list[float]:
+    """The k doubles of ``numpy.random.default_rng(entropy).random(k)``.
+
+    Each entry of ``entropy`` is an int >= 0, split into little-endian 32-bit
+    words (0 is one zero word). ``uniform(lo, hi)`` is ``lo + (hi - lo) * u``.
+    """
+    x, inc = _seed(entropy)
+    # each output is z = hi ^ lo rotated right by the top 6 bits; z doubled to
+    # 128 bits makes the rotation a shift, and 11 more bits leave the top 53
     out = []
     for _ in range(k):
         x = (x * _PCG_MULT + inc) & _M128
         z = (x >> 64 ^ x) & _M64
         out.append(((z << 64 | z) >> (x >> 122) + 11 & _M53) * 2.0**-53)
     return out
+
+
+class Generator:
+    """``numpy.random.default_rng(entropy)`` for ``integers``, ``permutation`` and ``uniform``.
+
+    Draws the same values as numpy's ``Generator`` from the same state, call
+    for call, as Python ints and floats. The 32-bit draws share PCG64's
+    buffer: a 64-bit output serves its low half first and keeps its high
+    half for the next 32-bit draw, which ``uniform`` neither reads nor clears.
+    """
+
+    __slots__ = ("_x", "_inc", "_half")
+
+    def __init__(self, entropy: list[int]) -> None:
+        self._x, self._inc = _seed(entropy)
+        self._half: int | None = None
+
+    def _next64(self) -> int:
+        self._x = x = (self._x * _PCG_MULT + self._inc) & _M128
+        z = (x >> 64 ^ x) & _M64
+        return (z << 64 | z) >> (x >> 122) & _M64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        v = self._next64()
+        self._half = v >> 32
+        return v & _M32
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An int in [lo, hi), for spans hi - lo from 1 to 2^32.
+
+        Lemire's multiply-and-reject ("Fast random integer generation in an
+        interval", ACM TOMACS 2019) with numpy's threshold 2^32 mod span; a
+        span of 1 draws nothing and a span of 2^32 one raw 32-bit value.
+        """
+        span = hi - lo
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"integers spans 1 to 2**32 values, got [{lo}, {hi})")
+        if span == 1:
+            return lo
+        if span == 1 << 32:
+            return lo + self._next32()
+        m = self._next32() * span
+        if m & _M32 < span:
+            threshold = (1 << 32) % span
+            while m & _M32 < threshold:
+                m = self._next32() * span
+        return lo + (m >> 32)
+
+    def permutation(self, x: int | list) -> list:
+        """A shuffled ``range(x)``, or a shuffled copy of the list x.
+
+        numpy's Fisher-Yates loop: for i from n - 1 down to 1, swap i with a
+        j drawn from [0, i] by masking 32-bit draws to i's bit length and
+        rejecting those above i.
+        """
+        out = list(range(x)) if isinstance(x, int) else list(x)
+        for i in range(len(out) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def uniform(self, a: float, b: float) -> float:
+        """A float in [a, b): a + (b - a) * u with u the top 53 bits of one 64-bit output."""
+        return a + (b - a) * ((self._next64() >> 11) * 2.0**-53)

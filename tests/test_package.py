@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import edgesched
 
 from conftest import REPO_ROOT
@@ -134,22 +136,22 @@ import os, sys
 before = set(sys.modules)
 import edgesched
 from edgesched import cli
-for policy in ("lyapunov", "uniform", "loss", "delay"):
+for policy in edgesched.POLICIES:
     rc = cli.main(["run", sys.argv[2], "--rounds", "3", "--policy", policy, "--out", os.path.join(sys.argv[1], policy)])
     assert rc == 0, (policy, rc)
+policies = ",".join(edgesched.POLICIES)
+rc = cli.main(["compare", sys.argv[2], "--rounds", "3", "--policies", policies, "--out", os.path.join(sys.argv[1], "compare")])
+assert rc == 0, ("compare", rc)
 loaded = sorted(set(sys.modules) - before)
 foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "edgesched"]
-numpy_free = "numpy" not in sys.modules
-rc = cli.main(["run", sys.argv[2], "--rounds", "3", "--policy", "random", "--out", os.path.join(sys.argv[1], "random")])
-assert rc == 0, ("random", rc)
-print(numpy_free, foreign, "numpy" in sys.modules)
+print("numpy" in sys.modules, foreign)
 """
 
 
 def test_numpy_free_policies_load_only_the_standard_library(tmp_path):
-    # importing numpy costs more than a whole run; only the random policy,
-    # the oracles and the test tools may load it. One fresh interpreter,
-    # because this test process has numpy loaded already
+    # importing numpy costs more than a whole run; only the oracles and the
+    # test tools may load it. One fresh interpreter, because this test
+    # process has numpy loaded already
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     table2 = os.path.join(REPO_ROOT, "configs", "table2.json")
     done = subprocess.run(
@@ -160,6 +162,17 @@ def test_numpy_free_policies_load_only_the_standard_library(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "True [] True"
-    for policy in ("lyapunov", "uniform", "loss", "delay", "random"):
+    assert done.stdout.splitlines()[-1] == "False []"
+    for policy in edgesched.POLICIES:
         assert os.path.getsize(tmp_path / policy / "trace.jsonl") > 0, policy
+    assert os.path.getsize(tmp_path / "compare" / "compare.csv") > 0
+
+
+def test_runtime_dependencies_are_empty():
+    # the package runs on the standard library alone; numpy, scipy and mpmath
+    # belong to the test extra
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(REPO_ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project.get("dependencies", []) == []
+    assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
