@@ -101,22 +101,25 @@ class Uplink(NamedTuple):
     p_max: float
     e_max: float
 
-    def delay(self, p: float) -> float:
-        """Upload time of (encoder output + parameters) at power p; inf at a zero rate."""
-        return transfer_time(self.payload, self.bandwidth, spectral_efficiency(p, self.gain, self.noise_floor))
-
-    def upload_energy(self, p: float) -> float:
-        """Upload energy p * theta_enc / rate at power p. Counts parameters only, not activations."""
-        efficiency = spectral_efficiency(p, self.gain, self.noise_floor)
-        return transfer_energy(p, self.param_bits, self.bandwidth, efficiency)
-
     def delay_and_energy(self, p: float) -> tuple[float, float]:
-        """``(delay(p), upload_energy(p))`` from one spectral efficiency."""
+        """(delay, energy) of the upload at power p, from one spectral efficiency.
+
+        The delay sends encoder output + parameters and is inf at a zero rate;
+        the energy p * theta_enc / rate counts the parameters only.
+        """
         efficiency = spectral_efficiency(p, self.gain, self.noise_floor)
         return (
             transfer_time(self.payload, self.bandwidth, efficiency),
             transfer_energy(p, self.param_bits, self.bandwidth, efficiency),
         )
+
+    def delay(self, p: float) -> float:
+        """The upload time of ``delay_and_energy(p)``."""
+        return self.delay_and_energy(p)[0]
+
+    def upload_energy(self, p: float) -> float:
+        """The upload energy of ``delay_and_energy(p)``."""
+        return self.delay_and_energy(p)[1]
 
 
 def uplink(cfg: SystemConfig, env: RoundEnvironment, n: int) -> Uplink:

@@ -3,7 +3,9 @@
 These deliberately re-derive every quantity inline (rates, latency, energy,
 balance bound) instead of importing the production evaluators, so that a bug
 in one path cannot hide in the other. They are exhaustive, guarded against
-intractable sizes, and never called by the production scheduler.
+intractable sizes, and never called by the production scheduler. The
+assignment and power-grid oracles load numpy, from the test extra, when
+called; the module itself imports without it.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import RoundEnvironment, SystemConfig
 from .errors import OracleGuardError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SEG_GUARD = {"devices": 6, "blocks": 12, "batch": 64}
 _PAIR_GUARD = {"devices": 16, "blocks": 32, "batch": 64}
@@ -261,6 +265,8 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int | None, ...], fl
     break lexicographically, with excluded clusters ordered after any real
     channel. The returned total is the exact one rounded to a float.
     """
+    import numpy as np
+
     cost = np.asarray(cost, dtype=float)
     n_clusters, n_channels = cost.shape
     if n_clusters > _ASSIGN_GUARD or n_channels > _ASSIGN_GUARD:
@@ -306,6 +312,8 @@ def grid_search_power(
     Feasibility uses the true nonlinear constraints: upload energy within
     budget and interference error within eps_cap. Returns (p, objective).
     """
+    import numpy as np
+
     if not 2 <= points <= _GRID_GUARD:
         raise OracleGuardError(f"grid oracle guard: need 2 <= points <= {_GRID_GUARD}")
     p = np.linspace(0.0, p_max, points)

@@ -6,17 +6,16 @@ two steps, both ported here: ``SeedSequence`` (NEP 19) hashes the entropy's
 32-bit words into a 4-word pool and expands the pool into four 64-bit words,
 and ``PCG64`` (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation", 2014) takes its
-128-bit LCG state and increment from them. ``draw`` returns ``random(k)``:
-each double in [0, 1) is the top 53 bits of one XSL-RR output. ``Generator``
-adds the ``integers``, ``permutation`` and ``uniform`` calls of the
-``random`` policy. Importing numpy costs more than a whole scheduled run, so
-no policy loads it; only the oracles and the test tools do.
+128-bit LCG state and increment from them. ``Generator`` draws from that
+state as numpy's ``random``, ``integers``, ``permutation`` and ``uniform``
+do, and ``draw`` returns ``random(k)``: each double in [0, 1) is the top 53
+bits of one XSL-RR output. Importing numpy costs more than a whole scheduled
+run, so no policy loads it; only the oracles and the test tools do.
 """
 
 from __future__ import annotations
 
 _M32 = 0xFFFFFFFF
-_M53 = (1 << 53) - 1
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -90,19 +89,12 @@ def draw(entropy: list[int], k: int) -> list[float]:
     Each entry of ``entropy`` is an int >= 0, split into little-endian 32-bit
     words (0 is one zero word). ``uniform(lo, hi)`` is ``lo + (hi - lo) * u``.
     """
-    x, inc = _seed(entropy)
-    # each output is z = hi ^ lo rotated right by the top 6 bits; z doubled to
-    # 128 bits makes the rotation a shift, and 11 more bits leave the top 53
-    out = []
-    for _ in range(k):
-        x = (x * _PCG_MULT + inc) & _M128
-        z = (x >> 64 ^ x) & _M64
-        out.append(((z << 64 | z) >> (x >> 122) + 11 & _M53) * 2.0**-53)
-    return out
+    random = Generator(entropy).random
+    return [random() for _ in range(k)]
 
 
 class Generator:
-    """``numpy.random.default_rng(entropy)`` for ``integers``, ``permutation`` and ``uniform``.
+    """``numpy.random.default_rng(entropy)`` for ``random``, ``integers``, ``permutation`` and ``uniform``.
 
     Draws the same values as numpy's ``Generator`` from the same state, call
     for call, as Python ints and floats. The 32-bit draws share PCG64's
@@ -118,6 +110,8 @@ class Generator:
 
     def _next64(self) -> int:
         self._x = x = (self._x * _PCG_MULT + self._inc) & _M128
+        # the output is z = hi ^ lo rotated right by the top 6 bits; z doubled
+        # to 128 bits makes the rotation a shift
         z = (x >> 64 ^ x) & _M64
         return (z << 64 | z) >> (x >> 122) & _M64
 
@@ -135,15 +129,14 @@ class Generator:
 
         Lemire's multiply-and-reject ("Fast random integer generation in an
         interval", ACM TOMACS 2019) with numpy's threshold 2^32 mod span; a
-        span of 1 draws nothing and a span of 2^32 one raw 32-bit value.
+        span of 1 draws nothing, and at a span of 2^32 the first draw is
+        always kept, so it returns lo plus one raw 32-bit value.
         """
         span = hi - lo
         if not 1 <= span <= 1 << 32:
             raise ValueError(f"integers spans 1 to 2**32 values, got [{lo}, {hi})")
         if span == 1:
             return lo
-        if span == 1 << 32:
-            return lo + self._next32()
         m = self._next32() * span
         if m & _M32 < span:
             threshold = (1 << 32) % span
@@ -167,6 +160,10 @@ class Generator:
             out[i], out[j] = out[j], out[i]
         return out
 
+    def random(self) -> float:
+        """A float in [0, 1): the top 53 bits of one 64-bit output, times 2^-53."""
+        return (self._next64() >> 11) * 2.0**-53
+
     def uniform(self, a: float, b: float) -> float:
-        """A float in [a, b): a + (b - a) * u with u the top 53 bits of one 64-bit output."""
-        return a + (b - a) * ((self._next64() >> 11) * 2.0**-53)
+        """A float in [a, b): a + (b - a) * random()."""
+        return a + (b - a) * self.random()

@@ -52,20 +52,20 @@ def test_draw_rejects_negative_entropy():
         draw([1, -1], 3)
 
 
-# the spans integers() covers: one value (no draw), Lemire's multiply-and-reject
-# from 2 to 2^32 - 1, and a raw 32-bit draw at 2^32
+# the spans integers() covers: one value (no draw), and Lemire's
+# multiply-and-reject from 2 to 2^32, which keeps every raw draw at 2^32
 _SPANS = (1, 2, 3, 7, 64, 1000, 2**31, 2**32 - 1, 2**32)
 
 
 def test_generator_matches_numpy_call_for_call():
-    # the random policy's draws, interleaved so that each kind of call meets
-    # the 32-bit buffer full and empty
+    # the random policy's draws and draw()'s, interleaved so that each kind of
+    # call meets the 32-bit buffer full and empty
     r = random.Random(31)
     entropies = [e for e, _ in _entropies(2031, 2100)]
-    calls = {"integers": 0, "permutation(n)": 0, "permutation(list)": 0, "uniform": 0}
+    calls = {"integers": 0, "permutation(n)": 0, "permutation(list)": 0, "uniform": 0, "random": 0}
     for entropy in entropies:
         ours, theirs = Generator(entropy), np.random.default_rng(entropy)
-        for _ in range(12):
+        for _ in range(15):
             kind = r.choice(list(calls))
             calls[kind] += 1
             if kind == "integers":
@@ -78,8 +78,10 @@ def test_generator_matches_numpy_call_for_call():
             elif kind == "permutation(list)":
                 ids = r.sample(range(100), r.randrange(65))
                 got, want = ours.permutation(ids), theirs.permutation(ids).tolist()
-            else:
+            elif kind == "uniform":
                 got, want = ours.uniform(0.05, 1.0), float(theirs.uniform(0.05, 1.0))
+            else:
+                got, want = ours.random(), float(theirs.random())
             assert got == want and type(got) is type(want), (entropy, kind)
     assert min(calls.values()) > 5000
 
