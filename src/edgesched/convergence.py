@@ -2,7 +2,8 @@
 
 These evaluators are the analytical backbone of the scheduler: the per-round
 balance bound couples segment count and uplink power into the virtual queue,
-and the T-round optimality-gap bound is tracked as a running diagnostic.
+and the T-round optimality-gap bound is tracked as a running diagnostic. The
+batch ``optimality_gap_bound`` is ``RunningGapBound`` observed round by round.
 """
 
 from __future__ import annotations
@@ -82,34 +83,17 @@ def optimality_gap_bound(
           + sum_t prod_{j>t} (1-sigma_j) * (eta/N)*eps_t
 
     The contraction factor must lie in (0, 1) every round; otherwise the bound
-    is vacuous and None is returned.
+    is vacuous and None is returned. The value is that of a fresh
+    ``RunningGapBound`` that observes the rounds in order.
     """
     if len(segment_history) == 0:
         raise ValueError("empty history")
     if len(segment_history) != len(error_history):
         raise ValueError("segment and error histories must have equal length")
-    t_rounds = len(segment_history)
-    sigmas = [sigma(params, s, n_clusters, n_blocks) for s in segment_history]
-    if any(not 0.0 < sg < 1.0 for sg in sigmas):
-        return None
-
-    # suffix products prod_{j=t+1}^{T-1} (1 - sigma_j)
-    weights = [1.0] * t_rounds
-    for t in range(t_rounds - 2, -1, -1):
-        weights[t] = weights[t + 1] * (1.0 - sigmas[t + 1])
-
-    init = f0_gap
-    for sg in sigmas:
-        init *= 1.0 - 2.0 * sg
-
-    task_coeff = params.beta * params.eta**2 * params.phi_bound**2 / n_clusters
-    interf_coeff = params.eta / n_clusters
-    task = 0.0
-    interf = 0.0
-    for t in range(t_rounds):
-        task += weights[t] * task_coeff * (segment_history[t] ** 2 / n_blocks + 1.0)
-        interf += weights[t] * interf_coeff * error_history[t]
-    return init + task + interf
+    bound = RunningGapBound(f0_gap, params, n_clusters, n_blocks)
+    for n_segments, eps in zip(segment_history, error_history):
+        bound.observe(n_segments, eps)
+    return bound.value
 
 
 class RunningGapBound:

@@ -103,7 +103,7 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
     return tuple(delta)
 
 
-def _random_plan(cfg: SystemConfig, env: RoundEnvironment, n: int, rng: Generator) -> SegmentPlan:
+def _random_plan(cfg: SystemConfig, n: int, rng: Generator) -> SegmentPlan:
     cl = cfg.clusters[n]
     ids = _capable_devices(cfg, n)
     caps = {k: cl.devices[k].block_cap for k in ids}
@@ -114,7 +114,7 @@ def _random_plan(cfg: SystemConfig, env: RoundEnvironment, n: int, rng: Generato
             continue
         delta = [0] * cl.n_devices
         rem = cfg.model.n_blocks
-        for idx, k in enumerate(chosen):  # ensure every chosen device holds >= 1 block
+        for k in chosen:  # ensure every chosen device holds >= 1 block
             delta[k] = 1
             rem -= 1
         while rem > 0:
@@ -156,7 +156,7 @@ def baseline_decision(
         rng = _policy_rng(cfg, policy, t)
         order = rng.permutation(n_clusters)
         assignment = _ranked_assignment(cfg, order)
-        plans = tuple(_random_plan(cfg, env, n, rng) for n in range(n_clusters))
+        plans = tuple(_random_plan(cfg, n, rng) for n in range(n_clusters))
         powers = tuple(
             rng.uniform(0.05, 1.0) * cfg.clusters[n].uplink_power_max_w
             if assignment.is_transmitting(n)
@@ -307,11 +307,11 @@ def evaluate_round(
     queues: tuple[float, ...],
     bound: RunningGapBound,
     costs: tuple[tuple[float, ...], ...],
-) -> tuple[RoundMetrics, tuple[float, ...]]:
+) -> RoundMetrics:
     """Evaluate a validated decision and apply the single real queue update.
 
     ``costs`` holds the per-cluster delays and energies ``validate_decision``
-    returns for the decision.
+    returns for the decision. The updated queues are the metrics' ``queue_after``.
     """
     n_clusters = cfg.n_clusters
     pipes, ups, e_com, e_pipe, e_sch = costs
@@ -322,10 +322,9 @@ def evaluate_round(
         for n, p in enumerate(decision.powers_w)
     )
     gamma_t = gamma_round_from_error(s_max, eps_max, cfg.convergence, n_clusters, cfg.model.n_blocks)
-    queue_after = queue_update(queues, gamma_t, cfg.convergence.gamma_max)
     dp = drift_penalty_at(tau, decision, queues, cfg.convergence.v_factor)
     gap = bound.observe(s_max, eps_max)
-    metrics = RoundMetrics(
+    return RoundMetrics(
         round_index=env.round_index,
         tau_pipe_s=pipes,
         tau_up_s=ups,
@@ -334,7 +333,7 @@ def evaluate_round(
         e_com_j=e_com,
         e_sch_j=e_sch,
         gamma_t=gamma_t,
-        queue_after=queue_after,
+        queue_after=queue_update(queues, gamma_t, cfg.convergence.gamma_max),
         drift_penalty_value=dp,
         gap_bound=gap,
         n_segments=decision.segment_counts(),
@@ -343,7 +342,6 @@ def evaluate_round(
         power_w=decision.powers_w,
         channel=decision.assignment.assigned,
     )
-    return metrics, queue_after
 
 
 def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> TraceLog:
@@ -381,7 +379,8 @@ def run_simulation(cfg: SystemConfig, rounds: int, policy: str = "lyapunov") -> 
                 ) from exc
             continue
         consecutive_failures = 0
-        metrics, queues = evaluate_round(decision, cfg, env, queues, bound, costs)
+        metrics = evaluate_round(decision, cfg, env, queues, bound, costs)
+        queues = metrics.queue_after
         prev_totals = cluster_delays(metrics.tau_pipe_s, metrics.tau_up_s)
         trace.rounds.append(metrics)
     if rounds and not trace.rounds:

@@ -166,6 +166,31 @@ def test_gap_bound_divergent_marker_and_empty_history():
         optimality_gap_bound([], [], 1.0, params(), 1, 6)
 
 
+def test_gap_bound_weights_each_round_by_the_later_contractions():
+    # three rounds with distinct S_t and eps_t, so each sigma_t differs and
+    # every round's terms carry their own suffix product, written out term by term
+    p = params(eta=0.05)
+    n, l = 2, 6
+    segs, eps = [1, 3, 2], [0.3, 0.05, 0.12]
+    s0, s1, s2 = (sigma(p, s, n, l) for s in segs)
+    assert all(0 < sg < 1 for sg in (s0, s1, s2)) and len({s0, s1, s2}) == 3
+    c0, c1, c2 = (p.beta * p.eta**2 * p.phi_bound**2 / n * (s**2 / l + 1) + p.eta / n * e for s, e in zip(segs, eps))
+    expected = (1 - 2 * s0) * (1 - 2 * s1) * (1 - 2 * s2) * 2.0 + (1 - s1) * (1 - s2) * c0 + (1 - s2) * c1 + c2
+    assert optimality_gap_bound(segs, eps, 2.0, p, n, l) == pytest.approx(expected, rel=1e-12)
+    assert optimality_gap_bound(segs[::-1], eps[::-1], 2.0, p, n, l) != pytest.approx(expected, rel=1e-12)
+
+
+def test_gap_bound_rejects_unequal_histories_and_stays_vacuous_after_a_divergent_round():
+    p = params(eta=0.03)
+    for segs, eps in (([1, 2], [0.1]), ([1], [0.1, 0.2])):
+        with pytest.raises(ValueError):
+            optimality_gap_bound(segs, eps, 1.0, p, 1, 6)
+    # S = 50 pushes sigma below 0 in the second round; the later rounds contract
+    assert sigma(p, 50, 1, 6) <= 0 < sigma(p, 1, 1, 6) < 1
+    assert optimality_gap_bound([1, 1, 1], [0.0, 0.1, 0.2], 1.0, p, 1, 6) is not None
+    assert optimality_gap_bound([1, 50, 1, 1], [0.0, 0.0, 0.1, 0.2], 1.0, p, 1, 6) is None
+
+
 def test_running_bound_matches_standalone():
     p = params(eta=0.03)
     n, l = 3, 6

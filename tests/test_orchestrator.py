@@ -128,7 +128,7 @@ def test_round_gamma_uses_worst_cluster():
     d = optimize_round(cfg, env, queues, cfg.convergence.v_factor)
     costs = validate_decision(d, cfg, env)
     bound = RunningGapBound(cfg.convergence.f0_gap, cfg.convergence, cfg.n_clusters, cfg.model.n_blocks)
-    metrics, _ = evaluate_round(d, cfg, env, queues, bound, costs)
+    metrics = evaluate_round(d, cfg, env, queues, bound, costs)
     errors = [
         interference_error(d.powers_w[n], env.uplink_gain[n], env.uplink_interference_w[n], cfg.convergence.c_interference)
         for n in range(cfg.n_clusters)
@@ -270,7 +270,7 @@ def test_random_policy_falls_back_to_the_uniform_split():
     # holds the blocks when the whole cluster does
     cfg = build_config(_one_block_devices_doc())
     env = sample_round_environment(cfg, 1)
-    plan = orchestrator._random_plan(cfg, env, 0, _EveryDeviceRng())
+    plan = orchestrator._random_plan(cfg, 0, _EveryDeviceRng())
     assert uniform_partition(cfg, 0) == (1, 1, 0, 0)
     assert plan == pipeline.SegmentPlan(delta=(1, 1, 0, 0), m=1)
     plan.validate(cfg.clusters[0], cfg.model)
