@@ -285,53 +285,6 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
 # Config file ingestion
 # ---------------------------------------------------------------------------
 
-_MODEL_DEFAULTS = {
-    "L": 6,
-    "o_fwd_flops": 2e6,
-    "o_bwd_flops": 2e6,
-    "z_seg_bits": 3.5e4,
-    "g_seg_bits": 3.5e4,
-    "z_enc_bits": 5e5,
-    "theta_enc_bits": 5e5,
-    "b": 64,
-}
-
-_DEVICE_DEFAULTS = {
-    "phi_flops_per_cycle": 16.0,
-    "f_hz": [1e8, 8e8],
-    "p_dd_w": 0.085,
-    "P_k_max_w": 0.18,
-    "gamma_max_bytes": 1.5e9,
-    "gamma0_bytes": 2.5e8,  # 0.25 GB per encoder block
-    "E_k_max_j": 5.0,
-    "kappa": 1e-27,
-}
-
-_CLUSTER_DEFAULTS = {
-    "P_n_max_w": 0.5,
-    "E_n_max_j": 10.0,
-    "B_up_hz": 5e5,
-    "B_dd_hz": 5e5,
-    "h_up_db": [-0.12, -0.08],
-    "h_dd_db": -30.0,
-    "I_up_w": [0.06, 0.08],
-    "I_dd_w": 5e-10,
-}
-
-_CONVERGENCE_DEFAULTS = {
-    "beta": 1.0,
-    "eta": 0.01,
-    "xi": 1.0,
-    "phi": 1.0,
-    # "C" defaults to 0.1 * phi^2 * mean_n(P_n^max * mean-gain + mean-interference)
-    "gamma_max_bound": 1.0,
-    "V": 10.0,
-    "F0_gap": 1.0,
-}
-
-_LOSS_PROXY_DEFAULTS = {"scale": 1.0, "tau0": 50.0, "noise": 0.1}
-
-
 def _finite(value, where: str) -> float:
     """The one rule for a config number: an int or float, neither NaN nor infinite."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -367,92 +320,44 @@ def _from_db(convert, db: float, where: str) -> float:
         raise ConfigError(where, f"must be finite as a linear value, got {db} dB")
 
 
-def _num(raw: dict, key: str, where: str, defaults: dict | None = None) -> float:
-    """``raw[key]``, else ``defaults[key]``, as a finite number. Callers without
-    defaults check ``key in raw`` first."""
-    return _finite(raw[key] if key in raw else defaults[key], f"{where}.{key}")
+def _positive(value, where: str) -> float:
+    number = _finite(value, where)
+    if not number > 0:
+        raise ConfigError(where, f"must be > 0, got {number}")
+    return number
 
 
-def _require_positive(value: float, where: str) -> float:
-    if not value > 0:
-        raise ConfigError(where, f"must be > 0, got {value}")
-    return value
+def _clock(value, where: str) -> Interval:
+    clock = _as_interval(value, where)
+    _positive(clock.lo, where)
+    if not clock.hi * clock.hi < math.inf:  # compute_energy squares the clock
+        raise ConfigError(where, f"must have a finite square, got upper bound {clock.hi}")
+    return clock
 
 
-def _require_nonnegative_interval(iv: Interval, where: str) -> Interval:
+def _gain_db(value, where: str) -> Interval:
+    gain = _as_interval(value, where)
+    _from_db(db_to_linear, gain.hi, where)
+    return gain
+
+
+def _interference(value, where: str) -> Interval:
+    iv = _as_interval(value, where)
     if iv.lo < 0:
         raise ConfigError(where, f"must be >= 0, got lower bound {iv.lo}")
     return iv
 
 
-def _parse_device(raw: dict, where: str) -> DeviceProfile:
-    phi = _require_positive(_num(raw, "phi_flops_per_cycle", where, _DEVICE_DEFAULTS), f"{where}.phi_flops_per_cycle")
-    clock = _as_interval(raw.get("f_hz", _DEVICE_DEFAULTS["f_hz"]), f"{where}.f_hz")
-    _require_positive(clock.lo, f"{where}.f_hz")
-    if not clock.hi * clock.hi < math.inf:  # compute_energy squares the clock
-        raise ConfigError(f"{where}.f_hz", f"must have a finite square, got upper bound {clock.hi}")
-    p_dd = _require_positive(_num(raw, "p_dd_w", where, _DEVICE_DEFAULTS), f"{where}.p_dd_w")
-    p_max = _require_positive(_num(raw, "P_k_max_w", where, _DEVICE_DEFAULTS), f"{where}.P_k_max_w")
-    if p_dd > p_max:
-        raise ConfigError(f"{where}.p_dd_w", f"d2d power {p_dd} exceeds P_k_max {p_max}")
-    mem = _require_positive(_num(raw, "gamma_max_bytes", where, _DEVICE_DEFAULTS), f"{where}.gamma_max_bytes")
-    mem0 = _require_positive(_num(raw, "gamma0_bytes", where, _DEVICE_DEFAULTS), f"{where}.gamma0_bytes")
-    if mem0 > mem:
-        raise ConfigError(
-            f"{where}.gamma0_bytes",
-            f"per-block memory {mem0} exceeds the device budget {mem} (C7 unsatisfiable)",
-        )
-    energy = _require_positive(_num(raw, "E_k_max_j", where, _DEVICE_DEFAULTS), f"{where}.E_k_max_j")
-    kappa = _require_positive(_num(raw, "kappa", where, _DEVICE_DEFAULTS), f"{where}.kappa")
-    return DeviceProfile(
-        flops_per_cycle=phi,
-        clock_range_hz=clock,
-        d2d_power_w=p_dd,
-        d2d_power_max_w=p_max,
-        mem_budget_bytes=mem,
-        mem_per_block_bytes=mem0,
-        energy_budget_j=energy,
-        kappa=kappa,
-    )
+def _count(limit: int):
+    """The check of a size that must be an integer in [1, ``limit``]."""
 
+    def check(value, where: str) -> int:
+        n = _finite(value, where)
+        if not 1 <= n <= limit or n != int(n):
+            raise ConfigError(where, f"must be an integer in [1, {limit}], got {n:g}")
+        return int(n)
 
-def _parse_cluster(raw: dict, where: str) -> ClusterProfile:
-    devices_raw = raw.get("devices")
-    if not isinstance(devices_raw, list) or not devices_raw:
-        raise ConfigError(f"{where}.devices", "at least one device is required")
-    devices = tuple(
-        _parse_device(d if isinstance(d, dict) else _bad(f"{where}.devices[{i}]"), f"{where}.devices[{i}]")
-        for i, d in enumerate(devices_raw)
-    )
-    p_max = _require_positive(_num(raw, "P_n_max_w", where, _CLUSTER_DEFAULTS), f"{where}.P_n_max_w")
-    e_max = _require_positive(_num(raw, "E_n_max_j", where, _CLUSTER_DEFAULTS), f"{where}.E_n_max_j")
-    b_up = _require_positive(_num(raw, "B_up_hz", where, _CLUSTER_DEFAULTS), f"{where}.B_up_hz")
-    b_dd = _require_positive(_num(raw, "B_dd_hz", where, _CLUSTER_DEFAULTS), f"{where}.B_dd_hz")
-    h_up = _as_interval(raw.get("h_up_db", _CLUSTER_DEFAULTS["h_up_db"]), f"{where}.h_up_db")
-    h_dd = _as_interval(raw.get("h_dd_db", _CLUSTER_DEFAULTS["h_dd_db"]), f"{where}.h_dd_db")
-    for gain_db, key in ((h_up, "h_up_db"), (h_dd, "h_dd_db")):
-        _from_db(db_to_linear, gain_db.hi, f"{where}.{key}")
-    i_up = _require_nonnegative_interval(
-        _as_interval(raw.get("I_up_w", _CLUSTER_DEFAULTS["I_up_w"]), f"{where}.I_up_w"), f"{where}.I_up_w"
-    )
-    i_dd = _require_nonnegative_interval(
-        _as_interval(raw.get("I_dd_w", _CLUSTER_DEFAULTS["I_dd_w"]), f"{where}.I_dd_w"), f"{where}.I_dd_w"
-    )
-    return ClusterProfile(
-        devices=devices,
-        uplink_power_max_w=p_max,
-        uplink_energy_budget_j=e_max,
-        uplink_bandwidth_hz=b_up,
-        d2d_bandwidth_hz=b_dd,
-        uplink_gain_db=h_up,
-        d2d_gain_db=h_dd,
-        uplink_interference_w=i_up,
-        d2d_interference_w=i_dd,
-    )
-
-
-def _bad(where: str):
-    raise ConfigError(where, "expected an object")
+    return check
 
 
 # Upper limits on model.L and model.b. A round's segment solve scans O(K*L)
@@ -462,45 +367,94 @@ def _bad(where: str):
 MAX_BLOCKS = 1024
 MAX_BATCH_ITEMS = 65536
 
+# One table per config section, one row per key: (dataclass field, JSON key,
+# default, check). A row's check takes the key's value, or its default, and
+# the key's dotted path, and returns the field's value or raises ConfigError.
+_MODEL_FIELDS = (
+    ("n_blocks", "L", 6, _count(MAX_BLOCKS)),
+    ("fwd_flops", "o_fwd_flops", 2e6, _positive),
+    ("bwd_flops", "o_bwd_flops", 2e6, _positive),
+    ("act_seg_bits", "z_seg_bits", 3.5e4, _positive),
+    ("grad_seg_bits", "g_seg_bits", 3.5e4, _positive),
+    ("act_enc_bits", "z_enc_bits", 5e5, _positive),
+    ("enc_param_bits", "theta_enc_bits", 5e5, _positive),
+    ("batch_items", "b", 64, _count(MAX_BATCH_ITEMS)),
+)
 
-def _parse_model(raw: dict) -> ModelSpec:
-    where = "model"
-    n_blocks = _num(raw, "L", where, _MODEL_DEFAULTS)
-    if not 1 <= n_blocks <= MAX_BLOCKS or n_blocks != int(n_blocks):
-        raise ConfigError(f"{where}.L", f"must be an integer in [1, {MAX_BLOCKS}], got {n_blocks:g}")
-    batch = _num(raw, "b", where, _MODEL_DEFAULTS)
-    if not 1 <= batch <= MAX_BATCH_ITEMS or batch != int(batch):
-        raise ConfigError(f"{where}.b", f"must be an integer in [1, {MAX_BATCH_ITEMS}], got {batch:g}")
-    sizes = {}
-    for key in ("o_fwd_flops", "o_bwd_flops", "z_seg_bits", "g_seg_bits", "z_enc_bits", "theta_enc_bits"):
-        sizes[key] = _require_positive(_num(raw, key, where, _MODEL_DEFAULTS), f"{where}.{key}")
-    return ModelSpec(
-        n_blocks=int(n_blocks),
-        fwd_flops=sizes["o_fwd_flops"],
-        bwd_flops=sizes["o_bwd_flops"],
-        act_seg_bits=sizes["z_seg_bits"],
-        grad_seg_bits=sizes["g_seg_bits"],
-        act_enc_bits=sizes["z_enc_bits"],
-        enc_param_bits=sizes["theta_enc_bits"],
-        batch_items=int(batch),
-    )
+_DEVICE_FIELDS = (
+    ("flops_per_cycle", "phi_flops_per_cycle", 16.0, _positive),
+    ("clock_range_hz", "f_hz", (1e8, 8e8), _clock),
+    ("d2d_power_w", "p_dd_w", 0.085, _positive),
+    ("d2d_power_max_w", "P_k_max_w", 0.18, _positive),
+    ("mem_budget_bytes", "gamma_max_bytes", 1.5e9, _positive),
+    ("mem_per_block_bytes", "gamma0_bytes", 2.5e8, _positive),  # 0.25 GB per encoder block
+    ("energy_budget_j", "E_k_max_j", 5.0, _positive),
+    ("kappa", "kappa", 1e-27, _positive),
+)
+
+_CLUSTER_FIELDS = (
+    ("uplink_power_max_w", "P_n_max_w", 0.5, _positive),
+    ("uplink_energy_budget_j", "E_n_max_j", 10.0, _positive),
+    ("uplink_bandwidth_hz", "B_up_hz", 5e5, _positive),
+    ("d2d_bandwidth_hz", "B_dd_hz", 5e5, _positive),
+    ("uplink_gain_db", "h_up_db", (-0.12, -0.08), _gain_db),
+    ("d2d_gain_db", "h_dd_db", -30.0, _gain_db),
+    ("uplink_interference_w", "I_up_w", (0.06, 0.08), _interference),
+    ("d2d_interference_w", "I_dd_w", 5e-10, _interference),
+)
+
+_CONVERGENCE_FIELDS = (
+    ("beta", "beta", 1.0, _positive),
+    ("eta", "eta", 0.01, _positive),
+    ("xi", "xi", 1.0, _positive),
+    ("phi_bound", "phi", 1.0, _positive),
+    # "C" defaults to 0.1 * phi^2 * mean_n(P_n^max * mean-gain + mean-interference)
+    ("gamma_max", "gamma_max_bound", 1.0, _positive),
+    ("v_factor", "V", 10.0, lambda v, where: check_control_factor(_finite(v, where), where)),
+    ("f0_gap", "F0_gap", 1.0, _positive),
+)
+
+_LOSS_PROXY_FIELDS = (
+    ("loss_proxy_scale", "scale", 1.0, _finite),
+    ("loss_proxy_tau0", "tau0", 50.0, _positive),
+    ("loss_proxy_noise", "noise", 0.1, _finite),
+)
 
 
-def _default_c_interference(clusters: tuple[ClusterProfile, ...], phi_bound: float) -> float:
-    # epsilon(P_max) ~= 0.1 * phi^2 at the mean gain/interference operating point
-    acc = 0.0
-    for cl in clusters:
-        mean_gain = db_to_linear(cl.uplink_gain_db.mid)
-        acc += cl.uplink_power_max_w * mean_gain + cl.uplink_interference_w.mid
-    return 0.1 * phi_bound**2 * acc / len(clusters)
+def _section(raw, where: str, fields: tuple) -> dict:
+    """The dataclass keywords of the section ``raw`` at ``where``: each row's
+    check applied to its key's value, or to its default where the key is absent."""
+    if not isinstance(raw, dict):
+        raise ConfigError(where, "expected an object")
+    return {field: check(raw.get(key, default), f"{where}.{key}") for field, key, default, check in fields}
 
 
-def _parse_convergence(raw: dict, clusters: tuple[ClusterProfile, ...]) -> ConvergenceParams:
+def _parse_device(raw, where: str) -> DeviceProfile:
+    dev = DeviceProfile(**_section(raw, where, _DEVICE_FIELDS))
+    if dev.d2d_power_w > dev.d2d_power_max_w:
+        raise ConfigError(f"{where}.p_dd_w", f"d2d power {dev.d2d_power_w} exceeds P_k_max {dev.d2d_power_max_w}")
+    if dev.mem_per_block_bytes > dev.mem_budget_bytes:
+        raise ConfigError(
+            f"{where}.gamma0_bytes",
+            f"per-block memory {dev.mem_per_block_bytes} exceeds the device budget {dev.mem_budget_bytes} "
+            "(C7 unsatisfiable)",
+        )
+    return dev
+
+
+def _parse_cluster(raw, where: str) -> ClusterProfile:
+    fields = _section(raw, where, _CLUSTER_FIELDS)
+    devices_raw = raw.get("devices")
+    if not isinstance(devices_raw, list) or not devices_raw:
+        raise ConfigError(f"{where}.devices", "at least one device is required")
+    devices = tuple(_parse_device(d, f"{where}.devices[{i}]") for i, d in enumerate(devices_raw))
+    return ClusterProfile(devices=devices, **fields)
+
+
+def _parse_convergence(raw, clusters: tuple[ClusterProfile, ...]) -> ConvergenceParams:
     where = "convergence"
-    beta = _require_positive(_num(raw, "beta", where, _CONVERGENCE_DEFAULTS), f"{where}.beta")
-    eta = _require_positive(_num(raw, "eta", where, _CONVERGENCE_DEFAULTS), f"{where}.eta")
-    xi = _require_positive(_num(raw, "xi", where, _CONVERGENCE_DEFAULTS), f"{where}.xi")
-    phi = _require_positive(_num(raw, "phi", where, _CONVERGENCE_DEFAULTS), f"{where}.phi")
+    fields = _section(raw, where, _CONVERGENCE_FIELDS)
+    beta, eta, phi = fields["beta"], fields["eta"], fields["phi_bound"]
     # the convergence bounds square eta and phi, and divide by eta**2, phi**2 and beta*eta**2
     for name, term in (("eta", eta * eta), ("phi", phi * phi), ("beta", beta * (eta * eta))):
         if not 0 < term < math.inf:
@@ -508,17 +462,15 @@ def _parse_convergence(raw: dict, clusters: tuple[ClusterProfile, ...]) -> Conve
                 f"{where}.{name}", f"eta**2, phi**2 and beta*eta**2 must be finite and > 0, got a term of {term}"
             )
     if "C" in raw:
-        c = _require_positive(_num(raw, "C", where), f"{where}.C")
+        c = _positive(raw["C"], f"{where}.C")
     else:
-        c = _default_c_interference(clusters, phi)
-    gamma_max = _require_positive(
-        _num(raw, "gamma_max_bound", where, _CONVERGENCE_DEFAULTS), f"{where}.gamma_max_bound"
-    )
-    v = check_control_factor(_num(raw, "V", where, _CONVERGENCE_DEFAULTS), f"{where}.V")
-    f0 = _require_positive(_num(raw, "F0_gap", where, _CONVERGENCE_DEFAULTS), f"{where}.F0_gap")
-    return ConvergenceParams(
-        beta=beta, eta=eta, xi=xi, phi_bound=phi, c_interference=c, gamma_max=gamma_max, v_factor=v, f0_gap=f0
-    )
+        # epsilon(P_max) ~= 0.1 * phi^2 at the mean gain/interference operating point
+        acc = 0.0
+        for cl in clusters:
+            mean_gain = db_to_linear(cl.uplink_gain_db.mid)
+            acc += cl.uplink_power_max_w * mean_gain + cl.uplink_interference_w.mid
+        c = 0.1 * phi**2 * acc / len(clusters)
+    return ConvergenceParams(c_interference=c, **fields)
 
 
 def build_config(doc: dict) -> SystemConfig:
@@ -528,52 +480,35 @@ def build_config(doc: dict) -> SystemConfig:
     clusters_raw = doc.get("clusters")
     if not isinstance(clusters_raw, list) or not clusters_raw:
         raise ConfigError("clusters", "at least one cluster is required")
-    clusters = tuple(
-        _parse_cluster(c if isinstance(c, dict) else _bad(f"clusters[{i}]"), f"clusters[{i}]")
-        for i, c in enumerate(clusters_raw)
-    )
+    clusters = tuple(_parse_cluster(c, f"clusters[{i}]") for i, c in enumerate(clusters_raw))
 
     if "J" in doc:
-        j = _num(doc, "J", "<root>")
+        j = _finite(doc["J"], "J")
         if j < 1 or j != int(j):
             raise ConfigError("J", f"must be an integer >= 1, got {j}")
         n_channels = int(j)
     else:
         n_channels = len(clusters)
 
-    model = _parse_model(doc.get("model", {}) if isinstance(doc.get("model", {}), dict) else _bad("model"))
+    model = ModelSpec(**_section(doc.get("model", {}), "model", _MODEL_FIELDS))
 
     if "N0_w_per_hz" in doc:
-        n0 = _require_positive(_num(doc, "N0_w_per_hz", "<root>"), "N0_w_per_hz")
+        n0 = _positive(doc["N0_w_per_hz"], "N0_w_per_hz")
     elif "N0_dbm_per_hz" in doc:
-        n0 = _from_db(dbm_per_hz_to_w_per_hz, _num(doc, "N0_dbm_per_hz", "<root>"), "N0_dbm_per_hz")
-        _require_positive(n0, "N0_dbm_per_hz")  # below about -3205 dBm/Hz it underflows to 0 W/Hz
+        n0 = _from_db(dbm_per_hz_to_w_per_hz, _finite(doc["N0_dbm_per_hz"], "N0_dbm_per_hz"), "N0_dbm_per_hz")
+        _positive(n0, "N0_dbm_per_hz")  # below about -3205 dBm/Hz it underflows to 0 W/Hz
     else:
         n0 = dbm_per_hz_to_w_per_hz(-174.0)
 
-    conv_raw = doc.get("convergence", {})
-    if not isinstance(conv_raw, dict):
-        _bad("convergence")
-    convergence = _parse_convergence(conv_raw, clusters)
-
-    seed = check_seed(doc.get("rng_seed", 0), "rng_seed")
-
-    proxy = doc.get("loss_proxy", {})
-    if not isinstance(proxy, dict):
-        _bad("loss_proxy")
-
-    cfg = SystemConfig(
+    return SystemConfig(
         clusters=clusters,
         n_channels=n_channels,
         model=model,
         noise_density_w_per_hz=n0,
-        convergence=convergence,
-        rng_seed=seed,
-        loss_proxy_scale=_num(proxy, "scale", "loss_proxy", _LOSS_PROXY_DEFAULTS),
-        loss_proxy_tau0=_require_positive(_num(proxy, "tau0", "loss_proxy", _LOSS_PROXY_DEFAULTS), "loss_proxy.tau0"),
-        loss_proxy_noise=_num(proxy, "noise", "loss_proxy", _LOSS_PROXY_DEFAULTS),
+        convergence=_parse_convergence(doc.get("convergence", {}), clusters),
+        rng_seed=check_seed(doc.get("rng_seed", 0), "rng_seed"),
+        **_section(doc.get("loss_proxy", {}), "loss_proxy", _LOSS_PROXY_FIELDS),
     )
-    return cfg
 
 
 def load_config(path: str) -> SystemConfig:

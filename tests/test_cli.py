@@ -112,6 +112,8 @@ def _set(doc, path, value):
         # finite in dB, but 10 ** (dB / 10) overflows
         (("clusters", 0, "h_up_db"), [1e300, 1e301], "random"),
         (("N0_dbm_per_hz",), 1e308, "lyapunov"),
+        (("J",), math.inf, "lyapunov"),
+        (("N0_dbm_per_hz",), math.nan, "lyapunov"),
     ],
     ids=[
         "gamma_max_bound",
@@ -127,6 +129,8 @@ def _set(doc, path, value):
         "h_dd_db-width",
         "h_up_db-linear",
         "N0_dbm_per_hz-linear",
+        "J",
+        "N0_dbm_per_hz",
     ],
 )
 def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, path, value, policy):

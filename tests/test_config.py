@@ -2,11 +2,14 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
 from edgesched.comm import device_d2d_delay
+from edgesched import config
 from edgesched.config import (
     MAX_BATCH_ITEMS,
     MAX_BLOCKS,
@@ -21,7 +24,7 @@ from edgesched.config import (
 )
 from edgesched.errors import ConfigError
 
-from conftest import TABLE2, minimal_doc
+from conftest import REPO_ROOT, TABLE2, minimal_doc
 
 
 def test_minimal_config_defaults_filled():
@@ -97,10 +100,10 @@ def test_parse_failure_and_missing_file(tmp_path):
         (lambda d: d["clusters"][0].update(I_dd_w=[-1e-9, 1e-9]), "I_dd_w"),
         (lambda d: d["clusters"][0].update(h_up_db=[0.5, -0.5]), "h_up_db"),
         (lambda d: d["clusters"][0].update(devices=[]), "devices"),
-        (lambda d: d["clusters"][0]["devices"][0].update(phi_flops_per_cycle=0), "phi"),
+        (lambda d: d["clusters"][0]["devices"][0].update(phi_flops_per_cycle=0), "phi_flops_per_cycle"),
         (lambda d: d["clusters"][0]["devices"][0].update(f_hz=0), "f_hz"),
         (lambda d: d["clusters"][0]["devices"][0].update(p_dd_w=0), "p_dd_w"),
-        (lambda d: d["clusters"][0]["devices"][0].update(p_dd_w=0.5), "p_dd_w>P_k_max"),
+        (lambda d: d["clusters"][0]["devices"][0].update(p_dd_w=0.5), "p_dd_w"),
         (lambda d: d["clusters"][0]["devices"][0].update(E_k_max_j=0), "E_k_max_j"),
         (lambda d: d["clusters"][0]["devices"][0].update(kappa=0), "kappa"),
     ],
@@ -114,8 +117,31 @@ def test_every_single_field_violation_rejected(mutate, field):
     }
     doc = copy.deepcopy(doc)
     mutate(doc)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         build_config(doc)
+    assert exc.value.field.rsplit(".", 1)[-1] == field
+
+
+def test_every_config_key_is_in_the_readme_table():
+    # a row names its keys after its section's prefix: `clusters[].B_up_hz`, `B_dd_hz`
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1].strip(" `") for line in section.splitlines() if line.startswith("| `")]
+    keys = [("", key) for key in ("J", "N0_dbm_per_hz", "N0_w_per_hz", "rng_seed")] + [("convergence.", "C")]
+    for prefix, fields in (
+        ("model.", config._MODEL_FIELDS),
+        ("devices[].", config._DEVICE_FIELDS),
+        ("clusters[].", config._CLUSTER_FIELDS),
+        ("convergence.", config._CONVERGENCE_FIELDS),
+        ("loss_proxy.", config._LOSS_PROXY_FIELDS),
+    ):
+        keys += [(prefix, key) for _, key, _, _ in fields]
+    missing = [
+        prefix + key
+        for prefix, key in keys
+        if not any(cell.startswith(prefix) and key in re.findall(r"\w+", cell) for cell in cells)
+    ]
+    assert not missing
 
 
 @pytest.mark.parametrize("key, limit", [("L", MAX_BLOCKS), ("b", MAX_BATCH_ITEMS)])

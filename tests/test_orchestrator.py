@@ -269,7 +269,6 @@ def test_random_policy_falls_back_to_the_uniform_split():
     # memory layout does this for certain: a draw of min(K, L) stages always
     # holds the blocks when the whole cluster does
     cfg = build_config(_one_block_devices_doc())
-    env = sample_round_environment(cfg, 1)
     plan = orchestrator._random_plan(cfg, 0, _EveryDeviceRng())
     assert uniform_partition(cfg, 0) == (1, 1, 0, 0)
     assert plan == pipeline.SegmentPlan(delta=(1, 1, 0, 0), m=1)
