@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,36 +171,30 @@ class SystemConfig:
         return len(self.clusters)
 
     @cached_property
-    def _draw_layout(self) -> tuple[tuple[float, ...], tuple[tuple[int, float, float], ...]]:
-        """A round's intervals in draw order: each one's lower end, and the
-        (position, lo, hi - lo) of each non-degenerate one, which takes a draw."""
+    def _round_layout(self) -> tuple[tuple[float, ...], tuple[tuple[int, float, float], ...], tuple]:
+        """What every round's draw shares, from one walk over the clusters: a
+        round's intervals in draw order, each one's lower end and the (position,
+        lo, hi - lo) of each non-degenerate one, which takes a draw; and per
+        cluster whose D2D gain and interference are both degenerate, its devices'
+        linear D2D gains and hop times, the same in every round, None for the
+        others. A fixed link whose hop raises StalledLinkError is None too, so
+        that every round raises the error again in cluster order."""
         intervals = []
-        for cl in self.clusters:
-            intervals += [cl.uplink_gain_db, cl.uplink_interference_w, cl.d2d_interference_w]
-            for dev in cl.devices:
-                intervals += [dev.clock_range_hz, cl.d2d_gain_db]
-        drawn = tuple((i, iv.lo, iv.hi - iv.lo) for i, iv in enumerate(intervals) if iv.lo != iv.hi)
-        return tuple(iv.lo for iv in intervals), drawn
-
-    @cached_property
-    def _fixed_d2d(self) -> tuple[tuple[tuple[float, ...], tuple[float, ...]] | None, ...]:
-        """Per cluster whose D2D gain and interference are both degenerate, its
-        devices' linear D2D gains and hop times, the same in every round; None
-        for the others. A fixed link whose hop raises StalledLinkError is None
-        too, so that every round raises the error again in cluster order."""
         fixed = []
         for n, cl in enumerate(self.clusters):
             gain_db, intf = cl.d2d_gain_db, cl.d2d_interference_w
+            intervals += [cl.uplink_gain_db, cl.uplink_interference_w, intf]
+            for dev in cl.devices:
+                intervals += [dev.clock_range_hz, gain_db]
             entry = None
             if gain_db.lo == gain_db.hi and intf.lo == intf.hi:
                 gain = db_to_linear(gain_db.lo)
-                try:
+                with suppress(StalledLinkError):
                     hops = tuple(device_d2d_delay(self, n, k, gain, intf.lo) for k in range(cl.n_devices))
                     entry = ((gain,) * cl.n_devices, hops)
-                except StalledLinkError:
-                    pass
             fixed.append(entry)
-        return tuple(fixed)
+        drawn = tuple((i, iv.lo, iv.hi - iv.lo) for i, iv in enumerate(intervals) if iv.lo != iv.hi)
+        return tuple(iv.lo for iv in intervals), drawn, tuple(fixed)
 
 
 @dataclass(frozen=True)
@@ -241,44 +236,25 @@ def sample_round_environment(cfg: SystemConfig, t: int) -> RoundEnvironment:
     """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    points, drawn = cfg._draw_layout
+    points, drawn, fixed_d2d = cfg._round_layout
     values = list(points)
     for (i, lo, span), u in zip(drawn, draw([cfg.rng_seed, t], len(drawn))):
         values[i] = lo + span * u
-    up_gain = []
-    up_intf = []
-    dd_intf = []
-    clocks = []
-    dd_gain = []
-    speeds = []
-    hops = []
+    rows = []  # one per cluster, in RoundEnvironment's field order after round_index
     at = 0  # a cluster's values: uplink gain, the two interferences, then (clock, d2d gain) per device
-    for n, (cl, fixed) in enumerate(zip(cfg.clusters, cfg._fixed_d2d)):
+    for n, (cl, fixed) in enumerate(zip(cfg.clusters, fixed_d2d)):
         end = at + 3 + 2 * cl.n_devices
-        up_gain.append(db_to_linear(values[at]))
-        up_intf.append(values[at + 1])
-        dd_intf.append(values[at + 2])
-        cl_clocks = tuple(values[at + 3 : end : 2])
+        up_gain, up_intf, dd_intf = values[at : at + 3]
+        clocks = tuple(values[at + 3 : end : 2])
         if fixed is None:
-            cl_gain = tuple(db_to_linear(g) for g in values[at + 4 : end : 2])
-            cl_hops = tuple(device_d2d_delay(cfg, n, k, g, dd_intf[n]) for k, g in enumerate(cl_gain))
+            gains = tuple(db_to_linear(g) for g in values[at + 4 : end : 2])
+            hops = tuple(device_d2d_delay(cfg, n, k, g, dd_intf) for k, g in enumerate(gains))
         else:
-            cl_gain, cl_hops = fixed
-        clocks.append(cl_clocks)
-        dd_gain.append(cl_gain)
-        speeds.append(tuple(dev.flops_per_cycle * f for dev, f in zip(cl.devices, cl_clocks)))
-        hops.append(cl_hops)
+            gains, hops = fixed
+        speeds = tuple(dev.flops_per_cycle * f for dev, f in zip(cl.devices, clocks))
+        rows.append((db_to_linear(up_gain), up_intf, dd_intf, clocks, gains, speeds, hops))
         at = end
-    return RoundEnvironment(
-        round_index=t,
-        uplink_gain=tuple(up_gain),
-        uplink_interference_w=tuple(up_intf),
-        d2d_interference_w=tuple(dd_intf),
-        clock_hz=tuple(clocks),
-        d2d_gain=tuple(dd_gain),
-        speed=tuple(speeds),
-        hop_s=tuple(hops),
-    )
+    return RoundEnvironment(t, *zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +445,7 @@ def _parse_convergence(raw, clusters: tuple[ClusterProfile, ...]) -> Convergence
         for cl in clusters:
             mean_gain = db_to_linear(cl.uplink_gain_db.mid)
             acc += cl.uplink_power_max_w * mean_gain + cl.uplink_interference_w.mid
-        c = 0.1 * phi**2 * acc / len(clusters)
+        c = _positive(0.1 * phi**2 * acc / len(clusters), f"{where}.C")
     return ConvergenceParams(c_interference=c, **fields)
 
 

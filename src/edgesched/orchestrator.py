@@ -80,37 +80,31 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
     ids = device_ids if device_ids is not None else _capable_devices(cfg, n)
     if not ids:
         raise InfeasibleError("C7", f"cluster {n}: no device can hold a block")
-    caps = {k: cl.devices[k].block_cap for k in ids}
-    if sum(caps.values()) < cfg.model.n_blocks:
+    if sum(cl.devices[k].block_cap for k in ids) < cfg.model.n_blocks:
         raise InfeasibleError("C7", f"cluster {n}: memory cannot host all blocks")
     delta = [0] * cl.n_devices
     rem = cfg.model.n_blocks
-    share = {k: 0 for k in ids}
     for i, k in enumerate(ids):
         want = -(-rem // (len(ids) - i))
-        got = min(want, caps[k])
-        share[k] = got
-        rem -= got
+        delta[k] = min(want, cl.devices[k].block_cap)
+        rem -= delta[k]
     i = 0
     while rem > 0:
         k = ids[i % len(ids)]
-        if share[k] < caps[k]:
-            share[k] += 1
+        if delta[k] < cl.devices[k].block_cap:
+            delta[k] += 1
             rem -= 1
         i += 1
-    for k, v in share.items():
-        delta[k] = v
     return tuple(delta)
 
 
 def _random_plan(cfg: SystemConfig, n: int, rng: Generator) -> SegmentPlan:
     cl = cfg.clusters[n]
     ids = _capable_devices(cfg, n)
-    caps = {k: cl.devices[k].block_cap for k in ids}
     for _ in range(200):
         s = rng.integers(1, len(ids) + 1)
         chosen = rng.permutation(ids)[:s]
-        if sum(caps[k] for k in chosen) < cfg.model.n_blocks:
+        if sum(cl.devices[k].block_cap for k in chosen) < cfg.model.n_blocks:
             continue
         delta = [0] * cl.n_devices
         rem = cfg.model.n_blocks
@@ -119,7 +113,7 @@ def _random_plan(cfg: SystemConfig, n: int, rng: Generator) -> SegmentPlan:
             rem -= 1
         while rem > 0:
             k = chosen[rng.integers(0, len(chosen))]
-            if delta[k] < caps[k]:
+            if delta[k] < cl.devices[k].block_cap:
                 delta[k] += 1
                 rem -= 1
         m = rng.integers(1, cfg.model.batch_items + 1)

@@ -14,8 +14,9 @@ cluster's uplink power is at least the round's threshold p_S
 (``convergence.balance_power_threshold``), which is also power control's
 floor at S. Device speeds and hop times are the round's,
 read from the ``RoundEnvironment``; memory caps and energy budgets come from
-the config. Every plan is scored by ``cluster_objective`` and every energy
-budget is checked with ``pipeline.device_energy``.
+the config. Every plan is scored by ``cluster_objective``. The energy
+budgets bind through ``_cap_cover``'s per-device block caps; at a fixed
+partition ``optimal_micro_batches`` checks them with ``pipeline.device_energy``.
 
 Blocks are identical in cost, so at a fixed m a plan's objective depends only
 on its segment count S and its first bottleneck, a device j holding d blocks.
@@ -464,8 +465,4 @@ def schedule_segments(
     if best_key is None:
         raise error
     _, _, delta, m = best_key
-    plan = SegmentPlan(delta=delta, m=m)
-    plan.validate(cfg.clusters[n], cfg.model)
-    if not _feasible_energy_at_m(delta, m, cfg, env, n):
-        raise InfeasibleError("C9'", f"cluster {n}: joint optimum violates an energy budget")
-    return plan
+    return SegmentPlan(delta=delta, m=m)

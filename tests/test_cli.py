@@ -146,6 +146,16 @@ def test_run_non_finite_config_number_is_a_config_error(tmp_path, capsys, path, 
     assert capsys.readouterr().err.startswith(f"config error: {field}: must be finite")
 
 
+def test_run_default_convergence_constant_that_overflows_is_a_config_error(tmp_path, capsys):
+    # C's default, 0.1 * phi^2 * mean_n(P_n_max * mean gain + mean interference),
+    # is infinite at a head power of 1e308 and a gain above 0 dB
+    doc = {"J": 1, "clusters": [{"P_n_max_w": 1e308, "h_up_db": 5, "devices": [{}]}]}
+    config = tmp_path / "huge_power.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(config), "--rounds", "2", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: convergence.C: must be finite")
+
+
 def test_run_noise_density_below_float_range_is_a_config_error(tmp_path, capsys):
     # -4000 dBm/Hz underflows to 0 W/Hz, which without D2D interference would
     # leave a hop's signal-to-noise ratio without a denominator
@@ -439,6 +449,19 @@ def test_sweep_in_range_grid_writes_every_cell(tmp_path, homogeneous_cfg):
         plans = (SegmentPlan(delta=uniform_partition(homogeneous_cfg, 0, list(range(s))), m=m) for m in range(1, 17))
         lines.append(",".join([str(s)] + [repr(pipeline_latency(p, homogeneous_cfg, env, 0)) for p in plans]))
     assert (tmp_path / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_sweep_leaves_an_infeasible_cell_blank(tmp_path):
+    # device 0 of table2's cluster 0 holds 4 of its 6 blocks here, so no S = 1 plan exists
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["clusters"][0]["devices"][0]["gamma_max_bytes"] = 1e9
+    config = tmp_path / "tight.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sweep", str(config), "--grid", "S=1..2,m=1..2", "--out", str(tmp_path / "out")]) == 0
+    rows = [row.split(",") for row in (tmp_path / "out" / "sweep.csv").read_text().splitlines()]
+    assert rows[1] == ["1", "", ""]
+    assert rows[2][0] == "2" and all(float(cell) > 0 for cell in rows[2][1:])
 
 
 def test_sweep_one_by_one_grid(tmp_path):

@@ -38,6 +38,8 @@ def test_minimal_config_defaults_filled():
     assert cfg.convergence.gamma_max > 0
     assert cfg.convergence.c_interference > 0
     assert cfg.rng_seed == 0
+    two = {"clusters": [{"devices": [{}]}, {"devices": [{}]}]}
+    assert build_config(two).n_channels == 2  # J defaults to the number of clusters
 
 
 def test_table2_values_echoed(table2_cfg):

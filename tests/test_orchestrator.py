@@ -374,12 +374,24 @@ def test_hop_times_computed_once_per_device_and_round(policy, monkeypatch):
     assert len(calls) == 6 * 18
 
 
-def test_device_energy_evaluated_once_per_scheduled_device_and_round(table2_cfg, monkeypatch):
-    # the validator's C9 check computes it and the evaluator reuses the sums
+@pytest.mark.parametrize("policy", ["lyapunov", "loss"])
+def test_device_energy_evaluated_once_per_scheduled_device_and_round(policy, table2_cfg, monkeypatch):
+    # the validator's C9 check computes it and the evaluator reuses the sums;
+    # the segment solver binds the budgets through its block caps and leaves
+    # checking its plan (C1, C2, C7 and C9) to the validator
     calls = _count_calls(monkeypatch, pipeline.device_energy)
-    trace = run_simulation(table2_cfg, 6, "loss")
+    checked = []
+    validate = pipeline.SegmentPlan.validate
+
+    def counted(plan, cluster, model):
+        checked.append(plan)
+        return validate(plan, cluster, model)
+
+    monkeypatch.setattr(pipeline.SegmentPlan, "validate", counted)
+    trace = run_simulation(table2_cfg, 6, policy)
     assert len(trace.rounds) == 6
     assert len(calls) == sum(sum(r.n_segments) for r in trace.rounds)
+    assert len(checked) == 6 * 3  # once per cluster and round; table2 has 3 clusters
 
 
 def test_round_evaluated_once_per_cluster(table2_cfg, monkeypatch):

@@ -97,6 +97,11 @@ def test_plan_validation_errors(table2_cfg):
         SegmentPlan(delta=(1, 1, 1, 1, 1, 0), m=1).validate(cluster, model)  # sums to 5
     with pytest.raises(InfeasibleError, match="C1"):
         SegmentPlan(delta=(6, 0, 0, 0, 0, 0), m=100).validate(cluster, model)  # m > b
+    with pytest.raises(InfeasibleError, match="covers 5 devices, cluster has 6"):
+        SegmentPlan(delta=(2, 2, 2, 0, 0), m=1).validate(cluster, model)
+    for delta in ((4, 3, -1, 0, 0, 0), (2.5, 3.5, 0, 0, 0, 0)):  # each sums to 6
+        with pytest.raises(InfeasibleError, match="nonnegative integers"):
+            SegmentPlan(delta=delta, m=1).validate(cluster, model)
     tight = dataclasses.replace(
         cluster, devices=tuple(dataclasses.replace(d, mem_budget_bytes=2.5e8) for d in cluster.devices)
     )

@@ -53,8 +53,9 @@ def test_draw_rejects_negative_entropy():
 
 
 # the spans integers() covers: one value (no draw), and Lemire's
-# multiply-and-reject from 2 to 2^32, which keeps every raw draw at 2^32
-_SPANS = (1, 2, 3, 7, 64, 1000, 2**31, 2**32 - 1, 2**32)
+# multiply-and-reject from 2 to 2^32, which keeps every raw draw at 2^32 and
+# redraws about half of them at 2^31 + 1
+_SPANS = (1, 2, 3, 7, 64, 1000, 2**31, 2**31 + 1, 2**32 - 1, 2**32)
 
 
 def test_generator_matches_numpy_call_for_call():

@@ -57,6 +57,26 @@ def test_single_segment_prefers_one_chunk(homogeneous_cfg):
     assert optimal_micro_batches(delta, homogeneous_cfg, env, 0, 10.0, 0.0) == 1
 
 
+def test_micro_batch_solve_skips_run_starts_over_the_energy_budget():
+    # a chunk's energy falls with m, so a budget between the energies at m = 1
+    # and m = 2 rules out only m = 1, and one below m = b's rules out every m
+    doc = minimal_doc()
+    doc["model"] = {"L": 4, "b": 16}
+    device = doc["clusters"][0]["devices"][0]
+    cfg = build_config(doc)
+    env = sample_round_environment(cfg, 1)
+    energy = [device_energy(4, m, cfg, env, 0, 0) for m in (1, 2, 16)]
+    assert energy[0] > energy[1] > energy[2]
+    assert optimal_micro_batches((4,), cfg, env, 0, 10.0, 0.0) == 1
+    device["E_k_max_j"] = (energy[0] + energy[1]) / 2
+    cfg = build_config(doc)
+    assert optimal_micro_batches((4,), cfg, sample_round_environment(cfg, 1), 0, 10.0, 0.0) == 2
+    device["E_k_max_j"] = energy[2] / 2
+    cfg = build_config(doc)
+    with pytest.raises(InfeasibleError, match="C9'"):
+        optimal_micro_batches((4,), cfg, sample_round_environment(cfg, 1), 0, 10.0, 0.0)
+
+
 def test_micro_batch_solve_matches_enumeration_on_random_instances():
     rng = np.random.default_rng(17)
     checked = 0
