@@ -171,9 +171,8 @@ def _sweep_segments(cfg: SystemConfig, s_values: Iterable[float], m_values: list
             m = int(m_f)
             try:
                 plan = SegmentPlan(delta=uniform_partition(cfg, 0, list(range(s))), m=m)
-                plan.validate(cfg.clusters[0], cfg.model)
                 row.append(repr(pipeline_latency(plan, cfg, env, 0)))
-            except (InfeasibleError, ValueError):
+            except InfeasibleError:
                 row.append("")
         lines.append(",".join(row))
     _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
@@ -246,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleError, SimulationAborted, StalledLinkError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # defensive: anything else is a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -42,10 +42,10 @@ def validate_decision(
         raise InfeasibleError("C1", "decision does not cover every cluster")
     if decision.assignment.n_clusters != n_clusters or decision.assignment.n_channels != cfg.n_channels:
         raise InfeasibleError("C3", "assignment shape does not match the system")
-    pipes, ups, e_com, e_pipe, e_sch = [], [], [], [], []
+    rows = []
     for n, plan in enumerate(decision.plans):
         cl = cfg.clusters[n]
-        plan.validate(cl, cfg.model)  # C1, C2, C7
+        plan.validate(cl, cfg.model)  # C1, C7; C2 in pipeline_latency
         p = decision.powers_w[n]
         on_air = decision.assignment.is_transmitting(n)
         p_max = cl.uplink_power_max_w if on_air else 0.0  # {0} off the air
@@ -65,9 +65,5 @@ def validate_decision(
                 raise InfeasibleError("C9", f"cluster {n} device {k} energy {e_k} J exceeds budget")
             total += e_k
             hop += cl.devices[k].d2d_power_w * env.hop_s[n][k]
-        pipes.append(pipeline_latency(plan, cfg, env, n))
-        ups.append(up)
-        e_com.append(e_up)
-        e_pipe.append(2 * plan.m * total)
-        e_sch.append(hop)
-    return tuple(pipes), tuple(ups), tuple(e_com), tuple(e_pipe), tuple(e_sch)
+        rows.append((pipeline_latency(plan, cfg, env, n), up, e_up, 2 * plan.m * total, hop))
+    return tuple(zip(*rows))

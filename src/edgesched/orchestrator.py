@@ -78,8 +78,6 @@ def uniform_partition(cfg: SystemConfig, n: int, device_ids: list[int] | None = 
     """Spread the blocks as evenly as memory allows over the given devices."""
     cl = cfg.clusters[n]
     ids = device_ids if device_ids is not None else _capable_devices(cfg, n)
-    if not ids:
-        raise InfeasibleError("C7", f"cluster {n}: no device can hold a block")
     if sum(cl.devices[k].block_cap for k in ids) < cfg.model.n_blocks:
         raise InfeasibleError("C7", f"cluster {n}: memory cannot host all blocks")
     delta = [0] * cl.n_devices
@@ -117,12 +115,8 @@ def _random_plan(cfg: SystemConfig, n: int, rng: Generator) -> SegmentPlan:
                 delta[k] += 1
                 rem -= 1
         m = rng.integers(1, cfg.model.batch_items + 1)
-        plan = SegmentPlan(delta=tuple(delta), m=m)
-        try:
-            plan.validate(cl, cfg.model)
-        except InfeasibleError:
-            continue
-        return plan
+        if s <= cfg.model.n_blocks:  # more chosen devices than blocks breaks conservation
+            return SegmentPlan(delta=tuple(delta), m=m)
     # fall back to the deterministic uniform spread
     return SegmentPlan(delta=uniform_partition(cfg, n), m=1)
 

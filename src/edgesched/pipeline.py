@@ -10,9 +10,9 @@ stage there is no hop at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Sequence
 
 from .config import ClusterProfile, DeviceProfile, ModelSpec, RoundEnvironment, SystemConfig
@@ -44,16 +44,16 @@ class SegmentPlan:
         return tuple(k for k, d in enumerate(self.delta) if d > 0)
 
     def validate(self, cluster: ClusterProfile, model: ModelSpec) -> None:
-        """Structural invariants: block conservation, segment count, memory."""
+        """Structural invariants: block conservation, chunk count, memory (C1, C7).
+        The segment count needs no check: the length check gives S <= K, and
+        conservation S >= 1 at L >= 1, which ``build_config`` guarantees; a hand-built
+        L = 0 plan still fails C2 in ``validate_decision``, through the closed form."""
         if len(self.delta) != cluster.n_devices:
             raise InfeasibleError("C1", f"plan covers {len(self.delta)} devices, cluster has {cluster.n_devices}")
         if any(d < 0 or d != int(d) for d in self.delta):
             raise InfeasibleError("C1", f"block counts must be nonnegative integers, got {self.delta}")
         if sum(self.delta) != model.n_blocks:
             raise InfeasibleError("C1", f"blocks assigned {sum(self.delta)} != {model.n_blocks}")
-        s = self.n_segments
-        if not 1 <= s <= cluster.n_devices:
-            raise InfeasibleError("C2", f"segment count {s} outside [1, {cluster.n_devices}]")
         if not 1 <= self.m <= model.batch_items:
             raise InfeasibleError("C1", f"micro-batch count {self.m} outside [1, {model.batch_items}]")
         for k, (d, dev) in enumerate(zip(self.delta, cluster.devices)):
@@ -80,29 +80,17 @@ def stage_profile(
     return times, hops
 
 
-def _bottleneck(stage_times: Sequence[float], hop_times: Sequence[float]) -> tuple[int, float]:
-    """Index (first among ties) and value of the max stage+hop occupancy."""
-    best_i, best_u = 0, -math.inf
-    for i, (t, d) in enumerate(zip(stage_times, hop_times)):
-        u = t + d
-        if u > best_u:
-            best_i, best_u = i, u
-    return best_i, best_u
-
-
 def pipeline_latency_from_times(stage_times: Sequence[float], hop_times: Sequence[float], m: int) -> float:
-    """Closed form (S+m-1)*max(t_k + d_k) - d at the bottleneck; S=1 has no hop."""
+    """Closed form (S+m-1)*max(t_k + d_k) - d at the first bottleneck; S=1 has no hop. Only S = 0 (C2)
+    is checked: callers build both lists together and bound m by ``micro_batch_size`` or the plan check."""
     s = len(stage_times)
     if s == 0:
         raise InfeasibleError("C2", "empty pipeline plan")
-    if len(hop_times) != s:
-        raise ValueError("stage_times and hop_times must have equal length")
-    if m < 1:
-        raise ValueError(f"chunk count must be >= 1, got {m}")
     if s == 1:
         return m * stage_times[0]
-    j, u = _bottleneck(stage_times, hop_times)
-    return (s + m - 1) * u - hop_times[j]
+    occupancy = list(map(add, stage_times, hop_times))
+    u = max(occupancy)
+    return (s + m - 1) * u - hop_times[occupancy.index(u)]
 
 
 def pipeline_latency(plan: SegmentPlan, cfg: SystemConfig, env: RoundEnvironment, n: int) -> float:

@@ -123,11 +123,9 @@ def optimal_micro_batches(
 
     Only the ceil(b/m) run starts are candidates: within a run the latency is
     strictly increasing in m and energy feasibility does not change, so run
-    starts dominate. Ties take the smallest m. Raises when no m satisfies the
-    energy budgets.
+    starts dominate. Ties take the smallest m. Raises C9' when no m satisfies
+    the energy budgets, and C2 from the closed form on an all-zero delta.
     """
-    if not any(d > 0 for d in delta):
-        raise InfeasibleError("C2", "no scheduled device")
     best_m = None
     best_obj = math.inf
     for m in _micro_batch_run_starts(cfg.model.batch_items):

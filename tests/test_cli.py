@@ -249,6 +249,15 @@ def test_no_config_number_exits_internal_error(tmp_path, capsys, shipped):
     assert cases > 300 and not failures
 
 
+def test_unexpected_error_exits_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken round")
+
+    monkeypatch.setattr("edgesched.cli.run_simulation", broken)
+    assert main(["run", TABLE2, "--rounds", "1", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "internal error: broken round\n"
+
+
 def test_run_bad_path_exits_nonzero(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json"), "--rounds", "1", "--out", str(tmp_path)])
     assert rc == 2

@@ -92,3 +92,16 @@ def test_validator_names_the_violated_constraint(edit, factor, constraint):
     with pytest.raises(InfeasibleError) as err:
         validate_decision(edited, cfg_edited, env)
     assert err.value.constraint == constraint
+
+
+def test_an_all_zero_plan_fails_c2_through_the_closed_form():
+    # build_config keeps L >= 1, so the plan check has no segment-count rule of
+    # its own; under a hand-built L = 0 model the loss policy's plans are all
+    # zeros, and the validator still names C2, from the empty pipeline
+    _, cfg, env, _ = _loss_round()
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, n_blocks=0))
+    decision = baseline_decision("loss", cfg, env, (0.0,) * cfg.n_clusters, 1, None)
+    assert all(plan.n_segments == 0 for plan in decision.plans)
+    with pytest.raises(InfeasibleError) as err:
+        validate_decision(decision, cfg, env)
+    assert err.value.constraint == "C2"

@@ -193,6 +193,13 @@ def test_uniform_partition_names_c7_when_memory_cannot_host_the_blocks():
         uniform_partition(cfg, 0, [0, 1, 2])
 
 
+def test_uniform_partition_over_no_devices_names_c7(table2_cfg):
+    # no devices hold no memory, so the memory check names C7
+    with pytest.raises(InfeasibleError) as err:
+        uniform_partition(table2_cfg, 0, [])
+    assert str(err.value) == "infeasible: C7 (cluster 0: memory cannot host all blocks)"
+
+
 def test_uniform_partition_tops_up_devices_below_their_share():
     # caps (5, 1) and L = 5: the even split (3, 2) does not fit device 1, and
     # the block it cannot take goes back to device 0
@@ -374,11 +381,11 @@ def test_hop_times_computed_once_per_device_and_round(policy, monkeypatch):
     assert len(calls) == 6 * 18
 
 
-@pytest.mark.parametrize("policy", ["lyapunov", "loss"])
+@pytest.mark.parametrize("policy", ["lyapunov", "loss", "random"])
 def test_device_energy_evaluated_once_per_scheduled_device_and_round(policy, table2_cfg, monkeypatch):
     # the validator's C9 check computes it and the evaluator reuses the sums;
-    # the segment solver binds the budgets through its block caps and leaves
-    # checking its plan (C1, C2, C7 and C9) to the validator
+    # the segment solver binds the budgets through its block caps, and neither
+    # it nor the random policy's plan draw checks its own plan: the validator does
     calls = _count_calls(monkeypatch, pipeline.device_energy)
     checked = []
     validate = pipeline.SegmentPlan.validate
@@ -392,6 +399,31 @@ def test_device_energy_evaluated_once_per_scheduled_device_and_round(policy, tab
     assert len(trace.rounds) == 6
     assert len(calls) == sum(sum(r.n_segments) for r in trace.rounds)
     assert len(checked) == 6 * 3  # once per cluster and round; table2 has 3 clusters
+
+
+def test_unknown_policy_and_negative_rounds_are_rejected(table2_cfg):
+    env = sample_round_environment(table2_cfg, 1)
+    with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+        run_simulation(table2_cfg, 0, "bogus")  # before any round
+    with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
+        run_simulation(table2_cfg, -1, "loss")
+    for policy in ("bogus", "lyapunov"):  # the scheduler is no baseline
+        with pytest.raises(ValueError, match=f"unknown policy {policy!r}"):
+            baseline_decision(policy, table2_cfg, env, (0.0,) * 3, 1, None)
+
+
+def test_atomic_write_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "summary.csv"
+    path.write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(orchestrator.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        orchestrator._atomic_write(str(path), "new\n")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv"]  # the temp file is gone
 
 
 def test_round_evaluated_once_per_cluster(table2_cfg, monkeypatch):

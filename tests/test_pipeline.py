@@ -58,6 +58,8 @@ def test_latency_subtracts_bottleneck_hop():
     u = [a + b for a, b in zip(times, hops)]
     j = u.index(max(u))
     assert pipeline_latency_from_times(times, hops, m) == pytest.approx((3 + m - 1) * u[j] - hops[j], rel=1e-12)
+    # stages 0 and 1 tie at occupancy 0.4: the first one's hop is subtracted
+    assert pipeline_latency_from_times([0.3, 0.2], [0.1, 0.2], m) == pytest.approx(4 * 0.4 - 0.1, rel=1e-12)
 
 
 def test_closed_form_dominates_event_sim():
@@ -207,3 +209,17 @@ def test_relaxed_chunk_objective_is_convex_with_integer_minimizer_adjacent():
 def test_empty_plan_rejected():
     with pytest.raises(InfeasibleError):
         pipeline_latency_from_times([], [], 1)
+
+
+@pytest.mark.parametrize(
+    "times, hops, m, message",
+    [
+        ([], [], 1, "empty pipeline"),
+        ([0.1, 0.2], [0.01], 2, "equal length"),
+        ([0.1, 0.2], [0.01, 0.02, 0.03], 2, "equal length"),
+        ([0.1, 0.2], [0.01, 0.02], 0, "chunk count must be >= 1"),
+    ],
+)
+def test_event_sim_rejects_malformed_input(times, hops, m, message):
+    with pytest.raises(ValueError, match=message):
+        event_sim_makespan(times, hops, m)

@@ -77,6 +77,14 @@ def test_micro_batch_solve_skips_run_starts_over_the_energy_budget():
         optimal_micro_batches((4,), cfg, sample_round_environment(cfg, 1), 0, 10.0, 0.0)
 
 
+def test_micro_batch_solve_of_an_all_zero_partition_fails_c2(table2_cfg):
+    # the closed form prices the first run start and finds no stage
+    env = sample_round_environment(table2_cfg, 1)
+    with pytest.raises(InfeasibleError, match="empty pipeline plan") as err:
+        optimal_micro_batches((0,) * 6, table2_cfg, env, 0, 10.0, 0.0)
+    assert err.value.constraint == "C2"
+
+
 def test_micro_batch_solve_matches_enumeration_on_random_instances():
     rng = np.random.default_rng(17)
     checked = 0
