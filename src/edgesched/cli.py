@@ -195,7 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if "V" in grid:
         _sweep_control_factor(cfg, _values(grid["V"]), args.rounds, args.out)
     else:
-        _check_axis(grid["S"], "S", cfg.clusters[0].n_devices, "devices in cluster 0")
+        _check_axis(grid["S"], "S", min(cfg.clusters[0].n_devices, cfg.model.n_blocks), "min(devices in cluster 0, blocks L)")
         _check_axis(grid["m"], "m", cfg.model.batch_items, "batch size b")
         _sweep_segments(cfg, _values(grid["S"]), list(_values(grid["m"])), args.out)
     print(f"sweep grid={args.grid} -> sweep.csv")

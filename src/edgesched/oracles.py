@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _SEG_GUARD = {"devices": 6, "blocks": 12, "batch": 64}
-_PAIR_GUARD = {"devices": 16, "blocks": 32, "batch": 64}
+_PAIR_GUARD = {"devices": 64, "blocks": 128, "batch": 64}
 _ASSIGN_GUARD = 6
 _GRID_GUARD = 5_000_000
 
@@ -170,7 +170,7 @@ def pair_scan_partition(
     S), each one's smallest delta is built device by device, taking the
     fewest blocks that leave the rest a cover, and the least of those deltas
     is returned; ties are broken as ``brute_force_segment_plan`` breaks them.
-    None when no plan exists. Polynomial, guarded to K <= 16 and L <= 32.
+    None when no plan exists. Polynomial, guarded to K <= 64 and L <= 128.
     """
     model = cfg.model
     k_dev, l_blocks = cfg.clusters[n].n_devices, model.n_blocks
@@ -237,7 +237,7 @@ def pair_scan_segment_plan(
     """(delta, S, m, objective) of ``pair_scan_partition`` at every m in [1, b], at the C11 segment cap.
 
     Returns what ``brute_force_segment_plan`` returns, ties broken alike, on
-    clusters of up to 16 devices, 32 blocks and a batch of 64.
+    clusters of up to 64 devices, 128 blocks and a batch of 64.
     """
     if cfg.model.batch_items > _PAIR_GUARD["batch"]:
         raise OracleGuardError(f"pair-scan oracle guard: need b<={_PAIR_GUARD['batch']}")

@@ -37,8 +37,8 @@ no plan can reach the best, inverted from a floor once per new best.
 The same early exit works one level up. Each segment count S has a floor on
 the objective of every S-stage plan, from its least bottleneck: the larger of
 the least one-block occupancy and the load spread over the S fastest
-devices. A partition solve whose floors all lie strictly above its best
-one-stage plan or its cutoff skips the bottleneck scan. The run starts are
+devices. When a one-stage plan sets the bar, a partition solve whose floors
+all lie strictly above it skips the bottleneck scan. The run starts are
 searched best-first, in ascending lower bound, built from memory caps and
 these floors (branch and bound: Land & Doig, Econometrica 1960), until one's
 bound lies strictly above the best objective: no plan there or later can
@@ -199,20 +199,18 @@ def optimal_partition(
     or (b) S_min = 1 + ceil((L-d)/largest count), the fewest stages any cover
     takes, exceeds ``s_cap``, or its objective already lies strictly above
     the bar. At V >= 0 and queue_sum >= 0 the float objective grows with S,
-    so (b) drops no tie. The sweep stops past ``u_stop``, where the floor
-    V*max((s_lo+m-1)*u - hop_max, (s_lo+m-2)*u) + s_lo*queue_sum of every
-    later pair exceeds the bar: inverted once per bar and widened by
-    (1 + 1e-9) and a 1e-12 share of s_lo*queue_sum, it stops no earlier than
-    that float floor would. The scan keeps the least (objective, S), the bar,
-    and the (j, d, caps) of every plan at it, one-stage plans included; the
-    lexicographically smallest of their deltas, the oracle's tie-break, is
-    built after the scan.
+    so (b) drops no tie. The sweep stops past ``u_stop``, the
+    ``_stop_occupancy`` of the bar at s_lo stages, read once per bar. The
+    scan keeps the least (objective, S), the bar, and the (j, d, caps) of
+    every plan at it, one-stage plans included; the lexicographically
+    smallest of their deltas, the oracle's tie-break, is built after the
+    scan.
 
-    Before the scan, ``_stage_count_floor`` prices every segment count the
-    caps and the balance cap allow. When that floor lies strictly above the
-    best one-stage plan, or above a finite cutoff, no plan of two or more
-    stages can win or tie, and the occupancies are not sorted and the sweep
-    not run.
+    When a one-stage plan sets the bar, ``_stage_count_floor`` prices every
+    segment count the caps and the balance cap allow; when that floor lies
+    strictly above the bar, no plan of two or more stages can win or tie,
+    and the sweep is not run. Otherwise the bar is the cutoff, which the
+    run start's memory-cap bound already met, and no floor is built.
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
@@ -237,23 +235,17 @@ def optimal_partition(
     # one-stage plans: all L blocks on one device whose cap holds them
     for j, cap in enumerate(caps):
         if cap >= l_blocks:
-            key = (v_factor * pipeline_latency_from_times([l_blocks * work / speeds[j]], [hops[j]], m) + queue_sum, 1)
+            key = (v_factor * (m * (l_blocks * work / speeds[j])) + queue_sum, 1)
             if key < bar:
                 bar, ties = key, []
             if key == bar:
                 ties.append((j, l_blocks, caps))
 
-    # plans of two or more stages are scanned only when their floor reaches the bar
+    # plans of two or more stages are scanned unless their floor lies above a one-stage plan's bar
     s_lo = max(2, need)
-    floor = _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
-    if s_cap >= 2 and floor(m, work) <= bar[0]:
+    if s_cap >= 2 and not (ties and _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)(m, work) > bar[0]):
         hop_max = max(hops)
-
-        def stop_at(obj: float) -> float:  # u_stop of a bar at obj
-            room = (obj - s_lo * queue_sum * (1 - 1e-12)) / (v_factor * (1 - 1e-12)) if v_factor else math.inf
-            return min((room + hop_max) / (s_lo + m - 1), room / (s_lo + m - 2)) * (1 + 1e-9)
-
-        u_stop = stop_at(bar[0])
+        u_stop = _stop_occupancy(v_factor, queue_sum, s_lo, m, hop_max, bar[0])
         # no device beside a bottleneck holds L blocks, so no event has d = L
         events = sorted(
             (u, k, d) for k, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
@@ -291,7 +283,7 @@ def optimal_partition(
                     continue
                 key = (v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum, s)
                 if key < bar:
-                    bar, ties, u_stop = key, [], stop_at(key[0])
+                    bar, ties, u_stop = key, [], _stop_occupancy(v_factor, queue_sum, s_lo, m, hop_max, key[0])
                 if key == bar:
                     ties.append((j, d, caps_u))
 
@@ -354,7 +346,7 @@ def _stage_count_floor(
     longest hop and at most U, so the objective is at least
     V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum. The (1 - 1e-12)
     slacks absorb float rounding. The floor is inf when no S in the range has
-    enough devices.
+    enough devices. ``_stop_occupancy`` is its inverse in U.
     """
     speeds = [speed for speed, cap in zip(env.speed[n], caps) if cap]
     hops = [hop for hop, cap in zip(env.hop_s[n], caps) if cap]
@@ -382,6 +374,14 @@ def _stage_count_floor(
         return least
 
     return floor
+
+
+def _stop_occupancy(v_factor: float, queue_sum: float, s: int, m: int, hop_max: float, obj: float) -> float:
+    """Occupancy U past which ``_stage_count_floor``'s term at S = s exceeds obj:
+    widened by (1 + 1e-9) and a 1e-12 share of s*queue_sum, no lower than the
+    float term's crossing. inf at V = 0."""
+    room = (obj - s * queue_sum * (1 - 1e-12)) / (v_factor * (1 - 1e-12)) if v_factor else math.inf
+    return min((room + hop_max) / (s + m - 1), room / (s + m - 2)) * (1 + 1e-9)
 
 
 def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float, queue_sum: float, s_cap: int):

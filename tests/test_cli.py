@@ -473,6 +473,22 @@ def test_sweep_leaves_an_infeasible_cell_blank(tmp_path):
     assert rows[2][0] == "2" and all(float(cell) > 0 for cell in rows[2][1:])
 
 
+def test_sweep_segment_axis_stops_at_the_block_count(tmp_path, capsys):
+    # table2's cluster 0 has K = 6 devices; at L = 4 a uniform split over
+    # S = 5 or 6 of them would leave devices empty and repeat the S = 4 row
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["model"]["L"] = 4
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sweep", str(config), "--grid", "S=1..6,m=1..2", "--out", str(tmp_path / "wide")]) == 2
+    assert "--grid: S: 6 lies outside [1, 4]" in capsys.readouterr().err
+    assert not (tmp_path / "wide" / "sweep.csv").exists()
+    assert main(["sweep", str(config), "--grid", "S=1..4,m=1..2", "--out", str(tmp_path / "out")]) == 0
+    rows = [row.split(",") for row in (tmp_path / "out" / "sweep.csv").read_text().splitlines()]
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4"] and len(set(map(tuple, (row[1:] for row in rows[1:])))) == 4
+
+
 def test_sweep_one_by_one_grid(tmp_path):
     rc = main(["sweep", HOMOGENEOUS, "--grid", "S=1..1,m=1..1", "--out", str(tmp_path)])
     assert rc == 0

@@ -131,17 +131,17 @@ def test_pair_scan_oracle_equals_the_brute_force():
 
 def test_pair_scan_oracle_guards_are_hard_errors():
     doc = minimal_doc()
-    doc["clusters"][0]["devices"] = [{}] * 17
+    doc["clusters"][0]["devices"] = [{}] * 65
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
     with pytest.raises(OracleGuardError):
-        pair_scan_partition(cfg, env, 0, 1, 10.0, 0.0, 17)
+        pair_scan_partition(cfg, env, 0, 1, 10.0, 0.0, 65)
     doc = minimal_doc()
-    doc["model"] = {"L": 33}
+    doc["model"] = {"L": 129}
     cfg = build_config(doc)
     with pytest.raises(OracleGuardError):
         pair_scan_partition(cfg, sample_round_environment(cfg, 1), 0, 1, 10.0, 0.0, 1)
-    doc["model"] = {"L": 32, "b": 65}
+    doc["model"] = {"L": 128, "b": 65}
     cfg = build_config(doc)
     with pytest.raises(OracleGuardError):
         pair_scan_segment_plan(cfg, sample_round_environment(cfg, 1), 0, (0.0,), 10.0, 0.5)

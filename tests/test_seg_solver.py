@@ -22,6 +22,7 @@ from edgesched.seg_solver import (
     _run_start_bound,
     _segment_cap,
     _stage_count_floor,
+    _stop_occupancy,
     cluster_objective,
     optimal_micro_batches,
     optimal_partition,
@@ -1167,3 +1168,115 @@ def test_best_first_search_runs_three_partition_searches_per_encoder_solve(monke
     trace = run_simulation(build_config(_workload_doc("encoder", 1)), 12, "lyapunov")
     assert len(trace.rounds) == 12
     assert len(calls) == 36
+
+
+def test_stop_occupancy_inverts_the_stage_count_floor_term():
+    # one float past the stop occupancy, the S-stage term of the floor, priced
+    # as _stage_count_floor prices it, lies strictly above obj; and the stop
+    # lies within (1 + 2e-9) of the exact, slack-free crossing of
+    # V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*q = obj
+    rng = np.random.default_rng(24)
+    checked = 0
+    for v in (1e-3, 1.0, 10.0, 1e3):
+        for q in (0.0, 1e-3, 1.0):
+            for _ in range(400):
+                s, m, hop_max = int(rng.integers(2, 13)), int(rng.integers(1, 65)), float(rng.uniform(0, 0.5))
+                objs = [s * q + (s * q + v) * 10 ** rng.uniform(-2, 2)] + ([s * q] if q else [])
+                for obj in objs:
+                    occ = _stop_occupancy(v, q, s, m, hop_max, obj)
+                    u = math.nextafter(occ, math.inf)
+                    pipelined, held = (s + m - 1) * u - hop_max, (s + m - 2) * u
+                    assert v * (held if held > pipelined else pipelined) * (1 - 1e-12) + s * q > obj
+                    if obj > s * q:
+                        room = (obj - s * q) / v
+                        assert occ <= (1 + 2e-9) * min((room + hop_max) / (s + m - 1), room / (s + m - 2))
+                    checked += 1
+    assert checked == 8000
+    assert _stop_occupancy(0.0, 1.0, 2, 1, 0.1, 5.0) == math.inf
+
+
+def _floor_traffic(monkeypatch, cfg, rounds):
+    """Counts over lyapunov rounds: solves, run-start and in-call floor builds,
+    partition searches, and the searches whose floor skipped the sweep."""
+    from edgesched import orchestrator, seg_solver
+
+    counts = dict.fromkeys(("solves", "bound_builds", "call_builds", "calls", "skipped"), 0)
+    call = {}  # the current partition search: did it build a floor, did it sweep
+
+    def solve(*args):
+        counts["solves"] += 1
+        return schedule_segments(*args)
+
+    def floor(*args):
+        counts["call_builds" if call else "bound_builds"] += 1
+        call["built"] = True
+        return _stage_count_floor(*args)
+
+    def sweep(*args):
+        call["swept"] = True
+        return itertools.groupby(*args)
+
+    def search(*args, **kwargs):
+        counts["calls"] += 1
+        call.update(built=False, swept=False)
+        try:
+            return optimal_partition(*args, **kwargs)
+        finally:
+            counts["skipped"] += call["built"] and not call["swept"]
+            call.clear()
+
+    monkeypatch.setattr(orchestrator, "schedule_segments", solve)
+    monkeypatch.setattr(seg_solver, "_stage_count_floor", floor)
+    monkeypatch.setattr(seg_solver, "groupby", sweep)
+    monkeypatch.setattr(seg_solver, "optimal_partition", search)
+    assert len(run_simulation(cfg, rounds, "lyapunov").rounds) == rounds
+    return counts
+
+
+def test_in_call_floor_is_built_only_where_a_one_stage_plan_sets_the_bar(monkeypatch, table2_cfg):
+    # encoder (K=10, L=16, 6-block memory caps) has no one-stage plan, so the
+    # floor is built once per solve, for the run-start bound, and never in a
+    # partition search; on paper the in-call floor still skips 275 sweeps
+    encoder = _floor_traffic(monkeypatch, build_config(_workload_doc("encoder", 1)), 12)
+    assert encoder["call_builds"] == 0 and encoder["bound_builds"] == encoder["solves"] == 12
+    paper = _floor_traffic(monkeypatch, build_config(_workload_doc("paper", 1)), 96)
+    assert (paper["calls"], paper["skipped"]) == (308, 275)
+    # the module docstring: six table2 rounds search 22 of their 270 run starts
+    table2 = _floor_traffic(monkeypatch, table2_cfg, 6)
+    assert (table2["calls"], table2["solves"] * len(_micro_batch_run_starts(table2_cfg.model.batch_items))) == (22, 270)
+
+
+def test_partition_equals_the_pair_scan_oracle_on_the_wide_encoder_shape():
+    # the encoder cluster widened to K=32 devices and L=64 blocks with 12-block
+    # memory caps, rounds 1 and 2, and round 1 again with the fastest three
+    # devices of every ten cut to 6 blocks at m = 1 by their energy budgets.
+    # At a cutoff equal to the optimum the plan survives; one float below, no
+    # plan reaches it
+    doc = _workload_doc("encoder", 1)
+    devices = doc["clusters"][0]["devices"]
+    doc["clusters"][0]["devices"] = [dict(devices[i % len(devices)], gamma_max_bytes=12 * 2.5e8) for i in range(32)]
+    doc["model"]["L"] = 64
+    cfg = build_config(doc)
+    cases = [(cfg, sample_round_environment(cfg, t), q) for t in (1, 2) for q in (0.0, 1e-3)]
+    env = cases[0][1]
+    cut = tuple(
+        dataclasses.replace(dev, energy_budget_j=0.5 * (device_energy(6, 1, cfg, env, 0, k) + device_energy(7, 1, cfg, env, 0, k)))
+        if k % 10 >= 7 else dev
+        for k, dev in enumerate(cfg.clusters[0].devices)
+    )
+    cut_cfg = dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=cut),))
+    assert min(_cap_cover(chunk_work(micro_batch_size(64, 1), cfg.model), cut_cfg, env, 0)[0]) == 6
+    cases.append((cut_cfg, env, 1e-3))
+    stages = set()
+    for case_cfg, case_env, q in cases:
+        v = case_cfg.convergence.v_factor
+        s_cap = _segment_cap(case_cfg, case_env, 0, case_cfg.clusters[0].uplink_power_max_w)
+        for m in (1, 4):
+            want = pair_scan_partition(case_cfg, case_env, 0, m, v, q, s_cap)
+            assert optimal_partition(m, case_cfg, case_env, 0, v, q, s_cap) == want[:2]
+            obj = cluster_objective(want[0], m, case_cfg, case_env, 0, v, q)
+            assert optimal_partition(m, case_cfg, case_env, 0, v, q, s_cap, cutoff=obj) == want[:2]
+            below = math.nextafter(obj, -math.inf)
+            assert optimal_partition(m, case_cfg, case_env, 0, v, q, s_cap, cutoff=below) is None
+            stages.add(want[1])
+    assert stages == {6, 7, 11}
