@@ -203,14 +203,14 @@ def optimal_partition(
     ``_stop_occupancy`` of the bar at s_lo stages, read once per bar. The
     scan keeps the least (objective, S), the bar, and the (j, d, caps) of
     every plan at it, one-stage plans included; the lexicographically
-    smallest of their deltas, the oracle's tie-break, is built after the
-    scan.
+    smallest of their deltas, the oracle's tie-break, is built last.
 
     When a one-stage plan sets the bar, ``_stage_count_floor`` prices every
     segment count the caps and the balance cap allow; when that floor lies
     strictly above the bar, no plan of two or more stages can win or tie,
-    and the sweep is not run. Otherwise the bar is the cutoff, which the
-    run start's memory-cap bound already met, and no floor is built.
+    and the sweep is not run. Otherwise no floor is built: the bar is the
+    cutoff, met by the run start's many-stage bound, or by its one-stage one
+    before energy caps cut that plan, and then the sweep runs unskipped.
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff

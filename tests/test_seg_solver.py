@@ -772,7 +772,7 @@ def _schedule_outcome(solve, cfg, env, queues, v, power):
 
 def test_best_first_search_equals_unpruned_scan_on_wide_encoder_shapes():
     # the roundbench encoder cluster widened to K=32 devices and L=64 blocks
-    # with 12-block memory caps, past the pair-scan oracle's K <= 16. A
+    # with 12-block memory caps, the shape the pair-scan oracle also pins. A
     # balance bound of 1e-4 caps the plan at about 7 stages at P_max, and at
     # 5 stages at p_5, below the 6 that memory needs, which raises C11
     solved = failed = 0
