@@ -42,8 +42,12 @@ all lie strictly above it skips the bottleneck scan. The run starts are
 searched best-first, in ascending lower bound, built from memory caps and
 these floors (branch and bound: Land & Doig, Econometrica 1960), until one's
 bound lies strictly above the best objective: no plan there or later can
-win, not even on a tie. Six table2 rounds search 22 of their 270 run starts,
-and 12 rounds of the benchmark's encoder cluster 36 of 180.
+win, not even on a tie. The bounds are priced lazily: the run starts are
+walked in ascending m beside a cheaper bound that never falls as m grows,
+and the next one is priced only while that cheaper bound could put it
+first. Six table2 rounds price 52 and search 22 of their 270 run starts,
+and 12 rounds of the benchmark's encoder cluster price 72 and search 36 of
+180.
 
 The balance cap does not depend on m: ``schedule_segments`` counts the
 thresholds p_1, p_2, ... at or below the head power once per call, up to the
@@ -54,7 +58,7 @@ Nothing is kept between calls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from functools import cache
 from itertools import accumulate, groupby
 from operator import itemgetter
@@ -333,6 +337,14 @@ def _segment_cap(cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: f
     return s_cap
 
 
+def _no_floor(m: int, work: float) -> float:
+    """``_stage_count_floor`` of a range of segment counts that no plan can take."""
+    return math.inf
+
+
+_no_floor.counts = ()
+
+
 def _stage_count_floor(
     env: RoundEnvironment, n: int, caps: list[int], l_blocks: int, v_factor: float, queue_sum: float, s_lo: int, s_cap: int
 ):
@@ -346,13 +358,16 @@ def _stage_count_floor(
     longest hop and at most U, so the objective is at least
     V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum. The (1 - 1e-12)
     slacks absorb float rounding. The floor is inf when no S in the range has
-    enough devices. ``_stop_occupancy`` is its inverse in U.
+    enough devices. ``_stop_occupancy`` is its inverse in U. The floor carries
+    what it prices, for ``_run_start_bound``'s ``later``: ``counts``, the pairs
+    (S, L/(sum of the S fastest speeds)), none for the inf floor, and
+    ``hop_range``, (hop_min, hop_max).
     """
     speeds = [speed for speed, cap in zip(env.speed[n], caps) if cap]
     hops = [hop for hop, cap in zip(env.hop_s[n], caps) if cap]
     s_hi = min(s_cap, len(speeds))
     if s_hi < s_lo:
-        return lambda m, work: math.inf
+        return _no_floor
     hop_min, hop_max = min(hops), max(hops)
     # L over the sum of the S fastest speeds, for each S
     loads = [l_blocks / fastest for fastest in accumulate(sorted(speeds, reverse=True))]
@@ -373,6 +388,7 @@ def _stage_count_floor(
                 least = obj
         return least
 
+    floor.counts, floor.hop_range = counts, (hop_min, hop_max)
     return floor
 
 
@@ -385,11 +401,11 @@ def _stop_occupancy(v_factor: float, queue_sum: float, s: int, m: int, hop_max: 
 
 
 def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float, queue_sum: float, s_cap: int):
-    """Lower bound, as a function of m, on the objective of every plan of cluster n at run start m.
+    """Lower bounds, as functions of m, on the objective of every plan of cluster n at run start m: ``(bound, later)``.
 
-    Built from memory caps alone, so it holds for every plan of at most
-    ``s_cap`` stages that the energy caps allow. It is the smaller of two
-    terms:
+    Built from memory caps alone, so they hold for every plan of at most
+    ``s_cap`` stages that the energy caps allow. ``bound(m)`` is the smaller
+    of two terms:
 
     - one stage: the fastest device that can hold all L blocks, priced with
       the float expression ``optimal_partition`` uses, so it needs no slack;
@@ -397,8 +413,20 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
       segment count s_lo memory allows up to ``s_cap``, on the devices memory
       lets hold a block; inf when s_cap < s_lo.
 
-    Everything that does not depend on m is computed here, once. The bound
-    is inf at every m when the memory caps cannot host the L blocks.
+    ``later(m)`` never falls as m grows and lies at or below ``bound(m')`` at
+    every run start m' >= m. It is the least of lines a + c*m with c >= 0,
+    one per term of ``bound``, made linear by m*ceil(b/m) >= b, so that
+    m*work >= b*o_fwd + m*o_bwd, and by work >= o_fwd + o_bwd:
+
+    - one stage: V*(L/s_fast)*(b*o_fwd + m*o_bwd) + q;
+    - S stages: U >= load_S*work + hop_min, as in the floor, so
+      V*(load_S*(b*o_fwd + (S-1)*(o_fwd+o_bwd) + m*o_bwd) + (S+m-1)*hop_min
+      - hop_max) + S*q.
+
+    A (1 - 1e-9) slack keeps float rounding from lifting it above a bound;
+    a line below 0 lies below every bound anyway. Everything that does not
+    depend on m is computed here, once. Both are inf at every m when the
+    memory caps cannot host the L blocks.
     """
     l_blocks = cfg.model.n_blocks
     mem_caps = _memory_caps(cfg, n)
@@ -413,7 +441,25 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
         least = many(m, work)
         return least if least < one else one
 
-    return bound
+    fwd, bwd = batch_items * model.fwd_flops, model.bwd_flops  # b*o_fwd, o_bwd
+    lines = [] if s_fast is None else [(v_factor * (l_blocks / s_fast * fwd) + queue_sum, v_factor * (l_blocks / s_fast * bwd))]
+    if many.counts:
+        hop_min, hop_max = many.hop_range
+        least_work = chunk_work(1, model)  # no chunk does less work
+        lines += [
+            (v_factor * (load * (fwd + (s - 1) * least_work) + (s - 1) * hop_min - hop_max) + s * queue_sum, v_factor * (load * bwd + hop_min))
+            for s, load in many.counts
+        ]
+
+    def later(m: int) -> float:
+        least = math.inf
+        for a, c in lines:
+            line = a + c * m
+            if line < least:
+                least = line
+        return least * (1 - 1e-9)
+
+    return bound, later
 
 
 def schedule_segments(
@@ -426,15 +472,19 @@ def schedule_segments(
 ) -> SegmentPlan:
     """Exact joint argmin over (partition, micro-batches) for cluster n.
 
-    Prices every ceil(b/m) run start by ``_run_start_bound`` (every segment
-    count up to the balance cap priced by ``_stage_count_floor``) and runs
-    the partition search at them best-first, in ascending (bound, m), each at
+    Runs the partition search at the ceil(b/m) run starts best-first, in
+    ascending (bound, m) of ``_run_start_bound``'s ``bound`` (every segment
+    count up to the balance cap priced by ``_stage_count_floor``), each at
     the best objective so far as its cutoff, keeping the least (objective, S,
-    delta, m), the oracle's tie-break. It stops at the first bound strictly
-    above the best objective: every plan there and later is worse. Ties are
-    never skipped, so the order cannot change the plan. When no m has a
-    plan, nothing was ruled out, and the error raised at m = 1 names the
-    blocker.
+    delta, m), the oracle's tie-break. The run starts are walked in
+    ascending m and priced only when reached: the least priced one is
+    searched once its bound is at or below ``later`` of the next unpriced
+    one, which no bound from there on lies below, so the order is that of
+    sorting every bound. The search stops when the least priced bound and
+    that ``later`` both lie strictly above the best objective: every plan
+    left is worse. Ties are never skipped, so the order cannot change the
+    plan. When no m has a plan, nothing was ruled out, and the error raised
+    at m = 1 names the blocker.
 
     The balance cap at ``cu_power_w`` does not depend on m, so it is read
     once, before the run starts; when it is unreachable, its C11 error is
@@ -442,12 +492,25 @@ def schedule_segments(
     """
     queue_sum = sum(queues)
     s_cap = _segment_cap(cfg, env, n, cu_power_w)
-    bound = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
+    bound, later = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
+    starts = _micro_batch_run_starts(cfg.model.batch_items)
+    priced = []  # ascending (bound, m) of the run starts priced and not yet searched
+    walked, after = 0, -math.inf  # run starts priced, and later() of the next; m = 1 is priced unasked
     best_key = error = None
-    for lower, m in sorted([(bound(m), m) for m in _micro_batch_run_starts(cfg.model.batch_items)]):
+    while True:
         cutoff = math.inf if best_key is None else best_key[0]
-        if lower > cutoff:  # so is every later bound
+        if priced and priced[0][0] <= after:  # no unpriced run start comes before it
+            lower, m = priced.pop(0)
+            if lower > cutoff:  # so is every later bound
+                break
+        elif walked == len(starts) or after > cutoff:  # every bound left lies above the cutoff
             break
+        else:
+            m = starts[walked]
+            insort(priced, (bound(m), m))
+            walked += 1
+            after = later(starts[walked]) if walked < len(starts) else math.inf
+            continue
         try:
             found = optimal_partition(m, cfg, env, n, v_factor, queue_sum, s_cap, cutoff=cutoff)
         except InfeasibleError as exc:

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 SEG = "tests/test_seg_solver.py::"
+GOLDEN = "tests/test_decision_golden.py"
 SOLVER = "seg_solver.py"
 
 MUTANTS = (
@@ -91,9 +92,31 @@ MUTANTS = (
     Mutant(
         "run-starts-by-minus-bound",
         SOLVER,
-        "sorted([(bound(m), m) for m in _micro_batch_run_starts(cfg.model.batch_items)])",
-        "sorted([(bound(m), m) for m in _micro_batch_run_starts(cfg.model.batch_items)], key=lambda start: -start[0])",
+        "insort(priced, (bound(m), m))",
+        "insort(priced, (-bound(m), m))",
         (SEG + "test_best_first_search_runs_three_partition_searches_per_encoder_solve",),
+    ),
+    # the walk's lower bound on every later run start, and its stop
+    Mutant(
+        "later-without-slack",
+        SOLVER,
+        "        return least * (1 - 1e-9)",
+        "        return least",
+        (SEG + "test_later_never_falls_and_lies_at_or_below_every_later_bound",),
+    ),
+    Mutant(
+        "later-hop-min-for-hop-max",
+        SOLVER,
+        "+ (s - 1) * hop_min - hop_max) + s * queue_sum",
+        "+ (s - 1) * hop_max - hop_min) + s * queue_sum",
+        (SEG + "test_later_never_falls_and_lies_at_or_below_every_later_bound",),
+    ),
+    Mutant(
+        "walk-stop-ge",
+        SOLVER,
+        "or after > cutoff:",
+        "or after >= cutoff:",
+        (SEG + "test_walk_keeps_a_run_start_whose_later_ties_the_best_at_v_0",),
     ),
     # the floor and its inverse
     Mutant(
@@ -152,6 +175,29 @@ MUTANTS = (
         "key = (v_factor * (m * (l_blocks * work / speeds[j])) + queue_sum, 1)",
         "key = (v_factor * (m * (l_blocks * work / speeds[j])) * (1 + 1e-12) + queue_sum, 1)",
         (SEG + "test_run_start_skip_keeps_an_exact_tie",),
+    ),
+    # a metamorphic relation: more memory, energy or head power never costs
+    Mutant(
+        "one-stage-plans-first-device-only",
+        SOLVER,
+        "        if cap >= l_blocks:",
+        "        if cap >= l_blocks and not ties:",
+        (SEG + "test_more_memory_energy_or_head_power_never_raises_the_objective",),
+    ),
+    # evaluated fields that leave the decisions as they were
+    Mutant(
+        "power-scaled-by-1e-7",
+        "res_solver.py",
+        "return min(max(_stationary_power(prob, v_factor, y_n), lo), p_ceil)",
+        "return min(max(_stationary_power(prob, v_factor, y_n), lo), p_ceil) * (1 + 1e-7)",
+        (GOLDEN,),
+    ),
+    Mutant(
+        "e-sch-scaled-by-1e-7",
+        "decision.py",
+        "hop += cl.devices[k].d2d_power_w * env.hop_s[n][k]",
+        "hop += cl.devices[k].d2d_power_w * env.hop_s[n][k] * (1 + 1e-7)",
+        (GOLDEN,),
     ),
 )
 

@@ -631,7 +631,7 @@ def test_run_start_bound_is_below_every_composition():
     tight = 0
     for cfg, env, _, plans, q in _memory_battery():
         v = cfg.convergence.v_factor
-        bound = _run_start_bound(cfg, env, 0, v, q, cfg.clusters[0].n_devices)
+        bound, _ = _run_start_bound(cfg, env, 0, v, q, cfg.clusters[0].n_devices)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
             best = min(cluster_objective(delta, m, cfg, env, 0, v, q) for delta in plans)
             assert bound(m) <= best
@@ -819,7 +819,7 @@ def test_no_plan_raises_the_error_of_m_1_though_another_run_start_is_searched_fi
     v, power = cfg.convergence.v_factor, cfg.clusters[0].uplink_power_max_w
     s_cap = _segment_cap(cfg, env, 0, power)
     assert s_cap == 2
-    bound = _run_start_bound(cfg, env, 0, v, 0.0, s_cap)
+    bound, _ = _run_start_bound(cfg, env, 0, v, 0.0, s_cap)
     assert _micro_batch_run_starts(2) == (1, 2) and bound(2) < bound(1)
     for m, constraint in ((1, "C9'"), (2, "C11")):
         with pytest.raises(InfeasibleError) as exc:
@@ -1280,3 +1280,159 @@ def test_partition_equals_the_pair_scan_oracle_on_the_wide_encoder_shape():
             assert optimal_partition(m, case_cfg, case_env, 0, v, q, s_cap, cutoff=below) is None
             stages.add(want[1])
     assert stages == {6, 7, 11}
+
+
+def _later_cases():
+    """(cfg, env, v, q, s_cap) cases for the run-start bounds: the memory battery
+    at its own V and at V = 0, then 300 systems, half with energy-cut caps and
+    each with a drawn segment cap, whose hops are redrawn between 1e-5 and 1 s,
+    so that hop_max > (S+m-1)*hop_min and an S-stage line of ``later``
+    subtracts more than it adds"""
+    for cfg, env, _, _, q in _memory_battery():
+        for v in (cfg.convergence.v_factor, 0.0):
+            yield cfg, env, v, q, cfg.clusters[0].n_devices
+    rng = np.random.default_rng(38)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            doc = _binding_energy_doc(rng)
+        else:
+            doc = random_system_doc(rng, max_devices=6, max_blocks=12, max_batch=64)
+        cfg = build_config(doc)
+        if rng.random() < 0.3:  # a device that memory rules out
+            starved = dataclasses.replace(cfg.clusters[0].devices[0], mem_budget_bytes=1e7)
+            cfg = dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=(starved,) + cfg.clusters[0].devices[1:]),))
+        hops = tuple(float(10 ** rng.uniform(-5, 0)) for _ in cfg.clusters[0].devices)
+        env = dataclasses.replace(sample_round_environment(cfg, 1), hop_s=(hops,))
+        s_cap = int(rng.integers(1, cfg.clusters[0].n_devices + 1))
+        for v in (cfg.convergence.v_factor, 0.0):
+            for q in (0.0, 1e-3, 1.0):
+                yield cfg, env, v, q, s_cap
+
+
+def test_later_never_falls_and_lies_at_or_below_every_later_bound():
+    checked = tight = wide = 0
+    for cfg, env, v, q, s_cap in _later_cases():
+        bound, later = _run_start_bound(cfg, env, 0, v, q, s_cap)
+        starts = _micro_batch_run_starts(cfg.model.batch_items)
+        bounds = [bound(m) for m in starts]
+        laters = [later(m) for m in starts]
+        for i, lower in enumerate(laters):
+            assert lower <= min(bounds[i:])
+            assert i == 0 or laters[i - 1] <= lower
+            tight += v > 0 and math.isfinite(lower) and lower >= bounds[i] * (1 - 1e-8)
+        checked += 1
+        hops = [hop for hop, dev in zip(env.hop_s[0], cfg.clusters[0].devices) if dev.block_cap]
+        wide += v > 0 and len(hops) > 1 and max(hops) > (len(hops) + starts[-1] - 1) * min(hops)
+    assert checked == 2400 and tight > 1000 and wide > 500
+
+
+def test_walk_prices_few_run_starts_and_searches_the_same_ones(monkeypatch):
+    # 96 lyapunov rounds of the roundbench paper and encoder shapes, seed 1:
+    # pricing every run start and sorting them made 308 and 282 partition
+    # searches over the same 288 and 96 solves, and priced 15 run starts each
+    from edgesched import orchestrator, seg_solver
+
+    def traffic(name):
+        counts = dict.fromkeys(("solves", "priced", "searches"), 0)
+
+        def solve(*args):
+            counts["solves"] += 1
+            return schedule_segments(*args)
+
+        def bounds(*args):
+            bound, later = _run_start_bound(*args)
+
+            def priced(m):
+                counts["priced"] += 1
+                return bound(m)
+
+            return priced, later
+
+        def search(*args, **kwargs):
+            counts["searches"] += 1
+            return optimal_partition(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "schedule_segments", solve)
+        monkeypatch.setattr(seg_solver, "_run_start_bound", bounds)
+        monkeypatch.setattr(seg_solver, "optimal_partition", search)
+        assert len(run_simulation(build_config(_workload_doc(name, 1)), 96, "lyapunov").rounds) == 96
+        return counts
+
+    paper = traffic("paper")
+    assert (paper["solves"], paper["searches"]) == (288, 308) and paper["priced"] <= 3 * 288
+    encoder = traffic("encoder")
+    assert (encoder["solves"], encoder["searches"]) == (96, 282) and encoder["priced"] <= 7 * 96
+
+
+def test_walk_keeps_a_run_start_whose_later_ties_the_best_at_v_0():
+    # the exact-tie system of test_run_start_skip_keeps_an_exact_tie at V = 0
+    # and q = 0: every plan costs 0, so every bound and ``later`` is 0. m = 1
+    # is searched first and finds a two-stage plan; m = 2, whose later equals
+    # that objective, must still be priced and searched, because its
+    # one-stage plan wins the tie on S
+    doc = minimal_doc()
+    doc["model"] = {"L": 2, "b": 2, "o_fwd_flops": 2.0**20, "o_bwd_flops": 2.0**20}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    doc["clusters"][0]["devices"] = [{"gamma_max_bytes": mem, "gamma0_bytes": 2.5e8} for mem in (5e8, 2.5e8, 2.5e8)]
+    cfg = build_config(doc)
+    env = dataclasses.replace(sample_round_environment(cfg, 1), speed=((2.0**22,) * 3,), hop_s=((0.5,) * 3,))
+    budget = 0.5 * (device_energy(2, 1, cfg, env, 0, 0) + device_energy(2, 2, cfg, env, 0, 0))
+    fast = dataclasses.replace(cfg.clusters[0].devices[0], energy_budget_j=budget)
+    cfg = dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=(fast,) + cfg.clusters[0].devices[1:]),))
+    bound, later = _run_start_bound(cfg, env, 0, 0.0, 0.0, 3)
+    assert bound(1) == bound(2) == later(2) == 0.0
+    assert optimal_partition(1, cfg, env, 0, 0.0, 0.0, 3) == ((0, 1, 1), 2)
+    plan = schedule_segments(cfg, env, 0, (0.0,), 0.0, 0.5)
+    assert (plan.delta, plan.m) == _unpruned_scan(cfg, env, 0, (0.0,), 0.0, 0.5) == ((2, 0, 0), 2)
+
+
+def _with_device(cfg, k, **fields):
+    devices = list(cfg.clusters[0].devices)
+    devices[k] = dataclasses.replace(devices[k], **fields)
+    return dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=tuple(devices)),))
+
+
+def test_more_memory_energy_or_head_power_never_raises_the_objective():
+    # a metamorphic relation: doubling one device's memory cap or energy
+    # budget, or raising the head power (and so the segment cap), only adds
+    # plans, so the optimum's objective cannot rise and a feasible cluster
+    # stays feasible. On systems with energy-cut caps at q > 0, and on two
+    # rounds of the encoder cluster widened to K=32, L=64 at a head power
+    # whose balance cap allows 6 stages, raised to P_max
+    def objective(cfg, env, v, q, power):
+        try:
+            plan = schedule_segments(cfg, env, 0, (q,), v, power)
+        except InfeasibleError:
+            return math.inf
+        return cluster_objective(plan.delta, plan.m, cfg, env, 0, v, q)
+
+    rng = np.random.default_rng(22)
+    cases = []
+    for _ in range(150):
+        cfg = build_config(_binding_energy_doc(rng))
+        cases.append((cfg, sample_round_environment(cfg, int(rng.integers(1, 5))), float(rng.uniform(0.05, 0.5)), float(rng.choice([1e-3, 1.0]))))
+    doc = _workload_doc("encoder", 1)
+    doc["convergence"]["gamma_max_bound"] = 1e-4
+    devices = doc["clusters"][0]["devices"]
+    doc["clusters"][0]["devices"] = [dict(devices[i % len(devices)], gamma_max_bytes=12 * 2.5e8) for i in range(32)]
+    doc["model"]["L"] = 64
+    wide = build_config(doc)
+    for t in (1, 2):
+        env = sample_round_environment(wide, t)
+        cases.append((wide, env, balance_thresholds(wide.convergence, 1, 64, env.uplink_gain[0], env.uplink_interference_w[0])[5], 1e-3))
+    lowered = 0
+    bases = []
+    for cfg, env, power, q in cases:
+        v = cfg.convergence.v_factor
+        base = objective(cfg, env, v, q, power)
+        bases.append(base)
+        k = int(rng.integers(cfg.clusters[0].n_devices))
+        dev = cfg.clusters[0].devices[k]
+        raised = [
+            objective(_with_device(cfg, k, mem_budget_bytes=2 * dev.mem_budget_bytes), env, v, q, power),
+            objective(_with_device(cfg, k, energy_budget_j=2 * dev.energy_budget_j), env, v, q, power),
+            objective(cfg, env, v, q, max(2 * power, cfg.clusters[0].uplink_power_max_w)),
+        ]
+        assert all(obj <= base for obj in raised)
+        lowered += any(obj < base for obj in raised)
+    assert math.isfinite(bases[-1]) and math.isfinite(bases[-2]) and lowered > 30
