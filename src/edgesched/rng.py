@@ -83,14 +83,25 @@ def _seed(entropy: list[int]) -> tuple[int, int]:
     return ((inc + seed) * _PCG_MULT + inc) & _M128, inc
 
 
+def _stream(x: int, inc: int):
+    """PCG64's 64-bit outputs from 128-bit state x and increment inc: each
+    steps the LCG, then applies XSL-RR to the new state."""
+    while True:
+        x = (x * _PCG_MULT + inc) & _M128
+        # the output is z = hi ^ lo rotated right by the top 6 bits; z doubled
+        # to 128 bits makes the rotation a shift
+        z = (x >> 64 ^ x) & _M64
+        yield (z << 64 | z) >> (x >> 122) & _M64
+
+
 def draw(entropy: list[int], k: int) -> list[float]:
     """The k doubles of ``numpy.random.default_rng(entropy).random(k)``.
 
     Each entry of ``entropy`` is an int >= 0, split into little-endian 32-bit
     words (0 is one zero word). ``uniform(lo, hi)`` is ``lo + (hi - lo) * u``.
+    Each double is ``Generator.random``'s: the top 53 bits of one output.
     """
-    random = Generator(entropy).random
-    return [random() for _ in range(k)]
+    return [(v >> 11) * 2.0**-53 for _, v in zip(range(k), _stream(*_seed(entropy)))]
 
 
 class Generator:
@@ -102,18 +113,11 @@ class Generator:
     half for the next 32-bit draw, which ``uniform`` neither reads nor clears.
     """
 
-    __slots__ = ("_x", "_inc", "_half")
+    __slots__ = ("_next64", "_half")
 
     def __init__(self, entropy: list[int]) -> None:
-        self._x, self._inc = _seed(entropy)
+        self._next64 = _stream(*_seed(entropy)).__next__
         self._half: int | None = None
-
-    def _next64(self) -> int:
-        self._x = x = (self._x * _PCG_MULT + self._inc) & _M128
-        # the output is z = hi ^ lo rotated right by the top 6 bits; z doubled
-        # to 128 bits makes the rotation a shift
-        z = (x >> 64 ^ x) & _M64
-        return (z << 64 | z) >> (x >> 122) & _M64
 
     def _next32(self) -> int:
         half = self._half

@@ -31,23 +31,25 @@ less than the other L-d blocks, or when even the fewest stages any cover could
 take, 1 + ceil((L-d)/largest count), exceed the balance cap or price the plan
 above the best so far. Only the other pairs cover those blocks with the fewest
 devices that stay under the bottleneck, as in 1-D chain partitioning, and
-ties are broken after the sweep. The sweep stops at an occupancy past which
-no plan can reach the best, inverted from a floor once per new best.
+ties are broken after the sweep. No pair below the L-th least occupancy can
+be covered, so the sweep only counts the occupancies before it. It stops at
+an occupancy past which no plan can reach the best, inverted from a floor
+once per new best.
 
 The same early exit works one level up. Each segment count S has a floor on
 the objective of every S-stage plan, from its least bottleneck: the larger of
-the least one-block occupancy and the load spread over the S fastest
-devices. When a one-stage plan sets the bar, a partition solve whose floors
-all lie strictly above it skips the bottleneck scan. The run starts are
-searched best-first, in ascending lower bound, built from memory caps and
-these floors (branch and bound: Land & Doig, Econometrica 1960), until one's
-bound lies strictly above the best objective: no plan there or later can
-win, not even on a tie. The bounds are priced lazily: the run starts are
-walked in ascending m beside a cheaper bound that never falls as m grows,
-and the next one is priced only while that cheaper bound could put it
-first. Six table2 rounds price 52 and search 22 of their 270 run starts,
-and 12 rounds of the benchmark's encoder cluster price 72 and search 36 of
-180.
+the least one-block occupancy and the whole-block load of the S fastest
+devices, the L-th least ratio of a block count to a speed among them. When a
+one-stage plan sets the bar, a partition solve whose floors all lie strictly
+above it skips the bottleneck scan. The run starts are searched best-first,
+in ascending lower bound, built from memory caps and these floors (branch
+and bound: Land & Doig, Econometrica 1960), until one's bound lies strictly
+above the best objective: no plan there or later can win, not even on a
+tie. The bounds are priced lazily: the run starts are walked in ascending m
+beside a cheaper bound that never falls as m grows, and the next one is
+priced only while that cheaper bound could put it first. Six table2 rounds
+price 52 and search 18 of their 270 run starts, and 12 rounds of the
+benchmark's encoder cluster price 72 and search 22 of 180.
 
 The balance cap does not depend on m: ``schedule_segments`` counts the
 thresholds p_1, p_2, ... at or below the head power once per call, up to the
@@ -203,18 +205,21 @@ def optimal_partition(
     or (b) S_min = 1 + ceil((L-d)/largest count), the fewest stages any cover
     takes, exceeds ``s_cap``, or its objective already lies strictly above
     the bar. At V >= 0 and queue_sum >= 0 the float objective grows with S,
-    so (b) drops no tie. The sweep stops past ``u_stop``, the
-    ``_stop_occupancy`` of the bar at s_lo stages, read once per bar. The
-    scan keeps the least (objective, S), the bar, and the (j, d, caps) of
-    every plan at it, one-stage plans included; the lexicographically
-    smallest of their deltas, the oracle's tie-break, is built last.
+    so (b) drops no tie. (a) rejects every pair below the L-th occupancy, so
+    the groups before the one that holds it are only counted. The sweep
+    stops past ``u_stop``, the ``_stop_occupancy`` of the bar at s_lo
+    stages, read once per bar. The scan keeps the least (objective, S), the
+    bar, and the (j, d, caps) of every plan at it, one-stage plans included;
+    the lexicographically smallest of their deltas, the oracle's tie-break,
+    is built last.
 
     When a one-stage plan sets the bar, ``_stage_count_floor`` prices every
-    segment count the caps and the balance cap allow; when that floor lies
-    strictly above the bar, no plan of two or more stages can win or tie,
-    and the sweep is not run. Otherwise no floor is built: the bar is the
-    cutoff, met by the run start's many-stage bound, or by its one-stage one
-    before energy caps cut that plan, and then the sweep runs unskipped.
+    segment count the caps and the balance cap allow, refining its loads up
+    to that bar; when that floor lies strictly above the bar, no plan of two
+    or more stages can win or tie, and the sweep is not run. Otherwise no
+    floor is built: the bar is the cutoff, met by the run start's many-stage
+    bound, or by its one-stage one before energy caps cut that plan, and then
+    the sweep runs unskipped.
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
@@ -247,7 +252,7 @@ def optimal_partition(
 
     # plans of two or more stages are scanned unless their floor lies above a one-stage plan's bar
     s_lo = max(2, need)
-    if s_cap >= 2 and not (ties and _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)(m, work) > bar[0]):
+    if s_cap >= 2 and not (ties and _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)(m, work, bar[0]) > bar[0]):
         hop_max = max(hops)
         u_stop = _stop_occupancy(v_factor, queue_sum, s_lo, m, hop_max, bar[0])
         # no device beside a bottleneck holds L blocks, so no event has d = L
@@ -256,8 +261,13 @@ def optimal_partition(
             if (u := d * work / speeds[k] + hops[k]) <= u_stop  # u_stop only falls: the rest is never scanned
         )
         cnt = [0] * len(caps)  # each device's occupancies at or below u
-        total = top = 0  # their sum and the largest count
-        for u, group in groupby(events, itemgetter(0)):
+        # below L occupancies no pair passes pretest (a): the groups before the
+        # one that holds the L-th occupancy are counted, and no pair is priced
+        start = bisect_left(events, (events[l_blocks - 1][0],)) if len(events) >= l_blocks else len(events)
+        for _, k, _ in events[:start]:
+            cnt[k] += 1
+        total, top = start, max(cnt)  # their sum and the largest count
+        for u, group in groupby(events[start:], itemgetter(0)):
             if u > u_stop:
                 break
             group = list(group)
@@ -337,7 +347,7 @@ def _segment_cap(cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: f
     return s_cap
 
 
-def _no_floor(m: int, work: float) -> float:
+def _no_floor(m: int, work: float, bar: float = math.inf) -> float:
     """``_stage_count_floor`` of a range of segment counts that no plan can take."""
     return math.inf
 
@@ -345,22 +355,57 @@ def _no_floor(m: int, work: float) -> float:
 _no_floor.counts = ()
 
 
+def _whole_block_load(l_blocks: int, fastest: list[float]) -> float:
+    """The L-th least ratio d/speed, d >= 1, over the speeds ``fastest``.
+
+    Each device first counts its ratios at or below the fractional load
+    L/sum(fastest): its share floor(load*speed), fixed against the float test
+    d/speed <= load. The counts sum to less than L unless rounding or an even
+    split reaches L; the answer is then the short-th least of the next ratios
+    (d + j)/speed, or, at short <= 0, the (1 - short)-th greatest of the
+    counted ones.
+    """
+    load = l_blocks / sum(fastest)
+    held = []
+    for speed in fastest:
+        d = int(load * speed)
+        while d and d / speed > load:
+            d -= 1
+        while (d + 1) / speed <= load:
+            d += 1
+        held.append(d)
+    short = l_blocks - sum(held)
+    steps = range(1, short + 1) if short > 0 else range(short, 1)
+    return sorted([(d + j) / speed for d, speed in zip(held, fastest) for j in steps if d + j > 0])[short - 1]
+
+
 def _stage_count_floor(
     env: RoundEnvironment, n: int, caps: list[int], l_blocks: int, v_factor: float, queue_sum: float, s_lo: int, s_cap: int
 ):
-    """Least objective any plan of S stages, s_lo <= S <= s_cap, can reach, as a function of (m, work).
+    """Least objective any plan of S stages, s_lo <= S <= s_cap, can reach, as a function of (m, work, bar).
 
     ``work`` is the chunk work at run start m. Only devices of cluster n with
     a positive cap in ``caps`` can be stages. A plan's bottleneck occupancy U
-    is at least the least one-block occupancy, and at least L*work/(sum of
-    the S fastest speeds) + the least hop, because each stage k holds at most
-    (U - hop_k)*speed_k/work blocks. The bottleneck's hop is at most the
-    longest hop and at most U, so the objective is at least
-    V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum. The (1 - 1e-12)
-    slacks absorb float rounding. The floor is inf when no S in the range has
-    enough devices. ``_stop_occupancy`` is its inverse in U. The floor carries
-    what it prices, for ``_run_start_bound``'s ``later``: ``counts``, the pairs
-    (S, L/(sum of the S fastest speeds)), none for the inf floor, and
+    is at least the least one-block occupancy, and at least load_S*work +
+    the least hop, where load_S is the whole-block load of the S fastest
+    devices (``_whole_block_load``): each stage k holds d_k blocks with
+    d_k/speed_k <= (U - hop_k)/work, so no S stages hold L blocks below it.
+    The bottleneck's hop is at most the longest hop and at most U, so the
+    objective is at least V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum.
+    The (1 - 1e-12) slacks absorb float rounding. The floor is inf when no S
+    in the range has enough devices. ``_stop_occupancy`` is its inverse in U.
+
+    Each S starts at its fractional load L/(sum of the S fastest speeds),
+    which lies at or below its whole-block load but for rounding; a refined
+    S takes the larger of the two, so refining never lowers a term. A call
+    refines the S whose term sets the floor, one at a time, while that term
+    lies at or below ``bar``, and keeps each refined load for later calls.
+    So the floor it
+    returns equals the fully refined one whenever either lies at or below
+    ``bar``, and lies above ``bar`` otherwise; at the default bar it is the
+    fully refined floor. The floor carries what it prices, for
+    ``_run_start_bound``'s ``later``: ``counts``, the pairs (S, load) with
+    each S's load as refined so far, none for the inf floor, and
     ``hop_range``, (hop_min, hop_max).
     """
     speeds = [speed for speed, cap in zip(env.speed[n], caps) if cap]
@@ -369,24 +414,30 @@ def _stage_count_floor(
     if s_hi < s_lo:
         return _no_floor
     hop_min, hop_max = min(hops), max(hops)
-    # L over the sum of the S fastest speeds, for each S
-    loads = [l_blocks / fastest for fastest in accumulate(sorted(speeds, reverse=True))]
+    # L over the sum of the S fastest speeds, for each S, until its term is refined
+    fastest = sorted(speeds, reverse=True)
+    loads = [l_blocks / total for total in accumulate(fastest)]
     counts = list(zip(range(s_lo, s_hi + 1), loads[s_lo - 1 :]))
+    whole = [False] * (s_hi + 1)  # whole[S]: load_S is the whole-block load
 
-    def floor(m: int, work: float) -> float:
+    def floor(m: int, work: float, bar: float = math.inf) -> float:
         one_block = min([work / speed + hop for speed, hop in zip(speeds, hops)])
-        least = math.inf
-        # max and min written out as comparisons, which run faster and pick
-        # the operand max and min would
-        for s, load in counts:
-            u = (load * work + hop_min) * (1 - 1e-12)
-            if not u > one_block:
-                u = one_block
-            pipelined, held = (s + m - 1) * u - hop_max, (s + m - 2) * u
-            obj = v_factor * (held if held > pipelined else pipelined) * (1 - 1e-12) + s * queue_sum
-            if obj < least:
-                least = obj
-        return least
+        while True:
+            least, at = math.inf, s_lo
+            # max and min written out as comparisons, which run faster and
+            # pick the operand max and min would
+            for s, load in counts:
+                u = (load * work + hop_min) * (1 - 1e-12)
+                if not u > one_block:
+                    u = one_block
+                pipelined, held = (s + m - 1) * u - hop_max, (s + m - 2) * u
+                obj = v_factor * (held if held > pipelined else pipelined) * (1 - 1e-12) + s * queue_sum
+                if obj < least:
+                    least, at = obj, s
+            if least > bar or whole[at]:
+                return least
+            counts[at - s_lo] = at, max(loads[at - 1], _whole_block_load(l_blocks, fastest[:at]))
+            whole[at] = True
 
     floor.counts, floor.hop_range = counts, (hop_min, hop_max)
     return floor
@@ -419,7 +470,8 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     m*work >= b*o_fwd + m*o_bwd, and by work >= o_fwd + o_bwd:
 
     - one stage: V*(L/s_fast)*(b*o_fwd + m*o_bwd) + q;
-    - S stages: U >= load_S*work + hop_min, as in the floor, so
+    - S stages: U >= load_S*work + hop_min, as in the floor, at the
+      fractional loads its counts hold before any call, so
       V*(load_S*(b*o_fwd + (S-1)*(o_fwd+o_bwd) + m*o_bwd) + (S+m-1)*hop_min
       - hop_max) + S*q.
 
@@ -438,7 +490,7 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     def bound(m: int) -> float:
         work = chunk_work(micro_batch_size(batch_items, m), model)
         one = math.inf if s_fast is None else v_factor * (m * (l_blocks * work / s_fast)) + queue_sum
-        least = many(m, work)
+        least = many(m, work, one)
         return least if least < one else one
 
     fwd, bwd = batch_items * model.fwd_flops, model.bwd_flops  # b*o_fwd, o_bwd

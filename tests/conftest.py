@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import numpy as np
@@ -25,6 +26,15 @@ def homogeneous_cfg():
 def minimal_doc() -> dict:
     """Smallest legal system: one cluster, one device, one channel."""
     return {"J": 1, "clusters": [{"devices": [{}]}]}
+
+
+def workload_doc(name: str, seed: int) -> dict:
+    """The roundbench workload ``name``'s config document at ``seed``."""
+    path = os.path.join(REPO_ROOT, "roundbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("roundbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_doc(name, seed)
 
 
 def random_system_doc(rng: np.random.Generator, max_devices=4, max_blocks=8, max_batch=32) -> dict:

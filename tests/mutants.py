@@ -41,8 +41,11 @@ class Mutant(NamedTuple):
 
 
 SEG = "tests/test_seg_solver.py::"
+ORCH = "tests/test_orchestrator.py::"
+PIPE = "tests/test_pipeline.py::"
 GOLDEN = "tests/test_decision_golden.py"
 SOLVER = "seg_solver.py"
+MALFORMED = PIPE + "test_event_sim_rejects_malformed_input"
 
 MUTANTS = (
     # the partition sweep's O(1) pretests
@@ -94,7 +97,7 @@ MUTANTS = (
         SOLVER,
         "insort(priced, (bound(m), m))",
         "insort(priced, (-bound(m), m))",
-        (SEG + "test_best_first_search_runs_three_partition_searches_per_encoder_solve",),
+        (SEG + "test_best_first_search_runs_under_two_partition_searches_per_encoder_solve",),
     ),
     # the walk's lower bound on every later run start, and its stop
     Mutant(
@@ -129,8 +132,8 @@ MUTANTS = (
     Mutant(
         "floor-slowest-speeds",
         SOLVER,
-        "accumulate(sorted(speeds, reverse=True))",
-        "accumulate(sorted(speeds))",
+        "fastest = sorted(speeds, reverse=True)",
+        "fastest = sorted(speeds)",
         (SEG + "test_stage_count_floor_is_below_every_composition_of_that_size",),
     ),
     Mutant(
@@ -154,6 +157,52 @@ MUTANTS = (
         "/ (v_factor * (1 - 1e-12))",
         (SEG + "test_stop_occupancy_inverts_the_stage_count_floor_term",),
     ),
+    # the floor's whole-block loads, refined lazily, and the sweep's start
+    Mutant(
+        "whole-load-one-block-short",
+        SOLVER,
+        "short = l_blocks - sum(held)",
+        "short = l_blocks - 1 - sum(held)",
+        (SEG + "test_whole_block_load_is_the_l_th_least_block_ratio",),
+    ),
+    Mutant(
+        "whole-load-without-fix-up",
+        SOLVER,
+        "        while d and d / speed > load:\n            d -= 1\n        while (d + 1) / speed <= load:\n            d += 1\n",
+        "",
+        (SEG + "test_whole_block_load_is_the_l_th_least_block_ratio",),
+    ),
+    Mutant(
+        "floor-never-refined",
+        SOLVER,
+        "            if least > bar or whole[at]:\n",
+        "            if True:\n",
+        (
+            SEG + "test_lazily_refined_floor_equals_the_fully_refined_one_at_or_below_the_bar",
+            SEG + "test_best_first_search_runs_under_two_partition_searches_per_encoder_solve",
+        ),
+    ),
+    Mutant(
+        "floor-refined-only-below-the-bar",
+        SOLVER,
+        "            if least > bar or whole[at]:\n",
+        "            if least >= bar or whole[at]:\n",
+        (SEG + "test_lazily_refined_floor_equals_the_fully_refined_one_at_or_below_the_bar",),
+    ),
+    Mutant(
+        "floor-refinement-may-lower-a-load",
+        SOLVER,
+        "max(loads[at - 1], _whole_block_load(l_blocks, fastest[:at]))",
+        "_whole_block_load(l_blocks, fastest[:at])",
+        (SEG + "test_lazily_refined_floor_equals_the_fully_refined_one_at_or_below_the_bar",),
+    ),
+    Mutant(
+        "sweep-start-at-the-l-th-occupancy",
+        SOLVER,
+        "start = bisect_left(events, (events[l_blocks - 1][0],)) if",
+        "start = l_blocks - 1 if",
+        (SEG + "test_partition_sweep_equals_the_per_pair_scan",),
+    ),
     # the in-call floor and the one-stage price
     Mutant(
         "in-call-floor-without-one-stage-bar",
@@ -165,7 +214,7 @@ MUTANTS = (
     Mutant(
         "in-call-floor-skip-removed",
         SOLVER,
-        "if s_cap >= 2 and not (ties and _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)(m, work) > bar[0]):",
+        "if s_cap >= 2 and not (ties and _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)(m, work, bar[0]) > bar[0]):",
         "if s_cap >= 2:",
         (SEG + "test_in_call_floor_is_built_only_where_a_one_stage_plan_sets_the_bar", SEG + "test_partition_floor_skip_equals_the_full_scan"),
     ),
@@ -183,6 +232,92 @@ MUTANTS = (
         "        if cap >= l_blocks:",
         "        if cap >= l_blocks and not ties:",
         (SEG + "test_more_memory_energy_or_head_power_never_raises_the_objective",),
+    ),
+    # every exit of the plan checks, the run loop and the CLI, deleted or
+    # inverted, and the closed form's tie rule
+    Mutant(
+        "closed-form-without-empty-plan-check",
+        "pipeline.py",
+        '    if s == 0:\n        raise InfeasibleError("C2", "empty pipeline plan")\n',
+        "",
+        (SEG + "test_micro_batch_solve_of_an_all_zero_partition_fails_c2", "tests/test_decision.py::test_an_all_zero_plan_fails_c2_through_the_closed_form"),
+    ),
+    Mutant(
+        "closed-form-subtracts-the-last-bottleneck-hop",
+        "pipeline.py",
+        "return (s + m - 1) * u - hop_times[occupancy.index(u)]",
+        "return (s + m - 1) * u - hop_times[s - 1 - occupancy[::-1].index(u)]",
+        (PIPE + "test_latency_subtracts_bottleneck_hop",),
+    ),
+    Mutant(
+        "event-sim-without-empty-check",
+        "pipeline.py",
+        '    if s == 0:\n        raise ValueError("empty pipeline")\n',
+        "",
+        (MALFORMED + "[times0-hops0-1-empty pipeline]",),
+    ),
+    Mutant(
+        "event-sim-length-check-one-sided",
+        "pipeline.py",
+        "    if len(hop_times) != s:\n",
+        "    if len(hop_times) < s:\n",
+        (MALFORMED + "[times2-hops2-2-equal length]",),
+    ),
+    Mutant(
+        "event-sim-without-chunk-check",
+        "pipeline.py",
+        '    if m < 1:\n        raise ValueError(f"chunk count must be >= 1, got {m}")\n',
+        "",
+        (MALFORMED + "[times3-hops3-0-chunk count must be >= 1]",),
+    ),
+    Mutant(
+        "uniform-split-without-memory-check",
+        "orchestrator.py",
+        '        raise InfeasibleError("C7", f"cluster {n}: memory cannot host all blocks")\n',
+        "        pass\n",
+        (ORCH + "test_uniform_partition_over_no_devices_names_c7",),
+    ),
+    Mutant(
+        "random-plan-without-conservation-test",
+        "orchestrator.py",
+        "if s <= cfg.model.n_blocks:  # more chosen devices than blocks breaks conservation",
+        "if True:",
+        (ORCH + "test_random_policy_falls_back_to_the_uniform_split",),
+    ),
+    Mutant(
+        "baseline-unknown-policy-returns-none",
+        "orchestrator.py",
+        '\n    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")',
+        "\n    return None",
+        (ORCH + "test_unknown_policy_and_negative_rounds_are_rejected",),
+    ),
+    Mutant(
+        "run-policy-checked-only-with-rounds",
+        "orchestrator.py",
+        "    if policy not in POLICIES:\n",
+        "    if policy not in POLICIES and rounds:\n",
+        (ORCH + "test_unknown_policy_and_negative_rounds_are_rejected",),
+    ),
+    Mutant(
+        "run-rounds-check-off-by-one",
+        "orchestrator.py",
+        "    if rounds < 0:\n",
+        "    if rounds < -1:\n",
+        (ORCH + "test_unknown_policy_and_negative_rounds_are_rejected",),
+    ),
+    Mutant(
+        "atomic-write-keeps-its-temp-file",
+        "orchestrator.py",
+        "        if os.path.exists(tmp):\n            os.unlink(tmp)\n",
+        "",
+        (ORCH + "test_atomic_write_keeps_the_old_file_when_the_rename_fails",),
+    ),
+    Mutant(
+        "cli-internal-error-unhandled",
+        "cli.py",
+        "    except Exception as exc:  # defensive: anything else is a bug\n",
+        "    except ArithmeticError as exc:  # defensive: anything else is a bug\n",
+        ("tests/test_cli.py::test_unexpected_error_exits_internal_error",),
     ),
     # evaluated fields that leave the decisions as they were
     Mutant(
