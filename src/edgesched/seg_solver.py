@@ -39,15 +39,15 @@ once per new best.
 The same early exit works one level up. Each segment count S has a floor on
 the objective of every S-stage plan, from its least bottleneck: the larger of
 the least one-block occupancy and the whole-block load of the S fastest
-devices, the L-th least ratio of a block count to a speed among them. When a
-one-stage plan sets the bar, a partition solve whose floors all lie strictly
-above it skips the bottleneck scan. The run starts are searched best-first,
-in ascending lower bound, built from memory caps and these floors (branch
-and bound: Land & Doig, Econometrica 1960), until one's bound lies strictly
-above the best objective: no plan there or later can win, not even on a
-tie. The bounds are priced lazily: the run starts are walked in ascending m
-beside a cheaper bound that never falls as m grows, and the next one is
-priced only while that cheaper bound could put it first. Six table2 rounds
+devices, the L-th least ratio of a block count to a speed among them. The
+run starts are searched best-first, in ascending lower bound, built from
+memory caps and these floors (branch and bound: Land & Doig, Econometrica
+1960), until one's bound lies strictly above the best objective: no plan
+there or later can win, not even on a tie. The bounds are priced lazily: the
+run starts are walked in ascending m beside a cheaper bound that never falls
+as m grows, and the next one is priced only while that cheaper bound could
+put it first. A partition search skips the bottleneck scan when its run
+start's floor of S >= 2 stages lies strictly above the bar. Six table2 rounds
 price 52 and search 18 of their 270 run starts, and 12 rounds of the
 benchmark's encoder cluster price 72 and search 22 of 180.
 
@@ -188,6 +188,7 @@ def optimal_partition(
     s_cap: int,
     *,
     cutoff: float = math.inf,
+    floor: float = -math.inf,
 ) -> tuple[tuple[int, ...], int] | None:
     """Exact argmin over integer block compositions at fixed m.
 
@@ -213,13 +214,10 @@ def optimal_partition(
     the lexicographically smallest of their deltas, the oracle's tie-break,
     is built last.
 
-    When a one-stage plan sets the bar, ``_stage_count_floor`` prices every
-    segment count the caps and the balance cap allow, refining its loads up
-    to that bar; when that floor lies strictly above the bar, no plan of two
-    or more stages can win or tie, and the sweep is not run. Otherwise no
-    floor is built: the bar is the cutoff, met by the run start's many-stage
-    bound, or by its one-stage one before energy caps cut that plan, and then
-    the sweep runs unskipped.
+    ``floor`` must lie at or below the objective of every plan of two or
+    more stages, as ``_run_start_bound``'s many-stage term does; when it lies
+    strictly above the bar, none of them can win or tie, and the sweep is not
+    run. The default never skips it.
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
@@ -250,10 +248,9 @@ def optimal_partition(
             if key == bar:
                 ties.append((j, l_blocks, caps))
 
-    # plans of two or more stages are scanned unless their floor lies above a one-stage plan's bar
-    s_lo = max(2, need)
-    if s_cap >= 2 and not (ties and _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)(m, work, bar[0]) > bar[0]):
-        hop_max = max(hops)
+    # plans of two or more stages are scanned unless their floor lies above the bar
+    if s_cap >= 2 and not floor > bar[0]:
+        s_lo, hop_max = max(2, need), max(hops)
         u_stop = _stop_occupancy(v_factor, queue_sum, s_lo, m, hop_max, bar[0])
         # no device beside a bottleneck holds L blocks, so no event has d = L
         events = sorted(
@@ -455,8 +452,8 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     """Lower bounds, as functions of m, on the objective of every plan of cluster n at run start m: ``(bound, later)``.
 
     Built from memory caps alone, so they hold for every plan of at most
-    ``s_cap`` stages that the energy caps allow. ``bound(m)`` is the smaller
-    of two terms:
+    ``s_cap`` stages that the energy caps allow, which are at most the memory
+    caps. ``bound(m)`` is the pair (the smaller of two terms, the second):
 
     - one stage: the fastest device that can hold all L blocks, priced with
       the float expression ``optimal_partition`` uses, so it needs no slack;
@@ -464,7 +461,7 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
       segment count s_lo memory allows up to ``s_cap``, on the devices memory
       lets hold a block; inf when s_cap < s_lo.
 
-    ``later(m)`` never falls as m grows and lies at or below ``bound(m')`` at
+    ``later(m)`` never falls as m grows and lies at or below ``bound(m')[0]`` at
     every run start m' >= m. It is the least of lines a + c*m with c >= 0,
     one per term of ``bound``, made linear by m*ceil(b/m) >= b, so that
     m*work >= b*o_fwd + m*o_bwd, and by work >= o_fwd + o_bwd:
@@ -487,11 +484,11 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
     batch_items, model = cfg.model.batch_items, cfg.model
 
-    def bound(m: int) -> float:
+    def bound(m: int) -> tuple[float, float]:
         work = chunk_work(micro_batch_size(batch_items, m), model)
         one = math.inf if s_fast is None else v_factor * (m * (l_blocks * work / s_fast)) + queue_sum
         least = many(m, work, one)
-        return least if least < one else one
+        return least if least < one else one, least
 
     fwd, bwd = batch_items * model.fwd_flops, model.bwd_flops  # b*o_fwd, o_bwd
     lines = [] if s_fast is None else [(v_factor * (l_blocks / s_fast * fwd) + queue_sum, v_factor * (l_blocks / s_fast * bwd))]
@@ -527,16 +524,16 @@ def schedule_segments(
     Runs the partition search at the ceil(b/m) run starts best-first, in
     ascending (bound, m) of ``_run_start_bound``'s ``bound`` (every segment
     count up to the balance cap priced by ``_stage_count_floor``), each at
-    the best objective so far as its cutoff, keeping the least (objective, S,
-    delta, m), the oracle's tie-break. The run starts are walked in
-    ascending m and priced only when reached: the least priced one is
-    searched once its bound is at or below ``later`` of the next unpriced
-    one, which no bound from there on lies below, so the order is that of
-    sorting every bound. The search stops when the least priced bound and
-    that ``later`` both lie strictly above the best objective: every plan
-    left is worse. Ties are never skipped, so the order cannot change the
-    plan. When no m has a plan, nothing was ruled out, and the error raised
-    at m = 1 names the blocker.
+    the best objective so far as its cutoff and at the bound's many-stage
+    floor, keeping the least (objective, S, delta, m), the oracle's
+    tie-break. The run starts are walked in ascending m and priced only when
+    reached: the least priced one is searched once its bound is at or below
+    ``later`` of the next unpriced one, which no bound from there on lies
+    below, so the order is that of sorting every bound. The search stops
+    when the least priced bound and that ``later`` both lie strictly above
+    the best objective: every plan left is worse. Ties are never skipped, so
+    the order cannot change the plan. When no m has a plan, nothing was ruled
+    out, and the error raised at m = 1 names the blocker.
 
     The balance cap at ``cu_power_w`` does not depend on m, so it is read
     once, before the run starts; when it is unreachable, its C11 error is
@@ -546,25 +543,26 @@ def schedule_segments(
     s_cap = _segment_cap(cfg, env, n, cu_power_w)
     bound, later = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
     starts = _micro_batch_run_starts(cfg.model.batch_items)
-    priced = []  # ascending (bound, m) of the run starts priced and not yet searched
+    priced = []  # ascending (bound, m, floor) of the run starts priced and not yet searched
     walked, after = 0, -math.inf  # run starts priced, and later() of the next; m = 1 is priced unasked
     best_key = error = None
     while True:
         cutoff = math.inf if best_key is None else best_key[0]
         if priced and priced[0][0] <= after:  # no unpriced run start comes before it
-            lower, m = priced.pop(0)
+            lower, m, floor = priced.pop(0)
             if lower > cutoff:  # so is every later bound
                 break
         elif walked == len(starts) or after > cutoff:  # every bound left lies above the cutoff
             break
         else:
             m = starts[walked]
-            insort(priced, (bound(m), m))
+            lower, floor = bound(m)
+            insort(priced, (lower, m, floor))
             walked += 1
             after = later(starts[walked]) if walked < len(starts) else math.inf
             continue
         try:
-            found = optimal_partition(m, cfg, env, n, v_factor, queue_sum, s_cap, cutoff=cutoff)
+            found = optimal_partition(m, cfg, env, n, v_factor, queue_sum, s_cap, cutoff=cutoff, floor=floor)
         except InfeasibleError as exc:
             if m == 1:
                 error = exc

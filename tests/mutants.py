@@ -95,8 +95,8 @@ MUTANTS = (
     Mutant(
         "run-starts-by-minus-bound",
         SOLVER,
-        "insort(priced, (bound(m), m))",
-        "insort(priced, (-bound(m), m))",
+        "insort(priced, (lower, m, floor))",
+        "insort(priced, (-lower, m, floor))",
         (SEG + "test_best_first_search_runs_under_two_partition_searches_per_encoder_solve",),
     ),
     # the walk's lower bound on every later run start, and its stop
@@ -203,20 +203,20 @@ MUTANTS = (
         "start = l_blocks - 1 if",
         (SEG + "test_partition_sweep_equals_the_per_pair_scan",),
     ),
-    # the in-call floor and the one-stage price
+    # the partition search's floor skip and the one-stage price
     Mutant(
-        "in-call-floor-without-one-stage-bar",
+        "floor-skip-removed",
         SOLVER,
-        "not (ties and _stage_count_floor(",
-        "not (_stage_count_floor(",
-        (SEG + "test_in_call_floor_is_built_only_where_a_one_stage_plan_sets_the_bar",),
+        "if s_cap >= 2 and not floor > bar[0]:",
+        "if s_cap >= 2:",
+        (SEG + "test_stage_count_floor_is_built_once_per_solve", SEG + "test_partition_floor_skip_equals_the_full_scan"),
     ),
     Mutant(
-        "in-call-floor-skip-removed",
+        "floor-skip-on-a-tie",
         SOLVER,
-        "if s_cap >= 2 and not (ties and _stage_count_floor(env, n, caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)(m, work, bar[0]) > bar[0]):",
-        "if s_cap >= 2:",
-        (SEG + "test_in_call_floor_is_built_only_where_a_one_stage_plan_sets_the_bar", SEG + "test_partition_floor_skip_equals_the_full_scan"),
+        "if s_cap >= 2 and not floor > bar[0]:",
+        "if s_cap >= 2 and not floor >= bar[0]:",
+        ("tests/test_solver_digests.py::test_solver_digests_match_the_fixture",),
     ),
     Mutant(
         "one-stage-price-with-slack",

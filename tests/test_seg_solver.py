@@ -624,9 +624,12 @@ def test_run_start_bound_is_below_every_composition():
         v = cfg.convergence.v_factor
         bound, _ = _run_start_bound(cfg, env, 0, v, q, cfg.clusters[0].n_devices)
         for m in _micro_batch_run_starts(cfg.model.batch_items):
-            best = min(cluster_objective(delta, m, cfg, env, 0, v, q) for delta in plans)
-            assert bound(m) <= best
-            tight += bound(m) == best
+            lower, floor = bound(m)
+            objs = [(cluster_objective(delta, m, cfg, env, 0, v, q), sum(map(bool, delta))) for delta in plans]
+            best = min(obj for obj, _ in objs)
+            assert lower <= min(best, floor)
+            assert floor <= min([obj for obj, s in objs if s > 1], default=math.inf)
+            tight += lower == best
     assert tight > 0
 
 
@@ -790,59 +793,92 @@ def test_lazily_refined_floor_equals_the_fully_refined_one_at_or_below_the_bar()
     assert checked > 20000 and raised > 1000 and lazy > 500
 
 
-def _partition_outcome(m, cfg, env, n, v, q, power, cutoff):
+def _energy_cut_cases():
+    """(cfg, env, n, power) cases of the paper and encoder shapes whose energy
+    budgets cut one to three devices of a cluster to 0 to L-1 blocks at
+    m = 1, so the energy caps drop devices or blocks that the memory caps
+    keep. Chunks shrink as m grows, so the cut eases at later run starts"""
+    rng = np.random.default_rng(40)
+    for name, rounds in (("paper", 4), ("encoder", 2)):
+        cfg = build_config(workload_doc(name, 1))
+        l_blocks = cfg.model.n_blocks
+        for t in range(1, rounds + 1):
+            env = sample_round_environment(cfg, t)
+            for n, cluster in enumerate(cfg.clusters):
+                for _ in range(4):
+                    devices = list(cluster.devices)
+                    for k in rng.choice(len(devices), size=int(rng.integers(1, 4)), replace=False):
+                        d = int(rng.integers(0, l_blocks))
+                        budget = 0.5 * (device_energy(d, 1, cfg, env, n, k) + device_energy(d + 1, 1, cfg, env, n, k))
+                        devices[k] = dataclasses.replace(devices[k], energy_budget_j=budget)
+                    clusters = list(cfg.clusters)
+                    clusters[n] = dataclasses.replace(cluster, devices=tuple(devices))
+                    yield dataclasses.replace(cfg, clusters=tuple(clusters)), env, n, cluster.uplink_power_max_w
+
+
+def _partition_outcome(m, cfg, env, n, v, q, power, cutoff, **kwargs):
     try:
-        return _partition(m, cfg, env, n, v, q, power, cutoff=cutoff)
+        return _partition(m, cfg, env, n, v, q, power, cutoff=cutoff, **kwargs)
     except InfeasibleError as exc:
         return exc.constraint, str(exc)
 
 
 def test_partition_floor_skip_equals_the_full_scan(monkeypatch):
-    # a floor of -inf never skips the bottleneck scan; the real floor may skip
-    # only scans that would return None or a strictly worse plan
+    # a floor of -inf never skips the bottleneck sweep; the run start's floor,
+    # from memory caps, may skip only sweeps that would return None or a
+    # strictly worse plan. On the energy-cut cases the memory caps let more
+    # devices and blocks in than the energy caps do, so that floor lies at or
+    # below the one the energy caps would give, and strictly below it on many
     from edgesched import seg_solver
 
-    floors = []  # the real floors of the current call; empty while the floor is off
-    exact = [True]
+    sweeps = []
 
-    def switched(*args):
-        floor = _stage_count_floor(*args)
+    def sweep(*args):
+        sweeps.append(True)
+        return itertools.groupby(*args)
 
-        def recorded(m, work, bar=math.inf):
-            if not exact[0]:
-                return -math.inf
-            floors.append(floor(m, work, bar))
-            return floors[-1]
-
-        return recorded
-
-    monkeypatch.setattr(seg_solver, "_stage_count_floor", switched)
-
+    monkeypatch.setattr(seg_solver, "groupby", sweep)
     rng = np.random.default_rng(4)
     cases = list(_skip_battery()) + [
         (cfg, sample_round_environment(cfg, 1), 0, float(rng.uniform(0.05, 0.5)))
         for cfg in (random_system(rng, max_devices=6, max_blocks=12) for _ in range(100))
     ]
-    fired = searched = 0
-    for cfg, env, n, power in cases:
-        v = cfg.convergence.v_factor
+    cut = list(_energy_cut_cases())
+    fired = searched = weaker = 0
+    for i, (cfg, env, n, power) in enumerate(cases + cut):
+        v, l_blocks = cfg.convergence.v_factor, cfg.model.n_blocks
+        try:
+            s_cap = _segment_cap(cfg, env, n, power)
+        except InfeasibleError:
+            continue
         for q in (0.0, 1e-3, 1.0):
+            bound, _ = _run_start_bound(cfg, env, n, v, q, s_cap)
             for m in _micro_batch_run_starts(cfg.model.batch_items):
-                exact[0] = False
+                floor = bound(m)[1]
                 full = _partition_outcome(m, cfg, env, n, v, q, power, math.inf)
                 cutoffs = [math.inf]
                 if not isinstance(full[0], str):
                     obj = cluster_objective(full[0], m, cfg, env, n, v, q)
                     cutoffs += [obj, math.nextafter(obj, math.inf), obj * (1 + 1e-9), obj * (1 - 1e-9)]
                 for cutoff in cutoffs:
-                    floors.clear()
-                    exact[0] = True
-                    got = _partition_outcome(m, cfg, env, n, v, q, power, cutoff)
-                    exact[0] = False
-                    assert got == _partition_outcome(m, cfg, env, n, v, q, power, cutoff)
-                    fired += any(floor > cutoff for floor in floors)
+                    sweeps.clear()
+                    want = _partition_outcome(m, cfg, env, n, v, q, power, cutoff)
+                    swept = bool(sweeps)
+                    sweeps.clear()
+                    assert _partition_outcome(m, cfg, env, n, v, q, power, cutoff, floor=floor) == want
+                    fired += swept and not sweeps
                     searched += 1
+                if i >= len(cases):  # the floor the energy caps would give
+                    work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
+                    try:
+                        caps, need = _cap_cover(work, cfg, env, n)
+                    except InfeasibleError:
+                        continue
+                    energy = _stage_count_floor(env, n, caps, l_blocks, v, q, max(2, need), s_cap)(m, work)
+                    assert floor <= energy
+                    weaker += floor < energy
     assert searched > 5000 and fired > searched // 10
+    assert len(cut) == 56 and weaker > 1000
 
 
 def test_run_start_skip_keeps_an_exact_tie():
@@ -926,7 +962,7 @@ def test_no_plan_raises_the_error_of_m_1_though_another_run_start_is_searched_fi
     s_cap = _segment_cap(cfg, env, 0, power)
     assert s_cap == 2
     bound, _ = _run_start_bound(cfg, env, 0, v, 0.0, s_cap)
-    assert _micro_batch_run_starts(2) == (1, 2) and bound(2) < bound(1)
+    assert _micro_batch_run_starts(2) == (1, 2) and bound(2)[0] < bound(1)[0]
     for m, constraint in ((1, "C9'"), (2, "C11")):
         with pytest.raises(InfeasibleError) as exc:
             optimal_partition(m, cfg, env, 0, v, 0.0, s_cap)
@@ -1304,34 +1340,32 @@ def test_stop_occupancy_inverts_the_stage_count_floor_term():
 
 
 def _floor_traffic(monkeypatch, cfg, rounds):
-    """Counts over lyapunov rounds: solves, run-start and in-call floor builds,
-    partition searches, and the searches whose floor skipped the sweep."""
+    """Counts over lyapunov rounds: solves, stage-count floor builds,
+    partition searches, and the searches that ran no sweep."""
     from edgesched import orchestrator, seg_solver
 
-    counts = dict.fromkeys(("solves", "bound_builds", "call_builds", "calls", "skipped"), 0)
-    call = {}  # the current partition search: did it build a floor, did it sweep
+    counts = dict.fromkeys(("solves", "builds", "calls", "skipped"), 0)
+    swept = []  # the current partition search's sweeps
 
     def solve(*args):
         counts["solves"] += 1
         return schedule_segments(*args)
 
     def floor(*args):
-        counts["call_builds" if call else "bound_builds"] += 1
-        call["built"] = True
+        counts["builds"] += 1
         return _stage_count_floor(*args)
 
     def sweep(*args):
-        call["swept"] = True
+        swept.append(True)
         return itertools.groupby(*args)
 
     def search(*args, **kwargs):
         counts["calls"] += 1
-        call.update(built=False, swept=False)
+        swept.clear()
         try:
             return optimal_partition(*args, **kwargs)
         finally:
-            counts["skipped"] += call["built"] and not call["swept"]
-            call.clear()
+            counts["skipped"] += not swept
 
     monkeypatch.setattr(orchestrator, "schedule_segments", solve)
     monkeypatch.setattr(seg_solver, "_stage_count_floor", floor)
@@ -1341,15 +1375,14 @@ def _floor_traffic(monkeypatch, cfg, rounds):
     return counts
 
 
-def test_in_call_floor_is_built_only_where_a_one_stage_plan_sets_the_bar(monkeypatch, table2_cfg):
-    # encoder (K=10, L=16, 6-block memory caps) has no one-stage plan, so the
-    # floor is built once per solve, for the run-start bound, and never in a
-    # partition search; on paper the in-call floor still skips 275 sweeps, of
-    # 291 searches
-    encoder = _floor_traffic(monkeypatch, build_config(workload_doc("encoder", 1)), 12)
-    assert encoder["call_builds"] == 0 and encoder["bound_builds"] == encoder["solves"] == 12
+def test_stage_count_floor_is_built_once_per_solve(monkeypatch, table2_cfg, homogeneous_cfg):
+    # the run-start bound builds the one floor of a solve and every partition
+    # search reads it: on paper it skips 275 sweeps of 291 searches
     paper = _floor_traffic(monkeypatch, build_config(workload_doc("paper", 1)), 96)
-    assert (paper["calls"], paper["skipped"]) == (291, 275)
+    assert (paper["solves"], paper["builds"], paper["calls"], paper["skipped"]) == (288, 288, 291, 275)
+    for cfg in (build_config(workload_doc("encoder", 1)), homogeneous_cfg):
+        traffic = _floor_traffic(monkeypatch, cfg, 12)
+        assert traffic["builds"] == traffic["solves"] == 12
     # the module docstring: six table2 rounds search 18 of their 270 run starts
     table2 = _floor_traffic(monkeypatch, table2_cfg, 6)
     assert (table2["calls"], table2["solves"] * len(_micro_batch_run_starts(table2_cfg.model.batch_items))) == (18, 270)
@@ -1423,7 +1456,7 @@ def test_later_never_falls_and_lies_at_or_below_every_later_bound():
     for cfg, env, v, q, s_cap in _later_cases():
         bound, later = _run_start_bound(cfg, env, 0, v, q, s_cap)
         starts = _micro_batch_run_starts(cfg.model.batch_items)
-        bounds = [bound(m) for m in starts]
+        bounds = [bound(m)[0] for m in starts]
         laters = [later(m) for m in starts]
         for i, lower in enumerate(laters):
             assert lower <= min(bounds[i:])
@@ -1490,7 +1523,7 @@ def test_walk_keeps_a_run_start_whose_later_ties_the_best_at_v_0():
     fast = dataclasses.replace(cfg.clusters[0].devices[0], energy_budget_j=budget)
     cfg = dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=(fast,) + cfg.clusters[0].devices[1:]),))
     bound, later = _run_start_bound(cfg, env, 0, 0.0, 0.0, 3)
-    assert bound(1) == bound(2) == later(2) == 0.0
+    assert bound(1)[0] == bound(2)[0] == later(2) == 0.0
     assert optimal_partition(1, cfg, env, 0, 0.0, 0.0, 3) == ((0, 1, 1), 2)
     plan = schedule_segments(cfg, env, 0, (0.0,), 0.0, 0.5)
     assert (plan.delta, plan.m) == _unpruned_scan(cfg, env, 0, (0.0,), 0.0, 0.5) == ((2, 0, 0), 2)
