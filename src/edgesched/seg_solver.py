@@ -23,33 +23,32 @@ on its segment count S and its first bottleneck, a device j holding d blocks.
 The partition solve sweeps the O(K*L) device occupancies once, in ascending
 order, keeping each device's count of those below the current one, its block
 cap there (the monotone probes of Pinar & Aykanat, "Fast optimal load
-balancing algorithms for 1D partitioning", JPDC 2004), with their running sum
-and largest count. From those two numbers it rejects most candidate
-bottlenecks (j, d) in O(1), as Nicol's probes do ("Rectilinear partitioning of
-irregular data parallel computations", JPDC 1994): when the other caps sum to
-less than the other L-d blocks, or when even the fewest stages any cover could
-take, 1 + ceil((L-d)/largest count), exceed the balance cap or price the plan
-above the best so far. Only the other pairs cover those blocks with the fewest
-devices that stay under the bottleneck, as in 1-D chain partitioning, and
-ties are broken after the sweep. No pair below the L-th least occupancy can
-be covered, so the sweep only counts the occupancies before it. It stops at
-an occupancy past which no plan can reach the best, inverted from a floor
+balancing algorithms for 1D partitioning", JPDC 2004), and their largest
+count. From it the sweep rejects most candidate bottlenecks (j, d) in O(1),
+as Nicol's probes do ("Rectilinear partitioning of irregular data parallel
+computations", JPDC 1994): when even the fewest stages any cover could take,
+1 + ceil((L-d)/largest count), exceed the balance cap or price the plan above
+the best so far. Only the other pairs cover the other L-d blocks with the
+fewest devices that stay under the bottleneck, as in 1-D chain partitioning,
+and ties are broken after the sweep. No pair below the L-th least occupancy
+can be covered, so the sweep only counts the occupancies before it. It stops
+at an occupancy past which no plan can reach the best, inverted from a floor
 once per new best.
 
 The same early exit works one level up. Each segment count S has a floor on
-the objective of every S-stage plan, from its least bottleneck: the larger of
-the least one-block occupancy and the whole-block load of the S fastest
-devices, the L-th least ratio of a block count to a speed among them. The
-run starts are searched best-first, in ascending lower bound, built from
-memory caps and these floors (branch and bound: Land & Doig, Econometrica
-1960), until one's bound lies strictly above the best objective: no plan
-there or later can win, not even on a tie. The bounds are priced lazily: the
-run starts are walked in ascending m beside a cheaper bound that never falls
-as m grows, and the next one is priced only while that cheaper bound could
-put it first. A partition search skips the bottleneck scan when its run
-start's floor of S >= 2 stages lies strictly above the bar. Six table2 rounds
-price 52 and search 18 of their 270 run starts, and 12 rounds of the
-benchmark's encoder cluster price 72 and search 22 of 180.
+the objective of every S-stage plan, from its least bottleneck: the
+whole-block load of the S fastest devices, the L-th least ratio of a block
+count to a speed among them. The run starts are searched best-first, in
+ascending lower bound, built from memory caps and these floors (branch and
+bound: Land & Doig, Econometrica 1960), until one's bound lies strictly above
+the best objective: no plan there or later can win, not even on a tie. The
+bounds are priced lazily: the run starts are walked in ascending m beside a
+cheaper bound that never falls as m grows, and the next one is priced only
+while that cheaper bound could put it first. A partition search skips the
+bottleneck scan when its run start's floor of S >= 2 stages lies strictly
+above the bar. Six table2 rounds price 52 and search 18 of their 270 run
+starts, and 12 rounds of the benchmark's encoder cluster price 72 and search
+22 of 180.
 
 The balance cap does not depend on m: ``schedule_segments`` counts the
 thresholds p_1, p_2, ... at or below the head power once per call, up to the
@@ -145,12 +144,6 @@ def optimal_micro_batches(
     return best_m
 
 
-def _memory_caps(cfg: SystemConfig, n: int) -> list[int]:
-    """Blocks each device of cluster n can hold in memory, at most L."""
-    l_blocks = cfg.model.n_blocks
-    return [min(dev.block_cap, l_blocks) for dev in cfg.clusters[n].devices]
-
-
 def _cap_cover(work: float, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[int], int]:
     """Per-device block caps at chunk work ``work``, from the memory caps and
     the round energy budget, and the fewest devices whose caps hold the L blocks.
@@ -159,9 +152,9 @@ def _cap_cover(work: float, cfg: SystemConfig, env: RoundEnvironment, n: int) ->
     energy budgets cut the caps below them.
     """
     l_blocks = cfg.model.n_blocks
-    mem_caps = _memory_caps(cfg, n)
     caps = []
-    for dev, cap, clock, hop in zip(cfg.clusters[n].devices, mem_caps, env.clock_hz[n], env.hop_s[n]):
+    for dev, clock, hop in zip(cfg.clusters[n].devices, env.clock_hz[n], env.hop_s[n]):
+        cap = dev.block_cap
         headroom = dev.energy_budget_j - dev.d2d_power_w * hop
         if headroom < 0:
             cap = 0
@@ -173,7 +166,8 @@ def _cap_cover(work: float, cfg: SystemConfig, env: RoundEnvironment, n: int) ->
     need = _fewest_cover(l_blocks, caps)
     if math.isinf(need):
         raise InfeasibleError(
-            "C7" if sum(mem_caps) < l_blocks else "C9'", f"cluster {n}: device caps cannot host {l_blocks} blocks"
+            "C7" if sum(dev.block_cap for dev in cfg.clusters[n].devices) < l_blocks else "C9'",
+            f"cluster {n}: device caps cannot host {l_blocks} blocks",
         )
     return caps, need
 
@@ -200,14 +194,13 @@ def optimal_partition(
     below u (k < j, strictly, so that j stays first) or at most u (k > j), and
     the fewest such devices that cover the other L-d blocks give S. The pairs
     come from one ascending sweep of the occupancies, which keeps each
-    device's count below u (its cap there), their sum and their largest
-    count. Before a pair copies those caps and counts its cover, it is
-    rejected in O(1) when (a) the other devices' caps sum to less than L-d,
-    or (b) S_min = 1 + ceil((L-d)/largest count), the fewest stages any cover
-    takes, exceeds ``s_cap``, or its objective already lies strictly above
-    the bar. At V >= 0 and queue_sum >= 0 the float objective grows with S,
-    so (b) drops no tie. (a) rejects every pair below the L-th occupancy, so
-    the groups before the one that holds it are only counted. The sweep
+    device's count below u (its cap there) and their largest count. Before a
+    pair copies those caps and counts its cover, it is rejected in O(1) when
+    S_min = 1 + ceil((L-d)/largest count), the fewest stages any cover takes,
+    exceeds ``s_cap``, or its objective already lies strictly above the bar.
+    At V >= 0 and queue_sum >= 0 the float objective grows with S, so this
+    drops no tie. Below the L-th least occupancy fewer than L blocks fit in
+    all, so the groups before the one that holds it are only counted. The sweep
     stops past ``u_stop``, the ``_stop_occupancy`` of the bar at s_lo
     stages, read once per bar. The scan keeps the least (objective, S), the
     bar, and the (j, d, caps) of every plan at it, one-stage plans included;
@@ -258,12 +251,12 @@ def optimal_partition(
             if (u := d * work / speeds[k] + hops[k]) <= u_stop  # u_stop only falls: the rest is never scanned
         )
         cnt = [0] * len(caps)  # each device's occupancies at or below u
-        # below L occupancies no pair passes pretest (a): the groups before the
-        # one that holds the L-th occupancy are counted, and no pair is priced
+        # below L occupancies no pair covers the L blocks: the groups before
+        # the one that holds the L-th occupancy are counted, and none is priced
         start = bisect_left(events, (events[l_blocks - 1][0],)) if len(events) >= l_blocks else len(events)
         for _, k, _ in events[:start]:
             cnt[k] += 1
-        total, top = start, max(cnt)  # their sum and the largest count
+        top = max(cnt)  # the largest count
         for u, group in groupby(events[start:], itemgetter(0)):
             if u > u_stop:
                 break
@@ -275,14 +268,11 @@ def optimal_partition(
                     top = cnt[k]
             if len(group) > 1:  # devices after j in a tie count their events at u
                 most = top
-            total += len(group)
             for _, j, d in group:
                 # devices before j with an occupancy at u must stay under it
                 before = bisect_left(group, (u, j)) if len(group) > 1 else 0
                 rest = l_blocks - d
-                if total - cnt[j] - before < rest:  # (a) the others' caps cannot cover the rest
-                    continue
-                s = 1 - (-rest // most)  # (b) no cover takes fewer stages; the key grows with S
+                s = 1 - (-rest // most)  # no cover takes fewer stages; the key grows with S
                 if s > s_cap or v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum > bar[0]:
                     continue
                 caps_u = cnt[:]
@@ -383,13 +373,12 @@ def _stage_count_floor(
 
     ``work`` is the chunk work at run start m. Only devices of cluster n with
     a positive cap in ``caps`` can be stages. A plan's bottleneck occupancy U
-    is at least the least one-block occupancy, and at least load_S*work +
-    the least hop, where load_S is the whole-block load of the S fastest
-    devices (``_whole_block_load``): each stage k holds d_k blocks with
-    d_k/speed_k <= (U - hop_k)/work, so no S stages hold L blocks below it.
-    The bottleneck's hop is at most the longest hop and at most U, so the
-    objective is at least V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*queue_sum.
-    The (1 - 1e-12) slacks absorb float rounding. The floor is inf when no S
+    is at least load_S*work + the least hop, where load_S is the whole-block
+    load of the S fastest devices (``_whole_block_load``): each stage k holds
+    d_k blocks with d_k/speed_k <= (U - hop_k)/work, so no S stages hold L
+    blocks below it. The bottleneck's hop is at most the longest hop, so the
+    objective is at least V*((S+m-1)*U - hop_max) + S*queue_sum. The
+    (1 - 1e-12) slacks absorb float rounding. The floor is inf when no S
     in the range has enough devices. ``_stop_occupancy`` is its inverse in U.
 
     Each S starts at its fractional load L/(sum of the S fastest speeds),
@@ -418,17 +407,11 @@ def _stage_count_floor(
     whole = [False] * (s_hi + 1)  # whole[S]: load_S is the whole-block load
 
     def floor(m: int, work: float, bar: float = math.inf) -> float:
-        one_block = min([work / speed + hop for speed, hop in zip(speeds, hops)])
         while True:
             least, at = math.inf, s_lo
-            # max and min written out as comparisons, which run faster and
-            # pick the operand max and min would
             for s, load in counts:
                 u = (load * work + hop_min) * (1 - 1e-12)
-                if not u > one_block:
-                    u = one_block
-                pipelined, held = (s + m - 1) * u - hop_max, (s + m - 2) * u
-                obj = v_factor * (held if held > pipelined else pipelined) * (1 - 1e-12) + s * queue_sum
+                obj = v_factor * ((s + m - 1) * u - hop_max) * (1 - 1e-12) + s * queue_sum
                 if obj < least:
                     least, at = obj, s
             if least > bar or whole[at]:
@@ -442,10 +425,11 @@ def _stage_count_floor(
 
 def _stop_occupancy(v_factor: float, queue_sum: float, s: int, m: int, hop_max: float, obj: float) -> float:
     """Occupancy U past which ``_stage_count_floor``'s term at S = s exceeds obj:
-    widened by (1 + 1e-9) and a 1e-12 share of s*queue_sum, no lower than the
-    float term's crossing. inf at V = 0."""
+    ((obj - s*queue_sum)/V + hop_max)/(s+m-1), widened by (1 + 1e-9) and a
+    1e-12 share of s*queue_sum, no lower than the float term's crossing. inf
+    at V = 0."""
     room = (obj - s * queue_sum * (1 - 1e-12)) / (v_factor * (1 - 1e-12)) if v_factor else math.inf
-    return min((room + hop_max) / (s + m - 1), room / (s + m - 2)) * (1 + 1e-9)
+    return (room + hop_max) / (s + m - 1) * (1 + 1e-9)
 
 
 def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor: float, queue_sum: float, s_cap: int):
@@ -478,8 +462,8 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     memory caps cannot host the L blocks.
     """
     l_blocks = cfg.model.n_blocks
-    mem_caps = _memory_caps(cfg, n)
-    s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap == l_blocks), default=None)
+    mem_caps = [dev.block_cap for dev in cfg.clusters[n].devices]
+    s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap >= l_blocks), default=None)
     s_lo = max(2, _fewest_cover(l_blocks, mem_caps))
     many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
     batch_items, model = cfg.model.batch_items, cfg.model

@@ -48,14 +48,7 @@ SOLVER = "seg_solver.py"
 MALFORMED = PIPE + "test_event_sim_rejects_malformed_input"
 
 MUTANTS = (
-    # the partition sweep's O(1) pretests
-    Mutant(
-        "pretest-a-le",
-        SOLVER,
-        "if total - cnt[j] - before < rest:",
-        "if total - cnt[j] - before <= rest:",
-        (SEG + "test_partition_sweep_equals_the_per_pair_scan",),
-    ),
+    # the partition sweep's O(1) pretest
     Mutant(
         "pretest-b-ge",
         SOLVER,
@@ -125,8 +118,8 @@ MUTANTS = (
     Mutant(
         "floor-hop-min-for-hop-max",
         SOLVER,
-        "pipelined, held = (s + m - 1) * u - hop_max, (s + m - 2) * u",
-        "pipelined, held = (s + m - 1) * u - hop_min, (s + m - 2) * u",
+        "obj = v_factor * ((s + m - 1) * u - hop_max)",
+        "obj = v_factor * ((s + m - 1) * u - hop_min)",
         (SEG + "test_stage_count_floor_is_below_every_composition_of_that_size",),
     ),
     Mutant(
@@ -139,15 +132,15 @@ MUTANTS = (
     Mutant(
         "stop-without-widening",
         SOLVER,
-        "room / (s + m - 2)) * (1 + 1e-9)",
-        "room / (s + m - 2))",
+        "(room + hop_max) / (s + m - 1) * (1 + 1e-9)",
+        "(room + hop_max) / (s + m - 1)",
         (SEG + "test_stop_occupancy_inverts_the_stage_count_floor_term",),
     ),
     Mutant(
         "stop-widened-by-1e-6",
         SOLVER,
-        "room / (s + m - 2)) * (1 + 1e-9)",
-        "room / (s + m - 2)) * (1 + 1e-6)",
+        "(room + hop_max) / (s + m - 1) * (1 + 1e-9)",
+        "(room + hop_max) / (s + m - 1) * (1 + 1e-6)",
         (SEG + "test_stop_occupancy_inverts_the_stage_count_floor_term",),
     ),
     Mutant(
@@ -225,13 +218,21 @@ MUTANTS = (
         "key = (v_factor * (m * (l_blocks * work / speeds[j])) * (1 + 1e-12) + queue_sum, 1)",
         (SEG + "test_run_start_skip_keeps_an_exact_tie",),
     ),
-    # a metamorphic relation: more memory, energy or head power never costs
+    # metamorphic relations: more memory, energy or head power never costs,
+    # nor does one more device
     Mutant(
         "one-stage-plans-first-device-only",
         SOLVER,
         "        if cap >= l_blocks:",
         "        if cap >= l_blocks and not ties:",
         (SEG + "test_more_memory_energy_or_head_power_never_raises_the_objective",),
+    ),
+    Mutant(
+        "sweep-stop-at-the-shortest-hop",
+        SOLVER,
+        "s_lo, hop_max = max(2, need), max(hops)",
+        "s_lo, hop_max = max(2, need), min(hops)",
+        (SEG + "test_adding_a_device_never_raises_the_objective",),
     ),
     # every exit of the plan checks, the run loop and the CLI, deleted or
     # inverted, and the closed form's tie rule
@@ -318,6 +319,42 @@ MUTANTS = (
         "    except Exception as exc:  # defensive: anything else is a bug\n",
         "    except ArithmeticError as exc:  # defensive: anything else is a bug\n",
         ("tests/test_cli.py::test_unexpected_error_exits_internal_error",),
+    ),
+    # the resource solver, the balance threshold, the queues and the generator
+    Mutant(
+        "matching-ties-to-the-last-cluster",
+        "res_solver.py",
+        "ranked = sorted(range(cfg.n_clusters), key=costs.__getitem__)",
+        "ranked = sorted(range(cfg.n_clusters)[::-1], key=costs.__getitem__)",
+        ("tests/test_res_solver.py::test_matching_matches_enumeration_on_random_costs",),
+    ),
+    Mutant(
+        "power-clamp-without-floor",
+        "res_solver.py",
+        "return min(max(_stationary_power(prob, v_factor, y_n), lo), p_ceil)",
+        "return min(_stationary_power(prob, v_factor, y_n), p_ceil)",
+        ("tests/test_res_solver.py::test_power_is_the_balance_floor_when_it_exceeds_the_stationary_power",),
+    ),
+    Mutant(
+        "balance-threshold-one-segment-up",
+        "convergence.py",
+        "        - phi2 * n_segments**2 / n_blocks\n        - phi2\n",
+        "        - phi2 * (n_segments + 1) ** 2 / n_blocks\n        - phi2\n",
+        ("tests/test_convergence.py::test_balance_power_thresholds_invert_gamma",),
+    ),
+    Mutant(
+        "queue-update-without-floor",
+        "lyapunov.py",
+        "max(y + gamma_t - gamma_max, 0.0)",
+        "y + gamma_t - gamma_max",
+        ("tests/test_lyapunov.py::test_queue_update_cases",),
+    ),
+    Mutant(
+        "lemire-rejects-once",
+        "rng.py",
+        "while m & _M32 < threshold:",
+        "if m & _M32 < threshold:",
+        ("tests/test_rng.py::test_generator_matches_numpy_call_for_call",),
     ),
     # evaluated fields that leave the decisions as they were
     Mutant(

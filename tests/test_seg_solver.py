@@ -730,12 +730,11 @@ def _whole_block_floor(env, caps, l_blocks, v, q, s_lo, s_cap, m, work):
     hops = [hop for hop, cap in zip(env.hop_s[0], caps) if cap]
     fastest = sorted(speeds, reverse=True)
     totals = list(itertools.accumulate(fastest))
-    one_block = min(work / speed + hop for speed, hop in zip(speeds, hops))
     least = math.inf
     for s in range(s_lo, min(s_cap, len(speeds)) + 1):
         load = max(l_blocks / totals[s - 1], _brute_whole_block_load(l_blocks, fastest[:s]))
-        u = max((load * work + min(hops)) * (1 - 1e-12), one_block)
-        least = min(least, v * max((s + m - 1) * u - max(hops), (s + m - 2) * u) * (1 - 1e-12) + s * q)
+        u = (load * work + min(hops)) * (1 - 1e-12)
+        least = min(least, v * ((s + m - 1) * u - max(hops)) * (1 - 1e-12) + s * q)
     return least
 
 
@@ -1318,7 +1317,7 @@ def test_stop_occupancy_inverts_the_stage_count_floor_term():
     # one float past the stop occupancy, the S-stage term of the floor, priced
     # as _stage_count_floor prices it, lies strictly above obj; and the stop
     # lies within (1 + 2e-9) of the exact, slack-free crossing of
-    # V*max((S+m-1)*U - hop_max, (S+m-2)*U) + S*q = obj
+    # V*((S+m-1)*U - hop_max) + S*q = obj
     rng = np.random.default_rng(24)
     checked = 0
     for v in (1e-3, 1.0, 10.0, 1e3):
@@ -1329,11 +1328,10 @@ def test_stop_occupancy_inverts_the_stage_count_floor_term():
                 for obj in objs:
                     occ = _stop_occupancy(v, q, s, m, hop_max, obj)
                     u = math.nextafter(occ, math.inf)
-                    pipelined, held = (s + m - 1) * u - hop_max, (s + m - 2) * u
-                    assert v * (held if held > pipelined else pipelined) * (1 - 1e-12) + s * q > obj
+                    assert v * ((s + m - 1) * u - hop_max) * (1 - 1e-12) + s * q > obj
                     if obj > s * q:
                         room = (obj - s * q) / v
-                        assert occ <= (1 + 2e-9) * min((room + hop_max) / (s + m - 1), room / (s + m - 2))
+                        assert occ <= (1 + 2e-9) * ((room + hop_max) / (s + m - 1))
                     checked += 1
     assert checked == 8000
     assert _stop_occupancy(0.0, 1.0, 2, 1, 0.1, 5.0) == math.inf
@@ -1579,3 +1577,48 @@ def test_more_memory_energy_or_head_power_never_raises_the_objective():
         assert all(obj <= base for obj in raised)
         lowered += any(obj < base for obj in raised)
     assert math.isfinite(bases[-1]) and math.isfinite(bases[-2]) and lowered > 30
+
+
+def test_adding_a_device_never_raises_the_objective():
+    # a metamorphic relation: every plan of a cluster stays feasible, with the
+    # same stages in the same order, when a device is appended to it, so the
+    # optimum's objective cannot rise. The device goes last in the one
+    # cluster, so the environment's draws for the others stay the same. On
+    # systems with energy-cut caps and with memory caps alone, at q > 0 and
+    # q = 0, and on two rounds of the encoder cluster widened to K=32, L=64
+    # at a head power whose balance cap allows 6 stages
+    def optimum(doc, t, q, power):
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, t)
+        try:
+            plan = schedule_segments(cfg, env, 0, (q,), cfg.convergence.v_factor, power)
+        except InfeasibleError:
+            return env, math.inf
+        return env, cluster_objective(plan.delta, plan.m, cfg, env, 0, cfg.convergence.v_factor, q)
+
+    rng = np.random.default_rng(23)
+    cases = []
+    for i in range(300):
+        doc = _binding_energy_doc(rng) if i % 2 else random_system_doc(rng, max_devices=6, max_blocks=12, max_batch=64)
+        cases.append((doc, int(rng.integers(1, 5)), float(rng.uniform(0.05, 0.5)), float(rng.choice([0.0, 1e-3, 1.0]))))
+    wide = workload_doc("encoder", 1)
+    wide["convergence"]["gamma_max_bound"] = 1e-4
+    devices = wide["clusters"][0]["devices"]
+    wide["clusters"][0]["devices"] = [dict(devices[i % len(devices)], gamma_max_bytes=12 * 2.5e8) for i in range(32)]
+    wide["model"]["L"] = 64
+    wide_cfg = build_config(wide)
+    for t in (1, 2):
+        env = sample_round_environment(wide_cfg, t)
+        cases.append((wide, t, balance_thresholds(wide_cfg.convergence, 1, 64, env.uplink_gain[0], env.uplink_interference_w[0])[5], 1e-3))
+    lowered = finite = 0
+    for doc, t, power, q in cases:
+        env, base = optimum(doc, t, q, power)
+        devices = doc["clusters"][0]["devices"]
+        extra = dict(devices[int(rng.integers(len(devices)))], phi_flops_per_cycle=float(rng.uniform(5, 30)))
+        extra.update(gamma_max_bytes=2.5e8 * int(rng.integers(1, 2 * doc["model"]["L"] + 1)), E_k_max_j=extra["E_k_max_j"] * float(10 ** rng.uniform(-1, 1)))
+        grown_env, grown = optimum(dict(doc, clusters=[dict(doc["clusters"][0], devices=devices + [extra])]), t, q, power)
+        assert grown_env.speed[0][:-1] == env.speed[0] and grown_env.hop_s[0][:-1] == env.hop_s[0]
+        assert grown <= base
+        lowered += grown < base
+        finite += math.isfinite(base)
+    assert finite > 200 and lowered > 50
