@@ -15,25 +15,27 @@ cluster's uplink power is at least the round's threshold p_S
 floor at S. Device speeds and hop times are the round's,
 read from the ``RoundEnvironment``; memory caps and energy budgets come from
 the config. Every plan is scored by ``cluster_objective``. The energy
-budgets bind through ``_cap_cover``'s per-device block caps; at a fixed
-partition ``optimal_micro_batches`` checks them with ``pipeline.device_energy``.
+budgets bind through ``_cap_cover``'s per-device block caps, and at a fixed
+partition through ``optimal_micro_batches``; both check them with
+``pipeline.device_energy``, as ``validate_decision`` does.
 
 Blocks are identical in cost, so at a fixed m a plan's objective depends only
 on its segment count S and its first bottleneck, a device j holding d blocks.
 The partition solve sweeps the O(K*L) device occupancies once, in ascending
-order, keeping each device's count of those below the current one, its block
-cap there (the monotone probes of Pinar & Aykanat, "Fast optimal load
-balancing algorithms for 1D partitioning", JPDC 2004), and their largest
-count. From it the sweep rejects most candidate bottlenecks (j, d) in O(1),
-as Nicol's probes do ("Rectilinear partitioning of irregular data parallel
-computations", JPDC 1994): when even the fewest stages any cover could take,
+order, tied ones in descending device index, keeping each device's count of
+those before the current one, its block cap there (the monotone probes of
+Pinar & Aykanat, "Fast optimal load balancing algorithms for 1D
+partitioning", JPDC 2004), and their largest count. From it the sweep rejects
+most candidate bottlenecks (j, d) in O(1), as Nicol's probes do
+("Rectilinear partitioning of irregular data parallel computations", JPDC
+1994): when even the fewest stages any cover could take,
 1 + ceil((L-d)/largest count), exceed the balance cap or price the plan above
 the best so far. Only the other pairs cover the other L-d blocks with the
 fewest devices that stay under the bottleneck, as in 1-D chain partitioning,
-and ties are broken after the sweep. No pair below the L-th least occupancy
-can be covered, so the sweep only counts the occupancies before it. It stops
-at an occupancy past which no plan can reach the best, inverted from a floor
-once per new best.
+and ties are broken after the sweep. The pair at the i-th occupancy covers at
+most i+1 blocks, so the sweep only counts the first L-1. It stops at an
+occupancy past which no plan can reach the best, inverted from a floor once
+per new best.
 
 The same early exit works one level up. Each segment count S has a floor on
 the objective of every S-stage plan, from its least bottleneck: the
@@ -59,10 +61,9 @@ Nothing is kept between calls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from functools import cache
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 
 from .config import RoundEnvironment, SystemConfig
 from .convergence import balance_power_threshold
@@ -71,7 +72,6 @@ from .pipeline import (
     ENERGY_BUDGET_SLACK,
     SegmentPlan,
     chunk_work,
-    compute_energy,
     device_energy,
     micro_batch_size,
     pipeline_latency_from_times,
@@ -144,24 +144,24 @@ def optimal_micro_batches(
     return best_m
 
 
-def _cap_cover(work: float, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[int], int]:
-    """Per-device block caps at chunk work ``work``, from the memory caps and
-    the round energy budget, and the fewest devices whose caps hold the L blocks.
+def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[int], int]:
+    """Per-device block caps at micro-batch count m, and the fewest devices
+    whose caps hold the L blocks.
 
-    Raises C7 when memory alone cannot host the blocks, and C9' when the
-    energy budgets cut the caps below them.
+    A device's cap is the most blocks, up to its memory cap and L, whose
+    ``pipeline.device_energy`` lies within its budget times
+    (1 + ENERGY_BUDGET_SLACK): C9 as ``validate_decision`` checks it. The
+    energy grows with the block count, so the cap is bisected, and only
+    when the largest count fails. Raises C7 when memory alone cannot host
+    the blocks, and C9' when the energy budgets cut the caps below them.
     """
     l_blocks = cfg.model.n_blocks
     caps = []
-    for dev, clock, hop in zip(cfg.clusters[n].devices, env.clock_hz[n], env.hop_s[n]):
-        cap = dev.block_cap
-        headroom = dev.energy_budget_j - dev.d2d_power_w * hop
-        if headroom < 0:
-            cap = 0
-        else:
-            per_block = compute_energy(work, dev, clock)
-            if per_block > 0:
-                cap = int(min(cap, headroom / per_block * (1 + ENERGY_BUDGET_SLACK)))  # int(inf) would raise
+    for k, dev in enumerate(cfg.clusters[n].devices):
+        budget = dev.energy_budget_j * (1 + ENERGY_BUDGET_SLACK)
+        cap = min(dev.block_cap, l_blocks)
+        if device_energy(cap, m, cfg, env, n, k) > budget:
+            cap = bisect_right(range(1, cap), budget, key=lambda d: device_energy(d, m, cfg, env, n, k))
         caps.append(cap)
     need = _fewest_cover(l_blocks, caps)
     if math.isinf(need):
@@ -193,19 +193,20 @@ def optimal_partition(
     each other device k takes at most as many blocks as keep its occupancy
     below u (k < j, strictly, so that j stays first) or at most u (k > j), and
     the fewest such devices that cover the other L-d blocks give S. The pairs
-    come from one ascending sweep of the occupancies, which keeps each
-    device's count below u (its cap there) and their largest count. Before a
-    pair copies those caps and counts its cover, it is rejected in O(1) when
-    S_min = 1 + ceil((L-d)/largest count), the fewest stages any cover takes,
-    exceeds ``s_cap``, or its objective already lies strictly above the bar.
-    At V >= 0 and queue_sum >= 0 the float objective grows with S, so this
-    drops no tie. Below the L-th least occupancy fewer than L blocks fit in
-    all, so the groups before the one that holds it are only counted. The sweep
-    stops past ``u_stop``, the ``_stop_occupancy`` of the bar at s_lo
-    stages, read once per bar. The scan keeps the least (objective, S), the
-    bar, and the (j, d, caps) of every plan at it, one-stage plans included;
-    the lexicographically smallest of their deltas, the oracle's tie-break,
-    is built last.
+    come from one sweep of the occupancies in ascending (u, -k): at one u the
+    devices after j come before it, so each device's count of the events
+    before (j, d) is its cap there. Before a pair copies those caps and
+    counts its cover, it is rejected in O(1) when S_min = 1 + ceil((L-d)/most)
+    exceeds ``s_cap`` or its objective already lies strictly above the bar;
+    ``most``, the largest count before the pair's event, bounds every cap
+    beside j, so no cover takes fewer stages. At V >= 0 and queue_sum >= 0
+    the float objective grows with S, so this drops no tie. The pair at event
+    index i reaches at most i+1 blocks, so the first L-1 events are only
+    counted. The sweep stops past ``u_stop``, the ``_stop_occupancy`` of the
+    bar at s_lo stages, read once per bar. The scan keeps the least
+    (objective, S), the bar, and the (j, d, caps) of every plan at it,
+    one-stage plans included; the lexicographically smallest of their
+    deltas, the oracle's tie-break, is built last.
 
     ``floor`` must lie at or below the objective of every plan of two or
     more stages, as ``_run_start_bound``'s many-stage term does; when it lies
@@ -226,7 +227,7 @@ def optimal_partition(
     hops = env.hop_s[n]
 
     # feasibility of the cap set as a whole
-    caps, need = _cap_cover(work, cfg, env, n)
+    caps, need = _cap_cover(m, cfg, env, n)
     if need > s_cap:
         raise InfeasibleError("C11" if s_cap < len(caps) else "C2", f"cluster {n}: {need} segments needed, at most {s_cap} allowed")
 
@@ -247,46 +248,35 @@ def optimal_partition(
         u_stop = _stop_occupancy(v_factor, queue_sum, s_lo, m, hop_max, bar[0])
         # no device beside a bottleneck holds L blocks, so no event has d = L
         events = sorted(
-            (u, k, d) for k, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
+            (u, -k, k, d) for k, cap in enumerate(caps) for d in range(1, min(cap, l_blocks - 1) + 1)
             if (u := d * work / speeds[k] + hops[k]) <= u_stop  # u_stop only falls: the rest is never scanned
         )
-        cnt = [0] * len(caps)  # each device's occupancies at or below u
-        # below L occupancies no pair covers the L blocks: the groups before
-        # the one that holds the L-th occupancy are counted, and none is priced
-        start = bisect_left(events, (events[l_blocks - 1][0],)) if len(events) >= l_blocks else len(events)
-        for _, k, _ in events[:start]:
+        cnt = [0] * len(caps)  # each device's events so far: its cap at the next pair
+        # no pair among the first L - 1 events reaches L blocks
+        for _, _, k, _ in events[: l_blocks - 1]:
             cnt[k] += 1
         top = max(cnt)  # the largest count
-        for u, group in groupby(events[start:], itemgetter(0)):
+        for u, _, j, d in events[l_blocks - 1 :]:
             if u > u_stop:
                 break
-            group = list(group)
-            most = top  # the largest cap beside j: a lone event's own count is no cap
-            for _, k, _ in group:
-                cnt[k] += 1
-                if cnt[k] > top:
-                    top = cnt[k]
-            if len(group) > 1:  # devices after j in a tie count their events at u
-                most = top
-            for _, j, d in group:
-                # devices before j with an occupancy at u must stay under it
-                before = bisect_left(group, (u, j)) if len(group) > 1 else 0
-                rest = l_blocks - d
-                s = 1 - (-rest // most)  # no cover takes fewer stages; the key grows with S
-                if s > s_cap or v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum > bar[0]:
-                    continue
-                caps_u = cnt[:]
-                caps_u[j] = 0
-                for _, k, _ in group[:before]:
-                    caps_u[k] -= 1
-                s = 1 + _fewest_cover(rest, caps_u)
-                if s > s_cap:
-                    continue
-                key = (v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum, s)
-                if key < bar:
-                    bar, ties, u_stop = key, [], _stop_occupancy(v_factor, queue_sum, s_lo, m, hop_max, key[0])
-                if key == bar:
-                    ties.append((j, d, caps_u))
+            most = top  # before j's event: at least every cap beside j
+            cnt[j] += 1
+            if cnt[j] > top:
+                top = cnt[j]
+            rest = l_blocks - d
+            s = 1 - (-rest // most)  # no cover takes fewer stages; the key grows with S
+            if s > s_cap or v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum > bar[0]:
+                continue
+            caps_u = cnt[:]
+            caps_u[j] = 0
+            s = 1 + _fewest_cover(rest, caps_u)
+            if s > s_cap:
+                continue
+            key = (v_factor * ((s + m - 1) * u - hops[j]) + s * queue_sum, s)
+            if key < bar:
+                bar, ties, u_stop = key, [], _stop_occupancy(v_factor, queue_sum, s_lo, m, hop_max, key[0])
+            if key == bar:
+                ties.append((j, d, caps_u))
 
     if not ties:
         if math.isinf(cutoff):

@@ -44,6 +44,8 @@ SEG = "tests/test_seg_solver.py::"
 ORCH = "tests/test_orchestrator.py::"
 PIPE = "tests/test_pipeline.py::"
 GOLDEN = "tests/test_decision_golden.py"
+DIGESTS = "tests/test_solver_digests.py::test_solver_digests_match_the_fixture"
+ACCEPT = "tests/test_acceptance.py::"
 SOLVER = "seg_solver.py"
 MALFORMED = PIPE + "test_event_sim_rejects_malformed_input"
 
@@ -64,11 +66,15 @@ MUTANTS = (
         (SEG + "test_partition_sweep_equals_the_per_pair_scan",),
     ),
     Mutant(
-        "tie-group-before-zero",
+        "tied-events-by-ascending-device",
         SOLVER,
-        "before = bisect_left(group, (u, j)) if len(group) > 1 else 0",
-        "before = 0",
-        (SEG + "test_partition_prices_tied_occupancies_at_the_first_device",),
+        "(u, -k, k, d) for k, cap in enumerate(caps)",
+        "(u, k, k, d) for k, cap in enumerate(caps)",
+        (
+            SEG + "test_partition_prices_tied_occupancies_at_the_first_device",
+            SEG + "test_partition_sweep_equals_the_per_pair_scan",
+            DIGESTS,
+        ),
     ),
     # the best-first run-start search
     Mutant(
@@ -192,9 +198,17 @@ MUTANTS = (
     Mutant(
         "sweep-start-at-the-l-th-occupancy",
         SOLVER,
-        "start = bisect_left(events, (events[l_blocks - 1][0],)) if",
-        "start = l_blocks - 1 if",
-        (SEG + "test_partition_sweep_equals_the_per_pair_scan",),
+        "events[: l_blocks - 1]:\n            cnt[k] += 1\n        top = max(cnt)  # the largest count\n        for u, _, j, d in events[l_blocks - 1 :]:",
+        "events[:l_blocks]:\n            cnt[k] += 1\n        top = max(cnt)  # the largest count\n        for u, _, j, d in events[l_blocks:]:",
+        (ACCEPT + "test_criterion_2_segment_solver_optimality", SEG + "test_partition_sweep_equals_the_per_pair_scan", DIGESTS),
+    ),
+    # the block caps hold C9 as the validator checks it
+    Mutant(
+        "energy-cap-without-slack",
+        SOLVER,
+        "budget = dev.energy_budget_j * (1 + ENERGY_BUDGET_SLACK)",
+        "budget = dev.energy_budget_j",
+        (SEG + "test_energy_caps_admit_every_plan_the_validator_admits",),
     ),
     # the partition search's floor skip and the one-stage price
     Mutant(
@@ -209,7 +223,7 @@ MUTANTS = (
         SOLVER,
         "if s_cap >= 2 and not floor > bar[0]:",
         "if s_cap >= 2 and not floor >= bar[0]:",
-        ("tests/test_solver_digests.py::test_solver_digests_match_the_fixture",),
+        (DIGESTS,),
     ),
     Mutant(
         "one-stage-price-with-slack",
@@ -355,6 +369,35 @@ MUTANTS = (
         "while m & _M32 < threshold:",
         "if m & _M32 < threshold:",
         ("tests/test_rng.py::test_generator_matches_numpy_call_for_call",),
+    ),
+    # config parsing and the link model
+    Mutant(
+        "block-cap-without-max-blocks",
+        "config.py",
+        "return int(min(self.mem_budget_bytes // self.mem_per_block_bytes, MAX_BLOCKS))",
+        "return int(self.mem_budget_bytes // self.mem_per_block_bytes)",
+        ("tests/test_config.py::test_block_cap_of_a_vanishing_block_size_is_max_blocks",),
+    ),
+    Mutant(
+        "config-without-per-device-memory-check",
+        "config.py",
+        "    if dev.mem_per_block_bytes > dev.mem_budget_bytes:\n",
+        "    if False:\n",
+        ("tests/test_config.py::test_memory_invariant_violation_names_constraint",),
+    ),
+    Mutant(
+        "d2d-dead-link-only-below-zero-power",
+        "comm.py",
+        "    if power_w <= 0.0:\n",
+        "    if power_w < 0.0:\n",
+        ("tests/test_comm.py::test_d2d_zero_power_dead_link",),
+    ),
+    Mutant(
+        "channel-shared-by-two-clusters",
+        "comm.py",
+        "            if j in taken:\n",
+        "            if False:\n",
+        ("tests/test_comm.py::test_channel_assignment_structure",),
     ),
     # evaluated fields that leave the decisions as they were
     Mutant(

@@ -384,9 +384,12 @@ def test_hop_times_computed_once_per_device_and_round(policy, monkeypatch):
 @pytest.mark.parametrize("policy", ["lyapunov", "loss", "random"])
 def test_device_energy_evaluated_once_per_scheduled_device_and_round(policy, table2_cfg, monkeypatch):
     # the validator's C9 check computes it and the evaluator reuses the sums;
-    # the segment solver binds the budgets through its block caps, and neither
-    # it nor the random policy's plan draw checks its own plan: the validator does
+    # the random policy's plan draw does not check its own plan: the validator
+    # does. The segment solver's block caps price C9 with it too, before any
+    # plan exists, so its calls are not counted here
+    solver_binding = seg_solver.device_energy
     calls = _count_calls(monkeypatch, pipeline.device_energy)
+    monkeypatch.setattr(seg_solver, "device_energy", solver_binding)
     checked = []
     validate = pipeline.SegmentPlan.validate
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 from bisect import bisect_left, bisect_right
 
@@ -8,10 +9,11 @@ import pytest
 
 from edgesched.comm import device_d2d_delay
 from edgesched.config import build_config, sample_round_environment
+from edgesched.decision import validate_decision
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan, pair_scan_partition, pair_scan_segment_plan
-from edgesched.orchestrator import run_simulation
-from edgesched.pipeline import chunk_work, device_energy, micro_batch_size, pipeline_latency_from_times
+from edgesched.orchestrator import optimize_round, run_simulation
+from edgesched.pipeline import SegmentPlan, chunk_work, device_energy, micro_batch_size, pipeline_latency_from_times
 from edgesched.seg_solver import (
     _cap_cover,
     _fewest_cover,
@@ -29,7 +31,7 @@ from edgesched.seg_solver import (
 )
 from edgesched.res_solver import power_control
 
-from conftest import balance_thresholds, minimal_doc, random_system, random_system_doc, workload_doc
+from conftest import HOMOGENEOUS, balance_thresholds, minimal_doc, random_system, random_system_doc, workload_doc
 
 
 def _partition(m, cfg, env, n, v, queue_sum, power, **kwargs):
@@ -75,6 +77,28 @@ def test_micro_batch_solve_skips_run_starts_over_the_energy_budget():
     cfg = build_config(doc)
     with pytest.raises(InfeasibleError, match="C9'"):
         optimal_micro_batches((4,), cfg, sample_round_environment(cfg, 1), 0, 10.0, 0.0)
+
+
+def test_energy_caps_admit_every_plan_the_validator_admits():
+    # one homogeneous device, with budgets within a few ulps of the energy
+    # of all L blocks at m = b: the validator's C9 admits that plan at every
+    # budget, so the block caps must hold all L blocks there, and the round
+    # must be kept
+    with open(HOMOGENEOUS, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    device = doc["clusters"][0]["devices"][0]
+    doc["clusters"][0]["devices"] = [device]
+    cfg = build_config(doc)
+    l_blocks, b = cfg.model.n_blocks, cfg.model.batch_items
+    energy = device_energy(l_blocks, b, cfg, sample_round_environment(cfg, 1), 0, 0)
+    for i in range(14):
+        device["E_k_max_j"] = energy * (1 + i * 5e-14) / (1 + 1e-12)
+        cfg = build_config(doc)
+        env = sample_round_environment(cfg, 1)
+        decision = optimize_round(cfg, env, (0.0,), cfg.convergence.v_factor)
+        assert decision.plans == (SegmentPlan(delta=(l_blocks,), m=b),)
+        validate_decision(decision, cfg, env)
+        assert [r.round_index for r in run_simulation(cfg, 1, "lyapunov").rounds] == [1]
 
 
 def test_micro_batch_solve_of_an_all_zero_partition_fails_c2(table2_cfg):
@@ -832,11 +856,11 @@ def test_partition_floor_skip_equals_the_full_scan(monkeypatch):
 
     sweeps = []
 
-    def sweep(*args):
+    def sweep(*args):  # runs once at the top of every sweep
         sweeps.append(True)
-        return itertools.groupby(*args)
+        return _stop_occupancy(*args)
 
-    monkeypatch.setattr(seg_solver, "groupby", sweep)
+    monkeypatch.setattr(seg_solver, "_stop_occupancy", sweep)
     rng = np.random.default_rng(4)
     cases = list(_skip_battery()) + [
         (cfg, sample_round_environment(cfg, 1), 0, float(rng.uniform(0.05, 0.5)))
@@ -870,7 +894,7 @@ def test_partition_floor_skip_equals_the_full_scan(monkeypatch):
                 if i >= len(cases):  # the floor the energy caps would give
                     work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
                     try:
-                        caps, need = _cap_cover(work, cfg, env, n)
+                        caps, need = _cap_cover(m, cfg, env, n)
                     except InfeasibleError:
                         continue
                     energy = _stage_count_floor(env, n, caps, l_blocks, v, q, max(2, need), s_cap)(m, work)
@@ -1056,7 +1080,7 @@ def _per_pair_partition(m, cfg, env, n, v, queue_sum, s_cap, cutoff, seen=None):
     work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
     speeds, hops = env.speed[n], env.hop_s[n]
     try:
-        caps, need = _cap_cover(work, cfg, env, n)
+        caps, need = _cap_cover(m, cfg, env, n)
     except InfeasibleError as exc:
         return exc.constraint
     if need > s_cap:
@@ -1230,7 +1254,7 @@ def test_partition_and_schedule_equal_the_pair_scan_oracle_on_encoder_shapes():
                         continue
                     partitions += 1
                     deep += want[1] >= 3
-                    caps, _ = _cap_cover(chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model), cfg, env, 0)
+                    caps, _ = _cap_cover(m, cfg, env, 0)
                     kinds = [(env.speed[0][i], env.hop_s[0][i], caps[i]) for i in range(k)]
                     tied += any(kinds[a] == kinds[b] and want[0][a] != want[0][b] for a in range(k) for b in range(a))
             delta, _, m, _ = pair_scan_segment_plan(cfg, env, 0, (q,), v, cfg.clusters[0].uplink_power_max_w)
@@ -1264,7 +1288,7 @@ def test_pretest_keeps_a_pair_whose_least_stage_count_ties_the_bar():
     cfg = build_config(doc)
     env = sample_round_environment(cfg, 1)
     assert env.speed[0] == (2.0**22, 2.0**21, 2.0**21) and env.hop_s[0] == (0.25, 1.0, 0.25)
-    assert _cap_cover(2.0**20, cfg, env, 0)[0] == [2, 2, 3]
+    assert _cap_cover(2, cfg, env, 0)[0] == [2, 2, 3]
     devices = ((0.25, 0.25, 2), (0.5, 1.0, 2), (0.5, 0.25, 3))  # (block time, hop, cap)
     assert [sum(d * t + hop == 2.0 for d in range(1, cap + 1)) for t, hop, cap in devices] == [0, 1, 0]
     assert [sum(d * t + hop < 2.0 for d in range(1, cap + 1)) for t, hop, cap in devices] == [2, 1, 3]
@@ -1353,9 +1377,9 @@ def _floor_traffic(monkeypatch, cfg, rounds):
         counts["builds"] += 1
         return _stage_count_floor(*args)
 
-    def sweep(*args):
+    def sweep(*args):  # runs once at the top of every sweep
         swept.append(True)
-        return itertools.groupby(*args)
+        return _stop_occupancy(*args)
 
     def search(*args, **kwargs):
         counts["calls"] += 1
@@ -1367,7 +1391,7 @@ def _floor_traffic(monkeypatch, cfg, rounds):
 
     monkeypatch.setattr(orchestrator, "schedule_segments", solve)
     monkeypatch.setattr(seg_solver, "_stage_count_floor", floor)
-    monkeypatch.setattr(seg_solver, "groupby", sweep)
+    monkeypatch.setattr(seg_solver, "_stop_occupancy", sweep)
     monkeypatch.setattr(seg_solver, "optimal_partition", search)
     assert len(run_simulation(cfg, rounds, "lyapunov").rounds) == rounds
     return counts
@@ -1405,7 +1429,7 @@ def test_partition_equals_the_pair_scan_oracle_on_the_wide_encoder_shape():
         for k, dev in enumerate(cfg.clusters[0].devices)
     )
     cut_cfg = dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=cut),))
-    assert min(_cap_cover(chunk_work(micro_batch_size(64, 1), cfg.model), cut_cfg, env, 0)[0]) == 6
+    assert min(_cap_cover(1, cut_cfg, env, 0)[0]) == 6
     cases.append((cut_cfg, env, 1e-3))
     stages = set()
     for case_cfg, case_env, q in cases:
