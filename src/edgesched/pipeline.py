@@ -116,9 +116,13 @@ def device_energy(blocks: int, m: int, cfg: SystemConfig, env: RoundEnvironment,
     This is the per-device form the energy budgets bound; the reported
     training energy scales it with the chunk count.
     """
-    dev = cfg.clusters[n].devices[k]
-    flops = blocks * chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
-    return compute_energy(flops, dev, env.clock_hz[n][k]) + dev.d2d_power_w * env.hop_s[n][k]
+    work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
+    return work_energy(blocks, work, cfg.clusters[n].devices[k], env.clock_hz[n][k], env.hop_s[n][k])
+
+
+def work_energy(blocks: int, work: float, dev: DeviceProfile, clock_hz: float, hop_s: float) -> float:
+    """``device_energy`` at chunk work ``work``, for callers that price many devices at one m."""
+    return compute_energy(blocks * work, dev, clock_hz) + dev.d2d_power_w * hop_s
 
 
 def event_sim_makespan(stage_times: Sequence[float], hop_times: Sequence[float], m: int) -> float:

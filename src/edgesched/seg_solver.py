@@ -15,9 +15,9 @@ cluster's uplink power is at least the round's threshold p_S
 floor at S. Device speeds and hop times are the round's,
 read from the ``RoundEnvironment``; memory caps and energy budgets come from
 the config. Every plan is scored by ``cluster_objective``. The energy
-budgets bind through ``_cap_cover``'s per-device block caps, and at a fixed
-partition through ``optimal_micro_batches``; both check them with
-``pipeline.device_energy``, as ``validate_decision`` does.
+budgets bind, through ``_over_budget`` (C9 as ``validate_decision`` checks
+it), in ``_cap_cover``'s per-device block caps, the m = 1 incumbent and
+``optimal_micro_batches``.
 
 Blocks are identical in cost, so at a fixed m a plan's objective depends only
 on its segment count S and its first bottleneck, a device j holding d blocks.
@@ -43,14 +43,16 @@ whole-block load of the S fastest devices, the L-th least ratio of a block
 count to a speed among them. The run starts are searched best-first, in
 ascending lower bound, built from memory caps and these floors (branch and
 bound: Land & Doig, Econometrica 1960), until one's bound lies strictly above
-the best objective: no plan there or later can win, not even on a tie. The
-bounds are priced lazily: the run starts are walked in ascending m beside a
-cheaper bound that never falls as m grows, and the next one is priced only
-while that cheaper bound could put it first. A partition search skips the
-bottleneck scan when its run start's floor of S >= 2 stages lies strictly
-above the bar. Six table2 rounds price 52 and search 18 of their 270 run
-starts, and 12 rounds of the benchmark's encoder cluster price 72 and search
-22 of 180.
+the best objective: no plan there or later can win, not even on a tie. An
+incumbent, m = 1's best one-stage plan priced device by device, comes
+first, so m = 1 is bounded by its S >= 2 floor alone. The bounds are priced
+lazily: the run starts are walked in ascending m beside a cheaper bound that
+never falls as m grows, and the next one is priced only while that cheaper
+bound could put it first. A partition search skips the bottleneck scan when
+its run start's floor of S >= 2 stages lies strictly above the bar. Six
+table2 rounds price 52 and search 0 of their 270 run starts; 12 rounds of
+the benchmark's encoder cluster, which forms no incumbent, price 72 and
+search 22 of 180.
 
 The balance cap does not depend on m: ``schedule_segments`` counts the
 thresholds p_1, p_2, ... at or below the head power once per call, up to the
@@ -65,17 +67,17 @@ from bisect import bisect_left, bisect_right, insort
 from functools import cache
 from itertools import accumulate
 
-from .config import RoundEnvironment, SystemConfig
+from .config import DeviceProfile, RoundEnvironment, SystemConfig
 from .convergence import balance_power_threshold
 from .errors import InfeasibleError
 from .pipeline import (
     ENERGY_BUDGET_SLACK,
     SegmentPlan,
     chunk_work,
-    device_energy,
     micro_batch_size,
     pipeline_latency_from_times,
     stage_profile,
+    work_energy,
 )
 
 
@@ -108,12 +110,8 @@ def _micro_batch_run_starts(batch_items: int) -> tuple[int, ...]:
 
 
 def _feasible_energy_at_m(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> bool:
-    devices = cfg.clusters[n].devices
-    return all(
-        device_energy(d, m, cfg, env, n, k) <= devices[k].energy_budget_j * (1 + ENERGY_BUDGET_SLACK)
-        for k, d in enumerate(delta)
-        if d > 0
-    )
+    work, devices = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model), cfg.clusters[n].devices
+    return not any(_over_budget(d, work, devices[k], env.clock_hz[n][k], env.hop_s[n][k]) for k, d in enumerate(delta) if d > 0)
 
 
 def optimal_micro_batches(
@@ -144,24 +142,32 @@ def optimal_micro_batches(
     return best_m
 
 
+def _over_budget(blocks: int, work: float, dev: DeviceProfile, clock_hz: float, hop_s: float) -> bool:
+    """C9 failed as ``validate_decision`` checks it: energy above the budget times (1 + ENERGY_BUDGET_SLACK)."""
+    return work_energy(blocks, work, dev, clock_hz, hop_s) > dev.energy_budget_j * (1 + ENERGY_BUDGET_SLACK)
+
+
+def _one_stage_objective(v_factor: float, m: int, l_blocks: int, work: float, speed: float, queue_sum: float) -> float:
+    """``cluster_objective`` of all L blocks on one device of speed ``speed``, as the same float expression."""
+    return v_factor * (m * (l_blocks * work / speed)) + queue_sum
+
+
 def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tuple[list[int], int]:
     """Per-device block caps at micro-batch count m, and the fewest devices
     whose caps hold the L blocks.
 
-    A device's cap is the most blocks, up to its memory cap and L, whose
-    ``pipeline.device_energy`` lies within its budget times
-    (1 + ENERGY_BUDGET_SLACK): C9 as ``validate_decision`` checks it. The
-    energy grows with the block count, so the cap is bisected, and only
-    when the largest count fails. Raises C7 when memory alone cannot host
-    the blocks, and C9' when the energy budgets cut the caps below them.
+    A device's cap is the most blocks, up to its memory cap and L, not
+    ``_over_budget``: energy grows with the block count, so the cap is
+    bisected when the largest count fails. Raises C7 when memory alone cannot
+    host the blocks, and C9' when the energy budgets cut the caps below them.
     """
     l_blocks = cfg.model.n_blocks
+    work, clocks, hops = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model), env.clock_hz[n], env.hop_s[n]
     caps = []
     for k, dev in enumerate(cfg.clusters[n].devices):
-        budget = dev.energy_budget_j * (1 + ENERGY_BUDGET_SLACK)
         cap = min(dev.block_cap, l_blocks)
-        if device_energy(cap, m, cfg, env, n, k) > budget:
-            cap = bisect_right(range(1, cap), budget, key=lambda d: device_energy(d, m, cfg, env, n, k))
+        if _over_budget(cap, work, dev, clocks[k], hops[k]):
+            cap = bisect_left(range(1, cap), True, key=lambda d: _over_budget(d, work, dev, clocks[k], hops[k]))
         caps.append(cap)
     need = _fewest_cover(l_blocks, caps)
     if math.isinf(need):
@@ -221,10 +227,8 @@ def optimal_partition(
     ``s_cap`` is the most segments a plan may use: the device count, or less
     under the balance cap, as ``_segment_cap`` gives it.
     """
-    l_blocks = cfg.model.n_blocks
-    work = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
-    speeds = env.speed[n]
-    hops = env.hop_s[n]
+    l_blocks, work = cfg.model.n_blocks, chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
+    speeds, hops = env.speed[n], env.hop_s[n]
 
     # feasibility of the cap set as a whole
     caps, need = _cap_cover(m, cfg, env, n)
@@ -236,7 +240,7 @@ def optimal_partition(
     # one-stage plans: all L blocks on one device whose cap holds them
     for j, cap in enumerate(caps):
         if cap >= l_blocks:
-            key = (v_factor * (m * (l_blocks * work / speeds[j])) + queue_sum, 1)
+            key = (_one_stage_objective(v_factor, m, l_blocks, work, speeds[j], queue_sum), 1)
             if key < bar:
                 bar, ties = key, []
             if key == bar:
@@ -312,13 +316,11 @@ def _lexmin_cover(blocks: int, slots: int, caps: list[int], j: int, d: int) -> t
 def _segment_cap(cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: float) -> int:
     """Most segments cluster n may use at head power cu_power_w: the count of
     S = 1, 2, ... up to its device count and L whose balance threshold p_S
-    (C11) is at or below the power. The thresholds rise with S, so the count
-    stops at the first one above it. Raises C11 when p_1 is above it."""
-    s_cap = 0
-    while s_cap < min(cfg.clusters[n].n_devices, cfg.model.n_blocks) and balance_power_threshold(
-        cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, s_cap + 1, env.uplink_gain[n], env.uplink_interference_w[n]
-    ) <= cu_power_w:
-        s_cap += 1
+    (C11) is at or below the power. The thresholds rise with S, so the first
+    one above it is bisected. Raises C11 when p_1 is above it, or at NaN."""
+    s_cap = bisect_left(range(1, min(cfg.clusters[n].n_devices, cfg.model.n_blocks) + 1), True, key=lambda s: not balance_power_threshold(
+        cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, s, env.uplink_gain[n], env.uplink_interference_w[n]
+    ) <= cu_power_w)
     if s_cap == 0:
         raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at power {cu_power_w}")
     return s_cap
@@ -376,10 +378,9 @@ def _stage_count_floor(
     S takes the larger of the two, so refining never lowers a term. A call
     refines the S whose term sets the floor, one at a time, while that term
     lies at or below ``bar``, and keeps each refined load for later calls.
-    So the floor it
-    returns equals the fully refined one whenever either lies at or below
-    ``bar``, and lies above ``bar`` otherwise; at the default bar it is the
-    fully refined floor. The floor carries what it prices, for
+    So the floor it returns equals the fully refined one whenever either lies
+    at or below ``bar``, and lies above ``bar`` otherwise; at the default bar
+    it is the fully refined floor. The floor carries what it prices, for
     ``_run_start_bound``'s ``later``: ``counts``, the pairs (S, load) with
     each S's load as refined so far, none for the inf floor, and
     ``hop_range``, (hop_min, hop_max).
@@ -454,13 +455,13 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     l_blocks = cfg.model.n_blocks
     mem_caps = [dev.block_cap for dev in cfg.clusters[n].devices]
     s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap >= l_blocks), default=None)
-    s_lo = max(2, _fewest_cover(l_blocks, mem_caps))
+    s_lo = 2 if s_fast else max(2, _fewest_cover(l_blocks, mem_caps))  # one device holds L: no cover to count
     many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
     batch_items, model = cfg.model.batch_items, cfg.model
 
     def bound(m: int) -> tuple[float, float]:
         work = chunk_work(micro_batch_size(batch_items, m), model)
-        one = math.inf if s_fast is None else v_factor * (m * (l_blocks * work / s_fast)) + queue_sum
+        one = math.inf if s_fast is None else _one_stage_objective(v_factor, m, l_blocks, work, s_fast, queue_sum)
         least = many(m, work, one)
         return least if least < one else one, least
 
@@ -495,19 +496,25 @@ def schedule_segments(
 ) -> SegmentPlan:
     """Exact joint argmin over (partition, micro-batches) for cluster n.
 
-    Runs the partition search at the ceil(b/m) run starts best-first, in
+    The incumbent comes first: m = 1's best one-stage plan over the devices
+    whose memory holds L and that are not ``_over_budget``, fastest first,
+    until one costs strictly more than the best (a tie goes to the later
+    device, whose delta is the lesser). So m = 1 is bounded by its many-stage
+    floor alone; a larger m keeps its one-stage term, as energy falls with m.
+
+    Then the partition search runs at the ceil(b/m) run starts best-first, in
     ascending (bound, m) of ``_run_start_bound``'s ``bound`` (every segment
-    count up to the balance cap priced by ``_stage_count_floor``), each at
-    the best objective so far as its cutoff and at the bound's many-stage
-    floor, keeping the least (objective, S, delta, m), the oracle's
-    tie-break. The run starts are walked in ascending m and priced only when
-    reached: the least priced one is searched once its bound is at or below
-    ``later`` of the next unpriced one, which no bound from there on lies
-    below, so the order is that of sorting every bound. The search stops
-    when the least priced bound and that ``later`` both lie strictly above
-    the best objective: every plan left is worse. Ties are never skipped, so
-    the order cannot change the plan. When no m has a plan, nothing was ruled
-    out, and the error raised at m = 1 names the blocker.
+    count up to the balance cap priced by ``_stage_count_floor``), each at the
+    best objective so far as its cutoff and at the bound's many-stage floor,
+    keeping the least (objective, S, delta, m), the oracle's tie-break. The
+    run starts are walked in ascending m and priced only when reached: the
+    least priced one is searched once its bound is at or below ``later`` of
+    the next unpriced one, which no bound from there on lies below, so the
+    order is that of sorting every bound. The search stops when the least
+    priced bound and that ``later`` both lie strictly above the best
+    objective: every plan left is worse. Ties are never skipped, so the order
+    cannot change the plan. When no m has a plan, nothing was ruled out, and
+    the error raised at m = 1 names the blocker.
 
     The balance cap at ``cu_power_w`` does not depend on m, so it is read
     once, before the run starts; when it is unreachable, its C11 error is
@@ -520,6 +527,15 @@ def schedule_segments(
     priced = []  # ascending (bound, m, floor) of the run starts priced and not yet searched
     walked, after = 0, -math.inf  # run starts priced, and later() of the next; m = 1 is priced unasked
     best_key = error = None
+    l_blocks, devices, work = cfg.model.n_blocks, cfg.clusters[n].devices, chunk_work(cfg.model.batch_items, cfg.model)
+    for speed, j in sorted(((env.speed[n][k], k) for k, dev in enumerate(devices) if dev.block_cap >= l_blocks), reverse=True):
+        obj = _one_stage_objective(v_factor, 1, l_blocks, work, speed, queue_sum)
+        if best_key is not None and obj > best_key[0]:
+            break  # so is every slower device's
+        if not _over_budget(l_blocks, work, devices[j], env.clock_hz[n][j], env.hop_s[n][j]):
+            key = (obj, 1, tuple(l_blocks * (k == j) for k in range(len(devices))), 1)  # on a tie, the last device's delta is least
+            if best_key is None or key < best_key:
+                best_key = key
     while True:
         cutoff = math.inf if best_key is None else best_key[0]
         if priced and priced[0][0] <= after:  # no unpriced run start comes before it
@@ -531,7 +547,7 @@ def schedule_segments(
         else:
             m = starts[walked]
             lower, floor = bound(m)
-            insort(priced, (lower, m, floor))
+            insort(priced, (floor if m == 1 else lower, m, floor))  # m = 1's one-stage plans are the incumbent's
             walked += 1
             after = later(starts[walked]) if walked < len(starts) else math.inf
             continue

@@ -48,6 +48,7 @@ DIGESTS = "tests/test_solver_digests.py::test_solver_digests_match_the_fixture"
 ACCEPT = "tests/test_acceptance.py::"
 SOLVER = "seg_solver.py"
 MALFORMED = PIPE + "test_event_sim_rejects_malformed_input"
+INCUMBENT = SEG + "test_schedule_segments_equals_the_oracle_on_systems_built_for_the_incumbent"
 
 MUTANTS = (
     # the partition sweep's O(1) pretest
@@ -94,8 +95,8 @@ MUTANTS = (
     Mutant(
         "run-starts-by-minus-bound",
         SOLVER,
-        "insort(priced, (lower, m, floor))",
-        "insort(priced, (-lower, m, floor))",
+        "insort(priced, (floor if m == 1 else lower, m, floor))",
+        "insort(priced, (-(floor if m == 1 else lower), m, floor))",
         (SEG + "test_best_first_search_runs_under_two_partition_searches_per_encoder_solve",),
     ),
     # the walk's lower bound on every later run start, and its stop
@@ -206,9 +207,52 @@ MUTANTS = (
     Mutant(
         "energy-cap-without-slack",
         SOLVER,
-        "budget = dev.energy_budget_j * (1 + ENERGY_BUDGET_SLACK)",
-        "budget = dev.energy_budget_j",
-        (SEG + "test_energy_caps_admit_every_plan_the_validator_admits",),
+        "> dev.energy_budget_j * (1 + ENERGY_BUDGET_SLACK)",
+        "> dev.energy_budget_j",
+        (SEG + "test_energy_caps_admit_every_plan_the_validator_admits", INCUMBENT),
+    ),
+    # the m = 1 incumbent and the pricing of m = 1 beside it
+    Mutant(
+        "incumbent-break-ge",
+        SOLVER,
+        "if best_key is not None and obj > best_key[0]:",
+        "if best_key is not None and obj >= best_key[0]:",
+        (INCUMBENT,),
+    ),
+    Mutant(
+        "incumbent-energy-test-without-slack",
+        SOLVER,
+        "if not _over_budget(l_blocks, work, devices[j], env.clock_hz[n][j], env.hop_s[n][j]):",
+        "if work_energy(l_blocks, work, devices[j], env.clock_hz[n][j], env.hop_s[n][j]) <= devices[j].energy_budget_j:",
+        (INCUMBENT,),
+    ),
+    Mutant(
+        "incumbent-without-energy-test",
+        SOLVER,
+        "if not _over_budget(l_blocks, work, devices[j], env.clock_hz[n][j], env.hop_s[n][j]):",
+        "if True:",
+        (INCUMBENT,),
+    ),
+    Mutant(
+        "floor-only-bound-at-every-run-start",
+        SOLVER,
+        "insort(priced, (floor if m == 1 else lower, m, floor))",
+        "insort(priced, (floor, m, floor))",
+        (INCUMBENT,),
+    ),
+    Mutant(
+        "m-1-never-searched",
+        SOLVER,
+        "insort(priced, (floor if m == 1 else lower, m, floor))",
+        "insort(priced, (math.inf if m == 1 else lower, m, floor))",
+        (INCUMBENT,),
+    ),
+    Mutant(
+        "segment-cap-admits-a-nan-power",
+        SOLVER,
+        "key=lambda s: not balance_power_threshold(",
+        "key=lambda s: balance_power_threshold(",
+        (SEG + "test_segment_cap_at_a_nan_power_is_unreachable",),
     ),
     # the partition search's floor skip and the one-stage price
     Mutant(
@@ -216,7 +260,7 @@ MUTANTS = (
         SOLVER,
         "if s_cap >= 2 and not floor > bar[0]:",
         "if s_cap >= 2:",
-        (SEG + "test_stage_count_floor_is_built_once_per_solve", SEG + "test_partition_floor_skip_equals_the_full_scan"),
+        (SEG + "test_partition_floor_skip_equals_the_full_scan",),
     ),
     Mutant(
         "floor-skip-on-a-tie",
@@ -228,19 +272,19 @@ MUTANTS = (
     Mutant(
         "one-stage-price-with-slack",
         SOLVER,
-        "key = (v_factor * (m * (l_blocks * work / speeds[j])) + queue_sum, 1)",
-        "key = (v_factor * (m * (l_blocks * work / speeds[j])) * (1 + 1e-12) + queue_sum, 1)",
+        "return v_factor * (m * (l_blocks * work / speed)) + queue_sum",
+        "return v_factor * (m * (l_blocks * work / speed)) * (1 + 1e-12) + queue_sum",
         (SEG + "test_run_start_skip_keeps_an_exact_tie",),
     ),
-    # metamorphic relations: more memory, energy or head power never costs,
-    # nor does one more device
     Mutant(
         "one-stage-plans-first-device-only",
         SOLVER,
         "        if cap >= l_blocks:",
         "        if cap >= l_blocks and not ties:",
-        (SEG + "test_more_memory_energy_or_head_power_never_raises_the_objective",),
+        (DIGESTS, INCUMBENT),
     ),
+    # metamorphic relations: more memory, energy or head power never costs,
+    # nor does one more device
     Mutant(
         "sweep-stop-at-the-shortest-hop",
         SOLVER,

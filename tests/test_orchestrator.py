@@ -385,11 +385,9 @@ def test_hop_times_computed_once_per_device_and_round(policy, monkeypatch):
 def test_device_energy_evaluated_once_per_scheduled_device_and_round(policy, table2_cfg, monkeypatch):
     # the validator's C9 check computes it and the evaluator reuses the sums;
     # the random policy's plan draw does not check its own plan: the validator
-    # does. The segment solver's block caps price C9 with it too, before any
-    # plan exists, so its calls are not counted here
-    solver_binding = seg_solver.device_energy
+    # does. The segment solver prices C9 through pipeline.work_energy, at one
+    # chunk work per search, and never calls it
     calls = _count_calls(monkeypatch, pipeline.device_energy)
-    monkeypatch.setattr(seg_solver, "device_energy", solver_binding)
     checked = []
     validate = pipeline.SegmentPlan.validate
 
@@ -514,13 +512,12 @@ def test_lyapunov_round_evaluates_at_most_k_plus_one_thresholds_per_cluster(syst
 
 
 def test_one_sweep_rounds_search_as_before_on_table2(table2_cfg, monkeypatch):
-    # table2's queues stay 0, and its balance cap of three stages sends every
-    # segment solve to the search. With whole-block loads in the stage-count
-    # floor, the first run start searched rules out the rest: one search per
-    # solve
+    # table2's queues stay 0, and its balance cap allows three stages. The
+    # one-stage plan at m = 1 is each solve's incumbent, and the stage-count
+    # floors of every run start lie above it: no solve searches a partition
     searches = _count_calls(monkeypatch, seg_solver.optimal_partition)
     run_simulation(table2_cfg, 6, "lyapunov")
-    assert len(searches) == 18
+    assert len(searches) == 0
 
 
 def _table2_on_64_channels():

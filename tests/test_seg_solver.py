@@ -13,7 +13,14 @@ from edgesched.decision import validate_decision
 from edgesched.errors import InfeasibleError, OracleGuardError
 from edgesched.oracles import brute_force_segment_plan, pair_scan_partition, pair_scan_segment_plan
 from edgesched.orchestrator import optimize_round, run_simulation
-from edgesched.pipeline import SegmentPlan, chunk_work, device_energy, micro_batch_size, pipeline_latency_from_times
+from edgesched.pipeline import (
+    ENERGY_BUDGET_SLACK,
+    SegmentPlan,
+    chunk_work,
+    device_energy,
+    micro_batch_size,
+    pipeline_latency_from_times,
+)
 from edgesched.seg_solver import (
     _cap_cover,
     _fewest_cover,
@@ -1399,15 +1406,17 @@ def _floor_traffic(monkeypatch, cfg, rounds):
 
 def test_stage_count_floor_is_built_once_per_solve(monkeypatch, table2_cfg, homogeneous_cfg):
     # the run-start bound builds the one floor of a solve and every partition
-    # search reads it: on paper it skips 275 sweeps of 291 searches
+    # search reads it. On paper the m = 1 incumbent leaves 16 searches, and
+    # each of them sweeps: a search that would only confirm the incumbent is
+    # not run
     paper = _floor_traffic(monkeypatch, build_config(workload_doc("paper", 1)), 96)
-    assert (paper["solves"], paper["builds"], paper["calls"], paper["skipped"]) == (288, 288, 291, 275)
+    assert (paper["solves"], paper["builds"], paper["calls"], paper["skipped"]) == (288, 288, 16, 0)
     for cfg in (build_config(workload_doc("encoder", 1)), homogeneous_cfg):
         traffic = _floor_traffic(monkeypatch, cfg, 12)
         assert traffic["builds"] == traffic["solves"] == 12
-    # the module docstring: six table2 rounds search 18 of their 270 run starts
+    # the module docstring: six table2 rounds search none of their 270 run starts
     table2 = _floor_traffic(monkeypatch, table2_cfg, 6)
-    assert (table2["calls"], table2["solves"] * len(_micro_batch_run_starts(table2_cfg.model.batch_items))) == (18, 270)
+    assert (table2["calls"], table2["solves"] * len(_micro_batch_run_starts(table2_cfg.model.batch_items))) == (0, 270)
 
 
 def test_partition_equals_the_pair_scan_oracle_on_the_wide_encoder_shape():
@@ -1493,8 +1502,10 @@ def test_later_never_falls_and_lies_at_or_below_every_later_bound():
 def test_walk_prices_few_run_starts_and_searches_the_same_ones(monkeypatch):
     # 96 lyapunov rounds of the roundbench paper and encoder shapes, seed 1:
     # pricing every run start and sorting them by the same bounds makes the
-    # same 291 and 165 partition searches over the same 288 and 96 solves,
-    # and prices 15 run starts each
+    # same 16 and 165 partition searches over the same 288 and 96 solves,
+    # and prices 15 run starts each. On paper the m = 1 incumbent rules out
+    # every run start but 16; on encoder no device holds all 16 blocks, so
+    # no incumbent forms
     from edgesched import orchestrator, seg_solver
 
     def traffic(name):
@@ -1524,7 +1535,7 @@ def test_walk_prices_few_run_starts_and_searches_the_same_ones(monkeypatch):
         return counts
 
     paper = traffic("paper")
-    assert (paper["solves"], paper["searches"]) == (288, 291) and paper["priced"] <= 3 * 288
+    assert (paper["solves"], paper["searches"]) == (288, 16) and paper["priced"] <= 3 * 288
     encoder = traffic("encoder")
     assert (encoder["solves"], encoder["searches"]) == (96, 165) and encoder["priced"] <= 7 * 96
 
@@ -1555,6 +1566,87 @@ def _with_device(cfg, k, **fields):
     devices = list(cfg.clusters[0].devices)
     devices[k] = dataclasses.replace(devices[k], **fields)
     return dataclasses.replace(cfg, clusters=(dataclasses.replace(cfg.clusters[0], devices=tuple(devices)),))
+
+
+def _incumbent_system(phis_and_mems, h_dd_db, bwd_flops):
+    """One cluster of L = 4 blocks and b = 8 items at a fixed clock and D2D gain:
+    devices of equal phi have exactly equal speeds and hops, and a 1 GB memory
+    budget holds all four blocks."""
+    doc = minimal_doc()
+    doc["model"] = {"L": 4, "b": 8, "o_bwd_flops": bwd_flops}
+    doc["convergence"] = {"gamma_max_bound": 1.0}
+    doc["clusters"][0]["h_dd_db"] = h_dd_db
+    doc["clusters"][0]["devices"] = [
+        {"phi_flops_per_cycle": phi, "f_hz": 4e8, "gamma_max_bytes": mem, "gamma0_bytes": 2.5e8, "E_k_max_j": 50.0}
+        for phi, mem in phis_and_mems
+    ]
+    cfg = build_config(doc)
+    return cfg, sample_round_environment(cfg, 1)
+
+
+def _cut_to_m_2(cfg, env, k):
+    """cfg with device k's budget between its L-block energies at m = 1 and m = 2."""
+    l_blocks = cfg.model.n_blocks
+    return _with_device(cfg, k, energy_budget_j=0.5 * (device_energy(l_blocks, 1, cfg, env, 0, k) + device_energy(l_blocks, 2, cfg, env, 0, k)))
+
+
+def test_schedule_segments_equals_the_oracle_on_systems_built_for_the_incumbent(monkeypatch):
+    # schedule_segments starts its walk from m = 1's best one-stage plan and
+    # prices m = 1 by its many-stage floor alone. Each system below tests one
+    # part of that against the exhaustive oracle, at V = 10 and at V = 0
+    from edgesched import seg_solver
+
+    searched = []
+    search = seg_solver.optimal_partition
+
+    def counted(m, *args, **kwargs):
+        searched.append(m)
+        return search(m, *args, **kwargs)
+
+    monkeypatch.setattr(seg_solver, "optimal_partition", counted)
+    equal = [(16, 1e9), (16, 5e8), (16, 1e9), (16, 5e8)]  # devices 0 and 2 hold L
+    cfg, env = _incumbent_system(equal, -60, 2.0**20)
+    fast, fast_env = _incumbent_system([(30, 1e9), (10, 1e9), (12, 5e8)], -60, 2.0**20)
+    heavy, heavy_env = _incumbent_system([(8, 1e9), (64, 5e8), (64, 5e8)], -10, 2.0**32)
+    slack_budget = device_energy(4, 1, cfg, env, 0, 2) * (1 + 5e-13) / (1 + ENERGY_BUDGET_SLACK)
+    assert slack_budget < device_energy(4, 1, cfg, env, 0, 2) < slack_budget * (1 + ENERGY_BUDGET_SLACK)
+    systems = [
+        # equal speeds: the tie goes to the last device that holds L
+        ("equal", cfg, env, (0, 0, 4, 0), 1),
+        # the last holder fits only from m = 2 on: at V > 0 the first holder
+        # wins at m = 1; at V = 0 every one-stage plan costs S*q, and the
+        # last holder's plan at m = 2 wins on its delta
+        ("equal, last cut", _cut_to_m_2(cfg, env, 2), env, (4, 0, 0, 0), 1),
+        # the last holder's m = 1 energy lies above its budget but within the
+        # budget times (1 + ENERGY_BUDGET_SLACK): it is admitted and wins the tie
+        ("equal, last within slack", _with_device(cfg, 2, energy_budget_j=slack_budget), env, (0, 0, 4, 0), 1),
+        # unequal speeds: the fastest holder wins at V > 0; at V = 0 the
+        # slower one, visited after it at the same objective, wins the tie
+        ("unequal", fast, fast_env, (4, 0, 0), 1),
+        # the fastest device fails its budget at m = 1 and fits at m = 2, where
+        # its one-stage plan beats the incumbent on the slower device 1
+        ("fastest cut", _cut_to_m_2(fast, fast_env, 0), fast_env, (4, 0, 0), 2),
+        # only a slow device holds L, beside two fast ones, with short hops and
+        # a heavy backward pass, which every chunk repeats: the many-stage
+        # floor at m = 1 lies below the incumbent, so m = 1 is searched, and a
+        # pipelined plan wins there
+        ("pipelined", heavy, heavy_env, None, 1),
+    ]
+    for name, case_cfg, case_env, want_delta, want_m in systems:
+        for v in (10.0, 0.0):
+            for q in (0.0, 0.05):
+                searched.clear()
+                plan = schedule_segments(case_cfg, case_env, 0, (q,), v, 0.5)
+                od, _, om, _ = brute_force_segment_plan(case_cfg, case_env, 0, (q,), v, 0.5)
+                assert (plan.delta, plan.m) == (od, om), name
+                if v == 0.0:
+                    assert plan.n_segments == 1
+                    if name == "equal, last cut":
+                        assert (plan.delta, plan.m) == ((0, 0, 4, 0), 2)
+                elif want_delta is None:
+                    assert plan.n_segments > 1 and plan.m == want_m and 1 in searched
+                else:
+                    assert (plan.delta, plan.m) == (want_delta, want_m), name
 
 
 def test_more_memory_energy_or_head_power_never_raises_the_objective():
