@@ -9,7 +9,7 @@ variable is minimized on a box by its stationary point clamped to the box,
 and that point has a closed form through Lambert's W
 (``_stationary_power``), so power control evaluates no derivative. Channels
 are identical, so matching ranks the clusters by cost and the surplus ones
-sit out a round.
+sit out a round, after every cluster whose power box is empty.
 
 Scipy is loaded only by the Hungarian test reference, ``_lexmin_assignment``,
 and numpy only by it and ``matching_costs``, the oracle's input.
@@ -190,8 +190,8 @@ def _cluster_costs(
     v_factor: float,
     powers: tuple[float, ...],
 ) -> list[float]:
-    """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n."""
-    return [_objective(uplink(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
+    """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n; +inf at p_n = None."""
+    return [math.inf if p is None else _objective(uplink(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
 
 
 def matching_costs(
@@ -241,12 +241,22 @@ def allocate_resources(
 
     The power sub-problems have no cross-cluster coupling, so each cluster's
     optimal power is solved first; the matching is then priced at those
-    powers, and clusters left without a channel transmit at zero power.
+    powers, and clusters left without a channel transmit at zero power. A
+    cluster whose power box is empty (C8) costs +inf and ranks last; its C8
+    is raised only when fewer than min(N, J) clusters can transmit.
     """
-    candidates = tuple(
-        power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance)
-        for n in range(cfg.n_clusters)
-    )
-    assignment = channel_assignment(cfg, env, queues, v_factor, candidates)
+    candidates, blocked = [], {}
+    for n in range(cfg.n_clusters):
+        try:
+            candidates.append(power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance))
+        except InfeasibleError as exc:
+            if exc.constraint != "C8":
+                raise
+            candidates.append(None)
+            blocked[n] = exc
+    assignment = channel_assignment(cfg, env, queues, v_factor, tuple(candidates))
+    for n, exc in blocked.items():
+        if assignment.is_transmitting(n):
+            raise exc
     powers = tuple(candidates[n] if assignment.is_transmitting(n) else 0.0 for n in range(cfg.n_clusters))
     return assignment, powers

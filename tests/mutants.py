@@ -387,6 +387,20 @@ MUTANTS = (
         ("tests/test_res_solver.py::test_matching_matches_enumeration_on_random_costs",),
     ),
     Mutant(
+        "mute-cluster-ranked-first",
+        "res_solver.py",
+        "return [math.inf if p is None else _objective(",
+        "return [0.0 if p is None else _objective(",
+        (ORCH + "test_a_cluster_that_cannot_transmit_sits_out[lyapunov]",),
+    ),
+    Mutant(
+        "mute-cluster-on-the-air-not-raised",
+        "res_solver.py",
+        "        if assignment.is_transmitting(n):\n            raise exc\n",
+        "",
+        (ORCH + "test_the_round_fails_when_fewer_than_min_n_j_clusters_can_transmit",),
+    ),
+    Mutant(
         "power-clamp-without-floor",
         "res_solver.py",
         "return min(max(_stationary_power(prob, v_factor, y_n), lo), p_ceil)",

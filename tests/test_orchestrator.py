@@ -542,6 +542,41 @@ def test_channels_are_ranked_without_a_hungarian_solve(system, policy, monkeypat
         assert [c for c in r.channel if c is not None] == [0, 1, 2]
 
 
+def _table2_with_a_mute_cluster(n_channels):
+    """table2 on ``n_channels`` channels, with a 1 mJ upload budget for cluster
+    1 that rules out every positive power: its power box is empty (C8)."""
+    with open(TABLE2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["J"] = n_channels
+    doc["clusters"][1]["E_n_max_j"] = 1e-3
+    return build_config(doc)
+
+
+@pytest.mark.parametrize("policy", ["lyapunov", "uniform"])
+def test_a_cluster_that_cannot_transmit_sits_out(policy):
+    # three clusters on one channel: cluster 1 cannot transmit, so it ranks
+    # after the others and sits out at power 0. Every round in which the
+    # random or loss baseline's decision validates has a feasible decision,
+    # and the optimizing policies keep it
+    cfg = _table2_with_a_mute_cluster(1)
+    with pytest.raises(InfeasibleError, match="C8"):
+        res_solver.power_control(cfg, sample_round_environment(cfg, 1), 1, 0.0, cfg.convergence.v_factor, 1)
+    trace = run_simulation(cfg, 20, policy)
+    kept = {r.round_index for r in trace.rounds}
+    for baseline in ("random", "loss"):
+        assert {r.round_index for r in run_simulation(cfg, 20, baseline).rounds} <= kept
+    assert len(kept) == 20
+    assert all(r.channel[1] is None and r.power_w[1] == 0.0 for r in trace.rounds)
+
+
+def test_the_round_fails_when_fewer_than_min_n_j_clusters_can_transmit():
+    # three clusters on three channels must all transmit; cluster 1 cannot
+    cfg = _table2_with_a_mute_cluster(3)
+    env = sample_round_environment(cfg, 1)
+    with pytest.raises(InfeasibleError, match="C8"):
+        optimize_round(cfg, env, (0.0,) * 3, cfg.convergence.v_factor)
+
+
 def test_queue_growth_under_uncontrolled_baseline(table2_cfg):
     # baselines ignore the balance cap; with S = 6 the bound overshoots and the
     # queues must grow, while the scheduler keeps them at zero
