@@ -63,7 +63,7 @@ Nothing is kept between calls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from functools import cache
 from itertools import accumulate
 
@@ -455,7 +455,7 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     l_blocks = cfg.model.n_blocks
     mem_caps = [dev.block_cap for dev in cfg.clusters[n].devices]
     s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap >= l_blocks), default=None)
-    s_lo = 2 if s_fast else max(2, _fewest_cover(l_blocks, mem_caps))  # one device holds L: no cover to count
+    s_lo = 2 if s_fast is not None else max(2, _fewest_cover(l_blocks, mem_caps))  # one device holds L: no cover to count
     many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
     batch_items, model = cfg.model.batch_items, cfg.model
 

@@ -397,7 +397,7 @@ MUTANTS = (
         "mute-cluster-on-the-air-not-raised",
         "res_solver.py",
         "        if assignment.is_transmitting(n):\n            raise exc\n",
-        "",
+        "        if assignment.is_transmitting(n):\n            pass\n",
         (ORCH + "test_the_round_fails_when_fewer_than_min_n_j_clusters_can_transmit",),
     ),
     Mutant(
