@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .config import DeviceProfile, RoundEnvironment, SystemConfig
 from .convergence import balance_power_threshold
@@ -385,16 +385,15 @@ def _stage_count_floor(
     each S's load as refined so far, none for the inf floor, and
     ``hop_range``, (hop_min, hop_max).
     """
-    speeds = [speed for speed, cap in zip(env.speed[n], caps) if cap]
-    hops = [hop for hop, cap in zip(env.hop_s[n], caps) if cap]
-    s_hi = min(s_cap, len(speeds))
+    held = [(speed, hop) for speed, hop, cap in zip(env.speed[n], env.hop_s[n], caps) if cap]
+    s_hi = min(s_cap, len(held))
     if s_hi < s_lo:
         return _no_floor
+    speeds, hops = zip(*held)
     hop_min, hop_max = min(hops), max(hops)
     # L over the sum of the S fastest speeds, for each S, until its term is refined
     fastest = sorted(speeds, reverse=True)
-    loads = [l_blocks / total for total in accumulate(fastest)]
-    counts = list(zip(range(s_lo, s_hi + 1), loads[s_lo - 1 :]))
+    counts = [(s, l_blocks / total) for s, total in zip(range(s_lo, s_hi + 1), islice(accumulate(fastest), s_lo - 1, None))]
     whole = [False] * (s_hi + 1)  # whole[S]: load_S is the whole-block load
 
     def floor(m: int, work: float, bar: float = math.inf) -> float:
@@ -407,7 +406,7 @@ def _stage_count_floor(
                     least, at = obj, s
             if least > bar or whole[at]:
                 return least
-            counts[at - s_lo] = at, max(loads[at - 1], _whole_block_load(l_blocks, fastest[:at]))
+            counts[at - s_lo] = at, max(counts[at - s_lo][1], _whole_block_load(l_blocks, fastest[:at]))
             whole[at] = True
 
     floor.counts, floor.hop_range = counts, (hop_min, hop_max)

@@ -192,7 +192,7 @@ MUTANTS = (
     Mutant(
         "floor-refinement-may-lower-a-load",
         SOLVER,
-        "max(loads[at - 1], _whole_block_load(l_blocks, fastest[:at]))",
+        "max(counts[at - s_lo][1], _whole_block_load(l_blocks, fastest[:at]))",
         "_whole_block_load(l_blocks, fastest[:at])",
         (SEG + "test_lazily_refined_floor_equals_the_fully_refined_one_at_or_below_the_bar",),
     ),
@@ -239,6 +239,13 @@ MUTANTS = (
         "insort(priced, (floor if m == 1 else lower, m, floor))",
         "insort(priced, (floor, m, floor))",
         (INCUMBENT,),
+    ),
+    Mutant(
+        "m-1-floor-only-without-incumbent",
+        SOLVER,
+        "if not _over_budget(l_blocks, work, devices[j], env.clock_hz[n][j], env.hop_s[n][j]):",
+        "if False:",
+        (INCUMBENT, DIGESTS),
     ),
     Mutant(
         "m-1-never-searched",
