@@ -196,6 +196,12 @@ class SystemConfig:
         drawn = tuple((i, iv.lo, iv.hi - iv.lo) for i, iv in enumerate(intervals) if iv.lo != iv.hi)
         return tuple(iv.lo for iv in intervals), drawn, tuple(fixed)
 
+    @cached_property
+    def solver_table(self):
+        """The solvers' config-only inputs (``seg_solver.SolverTable``), built on the first solve."""
+        from .seg_solver import SolverTable  # here: seg_solver imports this module
+        return SolverTable(self)
+
 
 @dataclass(frozen=True)
 class RoundEnvironment:

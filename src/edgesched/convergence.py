@@ -59,13 +59,19 @@ def balance_power_threshold(
     so p_1 <= ... <= p_L, and the most segments the cap allows at power p is
     the number of thresholds at or below p.
     """
+    return threshold_power(budget_share(params, n_clusters, n_blocks, n_segments), gain, interference_w)
+
+
+def budget_share(params: ConvergenceParams, n_clusters: int, n_blocks: int, n_segments: int) -> float | None:
+    """C/budget, the part of p_S the config fixes (the solvers keep it in ``solver_table``); None at budget <= 0."""
     phi2 = params.phi_bound**2
-    budget = (
-        2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2)
-        - phi2 * n_segments**2 / n_blocks
-        - phi2
-    )
-    return max(0.0, (params.c_interference / budget - interference_w) / gain) if budget > 0.0 else math.inf
+    budget = 2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2) - phi2 * n_segments**2 / n_blocks - phi2
+    return params.c_interference / budget if budget > 0.0 else None
+
+
+def threshold_power(share: float | None, gain: float, interference_w: float) -> float:
+    """p_S from its config part ``share`` (``budget_share``): max(0, (share - I)/h), inf at None."""
+    return math.inf if share is None else max(0.0, (share - interference_w) / gain)
 
 
 def optimality_gap_bound(

@@ -10,8 +10,7 @@ stage there is no hop at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import add
 from typing import Sequence
 
@@ -34,14 +33,12 @@ class SegmentPlan:
 
     delta: tuple[int, ...]
     m: int
+    scheduled: tuple[int, ...] = field(init=False, compare=False, repr=False)  # the devices with d > 0, in order
+    n_segments: int = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def n_segments(self) -> int:
-        return len(self.scheduled)
-
-    @cached_property
-    def scheduled(self) -> tuple[int, ...]:
-        return tuple(k for k, d in enumerate(self.delta) if d > 0)
+    def __post_init__(self) -> None:
+        scheduled = tuple([k for k, d in enumerate(self.delta) if d > 0])
+        self.__dict__.update(scheduled=scheduled, n_segments=len(scheduled))  # set once, past the frozen __setattr__
 
     def validate(self, cluster: ClusterProfile, model: ModelSpec) -> None:
         """Structural invariants: block conservation, chunk count, memory (C1, C7).

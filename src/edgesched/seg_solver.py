@@ -12,63 +12,47 @@ conservation, segment count at most the device count, per-device memory,
 per-device round energy, and the balance cap (C11): S segments when the
 cluster's uplink power is at least the round's threshold p_S
 (``convergence.balance_power_threshold``), which is also power control's
-floor at S. Device speeds and hop times are the round's,
-read from the ``RoundEnvironment``; memory caps and energy budgets come from
-the config. Every plan is scored by ``cluster_objective``. The energy
-budgets bind, through ``_over_budget`` (C9 as ``validate_decision`` checks
-it), in ``_cap_cover``'s per-device block caps, the m = 1 incumbent and
+floor at S. Device speeds and hop times are the round's, read from the
+``RoundEnvironment``; memory caps and energy budgets come from the config.
+Every plan is scored by ``cluster_objective``. The energy budgets bind,
+through ``_over_budget`` (C9 as ``validate_decision`` checks it), in
+``_cap_cover``'s per-device block caps, the m = 1 incumbent and
 ``optimal_micro_batches``.
 
 Blocks are identical in cost, so at a fixed m a plan's objective depends only
 on its segment count S and its first bottleneck, a device j holding d blocks.
-The partition solve sweeps the O(K*L) device occupancies once, in ascending
-order, tied ones in descending device index, keeping each device's count of
-those before the current one, its block cap there (the monotone probes of
-Pinar & Aykanat, "Fast optimal load balancing algorithms for 1D
-partitioning", JPDC 2004), and their largest count. From it the sweep rejects
-most candidate bottlenecks (j, d) in O(1), as Nicol's probes do
-("Rectilinear partitioning of irregular data parallel computations", JPDC
-1994): when even the fewest stages any cover could take,
-1 + ceil((L-d)/largest count), exceed the balance cap or price the plan above
-the best so far. Only the other pairs cover the other L-d blocks with the
-fewest devices that stay under the bottleneck, as in 1-D chain partitioning,
-and ties are broken after the sweep. The pair at the i-th occupancy covers at
-most i+1 blocks, so the sweep only counts the first L-1. It stops at an
-occupancy past which no plan can reach the best, inverted from a floor once
-per new best.
+``optimal_partition`` sweeps the O(K*L) device occupancies once, in ascending
+order, with each device's count so far as its block cap (the monotone probes
+of Pinar & Aykanat, "Fast optimal load balancing algorithms for 1D
+partitioning", JPDC 2004). It rejects most candidate bottlenecks in O(1), as
+Nicol's probes do ("Rectilinear partitioning of irregular data parallel
+computations", JPDC 1994), and stops at an occupancy past which no plan can
+reach the best.
 
-The same early exit works one level up. Each segment count S has a floor on
-the objective of every S-stage plan, from its least bottleneck: the
-whole-block load of the S fastest devices, the L-th least ratio of a block
-count to a speed among them. The run starts are searched best-first, in
-ascending lower bound, built from memory caps and these floors (branch and
-bound: Land & Doig, Econometrica 1960), until one's bound lies strictly above
-the best objective: no plan there or later can win, not even on a tie. An
-incumbent, m = 1's best one-stage plan priced device by device, comes
-first, so m = 1 is bounded by its S >= 2 floor alone. The bounds are priced
-lazily: the run starts are walked in ascending m beside a cheaper bound that
-never falls as m grows, and the next one is priced only while that cheaper
-bound could put it first. A partition search skips the bottleneck scan when
-its run start's floor of S >= 2 stages lies strictly above the bar. Six
-table2 rounds price 52 and search 0 of their 270 run starts; 12 rounds of
-the benchmark's encoder cluster, which forms no incumbent, price 72 and
-search 22 of 180.
+The same early exit works one level up (branch and bound: Land & Doig,
+Econometrica 1960). ``schedule_segments`` searches the run starts best-first,
+in ascending lower bound (``_run_start_bound``, from memory caps and a floor
+per segment count), after an incumbent, m = 1's best one-stage plan, until
+one's bound lies strictly above the best objective. Six table2 rounds price
+52 and search 0 of their 270 run starts; 12 rounds of the benchmark's encoder
+cluster, which forms no incumbent, price 72 and search 22 of 180.
 
-The balance cap does not depend on m: ``schedule_segments`` counts the
-thresholds p_1, p_2, ... at or below the head power once per call, up to the
-device count, and hands every partition search the cap as a segment count.
-Nothing is kept between calls.
+The balance cap does not depend on m, so ``schedule_segments`` reads it once
+per call (``_segment_cap``). What no round changes is kept per config, in its
+``solver_table``, a ``SolverTable`` built on the first solve: the run starts
+and their chunk work, the memory caps and the least segment count they
+allow, and the config part of every threshold. Nothing else is kept between
+calls.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from functools import cache
 from itertools import accumulate, islice
 
 from .config import DeviceProfile, RoundEnvironment, SystemConfig
-from .convergence import balance_power_threshold
+from .convergence import budget_share, threshold_power
 from .errors import InfeasibleError
 from .pipeline import (
     ENERGY_BUDGET_SLACK,
@@ -95,7 +79,6 @@ def cluster_objective(
     return v_factor * pipeline_latency_from_times(times, hops, m) + len(times) * queue_sum
 
 
-@cache
 def _micro_batch_run_starts(batch_items: int) -> tuple[int, ...]:
     """First m of every constant-ceil(b/m) run; the objective grows within a run."""
     starts = []
@@ -107,6 +90,26 @@ def _micro_batch_run_starts(batch_items: int) -> tuple[int, ...]:
             break
         m = (batch_items - 1) // (v - 1) + 1
     return tuple(starts)
+
+
+class SolverTable:
+    """What the solvers read of a config that no round changes: the run ``starts``;
+    the chunk ``work`` at each micro-batch size ceil(b/m); ``fwd`` = b*o_fwd,
+    ``bwd`` = o_bwd and ``least_work``; per cluster, its memory caps min(cap, L),
+    the devices whose cap is L, and s_lo, the fewest stages (at least 2) that
+    memory lets hold L; and ``shares``, C/budget_S for S = 1..L (``budget_share``)."""
+
+    __slots__ = ("starts", "work", "fwd", "bwd", "least_work", "clusters", "shares")
+
+    def __init__(self, cfg: SystemConfig):
+        model, l_blocks = cfg.model, cfg.model.n_blocks
+        self.starts = _micro_batch_run_starts(model.batch_items)
+        self.work = {c: chunk_work(c, model) for c in (micro_batch_size(model.batch_items, m) for m in self.starts)}
+        self.fwd, self.bwd, self.least_work = model.batch_items * model.fwd_flops, model.bwd_flops, chunk_work(1, model)
+        caps = [tuple(min(dev.block_cap, l_blocks) for dev in cl.devices) for cl in cfg.clusters]
+        wholes = [tuple(k for k, cap in enumerate(c) if cap == l_blocks) for c in caps]
+        self.clusters = [(c, w, 2 if w else max(2, _fewest_cover(l_blocks, c))) for c, w in zip(caps, wholes)]
+        self.shares = tuple(budget_share(cfg.convergence, cfg.n_clusters, l_blocks, s) for s in range(1, l_blocks + 1))
 
 
 def _feasible_energy_at_m(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> bool:
@@ -131,7 +134,7 @@ def optimal_micro_batches(
     """
     best_m = None
     best_obj = math.inf
-    for m in _micro_batch_run_starts(cfg.model.batch_items):
+    for m in cfg.solver_table.starts:
         if not _feasible_energy_at_m(delta, m, cfg, env, n):
             continue
         obj = cluster_objective(delta, m, cfg, env, n, v_factor, queue_sum)
@@ -161,18 +164,17 @@ def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tupl
     bisected when the largest count fails. Raises C7 when memory alone cannot
     host the blocks, and C9' when the energy budgets cut the caps below them.
     """
-    l_blocks = cfg.model.n_blocks
-    work, clocks, hops = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model), env.clock_hz[n], env.hop_s[n]
-    caps = []
-    for k, dev in enumerate(cfg.clusters[n].devices):
-        cap = min(dev.block_cap, l_blocks)
+    l_blocks, table = cfg.model.n_blocks, cfg.solver_table
+    work, clocks, hops = table.work[micro_batch_size(cfg.model.batch_items, m)], env.clock_hz[n], env.hop_s[n]
+    mem_caps, caps = table.clusters[n][0], []
+    for k, (dev, cap) in enumerate(zip(cfg.clusters[n].devices, mem_caps)):
         if _over_budget(cap, work, dev, clocks[k], hops[k]):
             cap = bisect_left(range(1, cap), True, key=lambda d: _over_budget(d, work, dev, clocks[k], hops[k]))
         caps.append(cap)
     need = _fewest_cover(l_blocks, caps)
     if math.isinf(need):
         raise InfeasibleError(
-            "C7" if sum(dev.block_cap for dev in cfg.clusters[n].devices) < l_blocks else "C9'",
+            "C7" if sum(mem_caps) < l_blocks else "C9'",
             f"cluster {n}: device caps cannot host {l_blocks} blocks",
         )
     return caps, need
@@ -221,13 +223,10 @@ def optimal_partition(
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
-    an instance without a feasible composition raises instead. ``speed_j``
-    and ``hop_j`` are the round's ``env.speed[n][j]`` and ``env.hop_s[n][j]``.
-
-    ``s_cap`` is the most segments a plan may use: the device count, or less
-    under the balance cap, as ``_segment_cap`` gives it.
+    an instance without a feasible composition raises instead. ``s_cap`` is
+    the most segments a plan may use, as ``_segment_cap`` gives it.
     """
-    l_blocks, work = cfg.model.n_blocks, chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model)
+    l_blocks, work = cfg.model.n_blocks, cfg.solver_table.work[micro_batch_size(cfg.model.batch_items, m)]
     speeds, hops = env.speed[n], env.hop_s[n]
 
     # feasibility of the cap set as a whole
@@ -318,9 +317,9 @@ def _segment_cap(cfg: SystemConfig, env: RoundEnvironment, n: int, cu_power_w: f
     S = 1, 2, ... up to its device count and L whose balance threshold p_S
     (C11) is at or below the power. The thresholds rise with S, so the first
     one above it is bisected. Raises C11 when p_1 is above it, or at NaN."""
-    s_cap = bisect_left(range(1, min(cfg.clusters[n].n_devices, cfg.model.n_blocks) + 1), True, key=lambda s: not balance_power_threshold(
-        cfg.convergence, cfg.n_clusters, cfg.model.n_blocks, s, env.uplink_gain[n], env.uplink_interference_w[n]
-    ) <= cu_power_w)
+    shares, gain, interference_w = cfg.solver_table.shares, env.uplink_gain[n], env.uplink_interference_w[n]
+    s_max = min(cfg.clusters[n].n_devices, cfg.model.n_blocks)
+    s_cap = bisect_left(range(1, s_max + 1), True, key=lambda s: not threshold_power(shares[s - 1], gain, interference_w) <= cu_power_w)
     if s_cap == 0:
         raise InfeasibleError("C11", f"cluster {n}: balance cap unreachable at power {cu_power_w}")
     return s_cap
@@ -427,13 +426,14 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
 
     Built from memory caps alone, so they hold for every plan of at most
     ``s_cap`` stages that the energy caps allow, which are at most the memory
-    caps. ``bound(m)`` is the pair (the smaller of two terms, the second):
+    caps (the ``solver_table``'s). ``bound(m)`` is the pair (the smaller of
+    two terms, the second):
 
     - one stage: the fastest device that can hold all L blocks, priced with
       the float expression ``optimal_partition`` uses, so it needs no slack;
     - S >= 2 stages: ``_stage_count_floor`` over every S from the least
       segment count s_lo memory allows up to ``s_cap``, on the devices memory
-      lets hold a block; inf when s_cap < s_lo.
+      lets hold a block; inf, built from nothing, when s_cap < s_lo.
 
     ``later(m)`` never falls as m grows and lies at or below ``bound(m')[0]`` at
     every run start m' >= m. It is the least of lines a + c*m with c >= 0,
@@ -451,24 +451,20 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     depend on m is computed here, once. Both are inf at every m when the
     memory caps cannot host the L blocks.
     """
-    l_blocks = cfg.model.n_blocks
-    mem_caps = [dev.block_cap for dev in cfg.clusters[n].devices]
-    s_fast = max((speed for speed, cap in zip(env.speed[n], mem_caps) if cap >= l_blocks), default=None)
-    s_lo = 2 if s_fast is not None else max(2, _fewest_cover(l_blocks, mem_caps))  # one device holds L: no cover to count
-    many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
-    batch_items, model = cfg.model.batch_items, cfg.model
+    l_blocks, batch_items, table = cfg.model.n_blocks, cfg.model.batch_items, cfg.solver_table
+    (mem_caps, whole, s_lo), works, fwd, bwd = table.clusters[n], table.work, table.fwd, table.bwd  # b*o_fwd, o_bwd
+    s_fast = max([env.speed[n][k] for k in whole]) if whole else None
+    many = _no_floor if s_cap < s_lo else _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
 
     def bound(m: int) -> tuple[float, float]:
-        work = chunk_work(micro_batch_size(batch_items, m), model)
+        work = works[micro_batch_size(batch_items, m)]
         one = math.inf if s_fast is None else _one_stage_objective(v_factor, m, l_blocks, work, s_fast, queue_sum)
         least = many(m, work, one)
         return least if least < one else one, least
 
-    fwd, bwd = batch_items * model.fwd_flops, model.bwd_flops  # b*o_fwd, o_bwd
     lines = [] if s_fast is None else [(v_factor * (l_blocks / s_fast * fwd) + queue_sum, v_factor * (l_blocks / s_fast * bwd))]
     if many.counts:
-        hop_min, hop_max = many.hop_range
-        least_work = chunk_work(1, model)  # no chunk does less work
+        (hop_min, hop_max), least_work = many.hop_range, table.least_work  # no chunk does less work
         lines += [
             (v_factor * (load * (fwd + (s - 1) * least_work) + (s - 1) * hop_min - hop_max) + s * queue_sum, v_factor * (load * bwd + hop_min))
             for s, load in many.counts
@@ -495,39 +491,32 @@ def schedule_segments(
 ) -> SegmentPlan:
     """Exact joint argmin over (partition, micro-batches) for cluster n.
 
-    The incumbent comes first: m = 1's best one-stage plan over the devices
-    whose memory holds L and that are not ``_over_budget``, fastest first,
-    until one costs strictly more than the best (a tie goes to the later
-    device, whose delta is the lesser). So m = 1 is bounded by its many-stage
-    floor alone; a larger m keeps its one-stage term, as energy falls with m.
+    The balance cap at ``cu_power_w`` is read once; when it is unreachable,
+    its C11 error is raised before any search. The incumbent comes next: m =
+    1's best one-stage plan over the devices whose memory holds L and that
+    are not ``_over_budget``, fastest first, until one costs strictly more
+    than the best (a tie goes to the later device, whose delta is the
+    lesser). So m = 1 is bounded by its many-stage floor alone.
 
-    Then the partition search runs at the ceil(b/m) run starts best-first, in
-    ascending (bound, m) of ``_run_start_bound``'s ``bound`` (every segment
-    count up to the balance cap priced by ``_stage_count_floor``), each at the
-    best objective so far as its cutoff and at the bound's many-stage floor,
-    keeping the least (objective, S, delta, m), the oracle's tie-break. The
-    run starts are walked in ascending m and priced only when reached: the
-    least priced one is searched once its bound is at or below ``later`` of
-    the next unpriced one, which no bound from there on lies below, so the
-    order is that of sorting every bound. The search stops when the least
-    priced bound and that ``later`` both lie strictly above the best
-    objective: every plan left is worse. Ties are never skipped, so the order
-    cannot change the plan. When no m has a plan, nothing was ruled out, and
-    the error raised at m = 1 names the blocker.
-
-    The balance cap at ``cu_power_w`` does not depend on m, so it is read
-    once, before the run starts; when it is unreachable, its C11 error is
-    raised before any search.
+    Then the partition search runs at the run starts in ascending (bound, m)
+    of ``_run_start_bound``'s ``bound``, each at the best objective so far as
+    its cutoff and at the bound's many-stage floor, keeping the least
+    (objective, S, delta, m), the oracle's tie-break. The run starts are
+    priced in ascending m, only while ``later`` of the next could put it
+    first, so the order is that of sorting every bound. The search stops when
+    the least priced bound and that ``later`` both lie strictly above the best
+    objective. Ties are never skipped, so the order cannot change the plan.
+    When no m has a plan, the error raised at m = 1 names the blocker.
     """
     queue_sum = sum(queues)
     s_cap = _segment_cap(cfg, env, n, cu_power_w)
     bound, later = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
-    starts = _micro_batch_run_starts(cfg.model.batch_items)
+    starts = (table := cfg.solver_table).starts
     priced = []  # ascending (bound, m, floor) of the run starts priced and not yet searched
     walked, after = 0, -math.inf  # run starts priced, and later() of the next; m = 1 is priced unasked
     best_key = error = None
-    l_blocks, devices, work = cfg.model.n_blocks, cfg.clusters[n].devices, chunk_work(cfg.model.batch_items, cfg.model)
-    for speed, j in sorted(((env.speed[n][k], k) for k, dev in enumerate(devices) if dev.block_cap >= l_blocks), reverse=True):
+    l_blocks, devices, work, speeds = cfg.model.n_blocks, cfg.clusters[n].devices, table.work[cfg.model.batch_items], env.speed[n]
+    for speed, j in sorted([(speeds[k], k) for k in table.clusters[n][1]], reverse=True):
         obj = _one_stage_objective(v_factor, 1, l_blocks, work, speed, queue_sum)
         if best_key is not None and obj > best_key[0]:
             break  # so is every slower device's

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 SEG = "tests/test_seg_solver.py::"
+TABLE = "tests/test_solver_table.py::"
 ORCH = "tests/test_orchestrator.py::"
 PIPE = "tests/test_pipeline.py::"
 GOLDEN = "tests/test_decision_golden.py"
@@ -257,8 +258,8 @@ MUTANTS = (
     Mutant(
         "segment-cap-admits-a-nan-power",
         SOLVER,
-        "key=lambda s: not balance_power_threshold(",
-        "key=lambda s: balance_power_threshold(",
+        "key=lambda s: not threshold_power(",
+        "key=lambda s: threshold_power(",
         (SEG + "test_segment_cap_at_a_nan_power_is_unreachable",),
     ),
     # the partition search's floor skip and the one-stage price
@@ -417,8 +418,8 @@ MUTANTS = (
     Mutant(
         "balance-threshold-one-segment-up",
         "convergence.py",
-        "        - phi2 * n_segments**2 / n_blocks\n        - phi2\n",
-        "        - phi2 * (n_segments + 1) ** 2 / n_blocks\n        - phi2\n",
+        "- phi2 * n_segments**2 / n_blocks - phi2",
+        "- phi2 * (n_segments + 1) ** 2 / n_blocks - phi2",
         ("tests/test_convergence.py::test_balance_power_thresholds_invert_gamma",),
     ),
     Mutant(
@@ -463,6 +464,28 @@ MUTANTS = (
         "            if j in taken:\n",
         "            if False:\n",
         ("tests/test_comm.py::test_channel_assignment_structure",),
+    ),
+    # the per-config solver table
+    Mutant(
+        "threshold-table-one-segment-off",
+        SOLVER,
+        "for s in range(1, l_blocks + 1))",
+        "for s in range(2, l_blocks + 2))",
+        (TABLE + "test_table_read_segment_cap_and_power_floor_equal_balance_power_threshold",),
+    ),
+    Mutant(
+        "stage-floor-skipped-above-s-lo",
+        SOLVER,
+        "many = _no_floor if s_cap < s_lo else",
+        "many = _no_floor if s_cap > s_lo else",
+        (SEG + "test_run_start_bound_is_below_every_composition",),
+    ),
+    Mutant(
+        "table-survives-replace",
+        "config.py",
+        "        return SolverTable(self)\n",
+        "        return SystemConfig.__dict__.get(\"_kept\") or setattr(SystemConfig, \"_kept\", SolverTable(self)) or SystemConfig._kept\n",
+        (TABLE + "test_a_replaced_config_reads_its_own_table",),
     ),
     # evaluated fields that leave the decisions as they were
     Mutant(
