@@ -65,7 +65,11 @@ def balance_power_threshold(
 def budget_share(params: ConvergenceParams, n_clusters: int, n_blocks: int, n_segments: int) -> float | None:
     """C/budget, the part of p_S the config fixes (the solvers keep it in ``solver_table``); None at budget <= 0."""
     phi2 = params.phi_bound**2
-    budget = 2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2) - phi2 * n_segments**2 / n_blocks - phi2
+    budget = (
+        2.0 * n_clusters * params.gamma_max / (params.beta * params.eta**2)
+        - phi2 * n_segments**2 / n_blocks
+        - phi2
+    )
     return params.c_interference / budget if budget > 0.0 else None
 
 

@@ -117,7 +117,6 @@ def power_control(
     v_factor: float,
     n_segments: int,
     enforce_balance: bool = True,
-    *, link: Uplink | None = None,
 ) -> float:
     """Optimal uplink power of cluster n in [0, P_max] under C8 and C11.
 
@@ -126,9 +125,8 @@ def power_control(
     its closed-form stationary power clamped to that box.
 
     The floor is the C11 threshold p_S at S = ``n_segments``, in [1, L].
-    ``link`` is cluster n's ``comm.uplink``, for a caller that has built it.
     """
-    prob = uplink(cfg, env, n) if link is None else link
+    prob = uplink(cfg, env, n)
     p_floor = 0.0
     if enforce_balance:
         l_blocks = cfg.model.n_blocks
@@ -183,14 +181,15 @@ def _lexmin_assignment(cost: np.ndarray) -> list[int]:
     return chosen
 
 
-def _links(cfg: SystemConfig, env: RoundEnvironment) -> list[Uplink]:
-    """Every cluster's ``comm.uplink`` this round, in cluster order."""
-    return [uplink(cfg, env, n) for n in range(cfg.n_clusters)]
-
-
-def _cluster_costs(links: list[Uplink], queues: tuple[float, ...], v_factor: float, powers: tuple[float, ...]) -> list[float]:
+def _cluster_costs(
+    cfg: SystemConfig,
+    env: RoundEnvironment,
+    queues: tuple[float, ...],
+    v_factor: float,
+    powers: tuple[float, ...],
+) -> list[float]:
     """Cost of letting each cluster n transmit at its power p_n: V*tau_up(p_n) + Y_n*p_n; +inf at p_n = None."""
-    return [math.inf if p is None else _objective(links[n], v_factor, queues[n], p) for n, p in enumerate(powers)]
+    return [math.inf if p is None else _objective(uplink(cfg, env, n), v_factor, queues[n], p) for n, p in enumerate(powers)]
 
 
 def matching_costs(
@@ -204,7 +203,7 @@ def matching_costs(
     channels are identical; the N x J form is kept as the oracle's input."""
     import numpy as np
 
-    costs = _cluster_costs(_links(cfg, env), queues, v_factor, candidate_powers)
+    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers)
     return np.tile(np.array(costs)[:, None], (1, cfg.n_channels))
 
 
@@ -220,12 +219,10 @@ def channel_assignment(
     queues: tuple[float, ...],
     v_factor: float,
     candidate_powers: tuple[float, ...],
-    *, links: list[Uplink] | None = None,
 ) -> ChannelAssignment:
     """Minimum-cost matching, lex tie-break: the min(N, J) cheapest clusters by
-    (cost, index) transmit, on channels 0, 1, ... in cluster order. ``links``,
-    the clusters' ``comm.uplink``s, spare a caller that has built them a rebuild."""
-    costs = _cluster_costs(_links(cfg, env) if links is None else links, queues, v_factor, candidate_powers)
+    (cost, index) transmit, on channels 0, 1, ... in cluster order."""
+    costs = _cluster_costs(cfg, env, queues, v_factor, candidate_powers)
     ranked = sorted(range(cfg.n_clusters), key=costs.__getitem__)
     return _ranked_assignment(cfg, sorted(ranked[: cfg.n_channels]))
 
@@ -244,19 +241,18 @@ def allocate_resources(
     optimal power is solved first; the matching is then priced at those
     powers, and clusters left without a channel transmit at zero power. A
     cluster whose power box is empty (C8) costs +inf and ranks last; its C8
-    is raised only when fewer than min(N, J) clusters can transmit. Each
-    cluster's uplink is built once, for its power and its cost alike.
+    is raised only when fewer than min(N, J) clusters can transmit.
     """
-    candidates, blocked, links = [], {}, _links(cfg, env)
+    candidates, blocked = [], {}
     for n in range(cfg.n_clusters):
         try:
-            candidates.append(power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance, link=links[n]))
+            candidates.append(power_control(cfg, env, n, queues[n], v_factor, segment_counts[n], enforce_balance=enforce_balance))
         except InfeasibleError as exc:
             if exc.constraint != "C8":
                 raise
             candidates.append(None)
             blocked[n] = exc
-    assignment = channel_assignment(cfg, env, queues, v_factor, tuple(candidates), links=links)
+    assignment = channel_assignment(cfg, env, queues, v_factor, tuple(candidates))
     for n, exc in blocked.items():
         if assignment.is_transmitting(n):
             raise exc

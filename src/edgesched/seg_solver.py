@@ -94,18 +94,17 @@ def _micro_batch_run_starts(batch_items: int) -> tuple[int, ...]:
 
 class SolverTable:
     """What the solvers read of a config that no round changes: the run ``starts``;
-    the chunk ``work`` at each micro-batch size ceil(b/m); ``fwd`` = b*o_fwd,
-    ``bwd`` = o_bwd and ``least_work``; per cluster, its memory caps min(cap, L),
-    the devices whose cap is L, and s_lo, the fewest stages (at least 2) that
-    memory lets hold L; and ``shares``, C/budget_S for S = 1..L (``budget_share``)."""
+    the chunk ``work`` at each micro-batch size ceil(b/m); per cluster, its
+    memory caps min(cap, L), the devices whose cap is L, and s_lo, the fewest
+    stages (at least 2) that memory lets hold L; and ``shares``, C/budget_S for
+    S = 1..L (``budget_share``)."""
 
-    __slots__ = ("starts", "work", "fwd", "bwd", "least_work", "clusters", "shares")
+    __slots__ = ("starts", "work", "clusters", "shares")
 
     def __init__(self, cfg: SystemConfig):
         model, l_blocks = cfg.model, cfg.model.n_blocks
         self.starts = _micro_batch_run_starts(model.batch_items)
         self.work = {c: chunk_work(c, model) for c in (micro_batch_size(model.batch_items, m) for m in self.starts)}
-        self.fwd, self.bwd, self.least_work = model.batch_items * model.fwd_flops, model.bwd_flops, chunk_work(1, model)
         caps = [tuple(min(dev.block_cap, l_blocks) for dev in cl.devices) for cl in cfg.clusters]
         wholes = [tuple(k for k, cap in enumerate(c) if cap == l_blocks) for c in caps]
         self.clusters = [(c, w, 2 if w else max(2, _fewest_cover(l_blocks, c))) for c, w in zip(caps, wholes)]
@@ -113,7 +112,7 @@ class SolverTable:
 
 
 def _feasible_energy_at_m(delta: tuple[int, ...], m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> bool:
-    work, devices = chunk_work(micro_batch_size(cfg.model.batch_items, m), cfg.model), cfg.clusters[n].devices
+    work, devices = cfg.solver_table.work[micro_batch_size(cfg.model.batch_items, m)], cfg.clusters[n].devices
     return not any(_over_budget(d, work, devices[k], env.clock_hz[n][k], env.hop_s[n][k]) for k, d in enumerate(delta) if d > 0)
 
 
@@ -166,7 +165,8 @@ def _cap_cover(m: int, cfg: SystemConfig, env: RoundEnvironment, n: int) -> tupl
     """
     l_blocks, table = cfg.model.n_blocks, cfg.solver_table
     work, clocks, hops = table.work[micro_batch_size(cfg.model.batch_items, m)], env.clock_hz[n], env.hop_s[n]
-    mem_caps, caps = table.clusters[n][0], []
+    mem_caps = table.clusters[n][0]
+    caps = []
     for k, (dev, cap) in enumerate(zip(cfg.clusters[n].devices, mem_caps)):
         if _over_budget(cap, work, dev, clocks[k], hops[k]):
             cap = bisect_left(range(1, cap), True, key=lambda d: _over_budget(d, work, dev, clocks[k], hops[k]))
@@ -223,8 +223,11 @@ def optimal_partition(
 
     Plans whose objective exceeds ``cutoff`` are dropped (ties survive); when
     no plan reaches a finite cutoff the result is None. At the default cutoff
-    an instance without a feasible composition raises instead. ``s_cap`` is
-    the most segments a plan may use, as ``_segment_cap`` gives it.
+    an instance without a feasible composition raises instead. ``speed_j``
+    and ``hop_j`` are the round's ``env.speed[n][j]`` and ``env.hop_s[n][j]``.
+
+    ``s_cap`` is the most segments a plan may use: the device count, or less
+    under the balance cap, as ``_segment_cap`` gives it.
     """
     l_blocks, work = cfg.model.n_blocks, cfg.solver_table.work[micro_batch_size(cfg.model.batch_items, m)]
     speeds, hops = env.speed[n], env.hop_s[n]
@@ -384,6 +387,8 @@ def _stage_count_floor(
     each S's load as refined so far, none for the inf floor, and
     ``hop_range``, (hop_min, hop_max).
     """
+    if s_cap < s_lo:
+        return _no_floor
     held = [(speed, hop) for speed, hop, cap in zip(env.speed[n], env.hop_s[n], caps) if cap]
     s_hi = min(s_cap, len(held))
     if s_hi < s_lo:
@@ -433,7 +438,7 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
       the float expression ``optimal_partition`` uses, so it needs no slack;
     - S >= 2 stages: ``_stage_count_floor`` over every S from the least
       segment count s_lo memory allows up to ``s_cap``, on the devices memory
-      lets hold a block; inf, built from nothing, when s_cap < s_lo.
+      lets hold a block; inf when s_cap < s_lo.
 
     ``later(m)`` never falls as m grows and lies at or below ``bound(m')[0]`` at
     every run start m' >= m. It is the least of lines a + c*m with c >= 0,
@@ -451,10 +456,11 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
     depend on m is computed here, once. Both are inf at every m when the
     memory caps cannot host the L blocks.
     """
-    l_blocks, batch_items, table = cfg.model.n_blocks, cfg.model.batch_items, cfg.solver_table
-    (mem_caps, whole, s_lo), works, fwd, bwd = table.clusters[n], table.work, table.fwd, table.bwd  # b*o_fwd, o_bwd
+    l_blocks, table = cfg.model.n_blocks, cfg.solver_table
+    mem_caps, whole, s_lo = table.clusters[n]
     s_fast = max([env.speed[n][k] for k in whole]) if whole else None
-    many = _no_floor if s_cap < s_lo else _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
+    many = _stage_count_floor(env, n, mem_caps, l_blocks, v_factor, queue_sum, s_lo, s_cap)
+    batch_items, model, works = cfg.model.batch_items, cfg.model, table.work
 
     def bound(m: int) -> tuple[float, float]:
         work = works[micro_batch_size(batch_items, m)]
@@ -462,9 +468,11 @@ def _run_start_bound(cfg: SystemConfig, env: RoundEnvironment, n: int, v_factor:
         least = many(m, work, one)
         return least if least < one else one, least
 
+    fwd, bwd = batch_items * model.fwd_flops, model.bwd_flops  # b*o_fwd, o_bwd
     lines = [] if s_fast is None else [(v_factor * (l_blocks / s_fast * fwd) + queue_sum, v_factor * (l_blocks / s_fast * bwd))]
     if many.counts:
-        (hop_min, hop_max), least_work = many.hop_range, table.least_work  # no chunk does less work
+        hop_min, hop_max = many.hop_range
+        least_work = chunk_work(1, model)  # no chunk does less work
         lines += [
             (v_factor * (load * (fwd + (s - 1) * least_work) + (s - 1) * hop_min - hop_max) + s * queue_sum, v_factor * (load * bwd + hop_min))
             for s, load in many.counts
@@ -491,32 +499,40 @@ def schedule_segments(
 ) -> SegmentPlan:
     """Exact joint argmin over (partition, micro-batches) for cluster n.
 
-    The balance cap at ``cu_power_w`` is read once; when it is unreachable,
-    its C11 error is raised before any search. The incumbent comes next: m =
-    1's best one-stage plan over the devices whose memory holds L and that
-    are not ``_over_budget``, fastest first, until one costs strictly more
-    than the best (a tie goes to the later device, whose delta is the
-    lesser). So m = 1 is bounded by its many-stage floor alone.
+    The incumbent comes first: m = 1's best one-stage plan over the devices
+    whose memory holds L and that are not ``_over_budget``, fastest first,
+    until one costs strictly more than the best (a tie goes to the later
+    device, whose delta is the lesser). So m = 1 is bounded by its many-stage
+    floor alone; a larger m keeps its one-stage term, as energy falls with m.
 
-    Then the partition search runs at the run starts in ascending (bound, m)
-    of ``_run_start_bound``'s ``bound``, each at the best objective so far as
-    its cutoff and at the bound's many-stage floor, keeping the least
-    (objective, S, delta, m), the oracle's tie-break. The run starts are
-    priced in ascending m, only while ``later`` of the next could put it
-    first, so the order is that of sorting every bound. The search stops when
-    the least priced bound and that ``later`` both lie strictly above the best
-    objective. Ties are never skipped, so the order cannot change the plan.
-    When no m has a plan, the error raised at m = 1 names the blocker.
+    Then the partition search runs at the ceil(b/m) run starts best-first, in
+    ascending (bound, m) of ``_run_start_bound``'s ``bound`` (every segment
+    count up to the balance cap priced by ``_stage_count_floor``), each at the
+    best objective so far as its cutoff and at the bound's many-stage floor,
+    keeping the least (objective, S, delta, m), the oracle's tie-break. The
+    run starts are walked in ascending m and priced only when reached: the
+    least priced one is searched once its bound is at or below ``later`` of
+    the next unpriced one, which no bound from there on lies below, so the
+    order is that of sorting every bound. The search stops when the least
+    priced bound and that ``later`` both lie strictly above the best
+    objective: every plan left is worse. Ties are never skipped, so the order
+    cannot change the plan. When no m has a plan, nothing was ruled out, and
+    the error raised at m = 1 names the blocker.
+
+    The balance cap at ``cu_power_w`` does not depend on m, so it is read
+    once, before the run starts; when it is unreachable, its C11 error is
+    raised before any search.
     """
     queue_sum = sum(queues)
     s_cap = _segment_cap(cfg, env, n, cu_power_w)
     bound, later = _run_start_bound(cfg, env, n, v_factor, queue_sum, s_cap)
-    starts = (table := cfg.solver_table).starts
+    table = cfg.solver_table
+    starts = table.starts
     priced = []  # ascending (bound, m, floor) of the run starts priced and not yet searched
     walked, after = 0, -math.inf  # run starts priced, and later() of the next; m = 1 is priced unasked
     best_key = error = None
-    l_blocks, devices, work, speeds = cfg.model.n_blocks, cfg.clusters[n].devices, table.work[cfg.model.batch_items], env.speed[n]
-    for speed, j in sorted([(speeds[k], k) for k in table.clusters[n][1]], reverse=True):
+    l_blocks, devices, work = cfg.model.n_blocks, cfg.clusters[n].devices, table.work[cfg.model.batch_items]
+    for speed, j in sorted([(env.speed[n][k], k) for k in table.clusters[n][1]], reverse=True):
         obj = _one_stage_objective(v_factor, 1, l_blocks, work, speed, queue_sum)
         if best_key is not None and obj > best_key[0]:
             break  # so is every slower device's

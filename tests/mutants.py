@@ -418,8 +418,8 @@ MUTANTS = (
     Mutant(
         "balance-threshold-one-segment-up",
         "convergence.py",
-        "- phi2 * n_segments**2 / n_blocks - phi2",
-        "- phi2 * (n_segments + 1) ** 2 / n_blocks - phi2",
+        "        - phi2 * n_segments**2 / n_blocks\n        - phi2\n",
+        "        - phi2 * (n_segments + 1) ** 2 / n_blocks\n        - phi2\n",
         ("tests/test_convergence.py::test_balance_power_thresholds_invert_gamma",),
     ),
     Mutant(
@@ -476,9 +476,17 @@ MUTANTS = (
     Mutant(
         "stage-floor-skipped-above-s-lo",
         SOLVER,
-        "many = _no_floor if s_cap < s_lo else",
-        "many = _no_floor if s_cap > s_lo else",
+        "    if s_cap < s_lo:\n        return _no_floor\n",
+        "    if s_cap > s_lo:\n        return _no_floor\n",
         (SEG + "test_run_start_bound_is_below_every_composition",),
+    ),
+    Mutant(
+        "segment-cap-prices-every-s",
+        SOLVER,
+        "    s_max = min(cfg.clusters[n].n_devices, cfg.model.n_blocks)\n",
+        "    s_max = min(cfg.clusters[n].n_devices, cfg.model.n_blocks)\n"
+        "    [threshold_power(shares[s - 1], gain, interference_w) for s in range(1, s_max + 1)]\n",
+        (ORCH + "test_lyapunov_round_evaluates_at_most_k_plus_one_thresholds_per_cluster",),
     ),
     Mutant(
         "table-survives-replace",

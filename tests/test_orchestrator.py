@@ -482,17 +482,20 @@ def _table2_1024_blocks():
 
 @pytest.mark.parametrize("system, rounds", [("binding", 4), ("table2", 6), ("table2-L1024", 3), ("encoder", 12)])
 def test_lyapunov_round_evaluates_at_most_k_plus_one_thresholds_per_cluster(system, rounds, table2_cfg, monkeypatch):
-    # the segment cap counts p_1, p_2, ... up to min(K, L) and stops at the
-    # first threshold above the head power, and power control reads its one
-    # floor p_S, however many partition searches the round runs. Building all
-    # of p_1..p_L instead would evaluate 1024 per cluster and round at L = 1024.
+    # the segment cap bisects p_1, p_2, ... up to min(K, L), at most
+    # bit_length(min(K, L)) of them, and power control reads its one floor
+    # p_S, however many partition searches the round runs. Each p_S is
+    # finished by convergence.threshold_power from the config's solver table.
+    # Pricing every S up to min(K, L) would break the bound on the encoder
+    # cluster (K = 10), and building all of p_1..p_L would evaluate 1024 per
+    # cluster and round at L = 1024.
     # The roundbench encoder cluster (K=10, L=16) searches several run starts
     # in some solves; table2's solves search one each
     if system == "encoder":
         cfg = build_config(workload_doc("encoder", 1))
     else:
         cfg = table2_cfg if system == "table2" else load_config(BINDING) if system == "binding" else _table2_1024_blocks()
-    thresholds = _count_calls(monkeypatch, convergence.balance_power_threshold)
+    thresholds = _count_calls(monkeypatch, convergence.threshold_power)
     searches = _count_calls(monkeypatch, seg_solver.optimal_partition)
     per_round = []
     one_round = orchestrator.optimize_round
@@ -506,7 +509,7 @@ def test_lyapunov_round_evaluates_at_most_k_plus_one_thresholds_per_cluster(syst
     monkeypatch.setattr(orchestrator, "optimize_round", counted_round)
     trace = run_simulation(cfg, rounds, "lyapunov")
     assert len(trace.rounds) == len(per_round) == rounds
-    assert max(per_round) <= sum(min(cl.n_devices, cfg.model.n_blocks) + 1 for cl in cfg.clusters)
+    assert 0 < max(per_round) <= sum(min(cl.n_devices, cfg.model.n_blocks).bit_length() + 1 for cl in cfg.clusters)
     if system == "encoder":
         assert len(searches) > rounds * cfg.n_clusters  # some segment solves search several run starts
 
